@@ -109,7 +109,7 @@ def cmd_segment(args) -> None:
 
 def cmd_build_vocab(args) -> None:
     docs = load_corpus(args.corpus)
-    vocab = train_bpe(docs, args.vocab_size, seed=args.seed)
+    vocab = train_bpe(docs, args.vocab_size)
     vocab.save(args.out)
     _info(f"trained vocabulary: {len(vocab)} symbols, {len(vocab.merges)} merges -> {args.out}")
 
@@ -222,8 +222,11 @@ def _load_encoder_checkpoints(directory: str) -> list[tuple[int, EncoderParams]]
         config, tensors = load_checkpoint(p)
         if config.get("kind") != "encoder":
             raise FormatError(f"not an encoder checkpoint: {p}", path=str(p))
-        cfg = EncoderConfig.from_dict(config["encoder"])
-        out.append((int(config["step"]), EncoderParams(cfg, tensors)))
+        step = config.get("step")
+        if type(step) is not int:
+            raise FormatError('"step" must be an integer', path=str(p))
+        cfg = EncoderConfig.from_dict(config.get("encoder"), f"{p} encoder config")
+        out.append((step, EncoderParams(cfg, tensors)))
     out.sort(key=lambda pair: pair[0])
     return out
 
@@ -344,7 +347,6 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train heads per the experiment config (multi-seed runs emit a protocol report)")

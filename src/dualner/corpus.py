@@ -16,7 +16,7 @@ import os
 import string
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -133,6 +133,20 @@ class LabelInventory:
 # ---------------------------------------------------------------------------
 # On-disk format (JSONL, one document per line)
 # ---------------------------------------------------------------------------
+
+
+def dataclass_from_dict(cls, obj, where: str):
+    """Build config dataclass ``cls`` from a JSON object, rejecting unknown keys."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    unknown = set(obj) - names
+    if unknown:
+        raise FormatError(f"unknown keys in {where}: {sorted(unknown)}")
+    try:
+        return cls(**obj)
+    except TypeError as exc:
+        raise FormatError(f"bad {where} section: {exc}") from exc
 
 
 @contextmanager
@@ -258,6 +272,34 @@ def _parse_document(obj, path: str, line: int, scored: bool) -> Document:
 
 def mentions_overlap(a: Mention, b: Mention) -> bool:
     return a.start_word <= b.end_word and b.start_word <= a.end_word
+
+
+def strictly_contains(a: Mention, b: Mention) -> bool:
+    """``a`` covers every word of ``b`` and the two spans differ."""
+    return (
+        a.start_word <= b.start_word
+        and b.end_word <= a.end_word
+        and (a.start_word, a.end_word) != (b.start_word, b.end_word)
+    )
+
+
+def mentions_cross(a: Mention, b: Mention) -> bool:
+    """Overlap where neither span strictly contains the other; equal spans cross."""
+    return mentions_overlap(a, b) and not (strictly_contains(a, b) or strictly_contains(b, a))
+
+
+def select_by_score(mentions: Sequence[Mention], conflict) -> list[Mention]:
+    """Greedy score-descending subset (ties: earlier start, then shorter).
+
+    A mention is kept unless ``conflict(mention, kept)`` holds for one
+    already kept; unscored mentions count as score 0.
+    """
+    order = sorted(mentions, key=lambda m: (-getattr(m, "score", 0.0), m.start_word, m.end_word))
+    kept: list[Mention] = []
+    for m in order:
+        if not any(conflict(m, k) for k in kept):
+            kept.append(m)
+    return kept
 
 
 def validate_document(doc: Document, *, allow_overlap: bool = False) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .corpus import atomic_write
+from .corpus import atomic_write, dataclass_from_dict
 from .errors import FormatError
 from .subtok import SubTokenization
 
@@ -69,8 +69,8 @@ class EncoderConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "EncoderConfig":
-        return cls(**obj)
+    def from_dict(cls, obj: dict, where: str = "encoder config") -> "EncoderConfig":
+        return dataclass_from_dict(cls, obj, where)
 
 
 @dataclass
@@ -357,6 +357,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             if "__config__" not in z.files:
                 raise FormatError("checkpoint missing __config__ entry", path=str(path))
             config = json.loads(str(z["__config__"][()]))
+            if not isinstance(config, dict):
+                raise FormatError("checkpoint __config__ is not a JSON object", path=str(path))
             tensors = {k: z[k].copy() for k in z.files if k != "__config__"}
     except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable checkpoint: {exc}", path=str(path)) from exc

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Mention
+from .corpus import Document, Mention, mentions_overlap, select_by_score
 from .errors import ValidationError
 from .heads import mentions_to_tags
 from .subtok import BUCKETS, BpeVocab, SubTokenization, bucket_of, subtokenize
@@ -313,14 +313,7 @@ def _sentence_pairs(gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 def project_non_overlapping(mentions: Sequence[Mention]) -> list[Mention]:
     """Greedy score-descending subset with no overlaps at all; used before
     converting possibly-nested span predictions to per-word tags."""
-    order = sorted(
-        mentions,
-        key=lambda m: (-getattr(m, "score", 0.0), m.start_word, m.end_word - m.start_word),
-    )
-    kept: list[Mention] = []
-    for m in order:
-        if all(m.end_word < o.start_word or m.start_word > o.end_word for o in kept):
-            kept.append(m)
+    kept = select_by_score(mentions, mentions_overlap)
     kept.sort(key=lambda m: (m.start_word, m.end_word))
     return kept
 

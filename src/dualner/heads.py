@@ -15,7 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelInventory, Mention, ScoredMention
+from .corpus import (
+    LabelInventory,
+    Mention,
+    ScoredMention,
+    dataclass_from_dict,
+    mentions_cross,
+    select_by_score,
+)
 from .encoder import gelu, gelu_grad, trunc_normal
 
 __all__ = [
@@ -30,7 +37,6 @@ __all__ = [
     "tags_to_mentions",
     "mentions_to_tags",
     "enumerate_spans",
-    "span_representation",
     "span_forward",
     "span_backward",
     "span_decode",
@@ -51,8 +57,8 @@ class HeadConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "HeadConfig":
-        return cls(**obj)
+    def from_dict(cls, obj: dict, where: str = "heads config") -> "HeadConfig":
+        return dataclass_from_dict(cls, obj, where)
 
 
 @dataclass
@@ -61,14 +67,6 @@ class HeadParams:
     labels: LabelInventory
     hidden_dim: int
     tensors: dict[str, np.ndarray]
-
-    @property
-    def n_tags(self) -> int:
-        return 1 + 2 * len(self.labels)
-
-    @property
-    def n_span_classes(self) -> int:
-        return 1 + len(self.labels)
 
     def clone(self) -> "HeadParams":
         return HeadParams(
@@ -216,10 +214,6 @@ class SpanCandidate:
     label: str | None
     score: float
 
-    @property
-    def length_words(self) -> int:
-        return self.end_word - self.start_word + 1
-
 
 def enumerate_spans(n_words: int, max_span_width: int) -> list[tuple[int, int]]:
     """All (start, end) with end inclusive and width <= max_span_width, sorted."""
@@ -255,12 +249,6 @@ def span_representations(
     )
 
 
-def span_representation(
-    word_vecs: np.ndarray, span: tuple[int, int], params: HeadParams
-) -> np.ndarray:
-    return span_representations(word_vecs, [span], params)[0]
-
-
 def span_logits_with_cache(word_vecs, spans, params: HeadParams):
     reps = span_representations(word_vecs, spans, params)
     t = params.tensors
@@ -292,12 +280,11 @@ def span_backward(
     params: HeadParams,
     d_logits: np.ndarray,
     grads: dict[str, np.ndarray],
-    cache=None,
+    cache,
 ) -> np.ndarray:
-    """Accumulate span-head gradients; returns the word-vector gradient."""
+    """Accumulate span-head gradients from the forward ``cache`` of
+    ``span_logits_with_cache``; returns the word-vector gradient."""
     t = params.tensors
-    if cache is None:
-        _, cache = span_logits_with_cache(word_vecs, spans, params)
     reps, u, h = cache
     grads["span.w2"] += h.T @ d_logits
     grads["span.b2"] += d_logits.sum(axis=0)
@@ -314,32 +301,15 @@ def span_backward(
     return d_word_vecs
 
 
-def _strictly_contains(a, b) -> bool:
-    return (
-        a.start_word <= b.start_word
-        and b.end_word <= a.end_word
-        and (a.start_word, a.end_word) != (b.start_word, b.end_word)
-    )
-
-
-def _overlap_not_nested(a, b) -> bool:
-    overlap = a.start_word <= b.end_word and b.start_word <= a.end_word
-    return overlap and not (_strictly_contains(a, b) or _strictly_contains(b, a))
-
-
 def span_decode(scored: Sequence[SpanCandidate]) -> list[ScoredMention]:
     """Typed candidates minus overlap conflicts; nested pairs are retained.
 
-    Overlapping non-nested pairs are resolved greedily by descending winning
-    score (ties: earlier start, then shorter).  Nested predictions survive
+    Overlapping non-nested pairs, two candidates over the same span among
+    them, are resolved greedily by descending winning score (ties: earlier
+    start, then shorter).  Nested predictions survive
     on purpose; resolving them is the post-processing step's job.
     """
-    typed = [c for c in scored if c.label is not None]
-    order = sorted(typed, key=lambda c: (-c.score, c.start_word, c.length_words))
-    kept: list[SpanCandidate] = []
-    for cand in order:
-        if all(not _overlap_not_nested(cand, other) for other in kept):
-            kept.append(cand)
+    kept = select_by_score([c for c in scored if c.label is not None], mentions_cross)
     mentions = [
         ScoredMention(start_word=c.start_word, end_word=c.end_word, label=c.label, score=c.score)
         for c in kept

@@ -1,7 +1,7 @@
-"""Full-model composition: encoder + active head, losses, prediction, checkpoints.
+"""Full-model composition: encoder + one head, losses, prediction, checkpoints.
 
-One Model owns the encoder parameters, both heads' parameters, and the
-label inventory; ``method`` selects which head trains and predicts.  All
+One Model owns the encoder parameters, the parameters of the one head its
+``method`` trains and predicts with, and the label inventory.  All
 losses are mean cross-entropy per unit (word, candidate span, or masked
 position) over the batch, and every gradient here chains through the exact
 encoder backward, so the whole pipeline is finite-difference checkable.
@@ -62,7 +62,9 @@ __all__ = [
     "load_model",
 ]
 
-METHODS = ("word_tagger", "span_classifier")
+# The prefix of the head tensors each method owns.
+_HEAD_PREFIX = {"word_tagger": "tagger.", "span_classifier": "span."}
+METHODS = tuple(_HEAD_PREFIX)
 
 
 @dataclass
@@ -87,9 +89,13 @@ def init_model(
     from .encoder import init_params
 
     enc = init_params(encoder_cfg)
+    # Both heads are drawn from one generator, so the kept head's weights do
+    # not depend on the method; the other head is dropped.
     heads = init_head_params(
         encoder_cfg.hidden_dim, head_cfg, labels, seed=encoder_cfg.init_seed + 1
     )
+    prefix = _HEAD_PREFIX[method]
+    heads.tensors = {k: v for k, v in heads.tensors.items() if k.startswith(prefix)}
     return Model(method=method, labels=labels, encoder=enc, heads=heads)
 
 
@@ -350,10 +356,15 @@ def load_model(path: str | Path) -> Model:
     config, tensors = load_checkpoint(path)
     if config.get("kind") != "model":
         raise FormatError(f"not a model checkpoint: {path}", path=str(path))
-    enc_cfg = EncoderConfig.from_dict(config["encoder"])
-    head_cfg = HeadConfig.from_dict(config["heads"])
-    labels = LabelInventory.from_types(config["labels"])
-    model = init_model(config["method"], labels, enc_cfg, head_cfg)
+    labels = config.get("labels")
+    if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
+        raise FormatError('"labels" must be a list of strings', path=str(path))
+    enc_cfg = EncoderConfig.from_dict(config.get("encoder"), f"{path} encoder config")
+    head_cfg = HeadConfig.from_dict(config.get("heads"), f"{path} heads config")
+    try:
+        model = init_model(config.get("method"), LabelInventory.from_types(labels), enc_cfg, head_cfg)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad model config: {exc}", path=str(path)) from exc
     expected = set(model_tensors(model))
     if expected != set(tensors):
         missing = expected - set(tensors)

@@ -12,20 +12,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .corpus import Mention
+from .corpus import Mention, mentions_cross, strictly_contains
 from .errors import ContractViolationError
 
 __all__ = ["STRATEGIES", "resolve_nesting"]
 
 STRATEGIES = ("none", "keep_inner", "keep_outer")
-
-
-def _strictly_contains(a: Mention, b: Mention) -> bool:
-    return (
-        a.start_word <= b.start_word
-        and b.end_word <= a.end_word
-        and (a.start_word, a.end_word) != (b.start_word, b.end_word)
-    )
 
 
 def _check_no_crossing(mentions: Sequence[Mention]) -> None:
@@ -34,13 +26,12 @@ def _check_no_crossing(mentions: Sequence[Mention]) -> None:
         for b in ordered[i + 1 :]:
             if b.start_word > a.end_word:
                 break
-            same_span = (a.start_word, a.end_word) == (b.start_word, b.end_word)
-            if same_span or _strictly_contains(a, b) or _strictly_contains(b, a):
-                continue
-            raise ContractViolationError(
-                f"overlapping non-nested mentions ({a.start_word},{a.end_word}) and "
-                f"({b.start_word},{b.end_word}); decode resolves these before post-processing"
-            )
+            # equal spans are duplicates here, settled by _dedupe_equal_spans
+            if mentions_cross(a, b) and (a.start_word, a.end_word) != (b.start_word, b.end_word):
+                raise ContractViolationError(
+                    f"overlapping non-nested mentions ({a.start_word},{a.end_word}) and "
+                    f"({b.start_word},{b.end_word}); decode resolves these before post-processing"
+                )
 
 
 def _dedupe_equal_spans(mentions: list[Mention]) -> list[Mention]:
@@ -70,12 +61,8 @@ def resolve_nesting(mentions: Sequence[Mention], strategy: str) -> list[Mention]
     if strategy == "none":
         return list(mentions)
     kept = _dedupe_equal_spans(list(mentions))
-    while True:
-        if strategy == "keep_inner":
-            nxt = [m for m in kept if not any(_strictly_contains(m, o) for o in kept if o is not m)]
-        else:
-            nxt = [m for m in kept if not any(_strictly_contains(o, m) for o in kept if o is not m)]
-        if len(nxt) == len(kept):
-            return nxt
-        # strict containment forests make one pass enough; the loop guards it
-        kept = nxt
+    # one pass is a fixed point: a survivor strictly contains (keep_inner) or
+    # lies strictly inside (keep_outer) no mention of ``kept``, survivors included
+    if strategy == "keep_inner":
+        return [m for m in kept if not any(strictly_contains(m, o) for o in kept)]
+    return [m for m in kept if not any(strictly_contains(o, m) for o in kept)]

@@ -175,17 +175,14 @@ def _best_pair(pair_counts: Counter, banned: frozenset[str]) -> tuple[str, str] 
     return best
 
 
-def train_bpe(corpus: Sequence[Document], target_vocab_size: int, seed: int = 0) -> BpeVocab:
+def train_bpe(corpus: Sequence[Document], target_vocab_size: int) -> BpeVocab:
     """Train a word-internal BPE vocabulary of exactly the requested size.
 
     Deterministic for a fixed corpus: greedy most-frequent pair, ties by
-    lexicographic pair order. ``seed`` is accepted for interface stability
-    but unused, there is no randomness to seed.  The target size counts the
-    three specials, the base characters, and one slot per merge; a merge
-    whose output string already exists reuses that symbol's id without
-    consuming a slot.
+    lexicographic pair order.  The target size counts the three specials,
+    the base characters, and one slot per merge; a merge whose output string
+    already exists reuses that symbol's id without consuming a slot.
     """
-    del seed
     word_counts = corpus_words(corpus)
     if not word_counts:
         raise ValueError("corpus has no words; segment documents before training a vocabulary")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, atomic_write
+from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict
 from .encoder import EncoderConfig, EncoderParams, init_params
 from .errors import FormatError, ProtocolError, TrainingError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
@@ -143,12 +143,11 @@ class AdamW:
         learning_rate: float,
         weight_decay: float = 0.0,
         warmup_steps: int = 0,
-        trainable: Sequence[str] | None = None,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        self.keys = sorted(tensors if trainable is None else trainable)
+        self.keys = sorted(tensors)
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
@@ -252,15 +251,12 @@ def train_supervised(
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = -(-len(examples) // train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
-    head_prefix = "heads.tagger." if train_cfg.method == "word_tagger" else "heads.span."
     tensors = model_tensors(model)
-    trainable = [k for k in tensors if k.startswith("encoder.") or k.startswith(head_prefix)]
     opt = AdamW(
         tensors,
         learning_rate=train_cfg.learning_rate,
         weight_decay=train_cfg.weight_decay,
         warmup_steps=int(np.ceil(train_cfg.warmup_frac * total_steps)),
-        trainable=trainable,
     )
 
     log: list[LogEntry] = []
@@ -555,19 +551,6 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-def _dataclass_from_dict(cls, obj: dict, where: str):
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where} must be a JSON object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - names
-    if unknown:
-        raise FormatError(f"unknown keys in {where}: {sorted(unknown)}")
-    try:
-        return cls(**obj)
-    except TypeError as exc:
-        raise FormatError(f"bad {where} section: {exc}") from exc
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of a run: corpus, split, model, schedule, seeds."""
@@ -622,8 +605,8 @@ class ExperimentConfig:
         parsed = {}
         for name, (section_cls, default) in sections.items():
             raw = obj.pop(name, default)
-            parsed[name] = _dataclass_from_dict(section_cls, raw, f"{where}.{name}")
-        cfg = _dataclass_from_dict(cls, obj | parsed, where)
+            parsed[name] = dataclass_from_dict(section_cls, raw, f"{where}.{name}")
+        cfg = dataclass_from_dict(cls, obj | parsed, where)
         cfg.validate()
         return cfg
 

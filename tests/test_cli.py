@@ -248,3 +248,83 @@ def test_config_env_var_fallback(tmp_path, corpus_file, monkeypatch):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     monkeypatch.setenv("DUALNER_CONFIG", str(cfg_path))
     assert main(["train", "--out-dir", str(tmp_path / "run")]) == 0
+
+
+def _edit(config, tensors, edit):
+    config = json.loads(json.dumps(config))
+    tensors = dict(tensors)
+    edit(config, tensors)
+    return config, tensors
+
+
+def _two_heads(config, tensors):
+    from dualner.corpus import LabelInventory
+    from dualner.heads import HeadConfig, init_head_params
+
+    both = init_head_params(16, HeadConfig(), LabelInventory.from_types(config["labels"]))
+    tensors.update({f"heads.{k}": v for k, v in both.tensors.items()})
+
+
+MODEL_CONFIG_FAULTS = {
+    "missing_encoder": lambda c, t: c.pop("encoder"),
+    "unknown_encoder_key": lambda c, t: c["encoder"].update(bogus=1),
+    "missing_heads": lambda c, t: c.pop("heads"),
+    "unknown_heads_key": lambda c, t: c["heads"].update(bogus=1),
+    "missing_labels": lambda c, t: c.pop("labels"),
+    "malformed_labels": lambda c, t: c.update(labels=[1, 2, 3]),
+    "missing_method": lambda c, t: c.pop("method"),
+    "unknown_method": lambda c, t: c.update(method="crf"),
+    "both_heads": _two_heads,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MODEL_CONFIG_FAULTS))
+def test_predict_bad_checkpoint_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys, fault):
+    from dualner.corpus import LabelInventory
+    from dualner.encoder import EncoderConfig, load_checkpoint, save_checkpoint
+    from dualner.heads import HeadConfig
+    from dualner.model import init_model, save_model
+
+    enc_cfg = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
+    labels = LabelInventory.from_types(["Facility", "Instrument", "SkyObject"])
+    ckpt = tmp_path / "model.npz"
+    save_model(ckpt, init_model("word_tagger", labels, enc_cfg, HeadConfig()))
+    save_checkpoint(ckpt, *_edit(*load_checkpoint(ckpt), MODEL_CONFIG_FAULTS[fault]))
+    out = tmp_path / "pred.jsonl"
+    code = main([
+        "predict", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+        "--checkpoint", str(ckpt), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert not out.exists()
+    if fault == "both_heads":
+        assert "unexpected ['heads.span.b1', 'heads.span.b2', 'heads.span.len_emb'" in err
+
+
+ENCODER_CHECKPOINT_FAULTS = {
+    "missing_step": lambda c, t: c.pop("step"),
+    "malformed_step": lambda c, t: c.update(step="60"),
+    "missing_encoder": lambda c, t: c.pop("encoder"),
+    "unknown_encoder_key": lambda c, t: c["encoder"].update(bogus=1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ENCODER_CHECKPOINT_FAULTS))
+def test_sweep_bad_encoder_checkpoint_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys, fault):
+    from dualner.encoder import EncoderConfig, init_params, save_checkpoint
+
+    enc = init_params(EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24))
+    config = {"kind": "encoder", "step": 0, "encoder": enc.config.to_dict()}
+    ckpt_dir = tmp_path / "mlm"
+    save_checkpoint(ckpt_dir / "mlm_step_000000.npz", *_edit(config, enc.tensors, ENCODER_CHECKPOINT_FAULTS[fault]))
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"corpus": str(corpus_file), "n_train": 16}), encoding="utf-8")
+    code = main([
+        "sweep-tapt", "--config", str(cfg_path), "--vocab", str(vocab_file),
+        "--checkpoints", str(ckpt_dir), "--out-dir", str(tmp_path / "sweep"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err

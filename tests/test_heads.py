@@ -13,7 +13,7 @@ from dualner.heads import (
     mentions_to_tags,
     span_decode,
     span_forward,
-    span_representation,
+    span_representations,
     span_backward,
     span_logits_with_cache,
     tagger_backward,
@@ -215,7 +215,7 @@ def test_enumerate_count_formula(n, w):
 def test_span_representation_contents():
     params = _params()
     vecs = np.random.default_rng(7).normal(size=(6, 8))
-    rep = span_representation(vecs, (1, 3), params)
+    rep = span_representations(vecs, [(1, 3)], params)[0]
     assert rep.shape == (2 * 8 + CFG.span_len_dim,)
     assert np.array_equal(rep[:8], vecs[1])
     assert np.array_equal(rep[8:16], vecs[3])
@@ -225,7 +225,7 @@ def test_span_representation_contents():
 def test_span_representation_single_word_duplicates_boundary():
     params = _params()
     vecs = np.random.default_rng(8).normal(size=(3, 8))
-    rep = span_representation(vecs, (2, 2), params)
+    rep = span_representations(vecs, [(2, 2)], params)[0]
     assert np.array_equal(rep[:8], rep[8:16])
     assert np.array_equal(rep[16:], params.tensors["span.len_emb"][0])
 
@@ -233,16 +233,16 @@ def test_span_representation_single_word_duplicates_boundary():
 def test_span_representation_output_length_desk_dims():
     params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), INV)
     vecs = np.zeros((6, 64))
-    assert span_representation(vecs, (0, 5), params).shape == (144,)
+    assert span_representations(vecs, [(0, 5)], params)[0].shape == (144,)
 
 
 def test_span_representation_rejects_wide_or_oob_spans():
     params = _params()
     vecs = np.zeros((8, 8))
     with pytest.raises(ValueError):
-        span_representation(vecs, (0, 4), params)  # width 5 > 4
+        span_representations(vecs, [(0, 4)], params)[0]  # width 5 > 4
     with pytest.raises(ValueError):
-        span_representation(vecs, (5, 9), params)
+        span_representations(vecs, [(5, 9)], params)[0]
 
 
 # ---------------------------------------------------------------------------

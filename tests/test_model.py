@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualner.corpus import LabelInventory, generate_synthetic
-from dualner.encoder import EncoderConfig
+from dualner.encoder import EncoderConfig, load_checkpoint
 from dualner.errors import FormatError
 from dualner.heads import HeadConfig
 from dualner.model import (
@@ -90,13 +90,26 @@ def test_full_pipeline_gradients_both_heads(tiny_setup):
         assert worst < 1e-5, f"{method}: {worst}"
 
 
-def test_inactive_head_gets_no_gradient(tiny_setup):
+@pytest.mark.parametrize(
+    "method, head",
+    [
+        ("word_tagger", {"tagger.w", "tagger.b"}),
+        ("span_classifier", {"span.len_emb", "span.w1", "span.b1", "span.w2", "span.b2"}),
+    ],
+    ids=["word_tagger", "span_classifier"],
+)
+def test_model_holds_only_its_method_head(tmp_path, tiny_setup, method, head):
     docs, vocab = tiny_setup
-    model = _scaled_model("word_tagger", vocab)
+    model = _scaled_model(method, vocab)
+    expected = {f"encoder.{k}" for k in model.encoder.tensors} | {f"heads.{k}" for k in head}
+    assert set(model_tensors(model)) == expected
     examples = build_examples(docs, vocab, INV, HEADS)[:2]
     _loss, grads = batch_loss_and_grads(model, examples, mode="eval")
-    assert all(np.all(grads[k] == 0.0) for k in grads if k.startswith("heads.span."))
-    assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("heads.tagger."))
+    assert set(grads) == expected
+    path = tmp_path / "model.npz"
+    save_model(path, model)
+    _config, tensors = load_checkpoint(path)
+    assert set(tensors) == expected
 
 
 def test_mlm_mask_counts_and_actions():
@@ -188,4 +201,13 @@ def test_load_model_rejects_wrong_kind(tmp_path, tiny_setup):
     path = tmp_path / "enc.npz"
     save_checkpoint(path, {"kind": "encoder"}, {"x": np.zeros(3)})
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_load_model_rejects_non_object_config(tmp_path):
+    from dualner.encoder import save_checkpoint
+
+    path = tmp_path / "list.npz"
+    save_checkpoint(path, ["model"], {"x": np.zeros(3)})
+    with pytest.raises(FormatError, match="not a JSON object"):
         load_model(path)
