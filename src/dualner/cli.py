@@ -26,11 +26,18 @@ from .corpus import (
     save_corpus,
     split_train_tune,
 )
-from .encoder import EncoderConfig, EncoderParams, load_checkpoint, save_checkpoint
+from .encoder import (
+    EncoderConfig,
+    EncoderParams,
+    copy_checkpoint_tensors,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .errors import DataError, FormatError, TrainingError
 from .evaluate import evaluate_predictions
 from .model import load_model, predict_documents, save_model
-from .postprocess import resolve_nesting
+from .postprocess import resolve_documents
 from .segment import SegmenterConfig, segment_document
 from .subtok import BpeVocab, fragmentation_ratio, train_bpe
 from .train import (
@@ -226,9 +233,22 @@ def _load_encoder_checkpoints(directory: str) -> list[tuple[int, EncoderParams]]
         if type(step) is not int:
             raise FormatError('"step" must be an integer', path=str(p))
         cfg = EncoderConfig.from_dict(config.get("encoder"), f"{p} encoder config")
-        out.append((step, EncoderParams(cfg, tensors)))
+        try:
+            params = init_params(cfg)
+        except ValueError as exc:
+            raise FormatError(f"bad encoder config: {exc}", path=str(p)) from exc
+        copy_checkpoint_tensors(params.tensors, tensors, p)
+        out.append((step, params))
     out.sort(key=lambda pair: pair[0])
     return out
+
+
+def _check_vocab_size(vocab: BpeVocab, vocab_path: str, enc_cfg: EncoderConfig, what: str) -> None:
+    if len(vocab) != enc_cfg.vocab_size:
+        raise FormatError(
+            f"vocabulary has {len(vocab)} symbols but the {what} has vocab_size={enc_cfg.vocab_size}",
+            path=vocab_path,
+        )
 
 
 def cmd_sweep(args) -> None:
@@ -238,6 +258,7 @@ def cmd_sweep(args) -> None:
     vocab = BpeVocab.load(args.vocab)
     checkpoints = _load_encoder_checkpoints(args.checkpoints)
     enc_cfg = checkpoints[0][1].config
+    _check_vocab_size(vocab, args.vocab, enc_cfg, "encoder checkpoint")
     train_cfg = dataclasses.replace(cfg.train, method=args.method or cfg.methods[0])
     points = sweep_tapt_checkpoints(
         checkpoints, train_docs, tune_docs, vocab, enc_cfg, cfg.heads, train_cfg
@@ -257,6 +278,7 @@ def cmd_predict(args) -> None:
     docs = load_corpus(args.corpus)
     vocab = BpeVocab.load(args.vocab)
     model = load_model(args.checkpoint)
+    _check_vocab_size(vocab, args.vocab, model.encoder.config, "model")
     preds = predict_documents(model, docs, vocab)
     save_corpus(preds, args.out)
     n = sum(d.n_mentions for d in preds)
@@ -265,10 +287,7 @@ def cmd_predict(args) -> None:
 
 def cmd_postprocess(args) -> None:
     strategy = args.strategy.replace("-", "_")
-    docs = load_predictions(args.input)
-    for doc in docs:
-        for sent in doc.sentences:
-            sent.mentions = resolve_nesting(sent.mentions, strategy)
+    docs = resolve_documents(load_predictions(args.input), strategy)
     save_corpus(docs, args.output)
     _info(f"applied {strategy} -> {args.output}")
 
@@ -283,17 +302,7 @@ def cmd_evaluate(args) -> None:
     if args.nesting_table:
         rows = {}
         for name, strategy in (("Orig", "none"), ("keep_inner", "keep_inner"), ("keep_outer", "keep_outer")):
-            resolved = [
-                dataclasses.replace(
-                    doc,
-                    sentences=[
-                        dataclasses.replace(s, mentions=resolve_nesting(s.mentions, strategy))
-                        for s in doc.sentences
-                    ],
-                )
-                for doc in pred
-            ]
-            rows[name] = evaluate_predictions(gold, resolved).f1
+            rows[name] = evaluate_predictions(gold, resolve_documents(pred, strategy)).f1
         out["nesting_table"] = rows
         print()
         print(f"{'post-processing':<16} {'F1':>8}")

@@ -32,6 +32,7 @@ __all__ = [
     "word_vectors_backward",
     "save_checkpoint",
     "load_checkpoint",
+    "copy_checkpoint_tensors",
     "gelu",
     "gelu_grad",
     "trunc_normal",
@@ -82,12 +83,18 @@ class EncoderParams:
         return EncoderParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * Phi(x), Phi(x)); the normal CDF is kept for ``gelu_grad``."""
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx at ``x``, given ``cdf`` = Phi(x) from ``gelu``."""
+    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -209,7 +216,7 @@ def _layer_forward(x, t, i, cfg, mode, rng):
     attn_d, mask1 = _dropout(attn, cfg.dropout_rate, mode, rng)
     x1, ln1_cache = _layer_norm_forward(x + attn_d, t[p + "ln1.g"], t[p + "ln1.b"])
     u = x1 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
-    g = gelu(u)
+    g, cdf = gelu(u)
     f = g @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
     f_d, mask2 = _dropout(f, cfg.dropout_rate, mode, rng)
     x2, ln2_cache = _layer_norm_forward(x1 + f_d, t[p + "ln2.g"], t[p + "ln2.b"])
@@ -219,6 +226,7 @@ def _layer_forward(x, t, i, cfg, mode, rng):
         "ln1": ln1_cache,
         "x1": x1,
         "u": u,
+        "cdf": cdf,
         "g": g,
         "mask2": mask2,
         "ln2": ln2_cache,
@@ -301,7 +309,7 @@ def encode_backward(
         df = dr2 if c["mask2"] is None else dr2 * c["mask2"]
         grads[p + "ffn.w2"] += c["g"].T @ df
         grads[p + "ffn.b2"] += df.sum(axis=0)
-        du = (df @ t[p + "ffn.w2"].T) * gelu_grad(c["u"])
+        du = (df @ t[p + "ffn.w2"].T) * gelu_grad(c["u"], c["cdf"])
         grads[p + "ffn.w1"] += c["x1"].T @ du
         grads[p + "ffn.b1"] += du.sum(axis=0)
         dx1 = dr2 + du @ t[p + "ffn.w1"].T
@@ -363,3 +371,23 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable checkpoint: {exc}", path=str(path)) from exc
     return config, tensors
+
+
+def copy_checkpoint_tensors(
+    target: dict[str, np.ndarray], loaded: dict[str, np.ndarray], path: str | Path
+) -> None:
+    """Copy ``loaded`` into ``target`` in place; names and shapes must match."""
+    if set(target) != set(loaded):
+        missing = set(target) - set(loaded)
+        extra = set(loaded) - set(target)
+        raise FormatError(
+            f"checkpoint tensor mismatch (missing {sorted(missing)}, unexpected {sorted(extra)})",
+            path=str(path),
+        )
+    for key, arr in target.items():
+        if arr.shape != loaded[key].shape:
+            raise FormatError(
+                f"checkpoint tensor {key} has shape {loaded[key].shape}, expected {arr.shape}",
+                path=str(path),
+            )
+        arr[...] = loaded[key]

@@ -11,6 +11,7 @@ so all-zero weights predict O / none everywhere.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -206,7 +207,8 @@ def mentions_to_tags(mentions: Sequence[Mention], n_words: int) -> list[str]:
 
 @dataclass
 class SpanCandidate:
-    """A scored candidate span; ``label`` is None when the none class wins."""
+    """A scored candidate span.  ``span_forward`` returns typed winners only;
+    ``span_decode`` also accepts and drops ``label=None`` candidates."""
 
     start_word: int
     end_word: int
@@ -224,52 +226,65 @@ def enumerate_spans(n_words: int, max_span_width: int) -> list[tuple[int, int]]:
     ]
 
 
-def _span_arrays(spans: Sequence[tuple[int, int]]):
-    starts = np.fromiter((s for s, _ in spans), dtype=np.int64, count=len(spans))
-    ends = np.fromiter((e for _, e in spans), dtype=np.int64, count=len(spans))
-    return starts, ends, ends - starts + 1
-
-
-def _check_spans(spans, n_words, max_width):
-    for s, e in spans:
-        if not (0 <= s <= e < n_words):
+def _span_arrays(spans: Sequence[tuple[int, int]], n_words: int, max_width: int):
+    """(starts, ends, lengths) index arrays; rejects out-of-bounds or too wide spans."""
+    flat = np.fromiter(chain.from_iterable(spans), dtype=np.int64, count=2 * len(spans))
+    starts, ends = flat[0::2], flat[1::2]
+    lengths = ends - starts + 1
+    out = (starts < 0) | (lengths < 1) | (ends >= n_words)
+    bad = np.flatnonzero(out | (lengths > max_width))
+    if bad.size:
+        i = bad[0]
+        s, e = spans[i]
+        if out[i]:
             raise ValueError(f"span ({s},{e}) out of bounds for {n_words} words")
-        if e - s + 1 > max_width:
-            raise ValueError(f"span ({s},{e}) wider than max_span_width={max_width}")
+        raise ValueError(f"span ({s},{e}) wider than max_span_width={max_width}")
+    return starts, ends, lengths
 
 
-def span_representations(
-    word_vecs: np.ndarray, spans: Sequence[tuple[int, int]], params: HeadParams
-) -> np.ndarray:
-    """[m, 2d + len_dim]: boundary word vectors plus the length embedding."""
-    _check_spans(spans, word_vecs.shape[0], params.config.max_span_width)
-    starts, ends, lengths = _span_arrays(spans)
-    return np.hstack(
-        (word_vecs[starts], word_vecs[ends], params.tensors["span.len_emb"][lengths - 1])
-    )
+def _one_hot_sums(index: np.ndarray, size: int, rows: np.ndarray) -> np.ndarray:
+    """[size, k]: row i sums ``rows[j]`` over every j with ``index[j] == i``."""
+    one_hot = np.zeros((size, index.size))
+    one_hot[index, np.arange(index.size)] = 1.0
+    return one_hot @ rows
 
 
 def span_logits_with_cache(word_vecs, spans, params: HeadParams):
-    reps = span_representations(word_vecs, spans, params)
+    """Logits of the span MLP over [h_start; h_end; len_emb[length-1]].
+
+    The first layer is applied per endpoint: each word is projected once by
+    the start and end blocks of ``span.w1`` and each length once by its
+    length block, and a candidate sums its three rows.
+    """
     t = params.tensors
-    u = reps @ t["span.w1"] + t["span.b1"]
-    h = gelu(u)
+    d = params.hidden_dim
+    starts, ends, lengths = _span_arrays(spans, word_vecs.shape[0], params.config.max_span_width)
+    w1 = t["span.w1"]
+    u = (word_vecs @ w1[:d])[starts]
+    u += (word_vecs @ w1[d : 2 * d])[ends]
+    u += (t["span.len_emb"] @ w1[2 * d :])[lengths - 1]
+    u += t["span.b1"]
+    h, cdf = gelu(u)
     logits = h @ t["span.w2"] + t["span.b2"]
-    return logits, (reps, u, h)
+    return logits, (starts, ends, lengths, u, cdf, h)
 
 
 def span_forward(
     word_vecs: np.ndarray, candidates: Sequence[tuple[int, int]], params: HeadParams
 ) -> list[SpanCandidate]:
-    """Score candidates over |types|+1 classes (none first); keep none-predictions."""
+    """Score candidates over |types|+1 classes (none first); return the typed
+    winners only, in candidate order."""
     logits, _ = span_logits_with_cache(word_vecs, candidates, params)
     probs = softmax(logits)
     picks = probs.argmax(axis=1)
+    types = params.labels.types
     out = []
-    for (s, e), row, k in zip(candidates, probs, picks):
-        label = None if k == 0 else params.labels.types[k - 1]
+    for i in np.flatnonzero(picks):
+        s, e = candidates[i]
+        k = picks[i]
+        row = probs[i]
         out.append(
-            SpanCandidate(start_word=s, end_word=e, scores=row, label=label, score=float(row[k]))
+            SpanCandidate(start_word=s, end_word=e, scores=row, label=types[k - 1], score=float(row[k]))
         )
     return out
 
@@ -283,22 +298,26 @@ def span_backward(
     cache,
 ) -> np.ndarray:
     """Accumulate span-head gradients from the forward ``cache`` of
-    ``span_logits_with_cache``; returns the word-vector gradient."""
+    ``span_logits_with_cache`` over the same ``spans``; returns the
+    word-vector gradient."""
     t = params.tensors
-    reps, u, h = cache
+    d = params.hidden_dim
+    starts, ends, lengths, u, cdf, h = cache
     grads["span.w2"] += h.T @ d_logits
     grads["span.b2"] += d_logits.sum(axis=0)
-    du = (d_logits @ t["span.w2"].T) * gelu_grad(u)
-    grads["span.w1"] += reps.T @ du
+    du = (d_logits @ t["span.w2"].T) * gelu_grad(u, cdf)
     grads["span.b1"] += du.sum(axis=0)
-    d_reps = du @ t["span.w1"].T
-    d = word_vecs.shape[1]
-    starts, ends, lengths = _span_arrays(spans)
-    d_word_vecs = np.zeros_like(word_vecs)
-    np.add.at(d_word_vecs, starts, d_reps[:, :d])
-    np.add.at(d_word_vecs, ends, d_reps[:, d : 2 * d])
-    np.add.at(grads["span.len_emb"], lengths - 1, d_reps[:, 2 * d :])
-    return d_word_vecs
+    n = word_vecs.shape[0]
+    du_start = _one_hot_sums(starts, n, du)
+    du_end = _one_hot_sums(ends, n, du)
+    du_len = _one_hot_sums(lengths - 1, params.config.max_span_width, du)
+    w1, len_emb = t["span.w1"], t["span.len_emb"]
+    g1 = grads["span.w1"]
+    g1[:d] += word_vecs.T @ du_start
+    g1[d : 2 * d] += word_vecs.T @ du_end
+    g1[2 * d :] += len_emb.T @ du_len
+    grads["span.len_emb"] += du_len @ w1[2 * d :].T
+    return du_start @ w1[:d].T + du_end @ w1[d : 2 * d].T
 
 
 def span_decode(scored: Sequence[SpanCandidate]) -> list[ScoredMention]:

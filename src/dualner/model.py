@@ -19,6 +19,7 @@ from .corpus import Document, LabelInventory, Mention, ScoredMention
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    copy_checkpoint_tensors,
     encode_backward,
     encode_with_cache,
     load_checkpoint,
@@ -365,19 +366,5 @@ def load_model(path: str | Path) -> Model:
         model = init_model(config.get("method"), LabelInventory.from_types(labels), enc_cfg, head_cfg)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad model config: {exc}", path=str(path)) from exc
-    expected = set(model_tensors(model))
-    if expected != set(tensors):
-        missing = expected - set(tensors)
-        extra = set(tensors) - expected
-        raise FormatError(
-            f"checkpoint tensor mismatch (missing {sorted(missing)}, unexpected {sorted(extra)})",
-            path=str(path),
-        )
-    for key, arr in model_tensors(model).items():
-        if arr.shape != tensors[key].shape:
-            raise FormatError(
-                f"checkpoint tensor {key} has shape {tensors[key].shape}, expected {arr.shape}",
-                path=str(path),
-            )
-        arr[...] = tensors[key]
+    copy_checkpoint_tensors(model_tensors(model), tensors, path)
     return model

@@ -10,12 +10,13 @@ sharing the exact same span are duplicates and the higher-scoring one wins.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
-from .corpus import Mention, mentions_cross, strictly_contains
+from .corpus import Document, Mention, mentions_cross, strictly_contains
 from .errors import ContractViolationError
 
-__all__ = ["STRATEGIES", "resolve_nesting"]
+__all__ = ["STRATEGIES", "resolve_nesting", "resolve_documents"]
 
 STRATEGIES = ("none", "keep_inner", "keep_outer")
 
@@ -66,3 +67,13 @@ def resolve_nesting(mentions: Sequence[Mention], strategy: str) -> list[Mention]
     if strategy == "keep_inner":
         return [m for m in kept if not any(strictly_contains(m, o) for o in kept)]
     return [m for m in kept if not any(strictly_contains(o, m) for o in kept)]
+
+
+def resolve_documents(docs: Sequence[Document], strategy: str) -> list[Document]:
+    """Copies of ``docs`` with every sentence's mentions resolved by ``strategy``."""
+    return [
+        replace(doc, sentences=[
+            replace(s, mentions=resolve_nesting(s.mentions, strategy)) for s in doc.sentences
+        ])
+        for doc in docs
+    ]

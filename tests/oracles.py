@@ -8,6 +8,7 @@ path under test.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erf
 
 from dualner.corpus import Mention, ScoredMention
 
@@ -31,6 +32,47 @@ def gradient_agreement(analytic: float, numeric: float, zero_floor: float = 1e-6
     if m < zero_floor:
         return 0.0
     return abs(analytic - numeric) / m
+
+
+def span_representations(word_vecs: np.ndarray, spans, params) -> np.ndarray:
+    """[m, 2d + len_dim]: one concatenated [h_start; h_end; len_emb[length-1]] row per span."""
+    len_emb = params.tensors["span.len_emb"]
+    d = word_vecs.shape[1]
+    reps = np.zeros((len(spans), 2 * d + len_emb.shape[1]))
+    for j, (s, e) in enumerate(spans):
+        reps[j] = np.concatenate((word_vecs[s], word_vecs[e], len_emb[e - s]))
+    return reps
+
+
+def span_head_reference(word_vecs: np.ndarray, spans, params, d_logits: np.ndarray):
+    """The span MLP ``gelu(reps @ w1 + b1) @ w2 + b2`` on concatenated
+    representations, with its gradients for upstream ``d_logits``.
+
+    Returns (logits, parameter gradients, word-vector gradient); the
+    representation gradient is scattered back span by span.
+    """
+    t = params.tensors
+    reps = span_representations(word_vecs, spans, params)
+    u = reps @ t["span.w1"] + t["span.b1"]
+    cdf = 0.5 * (1.0 + erf(u / np.sqrt(2.0)))
+    h = u * cdf
+    logits = h @ t["span.w2"] + t["span.b2"]
+    du = (d_logits @ t["span.w2"].T) * (cdf + u * np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi))
+    grads = {
+        "span.w2": h.T @ d_logits,
+        "span.b2": d_logits.sum(axis=0),
+        "span.w1": reps.T @ du,
+        "span.b1": du.sum(axis=0),
+        "span.len_emb": np.zeros_like(t["span.len_emb"]),
+    }
+    d_reps = du @ t["span.w1"].T
+    d = word_vecs.shape[1]
+    d_vecs = np.zeros_like(word_vecs)
+    for j, (s, e) in enumerate(spans):
+        d_vecs[s] += d_reps[j, :d]
+        d_vecs[e] += d_reps[j, d : 2 * d]
+        grads["span.len_emb"][e - s] += d_reps[j, 2 * d :]
+    return logits, grads, d_vecs
 
 
 def mcc_one_hot_covariance(confusion: np.ndarray) -> float:

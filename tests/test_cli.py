@@ -308,6 +308,8 @@ ENCODER_CHECKPOINT_FAULTS = {
     "malformed_step": lambda c, t: c.update(step="60"),
     "missing_encoder": lambda c, t: c.pop("encoder"),
     "unknown_encoder_key": lambda c, t: c["encoder"].update(bogus=1),
+    "missing_tensor": lambda c, t: t.pop("layers.0.ffn.w1"),
+    "bad_shape": lambda c, t: t.update({"layers.0.ffn.w1": t["layers.0.ffn.w1"][:, :-1]}),
 }
 
 
@@ -328,3 +330,51 @@ def test_sweep_bad_encoder_checkpoint_exits_two(tmp_path, corpus_file, vocab_fil
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("data error:") and err.count("\n") == 1, err
+
+
+def test_predict_wrong_size_vocab_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys):
+    from dualner.corpus import LabelInventory
+    from dualner.encoder import EncoderConfig
+    from dualner.heads import HeadConfig
+    from dualner.model import init_model, save_model
+
+    size = len(small_vocab) - 7
+    enc_cfg = EncoderConfig(vocab_size=size, hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
+    labels = LabelInventory.from_types(["Facility", "Instrument", "SkyObject"])
+    ckpt = tmp_path / "model.npz"
+    save_model(ckpt, init_model("span_classifier", labels, enc_cfg, HeadConfig()))
+    out = tmp_path / "pred.jsonl"
+    code = main([
+        "predict", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+        "--checkpoint", str(ckpt), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert f"{len(small_vocab)} symbols" in err and f"vocab_size={size}" in err
+    assert not out.exists()
+
+
+def test_sweep_wrong_size_vocab_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys):
+    from dualner.encoder import EncoderConfig, init_params, save_checkpoint
+
+    size = len(small_vocab) + 7
+    enc = init_params(EncoderConfig(vocab_size=size, hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24))
+    ckpt_dir = tmp_path / "mlm"
+    save_checkpoint(
+        ckpt_dir / "mlm_step_000000.npz",
+        {"kind": "encoder", "step": 0, "encoder": enc.config.to_dict()},
+        enc.tensors,
+    )
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"corpus": str(corpus_file), "n_train": 16}), encoding="utf-8")
+    out_dir = tmp_path / "sweep"
+    code = main([
+        "sweep-tapt", "--config", str(cfg_path), "--vocab", str(vocab_file),
+        "--checkpoints", str(ckpt_dir), "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert f"{len(small_vocab)} symbols" in err and f"vocab_size={size}" in err
+    assert not out_dir.exists()

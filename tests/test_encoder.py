@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from dualner.encoder import (
     encode,
     encode_backward,
     encode_with_cache,
+    gelu,
+    gelu_grad,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -32,6 +36,20 @@ def _scaled_params(cfg, scale=0.25, seed=9):
         if arr.ndim >= 2:
             arr[...] = rng.normal(0.0, scale, size=arr.shape)
     return params
+
+
+def test_gelu_matches_closed_form_and_finite_difference():
+    x = np.concatenate((np.linspace(-6.0, 6.0, 241), [0.0, -1e-8, 3e-7]))
+    value, cdf = gelu(x)
+    grad = gelu_grad(x, cdf)
+    phi = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    density = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    assert np.allclose(cdf, phi, rtol=1e-15, atol=1e-16)
+    assert np.allclose(value, x * phi, rtol=1e-15, atol=1e-16)
+    assert np.allclose(grad, phi + x * density, rtol=1e-14, atol=1e-16)
+    h = 1e-6
+    numeric = (gelu(x + h)[0] - gelu(x - h)[0]) / (2.0 * h)
+    assert np.abs(grad - numeric).max() < 1e-8
 
 
 def test_init_deterministic():

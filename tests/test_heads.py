@@ -12,8 +12,8 @@ from dualner.heads import (
     init_head_params,
     mentions_to_tags,
     span_decode,
+    softmax,
     span_forward,
-    span_representations,
     span_backward,
     span_logits_with_cache,
     tagger_backward,
@@ -22,7 +22,13 @@ from dualner.heads import (
     SpanCandidate,
 )
 
-from .oracles import central_difference, gradient_agreement, random_flat_mentions
+from .oracles import (
+    central_difference,
+    gradient_agreement,
+    random_flat_mentions,
+    span_head_reference,
+    span_representations,
+)
 
 INV = LabelInventory.from_types(["ComputingFacility", "Instrument"])
 TYPES = INV.types
@@ -239,10 +245,35 @@ def test_span_representation_output_length_desk_dims():
 def test_span_representation_rejects_wide_or_oob_spans():
     params = _params()
     vecs = np.zeros((8, 8))
-    with pytest.raises(ValueError):
-        span_representations(vecs, [(0, 4)], params)[0]  # width 5 > 4
-    with pytest.raises(ValueError):
-        span_representations(vecs, [(5, 9)], params)[0]
+    with pytest.raises(ValueError, match=r"span \(0,4\) wider than max_span_width=4"):
+        span_logits_with_cache(vecs, [(1, 2), (0, 4)], params)  # width 5 > 4
+    with pytest.raises(ValueError, match=r"span \(5,9\) out of bounds for 8 words"):
+        span_logits_with_cache(vecs, [(5, 9)], params)
+    with pytest.raises(ValueError, match=r"span \(3,2\) out of bounds"):
+        span_logits_with_cache(vecs, [(0, 1), (3, 2), (0, 7)], params)  # first offender named
+
+
+@pytest.mark.parametrize("kind", ["enumerated", "shuffled_with_duplicates"])
+def test_span_head_matches_concatenated_reference(kind):
+    """The endpoint-factored head computes gelu([h_s; h_e; len] @ w1 + b1) @ w2 + b2."""
+    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), INV, seed=4)
+    rng = np.random.default_rng(22)
+    for arr in params.tensors.values():
+        arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
+    vecs = rng.normal(size=(48, 64))
+    spans = enumerate_spans(48, 12)
+    if kind == "shuffled_with_duplicates":
+        spans = [spans[i] for i in rng.integers(0, len(spans), size=700)]
+    d_logits = rng.normal(size=(len(spans), len(TYPES) + 1))
+    ref_logits, ref_grads, ref_d_vecs = span_head_reference(vecs, spans, params, d_logits)
+    logits, cache = span_logits_with_cache(vecs, spans, params)
+    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    d_vecs = span_backward(vecs, spans, params, d_logits, grads, cache=cache)
+    pairs = [("logits", logits, ref_logits), ("word vectors", d_vecs, ref_d_vecs)]
+    pairs += [(k, grads[k], ref_grads[k]) for k in sorted(ref_grads)]
+    for name, got, ref in pairs:
+        assert got.shape == ref.shape, name
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +286,27 @@ def test_span_forward_zero_weights_predicts_none():
     for arr in params.tensors.values():
         arr[...] = 0.0
     vecs = np.random.default_rng(9).normal(size=(4, 8))
-    cands = span_forward(vecs, enumerate_spans(4, 3), params)
-    assert all(c.label is None for c in cands)
-    assert all(np.allclose(c.scores, 1.0 / 3.0) for c in cands)
+    spans = enumerate_spans(4, 3)
+    assert span_forward(vecs, spans, params) == []
+    logits, _ = span_logits_with_cache(vecs, spans, params)
+    assert logits.shape == (len(spans), 3)
+    assert np.array_equal(softmax(logits), np.full((len(spans), 3), 1.0 / 3.0))
+
+
+def test_span_forward_returns_typed_argmax_winners():
+    params = _params(scale=0.6)
+    vecs = np.random.default_rng(15).normal(size=(7, 8))
+    spans = enumerate_spans(7, 4)
+    logits, _ = span_logits_with_cache(vecs, spans, params)
+    probs = softmax(logits)
+    winners = [i for i in range(len(spans)) if probs[i].argmax() != 0]
+    assert 0 < len(winners) < len(spans)
+    got = span_forward(vecs, spans, params)
+    assert [(c.start_word, c.end_word) for c in got] == [spans[i] for i in winners]
+    for c, i in zip(got, winners):
+        assert c.label == TYPES[probs[i].argmax() - 1]
+        assert c.score == probs[i].max()
+        assert np.array_equal(c.scores, probs[i])
 
 
 def test_span_forward_deterministic():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualner.corpus import Mention, ScoredMention
+from dualner.corpus import Document, Mention, ScoredMention, Sentence
 from dualner.errors import ContractViolationError
-from dualner.postprocess import resolve_nesting
+from dualner.postprocess import resolve_documents, resolve_nesting
 
 from .oracles import random_nested_mentions
 
@@ -98,3 +98,22 @@ def test_strategies_agree_on_nest_free_input(seed):
         pos = end + 2
     for strategy in ("none", "keep_inner", "keep_outer"):
         assert resolve_nesting(mentions, strategy) == mentions
+
+
+@pytest.mark.parametrize("strategy", ["none", "keep_inner", "keep_outer"])
+def test_resolve_documents_resolves_every_sentence_on_copies(strategy):
+    rng = np.random.default_rng(5)
+    docs = []
+    for d in range(3):
+        sentences = []
+        for _ in range(2):
+            mentions = random_nested_mentions(rng, TYPES)
+            n = max(m.end_word for m in mentions) + 1 if mentions else 1
+            sentences.append(Sentence(["w"] * n, 0, 2 * n - 1, list(mentions)))
+        docs.append(Document(id=f"d{d}", text="", sentences=sentences))
+    before = [[list(s.mentions) for s in doc.sentences] for doc in docs]
+    out = resolve_documents(docs, strategy)
+    assert [[s.mentions for s in doc.sentences] for doc in out] == [
+        [resolve_nesting(m, strategy) for m in doc] for doc in before
+    ]
+    assert [[s.mentions for s in doc.sentences] for doc in docs] == before
