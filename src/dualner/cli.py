@@ -233,6 +233,12 @@ def _load_encoder_checkpoints(directory: str) -> list[tuple[int, EncoderParams]]
         if type(step) is not int:
             raise FormatError('"step" must be an integer', path=str(p))
         cfg = EncoderConfig.from_dict(config.get("encoder"), f"{p} encoder config")
+        if out and cfg != out[0][1].config:
+            raise FormatError(
+                f"encoder config differs from that of {paths[0].name}; "
+                "every snapshot of a sweep must share one",
+                path=str(p),
+            )
         try:
             params = init_params(cfg)
         except ValueError as exc:
@@ -439,12 +445,12 @@ def main(argv=None) -> int:
     try:
         args.handler(args)
         return 0
+    except DataError as exc:  # before ValueError: some data errors are also ValueErrors
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erf
 
 from .corpus import atomic_write, dataclass_from_dict
-from .errors import FormatError
+from .errors import FormatError, SentenceTooLongError
 from .subtok import SubTokenization
 
 __all__ = [
@@ -240,7 +240,7 @@ def _check_input(ids, cfg: EncoderConfig, name):
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError(f"expected a non-empty 1-D id sequence{label}")
     if ids.size > cfg.max_positions:
-        raise ValueError(
+        raise SentenceTooLongError(
             f"sentence of {ids.size} sub-tokens exceeds max_positions={cfg.max_positions}{label}"
         )
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:

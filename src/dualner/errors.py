@@ -34,6 +34,14 @@ class ValidationError(DataError):
     """Parseable data that violates a corpus or annotation invariant."""
 
 
+class SentenceTooLongError(DataError, ValueError):
+    """A sentence has more sub-tokens than the encoder has positions.
+
+    Also a ``ValueError``, so library callers that treat bad encoder input
+    as a ``ValueError`` still catch it.
+    """
+
+
 class ContractViolationError(DataError):
     """An operation received input that violates its documented precondition."""
 

@@ -9,6 +9,7 @@ pieces always concatenate back to the word.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -54,6 +55,16 @@ class BpeVocab:
         for left, right in self.merges:
             if left + right not in table:
                 raise FormatError(f"merge output {left + right!r} missing from symbol table")
+        special = {"pad": self.pad_id, "unk": self.unk_id}
+        if self.mask_id is not None:
+            special["mask"] = self.mask_id
+        for name, i in special.items():
+            if not 0 <= i < len(self.symbols):
+                raise FormatError(
+                    f"special id {name}={i} out of range for {len(self.symbols)} symbols"
+                )
+        if len(set(special.values())) != len(special):
+            raise FormatError(f"special ids must be distinct, got {special}")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -121,6 +132,8 @@ class BpeVocab:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed vocabulary file: {exc}", path=path) from exc
+        except FormatError as exc:
+            raise FormatError(str(exc), path=path) from exc
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as fh:
@@ -158,21 +171,8 @@ def corpus_words(docs: Sequence[Document]) -> Counter:
     return counts
 
 
-def _best_pair(pair_counts: Counter, banned: frozenset[str]) -> tuple[str, str] | None:
-    """Highest-count pair, ties broken by lexicographic order of the pair.
-
-    Pairs whose concatenation is a reserved special string are skipped so
-    user text can never alias <pad>/<unk>/<mask>.
-    """
-    best = None
-    best_key = None
-    for pair, count in pair_counts.items():
-        if pair[0] + pair[1] in banned:
-            continue
-        key = (-count, pair)
-        if best_key is None or key < best_key:
-            best, best_key = pair, key
-    return best
+def _pairs(pieces: list[str]) -> Counter:
+    return Counter(zip(pieces, pieces[1:]))
 
 
 def train_bpe(corpus: Sequence[Document], target_vocab_size: int) -> BpeVocab:
@@ -181,7 +181,14 @@ def train_bpe(corpus: Sequence[Document], target_vocab_size: int) -> BpeVocab:
     Deterministic for a fixed corpus: greedy most-frequent pair, ties by
     lexicographic pair order.  The target size counts the three specials,
     the base characters, and one slot per merge; a merge whose output string
-    already exists reuses that symbol's id without consuming a slot.
+    already exists reuses that symbol's id without consuming a slot.  Pairs
+    whose concatenation is a reserved special string are never merged, so
+    user text can never alias <pad>/<unk>/<mask>.
+
+    Pair counts and a pair -> words index are built once; each merge
+    re-segments and recounts only the words that hold the merged pair
+    (Sennrich et al. 2016), and the best pair comes from a heap keyed
+    ``(-count, pair)`` whose stale entries are skipped when popped.
     """
     word_counts = corpus_words(corpus)
     if not word_counts:
@@ -197,20 +204,26 @@ def train_bpe(corpus: Sequence[Document], target_vocab_size: int) -> BpeVocab:
     symbols: list[str] = list(_SPECIALS) + alphabet
     table = {s: i for i, s in enumerate(symbols)}
     merges: list[tuple[str, str]] = []
-    pieces = {w: tuple(w) for w in word_counts}
     budget = target_vocab_size - floor
+
+    counts = list(word_counts.values())
+    pieces = [list(w) for w in word_counts]
+    pair_counts: Counter = Counter()
+    where: dict[tuple[str, str], set[int]] = {}
+    for i, ps in enumerate(pieces):
+        for pair, n in _pairs(ps).items():
+            pair_counts[pair] += n * counts[i]
+            where.setdefault(pair, set()).add(i)
+    heap = [(-c, pair) for pair, c in pair_counts.items()]
+    heapq.heapify(heap)
 
     banned = frozenset(_SPECIALS)
     while budget > 0:
-        pair_counts: Counter = Counter()
-        for word, ps in pieces.items():
-            if len(ps) < 2:
-                continue
-            c = word_counts[word]
-            for pair in zip(ps, ps[1:]):
-                pair_counts[pair] += c
-        pair = _best_pair(pair_counts, banned)
-        if pair is None:
+        while heap:
+            neg, pair = heapq.heappop(heap)
+            if pair_counts.get(pair) == -neg and pair[0] + pair[1] not in banned:
+                break
+        else:
             break
         merged = pair[0] + pair[1]
         merges.append(pair)
@@ -218,10 +231,31 @@ def train_bpe(corpus: Sequence[Document], target_vocab_size: int) -> BpeVocab:
             table[merged] = len(symbols)
             symbols.append(merged)
             budget -= 1
-        pieces = {
-            w: tuple(_merge_once(list(ps), pair)) if len(ps) > 1 else ps
-            for w, ps in pieces.items()
-        }
+        # _merge_once leaves no occurrence of the pair behind, so its count
+        # and index entry go as a whole; every other pair moves by the
+        # difference between a touched word's old and new pairs.
+        del pair_counts[pair]
+        touched = set()
+        for i in where.pop(pair):
+            old = _pairs(pieces[i])
+            del old[pair]
+            pieces[i] = _merge_once(pieces[i], pair)
+            new = _pairs(pieces[i])
+            for p in old.keys() - new.keys():
+                where[p].discard(i)
+            for p in new.keys() - old.keys():
+                where.setdefault(p, set()).add(i)
+            for p in old.keys() | new.keys():
+                delta = new[p] - old[p]
+                if delta:
+                    pair_counts[p] += delta * counts[i]
+                    touched.add(p)
+        for p in touched:
+            if pair_counts[p]:
+                heapq.heappush(heap, (-pair_counts[p], p))
+            else:
+                del pair_counts[p]
+                del where[p]
     return BpeVocab(symbols=tuple(symbols), merges=tuple(merges))
 
 

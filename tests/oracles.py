@@ -7,10 +7,13 @@ path under test.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from scipy.special import erf
 
 from dualner.corpus import Mention, ScoredMention
+from dualner.subtok import MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, BpeVocab, corpus_words
 
 
 def central_difference(loss_fn, arr: np.ndarray, flat_index: int, step: float) -> float:
@@ -150,3 +153,82 @@ def random_nested_mentions(
 
     carve(0, int(rng.integers(6, 30)), 0)
     return out
+
+
+_SPECIALS = (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN)
+
+
+def _merge_once(pieces: list[str], pair: tuple[str, str]) -> list[str]:
+    """Merge every non-overlapping occurrence of ``pair``, left to right."""
+    out = []
+    i = 0
+    while i < len(pieces):
+        if i + 1 < len(pieces) and pieces[i] == pair[0] and pieces[i + 1] == pair[1]:
+            out.append(pieces[i] + pieces[i + 1])
+            i += 2
+        else:
+            out.append(pieces[i])
+            i += 1
+    return out
+
+
+def _best_pair(pair_counts: Counter, banned: frozenset[str]) -> tuple[str, str] | None:
+    """Highest-count pair, ties broken by lexicographic order of the pair.
+
+    Pairs whose concatenation is a reserved special string are skipped so
+    user text can never alias <pad>/<unk>/<mask>.
+    """
+    best = None
+    best_key = None
+    for pair, count in pair_counts.items():
+        if pair[0] + pair[1] in banned:
+            continue
+        key = (-count, pair)
+        if best_key is None or key < best_key:
+            best, best_key = pair, key
+    return best
+
+
+def train_bpe_reference(corpus, target_vocab_size: int) -> BpeVocab:
+    """Greedy BPE by definition: every merge recounts every pair of every
+    word, takes the best by ``(-count, pair)`` and re-segments every word."""
+    word_counts = corpus_words(corpus)
+    if not word_counts:
+        raise ValueError("corpus has no words; segment documents before training a vocabulary")
+    alphabet = sorted({ch for word in word_counts for ch in word})
+    floor = len(_SPECIALS) + len(alphabet)
+    if target_vocab_size < floor:
+        raise ValueError(
+            f"target_vocab_size={target_vocab_size} too small: need >= {floor} "
+            f"({len(_SPECIALS)} specials + {len(alphabet)} characters)"
+        )
+
+    symbols: list[str] = list(_SPECIALS) + alphabet
+    table = {s: i for i, s in enumerate(symbols)}
+    merges: list[tuple[str, str]] = []
+    pieces = {w: tuple(w) for w in word_counts}
+    budget = target_vocab_size - floor
+
+    banned = frozenset(_SPECIALS)
+    while budget > 0:
+        pair_counts: Counter = Counter()
+        for word, ps in pieces.items():
+            if len(ps) < 2:
+                continue
+            c = word_counts[word]
+            for pair in zip(ps, ps[1:]):
+                pair_counts[pair] += c
+        pair = _best_pair(pair_counts, banned)
+        if pair is None:
+            break
+        merged = pair[0] + pair[1]
+        merges.append(pair)
+        if merged not in table:
+            table[merged] = len(symbols)
+            symbols.append(merged)
+            budget -= 1
+        pieces = {
+            w: tuple(_merge_once(list(ps), pair)) if len(ps) > 1 else ps
+            for w, ps in pieces.items()
+        }
+    return BpeVocab(symbols=tuple(symbols), merges=tuple(merges))

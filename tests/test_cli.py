@@ -378,3 +378,64 @@ def test_sweep_wrong_size_vocab_exits_two(tmp_path, corpus_file, vocab_file, sma
     assert err.startswith("data error:") and err.count("\n") == 1, err
     assert f"{len(small_vocab)} symbols" in err and f"vocab_size={size}" in err
     assert not out_dir.exists()
+
+
+def test_sweep_mixed_encoder_configs_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys):
+    from dualner.encoder import EncoderConfig, init_params, save_checkpoint
+
+    ckpt_dir = tmp_path / "mlm"
+    for step, ffn_dim in ((0, 24), (10, 32)):
+        enc = init_params(EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=ffn_dim))
+        save_checkpoint(
+            ckpt_dir / f"mlm_step_{step:06d}.npz",
+            {"kind": "encoder", "step": step, "encoder": enc.config.to_dict()},
+            enc.tensors,
+        )
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"corpus": str(corpus_file), "n_train": 16}), encoding="utf-8")
+    out_dir = tmp_path / "sweep"
+    code = main([
+        "sweep-tapt", "--config", str(cfg_path), "--vocab", str(vocab_file),
+        "--checkpoints", str(ckpt_dir), "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert "mlm_step_000010.npz" in err
+    assert not (out_dir / "sweep.json").exists()
+
+
+def test_analyze_fragmentation_bad_special_ids_exits_two(tmp_path, corpus_file, small_vocab, capsys):
+    obj = small_vocab.to_json()
+    obj["special"] = {"pad": 0, "unk": 7, "mask": len(small_vocab)}
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["analyze-fragmentation", "--corpus", str(corpus_file), "--vocab", str(vocab_path)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1, captured.err
+    assert f"mask={len(small_vocab)} out of range" in captured.err
+    assert captured.out == ""
+
+
+def test_predict_sentence_over_max_positions_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys):
+    from dualner.corpus import LabelInventory
+    from dualner.encoder import EncoderConfig
+    from dualner.heads import HeadConfig
+    from dualner.model import init_model, save_model
+
+    # every sentence of the fixture corpus has at least 11 words
+    enc_cfg = EncoderConfig(vocab_size=len(small_vocab), max_positions=8, hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
+    labels = LabelInventory.from_types(["Facility", "Instrument", "SkyObject"])
+    ckpt = tmp_path / "model.npz"
+    save_model(ckpt, init_model("word_tagger", labels, enc_cfg, HeadConfig()))
+    out = tmp_path / "pred.jsonl"
+    code = main([
+        "predict", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+        "--checkpoint", str(ckpt), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert "exceeds max_positions=8" in err
+    assert not out.exists()

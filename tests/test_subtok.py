@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualner import subtok
 from dualner.corpus import Document, Mention, Sentence
 from dualner.errors import FormatError
 from dualner.subtok import (
@@ -13,8 +17,11 @@ from dualner.subtok import (
     BpeVocab,
     fragmentation_ratio,
     subtokenize,
+    corpus_words,
     train_bpe,
 )
+
+from .oracles import train_bpe_reference
 
 SPECIALS = (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN)
 
@@ -63,6 +70,46 @@ def test_bpe_tie_break_lexicographic():
 def test_bpe_empty_corpus_rejected():
     with pytest.raises(ValueError):
         train_bpe([Document(id="x", text="")], 10)
+
+
+# "<", ">", "d", "m", "p" and "a" let words spell <pad> and <mask>, and the
+# fixed runs give pairs that overlap themselves (a|a|a|a) or repeat (ab|ab).
+_BPE_WORDS = st.one_of(
+    st.text(alphabet="ab<>dmp", min_size=1, max_size=8),
+    st.sampled_from(["aaaa", "aaaaa", "abab", "<pad>", "<mask>", "a<pad>a"]),
+)
+
+
+@given(
+    st.lists(st.lists(_BPE_WORDS, min_size=1, max_size=10), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_bpe_matches_full_recount_reference(sentences, extra):
+    docs = [_doc_of_words(words, doc_id=f"d{i}") for i, words in enumerate(sentences)]
+    floor = len(SPECIALS) + len({ch for words in sentences for w in words for ch in w})
+    # extra runs from the floor to well past the last possible merge
+    assert train_bpe(docs, floor + extra) == train_bpe_reference(docs, floor + extra)
+
+
+def test_bpe_resegments_only_words_holding_the_merged_pair(small_corpus, monkeypatch):
+    calls = 0
+    merge_once = subtok._merge_once
+
+    def counted(pieces, pair):
+        nonlocal calls
+        calls += 1
+        return merge_once(pieces, pair)
+
+    monkeypatch.setattr(subtok, "_merge_once", counted)
+    vocab = train_bpe(small_corpus, 200)
+    words = corpus_words(small_corpus)
+    multi_piece = sum(1 for w in words if len(w) > 1)
+    assert calls < multi_piece * len(vocab.merges)
+    # each call merges at least one pair in its word, and a word of k
+    # characters has k - 1 merges in it; re-segmenting every word on every
+    # merge (24189 calls here) breaks this bound (1193)
+    assert calls <= sum(len(w) - 1 for w in words)
 
 
 def test_whole_word_symbols_one_subtoken_each():
@@ -162,6 +209,34 @@ def test_vocab_rejects_bad_files(tmp_path):
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(FormatError):
         BpeVocab.load(path)
+
+
+@pytest.mark.parametrize(
+    "special, message",
+    [
+        ({"pad": 4, "unk": 1, "mask": 2}, "pad=4 out of range"),
+        ({"pad": 0, "unk": -1, "mask": 2}, "unk=-1 out of range"),
+        ({"pad": 0, "unk": 7, "mask": 9999}, "unk=7 out of range"),
+        ({"pad": 0, "unk": 1, "mask": 4}, "mask=4 out of range"),
+        ({"pad": 1, "unk": 1, "mask": 1}, "distinct"),
+        ({"pad": 0, "unk": 1, "mask": 0}, "distinct"),
+        ({"pad": 3, "unk": 3, "mask": None}, "distinct"),
+    ],
+)
+def test_vocab_rejects_bad_special_ids(tmp_path, special, message):
+    obj = {"symbols": list(SPECIALS) + ["a"], "merges": [], "special": special}
+    with pytest.raises(FormatError, match=message):
+        BpeVocab.from_json(obj)
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{message}"):
+        BpeVocab.load(path)
+
+
+def test_vocab_accepts_valid_special_ids():
+    vocab = BpeVocab(symbols=("a", "x", "y", "z"), merges=(), pad_id=3, unk_id=0, mask_id=None)
+    assert vocab.id_of("q") == 0
+    assert BpeVocab(symbols=SPECIALS, merges=(), pad_id=2, unk_id=0, mask_id=1).pad_id == 2
 
 
 def test_fragmentation_all_in_vocab():
