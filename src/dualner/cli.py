@@ -79,13 +79,11 @@ def _load_experiment(args) -> ExperimentConfig:
     return ExperimentConfig.load(path)
 
 
-def _resolve_vocab(cfg: ExperimentConfig, docs, out_dir: Path) -> BpeVocab:
+def _resolve_vocab(cfg: ExperimentConfig, docs) -> BpeVocab:
+    """The config's vocabulary, or one trained on ``docs`` (not yet saved)."""
     if cfg.vocab:
         return BpeVocab.load(cfg.vocab)
-    vocab = train_bpe(docs, cfg.vocab_size)
-    vocab.save(out_dir / "vocab.json")
-    _info(f"trained vocabulary of {len(vocab)} symbols -> {out_dir / 'vocab.json'}")
-    return vocab
+    return train_bpe(docs, cfg.vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +136,30 @@ def cmd_train(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     docs = load_corpus(cfg.corpus)
     train_docs, tune_docs = split_train_tune(docs, cfg.n_train)
-    vocab = _resolve_vocab(cfg, train_docs, out_dir)
-    eval_sets = {}
-    for split in cfg.eval_splits:
-        eval_sets[split] = train_docs if split == "train" else tune_docs
-
+    vocab = _resolve_vocab(cfg, train_docs)
     if len(cfg.seeds) >= 2:
-        report = run_protocol(
-            train_docs, tune_docs, eval_sets, vocab,
-            cfg.methods, cfg.seeds, cfg.encoder, cfg.heads, cfg.train,
-        )
-        _write_json(out_dir / "report.json", report.to_dict())
-        with atomic_write(out_dir / "report.txt") as fh:
-            fh.write(report.render_table() + "\n")
-        print(report.render_table())
-        return
+        _train_protocol(cfg, train_docs, tune_docs, vocab, out_dir)
+    else:
+        _train_single_seed(cfg, train_docs, tune_docs, vocab, out_dir)
+    # saved only once training succeeded, so a failed run leaves no vocab.json
+    if not cfg.vocab:
+        vocab.save(out_dir / "vocab.json")
+        _info(f"trained vocabulary of {len(vocab)} symbols -> {out_dir / 'vocab.json'}")
 
+
+def _train_protocol(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir: Path) -> None:
+    eval_sets = {split: train_docs if split == "train" else tune_docs for split in cfg.eval_splits}
+    report = run_protocol(
+        train_docs, tune_docs, eval_sets, vocab,
+        cfg.methods, cfg.seeds, cfg.encoder, cfg.heads, cfg.train,
+    )
+    _write_json(out_dir / "report.json", report.to_dict())
+    with atomic_write(out_dir / "report.txt") as fh:
+        fh.write(report.render_table() + "\n")
+    print(report.render_table())
+
+
+def _train_single_seed(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir: Path) -> None:
     seed = cfg.seeds[0]
     for method in cfg.methods:
         train_cfg = dataclasses.replace(cfg.train, method=method, seed=seed)

@@ -2,10 +2,12 @@
 
 Token embeddings are added to learned absolute position embeddings and fed
 through post-layer-norm transformer blocks (multi-head self-attention, then
-a GELU feed-forward), one sentence at a time with no framing tokens and no
-padding.  Forward and backward are written out in numpy so analytic
-gradients can be checked against finite differences and training stays
-bit-reproducible on CPU.
+a GELU feed-forward), with no framing tokens and no padding.  Training
+encodes one sentence at a time; eval passes may stack sentences of equal
+sub-token length as one ``[B, n]`` array, which needs no mask and gives
+each sentence the same bits as encoding it alone.  Forward and backward are
+written out in numpy so analytic gradients can be checked against finite
+differences and training stays bit-reproducible on CPU.
 """
 
 from __future__ import annotations
@@ -168,13 +170,15 @@ def _layer_norm_backward(dy, cache):
 
 
 def _split_heads(x, n_heads):
-    n, d = x.shape
-    return x.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
+    """[..., n, d] -> [..., n_heads, n, d / n_heads]."""
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, n_heads, d // n_heads).swapaxes(-3, -2)
 
 
 def _merge_heads(x):
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    """[..., h, n, dh] -> [..., n, h * dh]."""
+    *lead, h, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
 def _attention_forward(x, t, p, cfg):
@@ -182,7 +186,7 @@ def _attention_forward(x, t, p, cfg):
     q = _split_heads(x @ t[p + "wq"] + t[p + "bq"], cfg.n_heads)
     k = _split_heads(x @ t[p + "wk"] + t[p + "bk"], cfg.n_heads)
     v = _split_heads(x @ t[p + "wv"] + t[p + "bv"], cfg.n_heads)
-    scores = (q @ k.transpose(0, 2, 1)) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     probs = e / e.sum(axis=-1, keepdims=True)
@@ -237,11 +241,12 @@ def _layer_forward(x, t, i, cfg, mode, rng):
 def _check_input(ids, cfg: EncoderConfig, name):
     ids = np.asarray(ids, dtype=np.int64)
     label = f" in {name}" if name else ""
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError(f"expected a non-empty 1-D id sequence{label}")
-    if ids.size > cfg.max_positions:
+    if ids.ndim not in (1, 2) or ids.size == 0:
+        raise ValueError(f"expected a non-empty 1-D id sequence or 2-D stack of them{label}")
+    n = ids.shape[-1]
+    if n > cfg.max_positions:
         raise SentenceTooLongError(
-            f"sentence of {ids.size} sub-tokens exceeds max_positions={cfg.max_positions}{label}"
+            f"sentence of {n} sub-tokens exceeds max_positions={cfg.max_positions}{label}"
         )
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"sub-token id out of range for vocab_size={cfg.vocab_size}{label}")
@@ -249,13 +254,18 @@ def _check_input(ids, cfg: EncoderConfig, name):
 
 
 def encode_with_cache(ids, params: EncoderParams, mode: str = "eval", rng=None, name=None):
-    """Forward pass returning both the contextual vectors and the backward cache."""
+    """Forward pass returning both the contextual vectors and the backward cache.
+
+    ``ids`` is one sentence ``[n]`` or a stack of equal-length sentences
+    ``[B, n]``; the vectors are ``[n, hidden_dim]`` or ``[B, n, hidden_dim]``.
+    Only a one-sentence cache can be passed to ``encode_backward``.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
     t = params.tensors
     ids = _check_input(ids, cfg, name)
-    x = t["tok_emb"][ids] + t["pos_emb"][: ids.size]
+    x = t["tok_emb"][ids] + t["pos_emb"][: ids.shape[-1]]
     cache = {"ids": ids, "layers": []}
     for i in range(cfg.n_layers):
         x, layer_cache = _layer_forward(x, t, i, cfg, mode, rng)
@@ -292,6 +302,8 @@ def encode_backward(
     if cache is None:
         _, cache = encode_with_cache(ids, params, "eval")
     ids = cache["ids"]
+    if ids.ndim != 1:
+        raise ValueError("encode_backward takes the cache of one sentence, not of a stack")
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (ids.size, cfg.hidden_dim):
         raise ValueError(

@@ -159,16 +159,45 @@ def build_examples(
     return examples
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed cross-entropy and its gradient (probs minus one-hot)."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logz
+    logp = _log_softmax(logits)
     rows = np.arange(len(targets))
     ce = -float(logp[rows, targets].sum())
     dlogits = np.exp(logp)
     dlogits[rows, targets] -= 1.0
     return ce, dlogits
+
+
+# An eval stack holds at most this many sub-tokens (always at least one
+# sentence).  Measured on the MLM scoring pass of a 1883-symbol vocabulary
+# (one BLAS thread, 2-core Xeon): 64 rows 467 ms, 128 rows 372 ms, 512 rows
+# 358 ms but 18 MiB more peak memory, against 853 ms one sentence at a time.
+_STACK_ROWS = 128
+
+
+def _encode_by_length(id_seqs: Sequence[np.ndarray], enc: EncoderParams):
+    """Eval-mode encoding of many sentences, equal lengths stacked together.
+
+    Yields ``(indices, ctx)`` where ``ctx[r]`` holds the contextual vectors
+    of ``id_seqs[indices[r]]``.  Lengths are taken in first-seen order.  An
+    equal-length stack needs no padding or mask, so every sentence gets the
+    same bits as when encoded alone.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, ids in enumerate(id_seqs):
+        by_length.setdefault(len(ids), []).append(i)
+    for n, indices in by_length.items():
+        per_stack = max(1, _STACK_ROWS // max(n, 1))
+        for j in range(0, len(indices), per_stack):
+            chunk = indices[j : j + per_stack]
+            stack = np.stack([id_seqs[i] for i in chunk])
+            yield chunk, encode_with_cache(stack, enc, "eval")[0]
 
 
 def _forward_word_vecs(model: Model, ex: Example, mode: str, rng):
@@ -267,11 +296,21 @@ def mlm_batch_loss_and_grads(
     with_grads: bool = True,
 ):
     """Mean masked-position CE and encoder gradients (None when no position
-    was masked, in which case parameters must not be updated)."""
+    was masked, in which case parameters must not be updated).
+
+    Without gradients (eval mode only) every mask is drawn first, in
+    sentence order, and equal-length sentences are encoded and scored as
+    one stack; each sentence's CE is summed from its own rows, in sentence
+    order, so the loss has the same bits as scoring one sentence at a time.
+    """
     if vocab.mask_id is None:
         raise ValueError("vocabulary has no mask token; cannot run masked language modeling")
+    if not with_grads:
+        if mode != "eval":
+            raise ValueError("an MLM loss without gradients is computed in eval mode only")
+        return _mlm_eval_loss(enc, batch, vocab, mask_prob, mask_rng), None
     emb = enc.tensors["tok_emb"]
-    grads = zero_grads(enc) if with_grads else None
+    grads = zero_grads(enc)
     total_ce = 0.0
     total_pos = 0
     for ids in batch:
@@ -286,17 +325,39 @@ def mlm_batch_loss_and_grads(
         ce, dlogits = _softmax_ce(logits, targets)
         total_ce += ce
         total_pos += positions.size
-        if with_grads:
-            d_ctx = np.zeros_like(ctx)
-            d_ctx[positions] = dlogits @ emb
-            grads["tok_emb"] += dlogits.T @ sel
-            encode_backward(corrupted, enc, d_ctx, cache=cache, grads=grads)
+        d_ctx = np.zeros_like(ctx)
+        d_ctx[positions] = dlogits @ emb
+        grads["tok_emb"] += dlogits.T @ sel
+        encode_backward(corrupted, enc, d_ctx, cache=cache, grads=grads)
     if total_pos == 0:
         return 0.0, None
-    if with_grads:
-        for v in grads.values():
-            v *= 1.0 / total_pos
+    for v in grads.values():
+        v *= 1.0 / total_pos
     return total_ce / total_pos, grads
+
+
+def _mlm_eval_loss(enc: EncoderParams, batch, vocab: BpeVocab, mask_prob: float, mask_rng) -> float:
+    """Mean masked-position CE over ``batch``, equal lengths stacked."""
+    masked = [mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng) for ids in batch]
+    keep = [i for i, (_c, positions, _t) in enumerate(masked) if positions.size]
+    if not keep:
+        return 0.0
+    emb = enc.tensors["tok_emb"]
+    ce = [0.0] * len(masked)
+    for chunk, ctx in _encode_by_length([masked[i][0] for i in keep], enc):
+        rows = [keep[c] for c in chunk]
+        # equal lengths mask equally many positions
+        positions = np.stack([masked[i][1] for i in rows])
+        targets = np.concatenate([masked[i][2] for i in rows])
+        sel = ctx[np.arange(len(rows))[:, None], positions].reshape(-1, ctx.shape[-1])
+        logp = _log_softmax(sel @ emb.T)
+        picked = logp[np.arange(targets.size), targets].reshape(positions.shape)
+        for i, row in zip(rows, picked):
+            ce[i] = -float(row.sum())
+    total_ce = 0.0
+    for i in keep:  # in sentence order, as when scored one at a time
+        total_ce += ce[i]
+    return total_ce / sum(masked[i][1].size for i in keep)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +365,8 @@ def mlm_batch_loss_and_grads(
 # ---------------------------------------------------------------------------
 
 
-def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
-    align = subtokenize(words, vocab)
-    ids = np.asarray(align.sub_token_ids, dtype=np.int64)
-    ctx, _ = encode_with_cache(ids, model.encoder, "eval")
-    wv = word_vectors(ctx, align)
+def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
+    """Scored mentions of one sentence from its word vectors."""
     if model.method == "word_tagger":
         seq = tagger_forward(wv, model.heads)
         win = softmax(seq.scores).max(axis=1)
@@ -321,20 +379,34 @@ def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> lis
             )
             for m in tags_to_mentions(seq.tags)
         ]
-    spans = enumerate_spans(len(words), model.heads.config.max_span_width)
+    spans = enumerate_spans(wv.shape[0], model.heads.config.max_span_width)
     return span_decode(span_forward(wv, spans, model.heads))
 
 
+def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
+    align = subtokenize(words, vocab)
+    ids = np.asarray(align.sub_token_ids, dtype=np.int64)
+    ctx, _ = encode_with_cache(ids, model.encoder, "eval")
+    return _decode(model, word_vectors(ctx, align))
+
+
 def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> list[Document]:
-    """Copies of ``docs`` whose mentions are the model's scored predictions."""
-    out = []
-    for doc in docs:
-        sentences = [
-            replace(sent, mentions=list(predict_sentence(model, sent.words, vocab)))
-            for sent in doc.sentences
-        ]
-        out.append(replace(doc, sentences=sentences))
-    return out
+    """Copies of ``docs`` whose mentions are the model's scored predictions.
+
+    Every sentence is decoded as by ``predict_sentence``, but equal-length
+    sentences are encoded together.
+    """
+    aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
+    ids = [np.asarray(align.sub_token_ids, dtype=np.int64) for align in aligns]
+    found: list[list[ScoredMention]] = [[] for _ in aligns]
+    for chunk, ctx in _encode_by_length(ids, model.encoder):
+        for i, sent_ctx in zip(chunk, ctx):
+            found[i] = _decode(model, word_vectors(sent_ctx, aligns[i]))
+    found_iter = iter(found)
+    return [
+        replace(doc, sentences=[replace(sent, mentions=next(found_iter)) for sent in doc.sentences])
+        for doc in docs
+    ]
 
 
 # ---------------------------------------------------------------------------

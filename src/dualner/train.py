@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict
 from .encoder import EncoderConfig, EncoderParams, init_params
-from .errors import FormatError, ProtocolError, TrainingError
+from .errors import DataError, FormatError, ProtocolError, TrainingError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
 from .model import (
@@ -170,16 +170,31 @@ class AdamW:
             if norm > grad_clip:
                 scale = grad_clip / norm
         lr = self._lr()
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        # In place, but in the operation order of
+        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        #   p -= lr (m / c1 / (sqrt(v / c2) + eps) + wd p)
+        # so the arithmetic keeps its bits.
         for k in self.keys:
             g = grads[k] if scale == 1.0 else grads[k] * scale
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            mhat = self.m[k] / (1.0 - self.beta1**self.t)
-            vhat = self.v[k] / (1.0 - self.beta2**self.t)
-            update = mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            scratch = g * g
+            scratch *= 1.0 - self.beta2
+            v *= self.beta2
+            v += scratch
+            update = m / c1
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update /= scratch
             if self.weight_decay and tensors[k].ndim >= 2:
-                update = update + self.weight_decay * tensors[k]
-            tensors[k] -= lr * update
+                np.multiply(tensors[k], self.weight_decay, out=scratch)
+                update += scratch
+            update *= lr
+            tensors[k] -= update
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +504,10 @@ def run_protocol(
 
     Each run seeds both the initialization and the data order, the best
     checkpoint is evaluated on every split in ``eval_sets``, and the report
-    carries mean and sample standard deviation per metric.  Any failing run
-    aborts the protocol with the full failure list.
+    carries mean and sample standard deviation per metric.  A ``DataError``
+    (bad input, e.g. a sentence longer than ``max_positions``) propagates at
+    once; any other failing run is collected, and the protocol then fails
+    with the full failure list.
     """
     if len(seeds) < 2:
         raise ValueError("the protocol needs at least 2 seeds to report a standard deviation")
@@ -524,6 +541,8 @@ def run_protocol(
                         row["precision"].append(report.precision)
                         row["recall"].append(report.recall)
                         row["mcc"].append(report.mcc)
+                except DataError:
+                    raise  # the same input fails every run; not a per-seed failure
                 except Exception as exc:  # noqa: BLE001 - reported via ProtocolError
                     failures.append((f"{method}/{enc_name}", seed, str(exc)))
     if failures:

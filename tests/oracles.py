@@ -13,6 +13,8 @@ import numpy as np
 from scipy.special import erf
 
 from dualner.corpus import Mention, ScoredMention
+from dualner.encoder import encode_with_cache
+from dualner.model import mlm_mask
 from dualner.subtok import MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, BpeVocab, corpus_words
 
 
@@ -232,3 +234,47 @@ def train_bpe_reference(corpus, target_vocab_size: int) -> BpeVocab:
             for w, ps in pieces.items()
         }
     return BpeVocab(symbols=tuple(symbols), merges=tuple(merges))
+
+
+def mlm_eval_loss_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_rng) -> tuple[float, None]:
+    """The eval-mode masked-LM loss one sentence at a time: mask, encode,
+    project onto the tied embeddings and add the summed CE, in batch order."""
+    emb = enc.tensors["tok_emb"]
+    total_ce = 0.0
+    total_pos = 0
+    for ids in batch:
+        corrupted, positions, targets = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
+        if positions.size == 0:
+            continue
+        ctx, _cache = encode_with_cache(corrupted, enc, "eval")
+        logits = ctx[positions] @ emb.T
+        z = logits - logits.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        total_ce += -float(logp[np.arange(len(targets)), targets].sum())
+        total_pos += positions.size
+    if total_pos == 0:
+        return 0.0, None
+    return total_ce / total_pos, None
+
+
+def adamw_step_reference(opt, tensors, grads, grad_clip: float | None = None) -> None:
+    """One AdamW step on ``opt``'s state, allocating fresh moments and update
+    arrays instead of updating in place."""
+    opt.t += 1
+    scale = 1.0
+    if grad_clip:
+        sq = sum(float((grads[k] ** 2).sum()) for k in opt.keys)
+        norm = np.sqrt(sq)
+        if norm > grad_clip:
+            scale = grad_clip / norm
+    lr = opt._lr()
+    for k in opt.keys:
+        g = grads[k] if scale == 1.0 else grads[k] * scale
+        opt.m[k] = opt.beta1 * opt.m[k] + (1.0 - opt.beta1) * g
+        opt.v[k] = opt.beta2 * opt.v[k] + (1.0 - opt.beta2) * (g * g)
+        mhat = opt.m[k] / (1.0 - opt.beta1**opt.t)
+        vhat = opt.v[k] / (1.0 - opt.beta2**opt.t)
+        update = mhat / (np.sqrt(vhat) + opt.eps)
+        if opt.weight_decay and tensors[k].ndim >= 2:
+            update = update + opt.weight_decay * tensors[k]
+        tensors[k] -= lr * update

@@ -439,3 +439,27 @@ def test_predict_sentence_over_max_positions_exits_two(tmp_path, corpus_file, vo
     assert err.startswith("data error:") and err.count("\n") == 1, err
     assert "exceeds max_positions=8" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["single_seed", "protocol"])
+def test_train_over_long_sentence_exits_two_and_leaves_no_vocab(tmp_path, corpus_file, capsys, seeds):
+    # every sentence of the fixture corpus has at least 11 words
+    config = {
+        "corpus": str(corpus_file),
+        "n_train": 16,
+        "vocab_size": 170,
+        "methods": ["word_tagger"],
+        "seeds": seeds,
+        "encoder": {"max_positions": 8, "hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "train": {"epochs": 1},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1, captured.err
+    assert "exceeds max_positions=8" in captured.err
+    assert not (run_dir / "vocab.json").exists()
+    assert list(run_dir.iterdir()) == []

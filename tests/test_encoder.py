@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from dualner.encoder import (
     word_vectors_backward,
     zero_grads,
 )
+from dualner.errors import SentenceTooLongError
 from dualner.subtok import SubTokenization
 
 from .oracles import central_difference, gradient_agreement
@@ -98,6 +100,39 @@ def test_encode_rejects_bad_input():
         encode(np.array([], dtype=int), params)
     with pytest.raises(ValueError):
         encode(np.array([1]), params, mode="predict")
+
+
+STACKED = dataclasses.replace(TINY, n_layers=2)
+
+
+@pytest.mark.parametrize("n", [1, 5, STACKED.max_positions])
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_stacked_encode_equals_per_sentence(batch, n):
+    params = _scaled_params(STACKED)
+    ids = np.random.default_rng(100 * batch + n).integers(0, STACKED.vocab_size, size=(batch, n))
+    stacked = encode(ids, params)
+    assert stacked.shape == (batch, n, STACKED.hidden_dim)
+    for row_ids, row in zip(ids, stacked):
+        assert np.array_equal(row, encode(row_ids, params))
+
+
+def test_stacked_encode_rejects_bad_input():
+    params = init_params(STACKED)
+    with pytest.raises(SentenceTooLongError, match="17 sub-tokens exceeds max_positions=16"):
+        encode(np.ones((3, 17), dtype=int), params)
+    for bad_id in (STACKED.vocab_size, -1):
+        ids = np.ones((2, 4), dtype=int)
+        ids[1, 2] = bad_id
+        with pytest.raises(ValueError, match="out of range"):
+            encode(ids, params)
+    with pytest.raises(ValueError, match="non-empty"):
+        encode(np.ones((2, 0), dtype=int), params)
+    with pytest.raises(ValueError, match="non-empty"):
+        encode(np.ones((2, 2, 2), dtype=int), params)
+    ids = np.ones((2, 3), dtype=int)
+    _out, cache = encode_with_cache(ids, params)
+    with pytest.raises(ValueError, match="one sentence"):
+        encode_backward(ids, params, np.ones((6, STACKED.hidden_dim)), cache=cache)
 
 
 def test_permutation_equivariance_without_positions():

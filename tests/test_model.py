@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,12 @@ from dualner.model import (
     mlm_mask,
     model_tensors,
     predict_documents,
+    predict_sentence,
     save_model,
 )
-from dualner.subtok import train_bpe
+from dualner.subtok import subtokenize, train_bpe
 
-from .oracles import central_difference, gradient_agreement
+from .oracles import central_difference, gradient_agreement, mlm_eval_loss_reference
 
 INV = LabelInventory.from_types(["Alpha", "Beta"])
 ENC = EncoderConfig(hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24, init_seed=1)
@@ -175,6 +178,94 @@ def test_predict_documents_structure(tiny_setup):
                 assert 0.0 <= m.score <= 1.0
     # gold docs untouched
     assert all(m.label in INV.types for d in docs for s in d.sentences for m in s.mentions)
+
+
+@pytest.fixture(scope="module")
+def length_corpus():
+    """Enough sentences that sub-token lengths both repeat and occur once."""
+    docs = generate_synthetic(11, 24, INV)
+    return docs, train_bpe(docs, 140)
+
+
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
+def test_predict_documents_equals_predict_sentence(length_corpus, method):
+    docs, vocab = length_corpus
+    lengths = Counter(len(subtokenize(s.words, vocab).sub_token_ids) for d in docs for s in d.sentences)
+    assert 1 in lengths.values() and max(lengths.values()) > 1
+    model = _scaled_model(method, vocab)
+    preds = predict_documents(model, docs, vocab)
+    assert [d.id for d in preds] == [d.id for d in docs]
+    n_found = 0
+    for doc, pred_doc in zip(docs, preds):
+        assert len(pred_doc.sentences) == len(doc.sentences)
+        for sent, pred_sent in zip(doc.sentences, pred_doc.sentences):
+            expected = predict_sentence(model, sent.words, vocab)
+            assert pred_sent.words == sent.words
+            assert pred_sent.mentions == expected
+            n_found += len(expected)
+    assert n_found > 0
+
+
+def _mlm_pool(docs, vocab):
+    return [np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
+            for d in docs for s in d.sentences]
+
+
+@pytest.mark.parametrize("mask_prob", [0.15, 0.5])
+def test_mlm_eval_loss_matches_per_sentence_reference(length_corpus, mask_prob):
+    docs, vocab = length_corpus
+    model = _scaled_model("word_tagger", vocab)
+    empty = np.empty(0, dtype=np.int64)  # masks no position, so it is never encoded
+    pool = _mlm_pool(docs, vocab)
+    pool = [empty] + pool[:20] + [empty] + pool[20:]
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    loss, grads = mlm_batch_loss_and_grads(
+        model.encoder, pool, vocab, mask_prob, rng, mode="eval", with_grads=False
+    )
+    ref_loss, _ = mlm_eval_loss_reference(model.encoder, pool, vocab, mask_prob, ref_rng)
+    assert grads is None
+    assert loss > 0.0 and type(loss) is float
+    assert loss.hex() == ref_loss.hex()
+    assert rng.random() == ref_rng.random()  # both drew the same masks
+
+
+def test_mlm_eval_loss_without_masked_positions(length_corpus):
+    docs, vocab = length_corpus
+    model = _scaled_model("word_tagger", vocab)
+    pool = _mlm_pool(docs, vocab)[:5]
+    args = (model.encoder, pool, vocab, 0.0, np.random.default_rng(0))
+    assert mlm_batch_loss_and_grads(*args, mode="eval", with_grads=False) == (0.0, None)
+    assert mlm_eval_loss_reference(*args) == (0.0, None)
+    with pytest.raises(ValueError, match="eval mode"):
+        mlm_batch_loss_and_grads(*args, mode="train", with_grads=False)
+
+
+def test_eval_stacks_hold_at_most_128_subtokens(monkeypatch, length_corpus):
+    import dualner.model as model_mod
+
+    docs, vocab = length_corpus
+    model = _scaled_model("span_classifier", vocab)
+    stacks = []
+    real = model_mod.encode_with_cache
+
+    def spy(ids, *args, **kwargs):
+        stacks.append(np.shape(ids))
+        return real(ids, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "encode_with_cache", spy)
+    predict_documents(model, docs, vocab)
+    assert any(shape[0] > 1 for shape in stacks)
+    assert all(shape[0] * shape[1] <= 128 or shape[0] == 1 for shape in stacks)
+
+    # 40 of length 5 fill one 125-row stack and a 75-row rest; length 200
+    # exceeds the cap alone, so each such sentence is its own stack
+    ids = {n: np.arange(n) % len(vocab) for n in (5, 7, 200)}
+    pool = [ids[5]] * 20 + [ids[200], ids[7]] + [ids[5]] * 20 + [ids[200], ids[7]]
+    stacks.clear()
+    mlm_batch_loss_and_grads(
+        model.encoder, pool, vocab, 0.15, np.random.default_rng(0), mode="eval", with_grads=False
+    )
+    assert stacks == [(25, 5), (15, 5), (1, 200), (1, 200), (2, 7)]
 
 
 def test_model_checkpoint_roundtrip(tmp_path, tiny_setup):

@@ -24,6 +24,8 @@ from dualner.train import (
     write_log,
 )
 
+from .oracles import adamw_step_reference
+
 INV = LabelInventory.from_types(["Alpha", "Beta"])
 ENC = EncoderConfig(hidden_dim=32, n_layers=1, n_heads=2, ffn_dim=48, init_seed=0)
 HEADS = HeadConfig(max_span_width=8, span_len_dim=8, span_hidden=24)
@@ -131,6 +133,28 @@ def test_adamw_skips_decay_on_vectors():
     opt.step(tensors, grads)
     assert np.all(tensors["b"] == 1.0)  # no decay, zero grad
     assert np.all(tensors["w"] < 1.0)  # decayed
+
+
+@pytest.mark.parametrize("grad_clip", [None, 0.05, 1e9], ids=["no_clip", "clipping", "clip_inactive"])
+def test_adamw_matches_allocating_reference(grad_clip):
+    rng = np.random.default_rng(3)
+    shapes = {"w": (6, 5), "b": (5,), "emb": (9, 4)}
+    start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    ours = {k: v.copy() for k, v in start.items()}
+    ref = {k: v.copy() for k, v in start.items()}
+    settings = dict(learning_rate=0.05, weight_decay=0.1, warmup_steps=5)
+    opt, ref_opt = AdamW(ours, **settings), AdamW(ref, **settings)
+    for _step in range(20):
+        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        kept = {k: v.copy() for k, v in grads.items()}
+        opt.step(ours, grads, grad_clip)
+        adamw_step_reference(ref_opt, ref, grads, grad_clip)
+        assert all(np.array_equal(grads[k], kept[k]) for k in grads)
+    assert opt.t == ref_opt.t == 20
+    for k in shapes:
+        assert np.array_equal(ours[k], ref[k])
+        assert np.array_equal(opt.m[k], ref_opt.m[k])
+        assert np.array_equal(opt.v[k], ref_opt.v[k])
 
 
 def test_write_log_jsonl(tmp_path, mini):
