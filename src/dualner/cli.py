@@ -161,10 +161,16 @@ def _train_protocol(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir
 
 def _train_single_seed(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir: Path) -> None:
     seed = cfg.seeds[0]
-    for method in cfg.methods:
-        train_cfg = dataclasses.replace(cfg.train, method=method, seed=seed)
-        enc_cfg = dataclasses.replace(cfg.encoder, init_seed=seed)
-        result = train_supervised(train_docs, tune_docs, vocab, enc_cfg, cfg.heads, train_cfg)
+    enc_cfg = dataclasses.replace(cfg.encoder, init_seed=seed)
+    # every method trains before anything is written, so a failed run leaves no partial files
+    results = {
+        method: train_supervised(
+            train_docs, tune_docs, vocab, enc_cfg, cfg.heads,
+            dataclasses.replace(cfg.train, method=method, seed=seed),
+        )
+        for method in cfg.methods
+    }
+    for method, result in results.items():
         ckpt = out_dir / f"{method}_seed{seed}.npz"
         save_model(ckpt, result.model)
         write_log(out_dir / f"{method}_seed{seed}_log.jsonl", result.log)

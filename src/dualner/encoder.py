@@ -5,7 +5,8 @@ through post-layer-norm transformer blocks (multi-head self-attention, then
 a GELU feed-forward), with no framing tokens and no padding.  Training
 encodes one sentence at a time; eval passes may stack sentences of equal
 sub-token length as one ``[B, n]`` array, which needs no mask and gives
-each sentence the same bits as encoding it alone.  Forward and backward are
+each sentence the same bits as encoding it alone, and may run the last
+layer only at the rows they read.  Forward and backward are
 written out in numpy so analytic gradients can be checked against finite
 differences and training stays bit-reproducible on CPU.
 """
@@ -149,13 +150,23 @@ def _dropout(x, rate, mode, rng):
     return x * mask, mask
 
 
+def _mean_last(x):
+    """Mean over the last axis, kept; the bits of ``x.mean(axis=-1, keepdims=True)``."""
+    out = np.add.reduce(x, axis=-1, keepdims=True)
+    out /= x.shape[-1]
+    return out
+
+
 def _layer_norm_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    xc = x - _mean_last(x)
+    var = _mean_last(xc * xc)
+    var += _LN_EPS
+    np.sqrt(var, out=var)
+    inv = np.divide(1.0, var, out=var)
+    xc *= inv
+    y = g * xc
+    y += b
+    return y, (xc, inv, g)
 
 
 def _layer_norm_backward(dy, cache):
@@ -163,10 +174,12 @@ def _layer_norm_backward(dy, cache):
     dg = (dy * xhat).sum(axis=0)
     db = dy.sum(axis=0)
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
+    m1 = _mean_last(dxhat)
+    m2 = _mean_last(dxhat * xhat)
+    dxhat -= m1
+    dxhat -= xhat * m2
+    dxhat *= inv
+    return dxhat, dg, db
 
 
 def _split_heads(x, n_heads):
@@ -181,17 +194,32 @@ def _merge_heads(x):
     return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
-def _attention_forward(x, t, p, cfg):
+def _affine(x, w, b):
+    """``x @ w + b``, the bias added in place."""
+    y = x @ w
+    y += b
+    return y
+
+
+def _gather_rows(x, rows):
+    """Rows ``rows`` ([w] or [B, w]) of ``x`` ([n, d] or [B, n, d])."""
+    return np.take_along_axis(x, rows[..., None], axis=-2)
+
+
+def _attention_forward(x, t, p, cfg, xq):
+    """Self-attention over the rows of ``x``, queried at the rows ``xq``."""
     scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
-    q = _split_heads(x @ t[p + "wq"] + t[p + "bq"], cfg.n_heads)
-    k = _split_heads(x @ t[p + "wk"] + t[p + "bk"], cfg.n_heads)
-    v = _split_heads(x @ t[p + "wv"] + t[p + "bv"], cfg.n_heads)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    q = _split_heads(_affine(xq, t[p + "wq"], t[p + "bq"]), cfg.n_heads)
+    k = _split_heads(_affine(x, t[p + "wk"], t[p + "bk"]), cfg.n_heads)
+    v = _split_heads(_affine(x, t[p + "wv"], t[p + "bv"]), cfg.n_heads)
+    # softmax in place, in the operation order of e = exp(s * scale - max); e / sum(e)
+    probs = q @ k.swapaxes(-1, -2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     merged = _merge_heads(probs @ v)
-    out = merged @ t[p + "wo"] + t[p + "bo"]
+    out = _affine(merged, t[p + "wo"], t[p + "bo"])
     return out, (x, q, k, v, probs, merged, scale)
 
 
@@ -200,11 +228,15 @@ def _attention_backward(dout, t, grads, p, cache):
     grads[p + "wo"] += merged.T @ dout
     grads[p + "bo"] += dout.sum(axis=0)
     dctx = _split_heads(dout @ t[p + "wo"].T, q.shape[0])
-    dprobs = dctx @ v.transpose(0, 2, 1)
-    dv = probs.transpose(0, 2, 1) @ dctx
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dq = (dscores @ k) * scale
-    dk = (dscores.transpose(0, 2, 1) @ q) * scale
+    dv = probs.swapaxes(-1, -2) @ dctx
+    # dscores = probs * (dprobs - sum(dprobs * probs)), formed in place
+    dscores = dctx @ v.swapaxes(-1, -2)
+    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+    dscores *= probs
+    dq = dscores @ k
+    dq *= scale
+    dk = dscores.swapaxes(-1, -2) @ q
+    dk *= scale
     dx = np.zeros_like(x)
     for name, dh in (("wq", dq), ("wk", dk), ("wv", dv)):
         flat = _merge_heads(dh)
@@ -214,14 +246,16 @@ def _attention_backward(dout, t, grads, p, cache):
     return dx
 
 
-def _layer_forward(x, t, i, cfg, mode, rng):
+def _layer_forward(x, t, i, cfg, mode, rng, rows=None):
+    """One block over ``x``; with ``rows``, its output only at those rows."""
     p = f"layers.{i}."
-    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg)
+    xq = x if rows is None else _gather_rows(x, rows)
+    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq)
     attn_d, mask1 = _dropout(attn, cfg.dropout_rate, mode, rng)
-    x1, ln1_cache = _layer_norm_forward(x + attn_d, t[p + "ln1.g"], t[p + "ln1.b"])
-    u = x1 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
+    x1, ln1_cache = _layer_norm_forward(xq + attn_d, t[p + "ln1.g"], t[p + "ln1.b"])
+    u = _affine(x1, t[p + "ffn.w1"], t[p + "ffn.b1"])
     g, cdf = gelu(u)
-    f = g @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
+    f = _affine(g, t[p + "ffn.w2"], t[p + "ffn.b2"])
     f_d, mask2 = _dropout(f, cfg.dropout_rate, mode, rng)
     x2, ln2_cache = _layer_norm_forward(x1 + f_d, t[p + "ln2.g"], t[p + "ln2.b"])
     cache = {
@@ -253,24 +287,57 @@ def _check_input(ids, cfg: EncoderConfig, name):
     return ids
 
 
-def encode_with_cache(ids, params: EncoderParams, mode: str = "eval", rng=None, name=None):
+def _check_rows(rows, ids, mode):
+    if mode != "eval":
+        raise ValueError("rows can be selected in eval mode only")
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != ids.ndim or rows.shape[:-1] != ids.shape[:-1] or rows.shape[-1] == 0:
+        raise ValueError(f"rows of shape {rows.shape} do not fit ids of shape {ids.shape}")
+    if rows.min() < 0 or rows.max() >= ids.shape[-1]:
+        raise ValueError(f"row index out of range for {ids.shape[-1]} sub-tokens")
+    return rows
+
+
+def encode_with_cache(
+    ids, params: EncoderParams, mode: str = "eval", rng=None, name=None, rows=None
+):
     """Forward pass returning both the contextual vectors and the backward cache.
 
     ``ids`` is one sentence ``[n]`` or a stack of equal-length sentences
     ``[B, n]``; the vectors are ``[n, hidden_dim]`` or ``[B, n, hidden_dim]``.
-    Only a one-sentence cache can be passed to ``encode_backward``.
+    In eval mode ``rows`` (``[w]`` or ``[B, w]``, repeats allowed) asks for
+    the vectors at those rows only, ``[w, hidden_dim]`` or
+    ``[B, w, hidden_dim]``, with the bits of the same rows of the full
+    pass: the last layer still takes keys and values from every row but
+    computes the rest of the layer at ``rows`` alone.  Only a one-sentence
+    cache without ``rows`` can be passed to ``encode_backward``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
     t = params.tensors
     ids = _check_input(ids, cfg, name)
-    x = t["tok_emb"][ids] + t["pos_emb"][: ids.shape[-1]]
-    cache = {"ids": ids, "layers": []}
-    for i in range(cfg.n_layers):
+    if rows is not None:
+        rows = _check_rows(rows, ids, mode)
+    n = ids.shape[-1]
+    x = t["tok_emb"][ids] + t["pos_emb"][:n]
+    cache = {"ids": ids, "rows": rows, "layers": []}
+    # A one-row matrix product takes another BLAS path than the same row of
+    # a larger product and can differ in its last bits, so the last layer is
+    # computed at no fewer than 2 rows, and a one-sub-token sentence runs in full.
+    last = cfg.n_layers - 1 if rows is not None and n >= 2 and cfg.n_layers else cfg.n_layers
+    for i in range(last):
         x, layer_cache = _layer_forward(x, t, i, cfg, mode, rng)
         cache["layers"].append(layer_cache)
-    return x, cache
+    if rows is None:
+        return x, cache
+    w = rows.shape[-1]
+    if last == cfg.n_layers:
+        return _gather_rows(x, rows), cache
+    at_least_two = rows if w >= 2 else np.concatenate((rows, rows), axis=-1)
+    x, layer_cache = _layer_forward(x, t, last, cfg, mode, rng, at_least_two)
+    cache["layers"].append(layer_cache)
+    return x[..., :w, :], cache
 
 
 def encode(ids, params: EncoderParams, mode: str = "eval", rng=None, name=None) -> np.ndarray:
@@ -284,26 +351,24 @@ def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
 
 
 def encode_backward(
-    ids,
     params: EncoderParams,
     upstream: np.ndarray,
-    *,
-    cache=None,
+    cache: dict,
     grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients of sum(encode(ids) * upstream); shapes mirror params.
+    """Parameter gradients of sum(vectors * upstream); shapes mirror params.
 
-    With no cache the forward is recomputed in eval mode; train-mode
-    backward must reuse the cache from ``encode_with_cache`` so dropout
-    masks match.  When ``grads`` is given, gradients accumulate into it.
+    ``cache`` is the one-sentence cache ``encode_with_cache`` returned with
+    the vectors, so train-mode dropout masks match.  When ``grads`` is
+    given, gradients accumulate into it.
     """
     cfg = params.config
     t = params.tensors
-    if cache is None:
-        _, cache = encode_with_cache(ids, params, "eval")
     ids = cache["ids"]
-    if ids.ndim != 1:
-        raise ValueError("encode_backward takes the cache of one sentence, not of a stack")
+    if ids.ndim != 1 or cache["rows"] is not None:
+        raise ValueError(
+            "encode_backward takes the cache of one sentence, not of a stack or of selected rows"
+        )
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (ids.size, cfg.hidden_dim):
         raise ValueError(

@@ -181,13 +181,18 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
 _STACK_ROWS = 128
 
 
-def _encode_by_length(id_seqs: Sequence[np.ndarray], enc: EncoderParams):
-    """Eval-mode encoding of many sentences, equal lengths stacked together.
+def _encode_by_length(
+    id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequence[Sequence[int]]
+):
+    """Eval-mode encoding of many sentences at the rows their callers read,
+    equal lengths stacked together.
 
-    Yields ``(indices, ctx)`` where ``ctx[r]`` holds the contextual vectors
-    of ``id_seqs[indices[r]]``.  Lengths are taken in first-seen order.  An
-    equal-length stack needs no padding or mask, so every sentence gets the
-    same bits as when encoded alone.
+    Yields ``(indices, vecs)`` where, for ``i = indices[r]``,
+    ``vecs[r, :len(rows[i])]`` holds the contextual vectors of ``id_seqs[i]``
+    at the sub-token positions ``rows[i]``; a shorter row list in a stack is
+    padded by repeating its last position.  Lengths are taken in first-seen
+    order.  An equal-length stack needs no padding or mask, so every
+    sentence gets the same bits as when encoded alone.
     """
     by_length: dict[int, list[int]] = {}
     for i, ids in enumerate(id_seqs):
@@ -197,7 +202,11 @@ def _encode_by_length(id_seqs: Sequence[np.ndarray], enc: EncoderParams):
         for j in range(0, len(indices), per_stack):
             chunk = indices[j : j + per_stack]
             stack = np.stack([id_seqs[i] for i in chunk])
-            yield chunk, encode_with_cache(stack, enc, "eval")[0]
+            width = max(len(rows[i]) for i in chunk)
+            picked = np.stack(
+                [np.pad(np.asarray(rows[i]), (0, width - len(rows[i])), mode="edge") for i in chunk]
+            )
+            yield chunk, encode_with_cache(stack, enc, "eval", rows=picked)[0]
 
 
 def _forward_word_vecs(model: Model, ex: Example, mode: str, rng):
@@ -225,7 +234,7 @@ def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None):
             )
     if grads is not None:
         d_ctx = word_vectors_backward(d_wv, ex.align)
-        encode_backward(ex.ids, model.encoder, d_ctx, cache=cache, grads=grads["encoder"])
+        encode_backward(model.encoder, d_ctx, cache, grads=grads["encoder"])
     return ce, units
 
 
@@ -277,11 +286,10 @@ def mlm_mask(ids: np.ndarray, vocab_size: int, mask_id: int, mask_prob: float, r
     corrupted = ids.copy()
     rolls = rng.random(k)
     randoms = rng.integers(0, vocab_size, size=k)
-    for j, pos in enumerate(positions):
-        if rolls[j] < 0.8:
-            corrupted[pos] = mask_id
-        elif rolls[j] < 0.9:
-            corrupted[pos] = randoms[j]
+    masked = rolls < 0.8
+    swapped = ~masked & (rolls < 0.9)
+    corrupted[positions[masked]] = mask_id
+    corrupted[positions[swapped]] = randoms[swapped]
     return corrupted, positions, ids[positions]
 
 
@@ -328,7 +336,7 @@ def mlm_batch_loss_and_grads(
         d_ctx = np.zeros_like(ctx)
         d_ctx[positions] = dlogits @ emb
         grads["tok_emb"] += dlogits.T @ sel
-        encode_backward(corrupted, enc, d_ctx, cache=cache, grads=grads)
+        encode_backward(enc, d_ctx, cache, grads=grads)
     if total_pos == 0:
         return 0.0, None
     for v in grads.values():
@@ -344,14 +352,15 @@ def _mlm_eval_loss(enc: EncoderParams, batch, vocab: BpeVocab, mask_prob: float,
         return 0.0
     emb = enc.tensors["tok_emb"]
     ce = [0.0] * len(masked)
-    for chunk, ctx in _encode_by_length([masked[i][0] for i in keep], enc):
+    stacks = _encode_by_length(
+        [masked[i][0] for i in keep], enc, [masked[i][1] for i in keep]
+    )
+    for chunk, sel in stacks:
         rows = [keep[c] for c in chunk]
-        # equal lengths mask equally many positions
-        positions = np.stack([masked[i][1] for i in rows])
+        # equal lengths mask equally many positions, so no row list was padded
         targets = np.concatenate([masked[i][2] for i in rows])
-        sel = ctx[np.arange(len(rows))[:, None], positions].reshape(-1, ctx.shape[-1])
-        logp = _log_softmax(sel @ emb.T)
-        picked = logp[np.arange(targets.size), targets].reshape(positions.shape)
+        logp = _log_softmax(sel.reshape(-1, sel.shape[-1]) @ emb.T)
+        picked = logp[np.arange(targets.size), targets].reshape(sel.shape[:2])
         for i, row in zip(rows, picked):
             ce[i] = -float(row.sum())
     total_ce = 0.0
@@ -386,8 +395,8 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
 def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
     align = subtokenize(words, vocab)
     ids = np.asarray(align.sub_token_ids, dtype=np.int64)
-    ctx, _ = encode_with_cache(ids, model.encoder, "eval")
-    return _decode(model, word_vectors(ctx, align))
+    wv, _ = encode_with_cache(ids, model.encoder, "eval", rows=align.first_subtoken_index)
+    return _decode(model, wv)
 
 
 def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> list[Document]:
@@ -398,10 +407,11 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
     """
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
     ids = [np.asarray(align.sub_token_ids, dtype=np.int64) for align in aligns]
+    firsts = [align.first_subtoken_index for align in aligns]
     found: list[list[ScoredMention]] = [[] for _ in aligns]
-    for chunk, ctx in _encode_by_length(ids, model.encoder):
-        for i, sent_ctx in zip(chunk, ctx):
-            found[i] = _decode(model, word_vectors(sent_ctx, aligns[i]))
+    for chunk, wv in _encode_by_length(ids, model.encoder, firsts):
+        for i, sent_wv in zip(chunk, wv):
+            found[i] = _decode(model, sent_wv[: aligns[i].n_words])
     found_iter = iter(found)
     return [
         replace(doc, sentences=[replace(sent, mentions=next(found_iter)) for sent in doc.sentences])

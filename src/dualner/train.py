@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict
 from .encoder import EncoderConfig, EncoderParams, init_params
-from .errors import DataError, FormatError, ProtocolError, TrainingError
+from .errors import FormatError, ProtocolError, TrainingError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
 from .model import (
@@ -504,10 +504,9 @@ def run_protocol(
 
     Each run seeds both the initialization and the data order, the best
     checkpoint is evaluated on every split in ``eval_sets``, and the report
-    carries mean and sample standard deviation per metric.  A ``DataError``
-    (bad input, e.g. a sentence longer than ``max_positions``) propagates at
-    once; any other failing run is collected, and the protocol then fails
-    with the full failure list.
+    carries mean and sample standard deviation per metric.  A run that
+    fails with a ``TrainingError`` is collected, and the protocol then
+    fails with the full failure list; any other error propagates at once.
     """
     if len(seeds) < 2:
         raise ValueError("the protocol needs at least 2 seeds to report a standard deviation")
@@ -541,9 +540,7 @@ def run_protocol(
                         row["precision"].append(report.precision)
                         row["recall"].append(report.recall)
                         row["mcc"].append(report.mcc)
-                except DataError:
-                    raise  # the same input fails every run; not a per-seed failure
-                except Exception as exc:  # noqa: BLE001 - reported via ProtocolError
+                except TrainingError as exc:
                     failures.append((f"{method}/{enc_name}", seed, str(exc)))
     if failures:
         failed = ", ".join(f"{name} seed {seed}" for name, seed, _ in failures)
@@ -587,13 +584,22 @@ class ExperimentConfig:
     mlm: MlmConfig = field(default_factory=MlmConfig)
 
     def validate(self) -> None:
+        """Check every field and section, so a bad value stops a command
+        before any work."""
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if not self.methods or not self.seeds:
             raise ValueError("methods and seeds must be non-empty")
+        for method in self.methods:
+            if method not in METHODS:
+                raise ValueError(f"method must be one of {METHODS}, got {method!r}")
         for split in self.eval_splits:
             if split not in ("train", "tune"):
                 raise ValueError(f"eval split must be 'train' or 'tune', got {split!r}")
+        # vocab_size 0 is filled in from the vocabulary when training starts
+        encoder = self.encoder if self.encoder.vocab_size else replace(self.encoder, vocab_size=1)
+        for section in (encoder, self.heads, self.train, self.mlm):
+            section.validate()
 
     def to_dict(self) -> dict:
         return {
@@ -626,7 +632,10 @@ class ExperimentConfig:
             raw = obj.pop(name, default)
             parsed[name] = dataclass_from_dict(section_cls, raw, f"{where}.{name}")
         cfg = dataclass_from_dict(cls, obj | parsed, where)
-        cfg.validate()
+        try:
+            cfg.validate()
+        except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
+            raise FormatError(f"invalid {where}: {exc}") from exc
         return cfg
 
     @classmethod

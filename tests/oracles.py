@@ -278,3 +278,88 @@ def adamw_step_reference(opt, tensors, grads, grad_clip: float | None = None) ->
         if opt.weight_decay and tensors[k].ndim >= 2:
             update = update + opt.weight_decay * tensors[k]
         tensors[k] -= lr * update
+
+
+def mlm_mask_reference(ids, vocab_size: int, mask_id: int, mask_prob: float, rng):
+    """``mlm_mask`` with one Python step per chosen position, drawing the
+    positions, the rolls and the random ids in the same order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n = ids.size
+    k = min(int(np.ceil(mask_prob * n)) if mask_prob > 0 else 0, n)
+    if k == 0:
+        return ids.copy(), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    positions = np.sort(rng.choice(n, size=k, replace=False))
+    corrupted = ids.copy()
+    rolls = rng.random(k)
+    randoms = rng.integers(0, vocab_size, size=k)
+    for j, pos in enumerate(positions):
+        if rolls[j] < 0.8:
+            corrupted[pos] = mask_id
+        elif rolls[j] < 0.9:
+            corrupted[pos] = randoms[j]
+    return corrupted, positions, ids[positions]
+
+
+def _split_heads(x, n_heads):
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, n_heads, d // n_heads).swapaxes(-3, -2)
+
+
+def _merge_heads(x):
+    *lead, h, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
+
+
+def attention_forward_reference(x, t, p, cfg):
+    """Self-attention of ``x`` with a fresh array for every intermediate;
+    returns the output and the encoder's attention cache tuple."""
+    scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
+    q = _split_heads(x @ t[p + "wq"] + t[p + "bq"], cfg.n_heads)
+    k = _split_heads(x @ t[p + "wk"] + t[p + "bk"], cfg.n_heads)
+    v = _split_heads(x @ t[p + "wv"] + t[p + "bv"], cfg.n_heads)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    merged = _merge_heads(probs @ v)
+    return merged @ t[p + "wo"] + t[p + "bo"], (x, q, k, v, probs, merged, scale)
+
+
+def attention_backward_reference(dout, t, grads, p, cache):
+    """Input gradient of one sentence's self-attention; parameter gradients
+    accumulate into ``grads``."""
+    x, q, k, v, probs, merged, scale = cache
+    grads[p + "wo"] += merged.T @ dout
+    grads[p + "bo"] += dout.sum(axis=0)
+    dctx = _split_heads(dout @ t[p + "wo"].T, q.shape[0])
+    dprobs = dctx @ v.transpose(0, 2, 1)
+    dv = probs.transpose(0, 2, 1) @ dctx
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dq = (dscores @ k) * scale
+    dk = (dscores.transpose(0, 2, 1) @ q) * scale
+    dx = np.zeros_like(x)
+    for name, dh in (("wq", dq), ("wk", dk), ("wv", dv)):
+        flat = _merge_heads(dh)
+        grads[p + name] += x.T @ flat
+        grads[p + "b" + name[1]] += flat.sum(axis=0)
+        dx += flat @ t[p + name].T
+    return dx
+
+
+def layer_norm_forward_reference(x, g, b, eps: float = 1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def layer_norm_backward_reference(dy, cache):
+    xhat, inv, g = cache
+    dg = (dy * xhat).sum(axis=0)
+    db = dy.sum(axis=0)
+    dxhat = dy * g
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dg, db

@@ -463,3 +463,58 @@ def test_train_over_long_sentence_exits_two_and_leaves_no_vocab(tmp_path, corpus
     assert "exceeds max_positions=8" in captured.err
     assert not (run_dir / "vocab.json").exists()
     assert list(run_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["single_seed", "protocol"])
+def test_train_bad_section_value_exits_two_before_any_work(tmp_path, corpus_file, capsys, seeds):
+    config = {
+        "corpus": str(corpus_file),
+        "n_train": 16,
+        "methods": ["word_tagger"],
+        "seeds": seeds,
+        "train": {"epochs": 1, "learning_rate": -1.0},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1, captured.err
+    assert "learning_rate must be positive" in captured.err
+    assert not run_dir.exists()
+
+
+def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, capsys, monkeypatch):
+    import dualner.cli as cli_mod
+    from dualner.errors import TrainingError
+
+    real = cli_mod.train_supervised
+    methods = []
+
+    def second_fails(*args, **kwargs):
+        method = args[5].method
+        methods.append(method)
+        if method == "span_classifier":
+            raise TrainingError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "train_supervised", second_fails)
+    config = {
+        "corpus": str(corpus_file),
+        "n_train": 16,
+        "vocab_size": 170,
+        "methods": ["word_tagger", "span_classifier"],
+        "seeds": [0],
+        "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "train": {"epochs": 1},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)])
+    captured = capsys.readouterr()
+    assert code == 3, captured.err
+    assert "injected failure" in captured.err
+    assert methods == ["word_tagger", "span_classifier"]
+    assert list(run_dir.iterdir()) == []

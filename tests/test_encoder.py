@@ -23,7 +23,14 @@ from dualner.encoder import (
 from dualner.errors import SentenceTooLongError
 from dualner.subtok import SubTokenization
 
-from .oracles import central_difference, gradient_agreement
+from .oracles import (
+    attention_backward_reference,
+    attention_forward_reference,
+    central_difference,
+    gradient_agreement,
+    layer_norm_backward_reference,
+    layer_norm_forward_reference,
+)
 
 TINY = EncoderConfig(
     vocab_size=30, max_positions=16, hidden_dim=8, n_layers=1, n_heads=2, ffn_dim=12, init_seed=3
@@ -132,7 +139,95 @@ def test_stacked_encode_rejects_bad_input():
     ids = np.ones((2, 3), dtype=int)
     _out, cache = encode_with_cache(ids, params)
     with pytest.raises(ValueError, match="one sentence"):
-        encode_backward(ids, params, np.ones((6, STACKED.hidden_dim)), cache=cache)
+        encode_backward(params, np.ones((6, STACKED.hidden_dim)), cache)
+
+
+def _row_choices(n, rng):
+    """One row, two rows, every row and a list with repeats."""
+    return [np.array([n - 1]), np.array([0, n // 2]), np.arange(n), rng.integers(0, n, size=n + 3)]
+
+
+def test_rows_equal_full_pass_rows():
+    rng = np.random.default_rng(11)
+    for n_layers in (0, 2):
+        params = _scaled_params(dataclasses.replace(STACKED, n_layers=n_layers))
+        for n in (1, 2, 5, STACKED.max_positions):
+            ids = rng.integers(0, STACKED.vocab_size, size=n)
+            full = encode(ids, params)
+            for rows in _row_choices(n, rng):
+                out = encode_with_cache(ids, params, rows=rows)[0]
+                assert out.shape == (rows.size, STACKED.hidden_dim)
+                assert np.array_equal(out, full[rows]), (n_layers, n, rows)
+    with pytest.raises(ValueError, match="eval mode only"):
+        encode_with_cache(ids, params, "train", np.random.default_rng(0), rows=[0])
+
+
+def test_stacked_rows_equal_full_pass_rows():
+    rng = np.random.default_rng(12)
+    for n_layers in (0, 2):
+        params = _scaled_params(dataclasses.replace(STACKED, n_layers=n_layers))
+        for n in (1, 2, 5, STACKED.max_positions):
+            ids = rng.integers(0, STACKED.vocab_size, size=(4, n))
+            full = encode(ids, params)
+            # word counts differ per sentence; shorter lists repeat their last row
+            wanted = [np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                      for _ in range(4)]
+            width = max(r.size for r in wanted)
+            for w in sorted({1, width}):
+                rows = np.stack([np.pad(r[:w], (0, w - r[:w].size), mode="edge") for r in wanted])
+                out = encode_with_cache(ids, params, rows=rows)[0]
+                assert out.shape == (4, w, STACKED.hidden_dim)
+                for b in range(4):
+                    assert np.array_equal(out[b], full[b][rows[b]]), (n_layers, n, rows)
+
+
+def test_rows_reject_bad_input():
+    params = init_params(STACKED)
+    ids = np.ones((2, 5), dtype=int)
+    for rows in ([0, 1], np.zeros((3, 2), dtype=int), np.zeros((2, 0), dtype=int)):
+        with pytest.raises(ValueError, match="do not fit"):
+            encode_with_cache(ids, params, rows=rows)
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            encode_with_cache(ids, params, rows=[[0, bad], [1, 2]])
+    _out, cache = encode_with_cache(ids[0], params, rows=[0, 3])
+    with pytest.raises(ValueError, match="selected rows"):
+        encode_backward(params, np.ones((5, STACKED.hidden_dim)), cache)
+
+
+def test_attention_and_layer_norm_match_allocating_reference():
+    from dualner.encoder import (
+        _attention_backward,
+        _attention_forward,
+        _layer_norm_backward,
+        _layer_norm_forward,
+    )
+
+    cfg = EncoderConfig(vocab_size=30, max_positions=128, hidden_dim=64, n_layers=1, n_heads=4)
+    params = _scaled_params(cfg)
+    t, p = params.tensors, "layers.0.attn."
+    rng = np.random.default_rng(21)
+    g, b = rng.normal(size=64), rng.normal(size=64)
+    for shape in ((1, 64), (2, 64), (20, 64), (112, 64), (3, 20, 64)):
+        x = rng.normal(size=shape)
+        out, cache = _attention_forward(x, t, p, cfg, x)
+        ref_out, ref_cache = attention_forward_reference(x, t, p, cfg)
+        assert np.array_equal(out, ref_out)
+        assert all(np.array_equal(c, r) for c, r in zip(cache, ref_cache))
+        y, ln_cache = _layer_norm_forward(x, g, b)
+        ref_y, ref_ln_cache = layer_norm_forward_reference(x, g, b)
+        assert np.array_equal(y, ref_y)
+        assert all(np.array_equal(c, r) for c, r in zip(ln_cache, ref_ln_cache))
+        if x.ndim == 3:
+            continue  # backward takes one sentence
+        dout = rng.normal(size=shape)
+        grads, ref_grads = zero_grads(params), zero_grads(params)
+        dx = _attention_backward(dout, t, grads, p, cache)
+        assert np.array_equal(dx, attention_backward_reference(dout, t, ref_grads, p, ref_cache))
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+        for got, want in zip(_layer_norm_backward(dout, ln_cache),
+                             layer_norm_backward_reference(dout, ref_ln_cache)):
+            assert np.array_equal(got, want)
 
 
 def test_permutation_equivariance_without_positions():
@@ -162,7 +257,7 @@ def test_dropout_train_vs_eval():
 def test_zero_upstream_gives_zero_grads():
     params = init_params(TINY)
     ids = np.array([1, 2, 3])
-    grads = encode_backward(ids, params, np.zeros((3, 8)))
+    grads = encode_backward(params, np.zeros((3, 8)), encode_with_cache(ids, params)[1])
     assert set(grads) == set(params.tensors)
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -170,7 +265,7 @@ def test_zero_upstream_gives_zero_grads():
 def test_unused_parameters_get_zero_grads():
     params = _scaled_params(TINY)
     ids = np.array([1, 2, 3])
-    grads = encode_backward(ids, params, np.ones((3, 8)))
+    grads = encode_backward(params, np.ones((3, 8)), encode_with_cache(ids, params)[1])
     assert np.all(grads["tok_emb"][10] == 0.0)  # id 10 never fed in
     assert np.all(grads["pos_emb"][3:] == 0.0)  # positions past the sentence
     assert np.any(grads["tok_emb"][1] != 0.0)
@@ -179,7 +274,7 @@ def test_unused_parameters_get_zero_grads():
 def test_backward_shape_check():
     params = init_params(TINY)
     with pytest.raises(ValueError):
-        encode_backward(np.array([1, 2]), params, np.zeros((3, 8)))
+        encode_backward(params, np.zeros((3, 8)), encode_with_cache(np.array([1, 2]), params)[1])
 
 
 def test_gradients_match_central_differences():
@@ -191,7 +286,7 @@ def test_gradients_match_central_differences():
     def loss():
         return float((encode(ids, params) * upstream).sum())
 
-    grads = encode_backward(ids, params, upstream)
+    grads = encode_backward(params, upstream, encode_with_cache(ids, params)[1])
     worst = 0.0
     for key, arr in sorted(params.tensors.items()):
         for _ in range(4):
@@ -209,8 +304,8 @@ def test_train_mode_backward_requires_matching_cache():
     ids = np.array([1, 2, 3])
     out, cache = encode_with_cache(ids, params, mode="train", rng=np.random.default_rng(1))
     upstream = np.ones_like(out)
-    g1 = encode_backward(ids, params, upstream, cache=cache)
-    g2 = encode_backward(ids, params, upstream, cache=cache)
+    g1 = encode_backward(params, upstream, cache)
+    g2 = encode_backward(params, upstream, cache)
     for key in g1:
         assert np.array_equal(g1[key], g2[key])
 
@@ -220,9 +315,10 @@ def test_grads_accumulate_in_place():
     ids = np.array([1, 2, 3])
     upstream = np.ones((3, 8))
     acc = zero_grads(params)
-    encode_backward(ids, params, upstream, grads=acc)
+    _out, cache = encode_with_cache(ids, params)
+    encode_backward(params, upstream, cache, grads=acc)
     once = {k: v.copy() for k, v in acc.items()}
-    encode_backward(ids, params, upstream, grads=acc)
+    encode_backward(params, upstream, cache, grads=acc)
     for key in acc:
         assert np.allclose(acc[key], 2.0 * once[key])
 

@@ -24,7 +24,12 @@ from dualner.model import (
 )
 from dualner.subtok import subtokenize, train_bpe
 
-from .oracles import central_difference, gradient_agreement, mlm_eval_loss_reference
+from .oracles import (
+    central_difference,
+    gradient_agreement,
+    mlm_eval_loss_reference,
+    mlm_mask_reference,
+)
 
 INV = LabelInventory.from_types(["Alpha", "Beta"])
 ENC = EncoderConfig(hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24, init_seed=1)
@@ -133,6 +138,17 @@ def test_mlm_mask_zero_prob():
     assert np.array_equal(corrupted, ids)
 
 
+@pytest.mark.parametrize("mask_prob", [0.0, 0.15, 0.5, 1.0])
+def test_mlm_mask_matches_per_position_reference(mask_prob):
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for n in (1, 2, 7, 40, 200):
+        ids = np.arange(n) % 50 + 3
+        got = mlm_mask(ids, 50, 2, mask_prob, rng)
+        want = mlm_mask_reference(ids, 50, 2, mask_prob, ref_rng)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert rng.random() == ref_rng.random()  # the same draws were taken
+
+
 def test_mlm_mask_action_shares():
     rng = np.random.default_rng(4)
     ids = np.full(2000, 7)
@@ -238,6 +254,30 @@ def test_mlm_eval_loss_without_masked_positions(length_corpus):
     assert mlm_eval_loss_reference(*args) == (0.0, None)
     with pytest.raises(ValueError, match="eval mode"):
         mlm_batch_loss_and_grads(*args, mode="train", with_grads=False)
+
+
+def test_encode_by_length_rows_equal_full_pass_rows(length_corpus):
+    from dualner.encoder import encode
+    from dualner.model import _encode_by_length
+
+    docs, vocab = length_corpus
+    model = _scaled_model("word_tagger", vocab)
+    rng = np.random.default_rng(3)
+    short = [np.arange(n) % len(vocab) for n in (1, 3, 3, 4, 4, 4)]
+    pool = _mlm_pool(docs, vocab)[:30] + short
+    # row lists of differing lengths within a stack, and stacks whose
+    # sentences all read one row, as an MLM mask of a short sentence does
+    rows = [np.sort(rng.choice(ids.size, size=int(rng.integers(1, ids.size + 1)), replace=False))
+            for ids in pool[:30]]
+    rows += [np.array([ids.size - 1]) for ids in short]
+    seen = []
+    for chunk, vecs in _encode_by_length(pool, model.encoder, rows):
+        for i, sent_vecs in zip(chunk, vecs):
+            # a row list shorter than its stack's is padded with its last row
+            padded = np.pad(rows[i], (0, len(sent_vecs) - rows[i].size), mode="edge")
+            assert np.array_equal(sent_vecs, encode(pool[i], model.encoder)[padded]), i
+            seen.append(i)
+    assert sorted(seen) == list(range(len(pool)))
 
 
 def test_eval_stacks_hold_at_most_128_subtokens(monkeypatch, length_corpus):

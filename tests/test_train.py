@@ -326,6 +326,25 @@ def test_protocol_reports_failed_seeds(mini, monkeypatch):
     assert "seed 1" in str(err.value)
 
 
+def test_protocol_propagates_other_errors_at_once(mini, monkeypatch):
+    train_docs, tune_docs, vocab = mini
+    import dualner.train as train_mod
+
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args[5].seed)
+        raise KeyError("not a training failure")
+
+    monkeypatch.setattr(train_mod, "train_supervised", broken)
+    with pytest.raises(KeyError, match="not a training failure"):
+        train_mod.run_protocol(
+            train_docs, tune_docs, {"tune": tune_docs}, vocab,
+            ["word_tagger"], [0, 1], ENC, HEADS, TrainConfig(epochs=1),
+        )
+    assert calls == [0]
+
+
 # ---------------------------------------------------------------------------
 # Experiment config files
 # ---------------------------------------------------------------------------
@@ -355,3 +374,26 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"corpus": "c", "n_train": 2, "train": {"epcohs": 3}}), encoding="utf-8")
     with pytest.raises(FormatError, match="epcohs"):
         ExperimentConfig.load(path)
+
+
+@pytest.mark.parametrize(
+    "section, fault, message",
+    [
+        ("train", {"learning_rate": -1.0}, "learning_rate must be positive"),
+        ("train", {"epochs": "3"}, "invalid"),
+        ("mlm", {"total_steps": 100, "checkpoint_every": 33}, "must divide"),
+        ("encoder", {"hidden_dim": 10, "n_heads": 4}, "not divisible"),
+        ("encoder", {"vocab_size": -1}, "vocab_size"),
+        ("heads", {"max_span_width": 0}, "head dimensions"),
+        (None, {"methods": ["crf"]}, "method must be one of"),
+    ],
+)
+def test_experiment_config_checks_every_section(tmp_path, section, fault, message):
+    obj = {"corpus": "c", "n_train": 2}
+    obj.update({section: fault} if section else fault)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(FormatError, match=message):
+        ExperimentConfig.load(path)
+    # vocab_size 0 (the default) is filled in later, so it passes
+    ExperimentConfig.from_dict({"corpus": "c", "n_train": 2, "encoder": {"vocab_size": 0}})
