@@ -12,9 +12,11 @@ post-processing).
 from __future__ import annotations
 
 import json
+import math
 import os
 import string
 import tempfile
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -38,6 +40,7 @@ __all__ = [
     "generate_synthetic",
     "synthetic_pools",
     "atomic_write",
+    "read_json",
 ]
 
 
@@ -135,18 +138,65 @@ class LabelInventory:
 # ---------------------------------------------------------------------------
 
 
+def _is_finite_number(x) -> bool:
+    """An int or float, not a bool, that is a finite float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _conforms(value, hint) -> bool:
+    """``value`` fits annotation ``hint``; a float field also takes an int."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_conforms(value, h) for h in args)
+    if hint is float:
+        return _is_finite_number(value)
+    if hint is int:
+        return type(value) is int
+    return value is None if hint is type(None) else isinstance(value, hint)
+
+
 def dataclass_from_dict(cls, obj, where: str):
-    """Build config dataclass ``cls`` from a JSON object, rejecting unknown keys."""
+    """Build config dataclass ``cls`` from a JSON object, rejecting unknown
+    keys and values whose type does not match the field's annotation."""
     if not isinstance(obj, dict):
         raise FormatError(f"{where} must be a JSON object")
-    names = {f.name for f in fields(cls)}
-    unknown = set(obj) - names
+    hints = typing.get_type_hints(cls)
+    unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise FormatError(f"unknown keys in {where}: {sorted(unknown)}")
+    for name, value in obj.items():
+        hint = hints[name]
+        if not _conforms(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise FormatError(f"invalid {where}: {name} must be {expected}, got {type(value).__name__}")
     try:
         return cls(**obj)
     except TypeError as exc:
         raise FormatError(f"bad {where} section: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """The parsed contents of one JSON file; unreadable files are data errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON ({exc.msg})", path=str(path)) from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise FormatError(f"unreadable file ({_reason(exc)})", path=str(path)) from exc
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, UnicodeDecodeError):
+        return "not UTF-8 text"
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return exc.strerror or type(exc).__name__
 
 
 @contextmanager
@@ -226,39 +276,30 @@ def _parse_document(obj, path: str, line: int, scored: bool) -> Document:
             line,
         )
         _require(
-            isinstance(sobj.get("char_start"), int) and isinstance(sobj.get("char_end"), int),
+            type(sobj.get("char_start")) is int and type(sobj.get("char_end")) is int,
             "sentence char offsets must be integers",
             path,
             line,
         )
+        _require(isinstance(sobj.get("mentions", []), list), 'sentence "mentions" must be a list', path, line)
         mentions = []
         for mobj in sobj.get("mentions", []):
             _require(isinstance(mobj, dict), "mention must be a JSON object", path, line)
             _require(
-                isinstance(mobj.get("start_word"), int)
-                and isinstance(mobj.get("end_word"), int)
+                type(mobj.get("start_word")) is int
+                and type(mobj.get("end_word")) is int
                 and isinstance(mobj.get("label"), str),
                 "mention needs integer start_word/end_word and string label",
                 path,
                 line,
             )
+            span = (mobj["start_word"], mobj["end_word"], mobj["label"])
             if scored:
-                mentions.append(
-                    ScoredMention(
-                        start_word=mobj["start_word"],
-                        end_word=mobj["end_word"],
-                        label=mobj["label"],
-                        score=float(mobj.get("score", 0.0)),
-                    )
-                )
+                score = mobj.get("score", 0.0)
+                _require(_is_finite_number(score), 'mention "score" must be a finite number', path, line)
+                mentions.append(ScoredMention(*span, score=float(score)))
             else:
-                mentions.append(
-                    Mention(
-                        start_word=mobj["start_word"],
-                        end_word=mobj["end_word"],
-                        label=mobj["label"],
-                    )
-                )
+                mentions.append(Mention(*span))
         sentences.append(
             Sentence(
                 words=list(words),
@@ -342,18 +383,21 @@ def validate_document(doc: Document, *, allow_overlap: bool = False) -> None:
 def _load(path: str | Path, *, scored: bool, allow_overlap: bool) -> list[Document]:
     path = str(path)
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-            doc = _parse_document(obj, path, lineno, scored)
-            validate_document(doc, allow_overlap=allow_overlap)
-            docs.append(doc)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
+                doc = _parse_document(obj, path, lineno, scored)
+                validate_document(doc, allow_overlap=allow_overlap)
+                docs.append(doc)
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise FormatError(f"unreadable file ({_reason(exc)})", path=path) from exc
     return docs
 
 

@@ -14,6 +14,7 @@ differences and training stays bit-reproducible on CPU.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -58,8 +59,8 @@ class EncoderConfig:
     init_seed: int = 0
 
     def validate(self) -> None:
-        if self.vocab_size < 1 or self.max_positions < 1:
-            raise ValueError("vocab_size and max_positions must be positive")
+        if min(self.vocab_size, self.max_positions, self.hidden_dim) < 1:
+            raise ValueError("vocab_size, max_positions and hidden_dim must be positive")
         if self.n_layers < 0 or self.n_heads < 1 or self.ffn_dim < 1:
             raise ValueError("n_layers must be >= 0; n_heads and ffn_dim positive")
         if self.hidden_dim % self.n_heads != 0:
@@ -445,7 +446,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             if not isinstance(config, dict):
                 raise FormatError("checkpoint __config__ is not a JSON object", path=str(path))
             tensors = {k: z[k].copy() for k in z.files if k != "__config__"}
-    except (OSError, ValueError) as exc:
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        # TypeError: an .npy file, which np.load returns as a bare array
         raise FormatError(f"unreadable checkpoint: {exc}", path=str(path)) from exc
     return config, tensors
 
@@ -453,7 +455,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 def copy_checkpoint_tensors(
     target: dict[str, np.ndarray], loaded: dict[str, np.ndarray], path: str | Path
 ) -> None:
-    """Copy ``loaded`` into ``target`` in place; names and shapes must match."""
+    """Copy ``loaded`` into ``target`` in place; names and shapes must match,
+    and every loaded tensor must be finite float64."""
     if set(target) != set(loaded):
         missing = set(target) - set(loaded)
         extra = set(loaded) - set(target)
@@ -462,9 +465,14 @@ def copy_checkpoint_tensors(
             path=str(path),
         )
     for key, arr in target.items():
-        if arr.shape != loaded[key].shape:
+        got = loaded[key]
+        if arr.shape != got.shape:
             raise FormatError(
-                f"checkpoint tensor {key} has shape {loaded[key].shape}, expected {arr.shape}",
+                f"checkpoint tensor {key} has shape {got.shape}, expected {arr.shape}",
                 path=str(path),
             )
-        arr[...] = loaded[key]
+        if got.dtype.kind != "f" or got.dtype.itemsize != 8:
+            raise FormatError(f"checkpoint tensor {key} has dtype {got.dtype}, expected float64", path=str(path))
+        if not np.isfinite(got).all():
+            raise FormatError(f"checkpoint tensor {key} has non-finite values", path=str(path))
+        arr[...] = got

@@ -10,7 +10,7 @@ property tests are total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,13 +21,11 @@ from .heads import mentions_to_tags
 from .subtok import BUCKETS, BpeVocab, SubTokenization, bucket_of, subtokenize
 
 __all__ = [
-    "PrfResult",
     "BucketScore",
     "EvalReport",
     "mention_prf",
     "mcc_from_confusion",
     "multiclass_mcc",
-    "binary_mcc",
     "subtoken_grouped_f1",
     "mean_std",
     "project_non_overlapping",
@@ -39,31 +37,9 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
 
 
-@dataclass(frozen=True)
-class PrfResult:
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    fn: int
-    per_type: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "per_type": self.per_type,
-        }
-
-
 def mention_prf(
     gold: Sequence[Sequence[Mention]], pred: Sequence[Sequence[Mention]]
-) -> PrfResult:
+) -> EvalReport:
     """Micro string-match P/R/F1 over aligned per-sentence mention lists.
 
     The degenerate corpus with no gold and no predicted mentions scores 1.0;
@@ -88,14 +64,14 @@ def mention_prf(
         fp += len(p_set - g_set)
         fn += len(g_set - p_set)
     if tp + fp + fn == 0:
-        return PrfResult(precision=1.0, recall=1.0, f1=1.0, tp=0, fp=0, fn=0)
+        return EvalReport(precision=1.0, recall=1.0, f1=1.0, tp=0, fp=0, fn=0, per_type={})
     precision = tp / (tp + fp) if (tp + fp) else 0.0
     recall = tp / (tp + fn) if (tp + fn) else 0.0
     per_type = {
         t: {"tp": c[0], "fp": c[1], "fn": c[2], "f1": _f1(*c)}
         for t, c in sorted(by_type.items())
     }
-    return PrfResult(
+    return EvalReport(
         precision=precision,
         recall=recall,
         f1=_f1(tp, fp, fn),
@@ -133,13 +109,6 @@ def mcc_from_confusion(confusion: np.ndarray) -> float:
     if denom_pred == 0 or denom_gold == 0:
         return 0.0
     return numerator / np.sqrt(float(denom_pred) * float(denom_gold))
-
-
-def binary_mcc(tp: int, fp: int, fn: int, tn: int) -> float:
-    denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    if denom == 0:
-        return 0.0
-    return (tp * tn - fp * fn) / np.sqrt(float(denom))
 
 
 def confusion_matrix(
@@ -347,14 +316,4 @@ def evaluate_predictions(
     prf = mention_prf(gold_sents, pred_sents)
     mcc = multiclass_mcc(gold_tags, pred_tags) if with_mcc else None
     grouped = subtoken_grouped_f1(gold_tags, pred_tags, aligns) if vocab is not None else None
-    return EvalReport(
-        f1=prf.f1,
-        precision=prf.precision,
-        recall=prf.recall,
-        tp=prf.tp,
-        fp=prf.fp,
-        fn=prf.fn,
-        per_type=prf.per_type,
-        mcc=mcc,
-        subtoken_grouped=grouped,
-    )
+    return replace(prf, mcc=mcc, subtoken_grouped=grouped)

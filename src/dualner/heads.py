@@ -30,8 +30,6 @@ __all__ = [
     "HeadConfig",
     "HeadParams",
     "init_head_params",
-    "TagSequence",
-    "SpanCandidate",
     "softmax",
     "tagger_forward",
     "tagger_backward",
@@ -108,27 +106,13 @@ def softmax(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TagSequence:
-    """Per-word BIO tags, plus the raw score matrix when produced by the tagger."""
-
-    tags: list[str]
-    scores: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-
-def tagger_forward(word_vecs: np.ndarray, params: HeadParams) -> TagSequence:
-    """Score every word over the BIO tag set; argmax ties go to the lowest index."""
+def tagger_forward(word_vecs: np.ndarray, params: HeadParams) -> np.ndarray:
+    """[n_words, n_tags] scores over the BIO tag set ``params.labels.tag_set()``."""
     if word_vecs.ndim != 2 or word_vecs.shape[1] != params.hidden_dim:
         raise ValueError(
             f"word vectors must be [n_words, {params.hidden_dim}], got {word_vecs.shape}"
         )
-    scores = word_vecs @ params.tensors["tagger.w"] + params.tensors["tagger.b"]
-    tag_set = params.labels.tag_set()
-    tags = [tag_set[i] for i in scores.argmax(axis=1)]
-    return TagSequence(tags=tags, scores=scores)
+    return word_vecs @ params.tensors["tagger.w"] + params.tensors["tagger.b"]
 
 
 def tagger_backward(
@@ -151,15 +135,13 @@ def _parse_tag(tag: str) -> tuple[str, str | None]:
     raise ValueError(f"not a BIO tag: {tag!r}")
 
 
-def tags_to_mentions(tags: Sequence[str] | TagSequence) -> list[Mention]:
+def tags_to_mentions(tags: Sequence[str]) -> list[Mention]:
     """Decode BIO tags into mentions; total on illegal sequences.
 
     Repair policy: an I-X with no open mention of type X acts as B-X, and an
     I-Y directly after a mention of a different type starts a new mention of
     type Y.  The output is always non-overlapping and in sentence order.
     """
-    if isinstance(tags, TagSequence):
-        tags = tags.tags
     mentions: list[Mention] = []
     start: int | None = None
     label: str | None = None
@@ -203,18 +185,6 @@ def mentions_to_tags(mentions: Sequence[Mention], n_words: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # Span-based classifier
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpanCandidate:
-    """A scored candidate span.  ``span_forward`` returns typed winners only;
-    ``span_decode`` also accepts and drops ``label=None`` candidates."""
-
-    start_word: int
-    end_word: int
-    scores: np.ndarray
-    label: str | None
-    score: float
 
 
 def enumerate_spans(n_words: int, max_span_width: int) -> list[tuple[int, int]]:
@@ -271,9 +241,9 @@ def span_logits_with_cache(word_vecs, spans, params: HeadParams):
 
 def span_forward(
     word_vecs: np.ndarray, candidates: Sequence[tuple[int, int]], params: HeadParams
-) -> list[SpanCandidate]:
+) -> list[ScoredMention]:
     """Score candidates over |types|+1 classes (none first); return the typed
-    winners only, in candidate order."""
+    winners only, in candidate order, each scored by its winning probability."""
     logits, _ = span_logits_with_cache(word_vecs, candidates, params)
     probs = softmax(logits)
     picks = probs.argmax(axis=1)
@@ -282,10 +252,7 @@ def span_forward(
     for i in np.flatnonzero(picks):
         s, e = candidates[i]
         k = picks[i]
-        row = probs[i]
-        out.append(
-            SpanCandidate(start_word=s, end_word=e, scores=row, label=types[k - 1], score=float(row[k]))
-        )
+        out.append(ScoredMention(start_word=s, end_word=e, label=types[k - 1], score=float(probs[i, k])))
     return out
 
 
@@ -320,18 +287,14 @@ def span_backward(
     return du_start @ w1[:d].T + du_end @ w1[d : 2 * d].T
 
 
-def span_decode(scored: Sequence[SpanCandidate]) -> list[ScoredMention]:
-    """Typed candidates minus overlap conflicts; nested pairs are retained.
+def span_decode(winners: Sequence[ScoredMention]) -> list[ScoredMention]:
+    """Typed winners minus overlap conflicts; nested pairs are retained.
 
-    Overlapping non-nested pairs, two candidates over the same span among
-    them, are resolved greedily by descending winning score (ties: earlier
-    start, then shorter).  Nested predictions survive
-    on purpose; resolving them is the post-processing step's job.
+    Overlapping non-nested pairs, two winners over the same span among
+    them, are resolved greedily by descending score (ties: earlier start,
+    then shorter).  Nested predictions survive on purpose; resolving them
+    is the post-processing step's job.
     """
-    kept = select_by_score([c for c in scored if c.label is not None], mentions_cross)
-    mentions = [
-        ScoredMention(start_word=c.start_word, end_word=c.end_word, label=c.label, score=c.score)
-        for c in kept
-    ]
-    mentions.sort(key=lambda m: (m.start_word, m.end_word, m.label))
-    return mentions
+    kept = select_by_score(winners, mentions_cross)
+    kept.sort(key=lambda m: (m.start_word, m.end_word, m.label))
+    return kept

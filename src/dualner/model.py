@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, Mention, ScoredMention
+from .corpus import Document, LabelInventory, ScoredMention
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -116,10 +116,8 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
 class Example:
     doc_id: str
     sent_index: int
-    words: list[str]
     ids: np.ndarray
     align: SubTokenization
-    gold_mentions: tuple[Mention, ...]
     tag_ids: np.ndarray
     spans: list[tuple[int, int]]
     span_classes: np.ndarray
@@ -147,10 +145,8 @@ def build_examples(
                 Example(
                     doc_id=doc.id,
                     sent_index=si,
-                    words=list(sent.words),
                     ids=np.asarray(align.sub_token_ids, dtype=np.int64),
                     align=align,
-                    gold_mentions=tuple(sent.mentions),
                     tag_ids=np.fromiter((tag_index[t] for t in tags), dtype=np.int64, count=len(tags)),
                     spans=spans,
                     span_classes=span_classes,
@@ -219,7 +215,7 @@ def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None):
     """Summed CE and unit count for one sentence; backward when grads given."""
     wv, cache = _forward_word_vecs(model, ex, mode, rng)
     if model.method == "word_tagger":
-        logits = tagger_forward(wv, model.heads).scores
+        logits = tagger_forward(wv, model.heads)
         ce, dlogits = _softmax_ce(logits, ex.tag_ids)
         units = len(ex.tag_ids)
         if grads is not None:
@@ -377,8 +373,9 @@ def _mlm_eval_loss(enc: EncoderParams, batch, vocab: BpeVocab, mask_prob: float,
 def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
     """Scored mentions of one sentence from its word vectors."""
     if model.method == "word_tagger":
-        seq = tagger_forward(wv, model.heads)
-        win = softmax(seq.scores).max(axis=1)
+        scores = tagger_forward(wv, model.heads)
+        win = softmax(scores).max(axis=1)
+        tag_set = model.labels.tag_set()
         return [
             ScoredMention(
                 start_word=m.start_word,
@@ -386,7 +383,7 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
                 label=m.label,
                 score=float(win[m.start_word : m.end_word + 1].mean()),
             )
-            for m in tags_to_mentions(seq.tags)
+            for m in tags_to_mentions([tag_set[i] for i in scores.argmax(axis=1)])
         ]
     spans = enumerate_spans(wv.shape[0], model.heads.config.max_span_width)
     return span_decode(span_forward(wv, spans, model.heads))

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Document, atomic_write
+from .corpus import Document, atomic_write, read_json
 from .errors import FormatError
 
 __all__ = [
@@ -120,15 +120,20 @@ class BpeVocab:
     @classmethod
     def from_json(cls, obj: dict, path: str | None = None) -> "BpeVocab":
         try:
-            symbols = tuple(obj["symbols"])
-            merges = tuple((l, r) for l, r in obj["merges"])
-            special = obj["special"]
+            symbols, merges, special = obj["symbols"], obj["merges"], obj["special"]
+            if not (isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
+                raise FormatError('"symbols" must be a list of strings')
+            if not (isinstance(merges, list) and all(_is_str_pair(m) for m in merges)):
+                raise FormatError('"merges" must be a list of [left, right] string pairs')
+            pad, unk, mask = special["pad"], special["unk"], special.get("mask")
+            if not (type(pad) is type(unk) is int and (mask is None or type(mask) is int)):
+                raise FormatError("special ids must be integers")
             return cls(
-                symbols=symbols,
-                merges=merges,
-                pad_id=int(special["pad"]),
-                unk_id=int(special["unk"]),
-                mask_id=None if special.get("mask") is None else int(special["mask"]),
+                symbols=tuple(symbols),
+                merges=tuple((l, r) for l, r in merges),
+                pad_id=pad,
+                unk_id=unk,
+                mask_id=mask,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed vocabulary file: {exc}", path=path) from exc
@@ -142,12 +147,11 @@ class BpeVocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "BpeVocab":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=str(path)) from exc
-        return cls.from_json(obj, path=str(path))
+        return cls.from_json(read_json(path), path=str(path))
+
+
+def _is_str_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(isinstance(p, str) for p in x)
 
 
 def _merge_once(pieces: list[str], pair: tuple[str, str]) -> list[str]:

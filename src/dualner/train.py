@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict
+from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict, read_json
 from .encoder import EncoderConfig, EncoderParams, init_params
 from .errors import FormatError, ProtocolError, TrainingError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
@@ -63,7 +63,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     seed: int = 0
     checkpoint_every: int = 50
-    select_metric: str = "micro_f1"
     warmup_frac: float = 0.1
     early_stop_f1: float | None = None
 
@@ -76,8 +75,6 @@ class TrainConfig:
             raise ValueError("batch_size and checkpoint_every must be >= 1, epochs >= 0")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
-        if self.select_metric != "micro_f1":
-            raise ValueError("only micro_f1 checkpoint selection is supported")
 
 
 @dataclass(frozen=True)
@@ -137,21 +134,21 @@ class AdamW:
     arithmetic is order-fixed across runs.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(
         self,
         tensors: dict[str, np.ndarray],
         learning_rate: float,
         weight_decay: float = 0.0,
         warmup_steps: int = 0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         self.keys = sorted(tensors)
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(tensors[k]) for k in self.keys}
         self.v = {k: np.zeros_like(tensors[k]) for k in self.keys}
         self.t = 0
@@ -634,18 +631,13 @@ class ExperimentConfig:
         cfg = dataclass_from_dict(cls, obj | parsed, where)
         try:
             cfg.validate()
-        except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
+        except ValueError as exc:
             raise FormatError(f"invalid {where}: {exc}") from exc
         return cfg
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=str(path)) from exc
-        return cls.from_dict(obj, where=str(path))
+        return cls.from_dict(read_json(path), where=str(path))
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as fh:

@@ -111,6 +111,14 @@ def mcc_one_hot_covariance(confusion: np.ndarray) -> float:
     return float(cov_gp / np.sqrt(cov_gg * cov_pp))
 
 
+def binary_mcc(tp: int, fp: int, fn: int, tn: int) -> float:
+    """The textbook two-class MCC, (tp tn - fp fn) / sqrt of the four margins."""
+    denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    if denom == 0:
+        return 0.0
+    return (tp * tn - fp * fn) / np.sqrt(float(denom))
+
+
 def random_flat_mentions(
     rng: np.random.Generator, n_words: int, types: tuple[str, ...], max_len: int = 4
 ) -> list[Mention]:

@@ -22,7 +22,7 @@ from dualner.corpus import (
     load_predictions,
 )
 from dualner.encoder import EncoderConfig
-from dualner.evaluate import binary_mcc, mcc_from_confusion, mean_std
+from dualner.evaluate import mcc_from_confusion, mean_std
 from dualner.heads import (
     HeadConfig,
     enumerate_spans,
@@ -35,6 +35,7 @@ from dualner.subtok import BpeVocab, MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, fragmenta
 from dualner.train import MlmConfig, TrainConfig, pretrain_mlm, run_protocol, sweep_tapt_checkpoints, train_supervised
 
 from .oracles import (
+    binary_mcc,
     central_difference,
     gradient_agreement,
     mcc_one_hot_covariance,

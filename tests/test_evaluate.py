@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dualner.corpus import Mention, ScoredMention
 from dualner.evaluate import (
-    binary_mcc,
     confusion_matrix,
     mcc_from_confusion,
     mean_std,
@@ -18,7 +17,7 @@ from dualner.evaluate import (
 )
 from dualner.subtok import SubTokenization
 
-from .oracles import mcc_one_hot_covariance
+from .oracles import binary_mcc, mcc_one_hot_covariance
 
 
 def M(s, e, t):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualner.corpus import LabelInventory, Mention
+from dualner.corpus import LabelInventory, Mention, ScoredMention
 from dualner.heads import (
     HeadConfig,
     enumerate_spans,
@@ -19,7 +19,6 @@ from dualner.heads import (
     tagger_backward,
     tagger_forward,
     tags_to_mentions,
-    SpanCandidate,
 )
 
 from .oracles import (
@@ -45,6 +44,11 @@ def _params(hidden_dim=8, cfg=CFG, seed=1, scale=None):
     return params
 
 
+def _tags(scores):
+    """Argmax tags of tagger scores; ties go to the lowest tag index."""
+    return [INV.tag_set()[i] for i in scores.argmax(axis=1)]
+
+
 # ---------------------------------------------------------------------------
 # Tagger
 # ---------------------------------------------------------------------------
@@ -64,9 +68,9 @@ def test_tagger_zero_weights_tie_break_to_O():
     params = _params()
     for arr in params.tensors.values():
         arr[...] = 0.0
-    seq = tagger_forward(np.random.default_rng(0).normal(size=(5, 8)), params)
-    assert seq.tags == ["O"] * 5
-    assert np.all(seq.scores == 0.0)
+    scores = tagger_forward(np.random.default_rng(0).normal(size=(5, 8)), params)
+    assert _tags(scores) == ["O"] * 5
+    assert np.all(scores == 0.0)
 
 
 def test_tagger_deterministic_and_shape_checked():
@@ -74,7 +78,7 @@ def test_tagger_deterministic_and_shape_checked():
     vecs = np.random.default_rng(1).normal(size=(4, 8))
     a = tagger_forward(vecs, params)
     b = tagger_forward(vecs, params)
-    assert a.tags == b.tags and np.array_equal(a.scores, b.scores)
+    assert a.shape == (4, len(INV.tag_set())) and np.array_equal(a, b)
     with pytest.raises(ValueError):
         tagger_forward(np.zeros((4, 7)), params)
 
@@ -87,16 +91,15 @@ def test_tagger_argmax_prefers_highest_scoring_tag():
     params.tensors["tagger.w"][2, 1] = 5.0  # feature 2 -> tag index 1 (B-ComputingFacility)
     vecs = np.zeros((3, 8))
     vecs[1, 2] = 1.0  # the "COSMOS" word carries feature 2
-    seq = tagger_forward(vecs, params)
-    assert seq.tags == ["O", "B-ComputingFacility", "O"]
+    assert _tags(tagger_forward(vecs, params)) == ["O", "B-ComputingFacility", "O"]
 
 
 def test_tagger_argmax_invariant_under_constant_shift():
     params = _params(scale=0.4)
     vecs = np.random.default_rng(3).normal(size=(6, 8))
-    base = tagger_forward(vecs, params).tags
+    base = _tags(tagger_forward(vecs, params))
     params.tensors["tagger.b"][...] += 7.5
-    assert tagger_forward(vecs, params).tags == base
+    assert _tags(tagger_forward(vecs, params)) == base
 
 
 def test_tagger_gradients():
@@ -105,12 +108,12 @@ def test_tagger_gradients():
     targets = np.array([0, 1, 2, 3, 4])
 
     def loss():
-        scores = tagger_forward(vecs, params).scores
+        scores = tagger_forward(vecs, params)
         z = scores - scores.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         return -float(logp[np.arange(5), targets].sum())
 
-    scores = tagger_forward(vecs, params).scores
+    scores = tagger_forward(vecs, params)
     z = scores - scores.max(axis=1, keepdims=True)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     dscores = probs.copy()
@@ -305,8 +308,7 @@ def test_span_forward_returns_typed_argmax_winners():
     assert [(c.start_word, c.end_word) for c in got] == [spans[i] for i in winners]
     for c, i in zip(got, winners):
         assert c.label == TYPES[probs[i].argmax() - 1]
-        assert c.score == probs[i].max()
-        assert np.array_equal(c.scores, probs[i])
+        assert isinstance(c, ScoredMention) and c.score == probs[i].max()
 
 
 def test_span_forward_deterministic():
@@ -369,11 +371,7 @@ def test_span_gradients():
 
 
 def _cand(start, end, label, score):
-    return SpanCandidate(start_word=start, end_word=end, scores=np.zeros(3), label=label, score=score)
-
-
-def test_span_decode_all_none():
-    assert span_decode([_cand(0, 1, None, 0.9)]) == []
+    return ScoredMention(start_word=start, end_word=end, label=label, score=score)
 
 
 def test_span_decode_keeps_disjoint():
@@ -410,10 +408,10 @@ def test_span_decode_invariants(seed):
     for _ in range(int(rng.integers(0, 12))):
         start = int(rng.integers(0, 15))
         end = start + int(rng.integers(0, 4))
-        label = None if rng.random() < 0.3 else ("A", "B")[int(rng.integers(0, 2))]
+        label = ("A", "B")[int(rng.integers(0, 2))]
         cands.append(_cand(start, end, label, float(rng.random())))
     out = span_decode(cands)
-    typed_spans = {(c.start_word, c.end_word, c.label) for c in cands if c.label is not None}
+    typed_spans = {(c.start_word, c.end_word, c.label) for c in cands}
     for m in out:
         assert (m.start_word, m.end_word, m.label) in typed_spans
     for a in out:

@@ -64,17 +64,18 @@ def test_build_examples_targets(tiny_setup):
     docs, vocab = tiny_setup
     examples = build_examples(docs, vocab, INV, HEADS)
     assert len(examples) == sum(len(d.sentences) for d in docs)
+    sentences = [sent for doc in docs for sent in doc.sentences]
     tag_set = INV.tag_set()
-    for ex in examples:
-        assert len(ex.tag_ids) == len(ex.words)
+    for ex, sent in zip(examples, sentences):
+        assert len(ex.tag_ids) == len(sent.words)
         assert len(ex.span_classes) == len(ex.spans)
-        gold = {(m.start_word, m.end_word): m.label for m in ex.gold_mentions}
+        gold = {(m.start_word, m.end_word): m.label for m in sent.mentions}
         for (s, e), cls in zip(ex.spans, ex.span_classes):
             if (s, e) in gold:
                 assert INV.types[cls - 1] == gold[(s, e)]
             else:
                 assert cls == 0
-        for m in ex.gold_mentions:
+        for m in sent.mentions:
             assert tag_set[ex.tag_ids[m.start_word]] == f"B-{m.label}"
 
 

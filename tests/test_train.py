@@ -386,6 +386,7 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
         ("encoder", {"vocab_size": -1}, "vocab_size"),
         ("heads", {"max_span_width": 0}, "head dimensions"),
         (None, {"methods": ["crf"]}, "method must be one of"),
+        ("encoder", {"hidden_dim": 0}, "hidden_dim must be positive"),
     ],
 )
 def test_experiment_config_checks_every_section(tmp_path, section, fault, message):
