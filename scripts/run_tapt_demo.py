@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from dualner.corpus import LabelInventory, generate_synthetic, split_train_tune
@@ -57,7 +58,7 @@ def main() -> None:
     for p in points:
         print(f"{p.step:>13} {p.f1:>9.4f}")
     (out_dir / "sweep.json").write_text(
-        json.dumps({"points": [p.to_dict() for p in points]}, indent=1) + "\n"
+        json.dumps({"points": [asdict(p) for p in points]}, indent=1) + "\n"
     )
     print(f"\ncurve written to {out_dir / 'sweep.json'}")
 

@@ -20,6 +20,7 @@ from .corpus import (
     LabelInventory,
     SyntheticProfile,
     atomic_write,
+    dataclass_from_dict,
     generate_synthetic,
     load_corpus,
     load_predictions,
@@ -29,8 +30,9 @@ from .corpus import (
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    copy_checkpoint_tensors,
-    init_params,
+    check_checkpoint_tensors,
+    check_vocab_size,
+    checkpoint_param_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -220,7 +222,7 @@ def cmd_pretrain(args) -> None:
     for step, enc in result.checkpoints:
         save_checkpoint(
             out_dir / f"mlm_step_{step:06d}.npz",
-            {"kind": "encoder", "step": step, "encoder": enc.config.to_dict()},
+            {"kind": "encoder", "step": step, "encoder": dataclasses.asdict(enc.config)},
             enc.tensors,
         )
     write_log(out_dir / "mlm_log.jsonl", result.log)
@@ -244,7 +246,7 @@ def _load_encoder_checkpoints(directory: str) -> list[tuple[int, EncoderParams]]
         step = config.get("step")
         if type(step) is not int:
             raise FormatError('"step" must be an integer', path=str(p))
-        cfg = EncoderConfig.from_dict(config.get("encoder"), f"{p} encoder config")
+        cfg = dataclass_from_dict(EncoderConfig, config.get("encoder"), f"{p} encoder config")
         if out and cfg != out[0][1].config:
             raise FormatError(
                 f"encoder config differs from that of {paths[0].name}; "
@@ -252,21 +254,13 @@ def _load_encoder_checkpoints(directory: str) -> list[tuple[int, EncoderParams]]
                 path=str(p),
             )
         try:
-            params = init_params(cfg)
+            shapes = checkpoint_param_shapes(cfg, tensors)
         except ValueError as exc:
             raise FormatError(f"bad encoder config: {exc}", path=str(p)) from exc
-        copy_checkpoint_tensors(params.tensors, tensors, p)
-        out.append((step, params))
+        check_checkpoint_tensors(shapes, tensors, p)
+        out.append((step, EncoderParams(cfg, {k: tensors[k] for k in shapes})))
     out.sort(key=lambda pair: pair[0])
     return out
-
-
-def _check_vocab_size(vocab: BpeVocab, vocab_path: str, enc_cfg: EncoderConfig, what: str) -> None:
-    if len(vocab) != enc_cfg.vocab_size:
-        raise FormatError(
-            f"vocabulary has {len(vocab)} symbols but the {what} has vocab_size={enc_cfg.vocab_size}",
-            path=vocab_path,
-        )
 
 
 def cmd_sweep(args) -> None:
@@ -276,14 +270,14 @@ def cmd_sweep(args) -> None:
     vocab = BpeVocab.load(args.vocab)
     checkpoints = _load_encoder_checkpoints(args.checkpoints)
     enc_cfg = checkpoints[0][1].config
-    _check_vocab_size(vocab, args.vocab, enc_cfg, "encoder checkpoint")
+    check_vocab_size(enc_cfg, len(vocab), "encoder checkpoint")
     train_cfg = dataclasses.replace(cfg.train, method=args.method or cfg.methods[0])
     points = sweep_tapt_checkpoints(
         checkpoints, train_docs, tune_docs, vocab, enc_cfg, cfg.heads, train_cfg
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "sweep.json", {"points": [p.to_dict() for p in points]})
+    _write_json(out_dir / "sweep.json", {"points": [dataclasses.asdict(p) for p in points]})
     lines = [f"{'pretrain step':>13} {'tune F1':>9}", "-" * 23]
     lines += [f"{p.step:>13} {p.f1:>9.4f}" for p in points]
     table = "\n".join(lines)
@@ -296,7 +290,7 @@ def cmd_predict(args) -> None:
     docs = load_corpus(args.corpus)
     vocab = BpeVocab.load(args.vocab)
     model = load_model(args.checkpoint)
-    _check_vocab_size(vocab, args.vocab, model.encoder.config, "model")
+    check_vocab_size(model.encoder.config, len(vocab), "model")
     preds = predict_documents(model, docs, vocab)
     save_corpus(preds, args.out)
     n = sum(d.n_mentions for d in preds)

@@ -18,7 +18,7 @@ import string
 import tempfile
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -55,10 +55,6 @@ class Mention:
     def key(self) -> tuple[int, int, str]:
         return (self.start_word, self.end_word, self.label)
 
-    @property
-    def length_words(self) -> int:
-        return self.end_word - self.start_word + 1
-
 
 @dataclass(frozen=True)
 class ScoredMention(Mention):
@@ -73,9 +69,6 @@ class Sentence:
     char_start: int
     char_end: int
     mentions: list[Mention] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 @dataclass
@@ -129,9 +122,6 @@ class LabelInventory:
     def __len__(self) -> int:
         return len(self.types)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.types
-
 
 # ---------------------------------------------------------------------------
 # On-disk format (JSONL, one document per line)
@@ -162,16 +152,20 @@ def _conforms(value, hint) -> bool:
 
 def dataclass_from_dict(cls, obj, where: str):
     """Build config dataclass ``cls`` from a JSON object, rejecting unknown
-    keys and values whose type does not match the field's annotation."""
+    keys and values whose type does not match the field's annotation; a
+    field typed as a dataclass is built from its nested object likewise."""
     if not isinstance(obj, dict):
         raise FormatError(f"{where} must be a JSON object")
     hints = typing.get_type_hints(cls)
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise FormatError(f"unknown keys in {where}: {sorted(unknown)}")
+    obj = dict(obj)
     for name, value in obj.items():
         hint = hints[name]
-        if not _conforms(value, hint):
+        if is_dataclass(hint):
+            obj[name] = dataclass_from_dict(hint, value, f"{where}.{name}")
+        elif not _conforms(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
             raise FormatError(f"invalid {where}: {name} must be {expected}, got {type(value).__name__}")
     try:
@@ -260,7 +254,7 @@ def _require(cond: bool, msg: str, path: str, line: int) -> None:
         raise FormatError(msg, path=path, line=line)
 
 
-def _parse_document(obj, path: str, line: int, scored: bool) -> Document:
+def _parse_document(obj, path: str, line: int, predicted: bool) -> Document:
     _require(isinstance(obj, dict), "document must be a JSON object", path, line)
     _require(isinstance(obj.get("id"), str), 'missing or non-string "id"', path, line)
     _require(isinstance(obj.get("text"), str), 'missing or non-string "text"', path, line)
@@ -294,7 +288,7 @@ def _parse_document(obj, path: str, line: int, scored: bool) -> Document:
                 line,
             )
             span = (mobj["start_word"], mobj["end_word"], mobj["label"])
-            if scored:
+            if predicted:
                 score = mobj.get("score", 0.0)
                 _require(_is_finite_number(score), 'mention "score" must be a finite number', path, line)
                 mentions.append(ScoredMention(*span, score=float(score)))
@@ -380,7 +374,7 @@ def validate_document(doc: Document, *, allow_overlap: bool = False) -> None:
                     )
 
 
-def _load(path: str | Path, *, scored: bool, allow_overlap: bool) -> list[Document]:
+def _load(path: str | Path, *, predicted: bool) -> list[Document]:
     path = str(path)
     docs = []
     try:
@@ -393,8 +387,8 @@ def _load(path: str | Path, *, scored: bool, allow_overlap: bool) -> list[Docume
                     obj = json.loads(raw)
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-                doc = _parse_document(obj, path, lineno, scored)
-                validate_document(doc, allow_overlap=allow_overlap)
+                doc = _parse_document(obj, path, lineno, predicted)
+                validate_document(doc, allow_overlap=predicted)
                 docs.append(doc)
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"unreadable file ({_reason(exc)})", path=path) from exc
@@ -409,12 +403,12 @@ def load_corpus(path: str | Path) -> list[Document]:
     A document with an empty "sentences" list is legal and signals that it
     still needs segmentation.
     """
-    return _load(path, scored=False, allow_overlap=False)
+    return _load(path, predicted=False)
 
 
 def load_predictions(path: str | Path) -> list[Document]:
     """Load a prediction file: same schema, scores kept, nesting allowed."""
-    return _load(path, scored=True, allow_overlap=True)
+    return _load(path, predicted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,23 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
-from .corpus import atomic_write, dataclass_from_dict
-from .errors import FormatError, SentenceTooLongError
+from .corpus import atomic_write
+from .errors import FormatError, SentenceTooLongError, UnusableDataError
 from .subtok import SubTokenization
 
 __all__ = [
     "EncoderConfig",
     "EncoderParams",
+    "param_shapes",
+    "draw_tensors",
     "init_params",
+    "check_vocab_size",
     "encode",
     "encode_with_cache",
     "encode_backward",
@@ -36,7 +39,8 @@ __all__ = [
     "word_vectors_backward",
     "save_checkpoint",
     "load_checkpoint",
-    "copy_checkpoint_tensors",
+    "checkpoint_param_shapes",
+    "check_checkpoint_tensors",
     "gelu",
     "gelu_grad",
     "trunc_normal",
@@ -61,21 +65,14 @@ class EncoderConfig:
     def validate(self) -> None:
         if min(self.vocab_size, self.max_positions, self.hidden_dim) < 1:
             raise ValueError("vocab_size, max_positions and hidden_dim must be positive")
-        if self.n_layers < 0 or self.n_heads < 1 or self.ffn_dim < 1:
-            raise ValueError("n_layers must be >= 0; n_heads and ffn_dim positive")
+        if self.n_layers < 0 or self.init_seed < 0 or self.n_heads < 1 or self.ffn_dim < 1:
+            raise ValueError("n_layers and init_seed must be >= 0; n_heads and ffn_dim positive")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError(
                 f"hidden_dim={self.hidden_dim} not divisible by n_heads={self.n_heads}"
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict, where: str = "encoder config") -> "EncoderConfig":
-        return dataclass_from_dict(cls, obj, where)
 
 
 @dataclass
@@ -111,30 +108,48 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
     return x
 
 
-def init_params(cfg: EncoderConfig) -> EncoderParams:
-    """Random initialization: trunc-normal(0.02) weights, unit/zero layer norms."""
+def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder tensor, in the order ``init_params`` draws them."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.init_seed)
     d, f = cfg.hidden_dim, cfg.ffn_dim
-    t: dict[str, np.ndarray] = {
-        "tok_emb": trunc_normal(rng, (cfg.vocab_size, d)),
-        "pos_emb": trunc_normal(rng, (cfg.max_positions, d)),
-    }
+    shapes = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_positions, d)}
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            t[p + f"attn.{name}"] = trunc_normal(rng, (d, d))
-        for name in ("bq", "bk", "bv", "bo"):
-            t[p + f"attn.{name}"] = np.zeros(d)
-        t[p + "ln1.g"] = np.ones(d)
-        t[p + "ln1.b"] = np.zeros(d)
-        t[p + "ffn.w1"] = trunc_normal(rng, (d, f))
-        t[p + "ffn.b1"] = np.zeros(f)
-        t[p + "ffn.w2"] = trunc_normal(rng, (f, d))
-        t[p + "ffn.b2"] = np.zeros(d)
-        t[p + "ln2.g"] = np.ones(d)
-        t[p + "ln2.b"] = np.zeros(d)
-    return EncoderParams(config=cfg, tensors=t)
+        shapes.update({p + f"attn.{name}": (d, d) for name in ("wq", "wk", "wv", "wo")})
+        shapes.update({p + f"attn.{name}": (d,) for name in ("bq", "bk", "bv", "bo")})
+        shapes.update({p + "ln1.g": (d,), p + "ln1.b": (d,)})
+        shapes.update({p + "ffn.w1": (d, f), p + "ffn.b1": (f,), p + "ffn.w2": (f, d), p + "ffn.b2": (d,)})
+        shapes.update({p + "ln2.g": (d,), p + "ln2.b": (d,)})
+    return shapes
+
+
+def draw_tensors(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Initial values in table order: ones for layer-norm gains (``*.g``),
+    zeros for biases (``*.b*``), trunc-normal(0.02) draws for the rest."""
+    out = {}
+    for name, shape in shapes.items():
+        leaf = name.rpartition(".")[2]
+        if leaf == "g":
+            out[name] = np.ones(shape)
+        elif leaf.startswith("b"):
+            out[name] = np.zeros(shape)
+        else:
+            out[name] = trunc_normal(rng, shape)
+    return out
+
+
+def init_params(cfg: EncoderConfig) -> EncoderParams:
+    """Random initialization: trunc-normal(0.02) weights, unit/zero layer norms."""
+    shapes = param_shapes(cfg)
+    return EncoderParams(config=cfg, tensors=draw_tensors(shapes, np.random.default_rng(cfg.init_seed)))
+
+
+def check_vocab_size(cfg: EncoderConfig, n_symbols: int, what: str) -> None:
+    """The vocabulary must have exactly the ``vocab_size`` of ``what``'s encoder."""
+    if n_symbols != cfg.vocab_size:
+        raise UnusableDataError(
+            f"vocabulary has {n_symbols} symbols but the {what} has vocab_size={cfg.vocab_size}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +467,33 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, tensors
 
 
-def copy_checkpoint_tensors(
-    target: dict[str, np.ndarray], loaded: dict[str, np.ndarray], path: str | Path
+def checkpoint_param_shapes(cfg: EncoderConfig, loaded: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
+    """``param_shapes(cfg)``, refusing first a layer count that ``loaded`` cannot hold."""
+    if cfg.n_layers > len(loaded):
+        raise ValueError(f"n_layers={cfg.n_layers} but the checkpoint holds {len(loaded)} tensors")
+    return param_shapes(cfg)
+
+
+def check_checkpoint_tensors(
+    shapes: dict[str, tuple[int, ...]], loaded: dict[str, np.ndarray], path: str | Path
 ) -> None:
-    """Copy ``loaded`` into ``target`` in place; names and shapes must match,
-    and every loaded tensor must be finite float64."""
-    if set(target) != set(loaded):
-        missing = set(target) - set(loaded)
-        extra = set(loaded) - set(target)
+    """``loaded`` holds exactly the tensors of ``shapes``, each finite float64;
+    checked before anything is allocated, so a small file claiming a huge model costs nothing."""
+    if set(shapes) != set(loaded):
+        missing = set(shapes) - set(loaded)
+        extra = set(loaded) - set(shapes)
         raise FormatError(
             f"checkpoint tensor mismatch (missing {sorted(missing)}, unexpected {sorted(extra)})",
             path=str(path),
         )
-    for key, arr in target.items():
+    for key, shape in shapes.items():
         got = loaded[key]
-        if arr.shape != got.shape:
+        if got.shape != shape:
             raise FormatError(
-                f"checkpoint tensor {key} has shape {got.shape}, expected {arr.shape}",
+                f"checkpoint tensor {key} has shape {got.shape}, expected {shape}",
                 path=str(path),
             )
         if got.dtype.kind != "f" or got.dtype.itemsize != 8:
             raise FormatError(f"checkpoint tensor {key} has dtype {got.dtype}, expected float64", path=str(path))
         if not np.isfinite(got).all():
             raise FormatError(f"checkpoint tensor {key} has non-finite values", path=str(path))
-        arr[...] = got

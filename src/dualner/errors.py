@@ -34,12 +34,13 @@ class ValidationError(DataError):
     """Parseable data that violates a corpus or annotation invariant."""
 
 
-class SentenceTooLongError(DataError, ValueError):
-    """A sentence has more sub-tokens than the encoder has positions.
+class UnusableDataError(DataError, ValueError):
+    """Well-formed input the operation cannot use (a vocabulary of the wrong
+    size, a corpus with no sentences); also a ``ValueError`` for library callers."""
 
-    Also a ``ValueError``, so library callers that treat bad encoder input
-    as a ``ValueError`` still catch it.
-    """
+
+class SentenceTooLongError(UnusableDataError):
+    """A sentence has more sub-tokens than the encoder has positions."""
 
 
 class ContractViolationError(DataError):

@@ -10,7 +10,7 @@ property tests are total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -151,9 +151,6 @@ class BucketScore:
     fn: int
     f1: float | None  # None when the bucket holds no words
 
-    def to_dict(self) -> dict:
-        return {"word_count": self.word_count, "tp": self.tp, "fp": self.fp, "fn": self.fn, "f1": self.f1}
-
 
 def subtoken_grouped_f1(
     gold_tags: Sequence[Sequence[str]],
@@ -233,7 +230,7 @@ class EvalReport:
         if self.mcc is not None:
             out["mcc"] = self.mcc
         if self.subtoken_grouped is not None:
-            out["subtoken_grouped"] = {b: s.to_dict() for b, s in self.subtoken_grouped.items()}
+            out["subtoken_grouped"] = {b: asdict(s) for b, s in self.subtoken_grouped.items()}
         return out
 
     def render_table(self) -> str:

@@ -10,7 +10,7 @@ so all-zero weights predict O / none everywhere.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -20,15 +20,15 @@ from .corpus import (
     LabelInventory,
     Mention,
     ScoredMention,
-    dataclass_from_dict,
     mentions_cross,
     select_by_score,
 )
-from .encoder import gelu, gelu_grad, trunc_normal
+from .encoder import draw_tensors, gelu, gelu_grad
 
 __all__ = [
     "HeadConfig",
     "HeadParams",
+    "head_shapes",
     "init_head_params",
     "softmax",
     "tagger_forward",
@@ -52,13 +52,6 @@ class HeadConfig:
         if min(self.max_span_width, self.span_len_dim, self.span_hidden) < 1:
             raise ValueError("all head dimensions must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict, where: str = "heads config") -> "HeadConfig":
-        return dataclass_from_dict(cls, obj, where)
-
 
 @dataclass
 class HeadParams:
@@ -73,25 +66,29 @@ class HeadParams:
         )
 
 
+def head_shapes(hidden_dim: int, cfg: HeadConfig, n_types: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of both heads' tensors, in the order ``init_head_params`` draws them."""
+    cfg.validate()
+    if n_types < 1:
+        raise ValueError("label inventory is empty")
+    n_tags = 1 + 2 * n_types
+    n_classes = 1 + n_types
+    return {
+        "tagger.w": (hidden_dim, n_tags),
+        "tagger.b": (n_tags,),
+        "span.len_emb": (cfg.max_span_width, cfg.span_len_dim),
+        "span.w1": (2 * hidden_dim + cfg.span_len_dim, cfg.span_hidden),
+        "span.b1": (cfg.span_hidden,),
+        "span.w2": (cfg.span_hidden, n_classes),
+        "span.b2": (n_classes,),
+    }
+
+
 def init_head_params(
     hidden_dim: int, cfg: HeadConfig, labels: LabelInventory, seed: int = 0
 ) -> HeadParams:
-    cfg.validate()
-    if len(labels) == 0:
-        raise ValueError("label inventory is empty")
-    rng = np.random.default_rng(seed)
-    n_tags = 1 + 2 * len(labels)
-    n_classes = 1 + len(labels)
-    rep_dim = 2 * hidden_dim + cfg.span_len_dim
-    tensors = {
-        "tagger.w": trunc_normal(rng, (hidden_dim, n_tags)),
-        "tagger.b": np.zeros(n_tags),
-        "span.len_emb": trunc_normal(rng, (cfg.max_span_width, cfg.span_len_dim)),
-        "span.w1": trunc_normal(rng, (rep_dim, cfg.span_hidden)),
-        "span.b1": np.zeros(cfg.span_hidden),
-        "span.w2": trunc_normal(rng, (cfg.span_hidden, n_classes)),
-        "span.b2": np.zeros(n_classes),
-    }
+    shapes = head_shapes(hidden_dim, cfg, len(labels))
+    tensors = draw_tensors(shapes, np.random.default_rng(seed))
     return HeadParams(config=cfg, labels=labels, hidden_dim=hidden_dim, tensors=tensors)
 
 

@@ -9,17 +9,18 @@ encoder backward, so the whole pipeline is finite-difference checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, ScoredMention
+from .corpus import Document, LabelInventory, ScoredMention, dataclass_from_dict
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    copy_checkpoint_tensors,
+    check_checkpoint_tensors,
+    checkpoint_param_shapes,
     encode_backward,
     encode_with_cache,
     load_checkpoint,
@@ -28,11 +29,12 @@ from .encoder import (
     word_vectors_backward,
     zero_grads,
 )
-from .errors import FormatError
+from .errors import FormatError, UnusableDataError
 from .heads import (
     HeadConfig,
     HeadParams,
     enumerate_spans,
+    head_shapes,
     init_head_params,
     mentions_to_tags,
     softmax,
@@ -68,6 +70,12 @@ _HEAD_PREFIX = {"word_tagger": "tagger.", "span_classifier": "span."}
 METHODS = tuple(_HEAD_PREFIX)
 
 
+def _head_prefix(method: str) -> str:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return _HEAD_PREFIX[method]
+
+
 @dataclass
 class Model:
     method: str
@@ -85,8 +93,7 @@ def init_model(
     encoder_cfg: EncoderConfig,
     head_cfg: HeadConfig,
 ) -> Model:
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    prefix = _head_prefix(method)
     from .encoder import init_params
 
     enc = init_params(encoder_cfg)
@@ -95,7 +102,6 @@ def init_model(
     heads = init_head_params(
         encoder_cfg.hidden_dim, head_cfg, labels, seed=encoder_cfg.init_seed + 1
     )
-    prefix = _HEAD_PREFIX[method]
     heads.tensors = {k: v for k, v in heads.tensors.items() if k.startswith(prefix)}
     return Model(method=method, labels=labels, encoder=enc, heads=heads)
 
@@ -308,7 +314,7 @@ def mlm_batch_loss_and_grads(
     order, so the loss has the same bits as scoring one sentence at a time.
     """
     if vocab.mask_id is None:
-        raise ValueError("vocabulary has no mask token; cannot run masked language modeling")
+        raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
     if not with_grads:
         if mode != "eval":
             raise ValueError("an MLM loss without gradients is computed in eval mode only")
@@ -426,8 +432,8 @@ def save_model(path: str | Path, model: Model) -> None:
         "kind": "model",
         "method": model.method,
         "labels": list(model.labels.types),
-        "encoder": model.encoder.config.to_dict(),
-        "heads": model.heads.config.to_dict(),
+        "encoder": asdict(model.encoder.config),
+        "heads": asdict(model.heads.config),
     }
     save_checkpoint(path, config, model_tensors(model))
 
@@ -439,11 +445,19 @@ def load_model(path: str | Path) -> Model:
     labels = config.get("labels")
     if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
         raise FormatError('"labels" must be a list of strings', path=str(path))
-    enc_cfg = EncoderConfig.from_dict(config.get("encoder"), f"{path} encoder config")
-    head_cfg = HeadConfig.from_dict(config.get("heads"), f"{path} heads config")
+    enc_cfg = dataclass_from_dict(EncoderConfig, config.get("encoder"), f"{path} encoder config")
+    head_cfg = dataclass_from_dict(HeadConfig, config.get("heads"), f"{path} heads config")
+    labels = LabelInventory.from_types(labels)
+    method = config.get("method")
     try:
-        model = init_model(config.get("method"), LabelInventory.from_types(labels), enc_cfg, head_cfg)
-    except (TypeError, ValueError) as exc:
+        prefix = _head_prefix(method)
+        enc_shapes = checkpoint_param_shapes(enc_cfg, tensors)
+        both = head_shapes(enc_cfg.hidden_dim, head_cfg, len(labels))
+    except ValueError as exc:
         raise FormatError(f"bad model config: {exc}", path=str(path)) from exc
-    copy_checkpoint_tensors(model_tensors(model), tensors, path)
-    return model
+    head = {k: s for k, s in both.items() if k.startswith(prefix)}
+    shapes = {f"encoder.{k}": s for k, s in enc_shapes.items()} | {f"heads.{k}": s for k, s in head.items()}
+    check_checkpoint_tensors(shapes, tensors, path)
+    encoder = EncoderParams(enc_cfg, {k: tensors[f"encoder.{k}"] for k in enc_shapes})
+    heads = HeadParams(head_cfg, labels, enc_cfg.hidden_dim, {k: tensors[f"heads.{k}"] for k in head})
+    return Model(method, labels, encoder, heads)

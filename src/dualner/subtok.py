@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Document, atomic_write, read_json
-from .errors import FormatError
+from .errors import FormatError, UnusableDataError
 
 __all__ = [
     "PAD_TOKEN",
@@ -196,7 +196,7 @@ def train_bpe(corpus: Sequence[Document], target_vocab_size: int) -> BpeVocab:
     """
     word_counts = corpus_words(corpus)
     if not word_counts:
-        raise ValueError("corpus has no words; segment documents before training a vocabulary")
+        raise UnusableDataError("corpus has no words; segment documents before training a vocabulary")
     alphabet = sorted({ch for word in word_counts for ch in word})
     floor = len(_SPECIALS) + len(alphabet)
     if target_vocab_size < floor:
@@ -381,7 +381,7 @@ def fragmentation_ratio(
                 total_words += 1
                 total_subtokens += k
     if total_words == 0:
-        raise ValueError(f"no words in scope {scope!r}; is the corpus segmented (and annotated)?")
+        raise UnusableDataError(f"no words in scope {scope!r}; is the corpus segmented (and annotated)?")
     return FragmentationReport(
         ratio=total_subtokens / total_words,
         histogram=hist,

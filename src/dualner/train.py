@@ -10,17 +10,16 @@ seeds, so equal configs reproduce logs and parameters bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict, read_json
-from .encoder import EncoderConfig, EncoderParams, init_params
-from .errors import FormatError, ProtocolError, TrainingError
+from .encoder import EncoderConfig, EncoderParams, check_vocab_size, init_params
+from .errors import FormatError, ProtocolError, TrainingError, UnusableDataError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
 from .model import (
@@ -53,6 +52,16 @@ __all__ = [
 ]
 
 
+def _check_optimizer(cfg: TrainConfig | MlmConfig) -> None:
+    """The AdamW settings both configs carry; a ``grad_clip`` of 0 turns clipping off."""
+    if not cfg.learning_rate > 0:
+        raise ValueError("learning_rate must be positive")
+    if not 0.0 <= cfg.warmup_frac < 1.0:
+        raise ValueError("warmup_frac must be in [0, 1)")
+    if not (cfg.weight_decay >= 0 and cfg.grad_clip >= 0):
+        raise ValueError("weight_decay and grad_clip must be >= 0")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     method: str = "word_tagger"
@@ -69,12 +78,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.checkpoint_every < 1 or self.epochs < 0:
-            raise ValueError("batch_size and checkpoint_every must be >= 1, epochs >= 0")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValueError("warmup_frac must be in [0, 1)")
+        _check_optimizer(self)
+        if self.batch_size < 1 or self.checkpoint_every < 1 or self.epochs < 0 or self.seed < 0:
+            raise ValueError("batch_size and checkpoint_every must be >= 1, epochs and seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,11 @@ class MlmConfig:
     heldout_fraction: float = 0.1
 
     def validate(self) -> None:
+        _check_optimizer(self)
         if self.total_steps < 1 or self.checkpoint_every < 1 or self.batch_size < 1:
             raise ValueError("total_steps, checkpoint_every, and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("mlm seed must be >= 0")
         if self.total_steps % self.checkpoint_every != 0:
             raise ValueError(
                 f"checkpoint_every={self.checkpoint_every} must divide total_steps={self.total_steps}"
@@ -110,14 +119,11 @@ class LogEntry:
     metric: str
     value: float
 
-    def to_dict(self) -> dict:
-        return {"step": self.step, "split": self.split, "metric": self.metric, "value": self.value}
-
 
 def write_log(path: str | Path, log: Sequence[LogEntry]) -> None:
     with atomic_write(path) as fh:
         for entry in log:
-            fh.write(json.dumps(entry.to_dict()))
+            fh.write(json.dumps(asdict(entry)))
             fh.write("\n")
 
 
@@ -210,10 +216,7 @@ class TrainResult:
 def _resolve_encoder_cfg(encoder_cfg: EncoderConfig, vocab: BpeVocab) -> EncoderConfig:
     if encoder_cfg.vocab_size == 0:
         return replace(encoder_cfg, vocab_size=len(vocab))
-    if encoder_cfg.vocab_size != len(vocab):
-        raise ValueError(
-            f"encoder vocab_size={encoder_cfg.vocab_size} does not match vocabulary size {len(vocab)}"
-        )
+    check_vocab_size(encoder_cfg, len(vocab), "encoder config")
     return encoder_cfg
 
 
@@ -251,15 +254,17 @@ def train_supervised(
         raise ValueError("both the train and tune splits must be non-empty")
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     labels = LabelInventory.from_documents(list(train_docs) + list(tune_docs))
+    examples = build_examples(train_docs, vocab, labels, head_cfg)
+    if not examples:
+        raise UnusableDataError("training split contains no sentences; segment it first")
+    if len(labels) == 0:
+        raise UnusableDataError("the train and tune splits hold no entity mentions")
     model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg)
     if init_encoder is not None:
         if init_encoder.config != encoder_cfg:
             raise ValueError("init_encoder configuration does not match encoder_cfg")
         model.encoder = init_encoder.clone()
 
-    examples = build_examples(train_docs, vocab, labels, head_cfg)
-    if not examples:
-        raise ValueError("training split contains no sentences")
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = -(-len(examples) // train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
@@ -342,14 +347,14 @@ def pretrain_mlm(
     mlm_cfg.validate()
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
-        raise ValueError("vocabulary has no mask token; cannot run masked language modeling")
+        raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
     pool = [
         np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
         for d in docs
         for s in d.sentences
     ]
     if not pool:
-        raise ValueError("corpus contains no sentences; segment it first")
+        raise UnusableDataError("corpus contains no sentences; segment it first")
     n_heldout = int(np.ceil(mlm_cfg.heldout_fraction * len(pool)))
     n_heldout = min(n_heldout, len(pool) - 1)
     train_pool = pool[: len(pool) - n_heldout] if n_heldout else pool
@@ -413,9 +418,6 @@ class SweepPoint:
     step: int
     f1: float
     best_step: int
-
-    def to_dict(self) -> dict:
-        return {"step": self.step, "f1": self.f1, "best_step": self.best_step}
 
 
 def sweep_tapt_checkpoints(
@@ -587,6 +589,8 @@ class ExperimentConfig:
             raise ValueError("n_train must be >= 1")
         if not self.methods or not self.seeds:
             raise ValueError("methods and seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be >= 0")
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -598,37 +602,9 @@ class ExperimentConfig:
         for section in (encoder, self.heads, self.train, self.mlm):
             section.validate()
 
-    def to_dict(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "n_train": self.n_train,
-            "vocab": self.vocab,
-            "vocab_size": self.vocab_size,
-            "methods": self.methods,
-            "seeds": self.seeds,
-            "eval_splits": self.eval_splits,
-            "encoder": self.encoder.to_dict(),
-            "heads": self.heads.to_dict(),
-            "train": dataclasses.asdict(self.train),
-            "mlm": dataclasses.asdict(self.mlm),
-        }
-
     @classmethod
     def from_dict(cls, obj: dict, where: str = "experiment config") -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise FormatError(f"{where} must be a JSON object")
-        obj = dict(obj)
-        sections = {
-            "encoder": (EncoderConfig, {}),
-            "heads": (HeadConfig, {}),
-            "train": (TrainConfig, {}),
-            "mlm": (MlmConfig, {}),
-        }
-        parsed = {}
-        for name, (section_cls, default) in sections.items():
-            raw = obj.pop(name, default)
-            parsed[name] = dataclass_from_dict(section_cls, raw, f"{where}.{name}")
-        cfg = dataclass_from_dict(cls, obj | parsed, where)
+        cfg = dataclass_from_dict(cls, obj, where)
         try:
             cfg.validate()
         except ValueError as exc:
@@ -641,5 +617,5 @@ class ExperimentConfig:
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(asdict(self), fh, indent=1)
             fh.write("\n")

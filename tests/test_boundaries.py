@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_bad_encoder_snapshot_tensor_exits_two(tmp_path, files, small_vocab, fau
     tensors = dict(enc.tensors, tok_emb=TENSOR_FAULTS[fault](enc.tensors["tok_emb"]))
     save_checkpoint(
         tmp_path / "mlm" / "mlm_step_000000.npz",
-        {"kind": "encoder", "step": 0, "encoder": enc.config.to_dict()},
+        {"kind": "encoder", "step": 0, "encoder": asdict(enc.config)},
         tensors,
     )
     cfg_path = tmp_path / "exp.json"
@@ -389,9 +390,7 @@ def test_fuzz_experiment_config(fuzz_dir, data):
     assert code != 0
 
 
-# Checkpoint configs are fuzzed with small integers only: a config that asks
-# for a huge model is allocated in full before its tensors are compared.
-_CHECKPOINT_VALUES = _json_values(st.integers(-2, 40))
+_CHECKPOINT_VALUES = _json_values(st.integers(-2, 40) | st.integers(min_value=2**40))
 _TENSOR_EDITS = st.sampled_from(sorted(TENSOR_FAULTS)).map(TENSOR_FAULTS.get) | st.sampled_from([
     lambda a: a[..., :-1],
     lambda a: a.reshape(-1),
@@ -459,7 +458,7 @@ def test_fuzz_model_checkpoint(fuzz_dir, fuzz_model, data):
 def fuzz_snapshot(fuzz_dir, small_vocab):
     enc = init_params(EncoderConfig(vocab_size=len(small_vocab), **SMALL_ENCODER))
     _write_json(fuzz_dir / "sweep.json", {"corpus": str(fuzz_dir / "corpus.jsonl"), "n_train": 1, "train": {"epochs": 0}})
-    return {"kind": "encoder", "step": 0, "encoder": enc.config.to_dict()}, enc.tensors
+    return {"kind": "encoder", "step": 0, "encoder": asdict(enc.config)}, enc.tensors
 
 
 @settings(max_examples=150, deadline=None)

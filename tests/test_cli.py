@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -275,6 +276,8 @@ MODEL_CONFIG_FAULTS = {
     "missing_method": lambda c, t: c.pop("method"),
     "unknown_method": lambda c, t: c.update(method="crf"),
     "both_heads": _two_heads,
+    # compared with the tensors before anything is allocated
+    "huge_vocab_size": lambda c, t: c["encoder"].update(vocab_size=2**40),
 }
 
 
@@ -303,6 +306,25 @@ def test_predict_bad_checkpoint_exits_two(tmp_path, corpus_file, vocab_file, sma
         assert "unexpected ['heads.span.b1', 'heads.span.b2', 'heads.span.len_emb'" in err
 
 
+def test_predict_tagger_ignores_span_head_config(tmp_path, corpus_file, vocab_file, small_vocab):
+    from dualner.corpus import LabelInventory
+    from dualner.encoder import EncoderConfig, load_checkpoint, save_checkpoint
+    from dualner.heads import HeadConfig
+    from dualner.model import init_model, save_model
+
+    # a tagger checkpoint holds no span head, so its span config allocates nothing
+    enc_cfg = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
+    ckpt = tmp_path / "model.npz"
+    save_model(ckpt, init_model("word_tagger", LabelInventory.from_types(["Facility"]), enc_cfg, HeadConfig()))
+    config, tensors = load_checkpoint(ckpt)
+    config["heads"]["max_span_width"] = 2**40
+    save_checkpoint(ckpt, config, tensors)
+    assert main([
+        "predict", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+        "--checkpoint", str(ckpt), "--out", str(tmp_path / "pred.jsonl"),
+    ]) == 0
+
+
 ENCODER_CHECKPOINT_FAULTS = {
     "missing_step": lambda c, t: c.pop("step"),
     "malformed_step": lambda c, t: c.update(step="60"),
@@ -310,6 +332,7 @@ ENCODER_CHECKPOINT_FAULTS = {
     "unknown_encoder_key": lambda c, t: c["encoder"].update(bogus=1),
     "missing_tensor": lambda c, t: t.pop("layers.0.ffn.w1"),
     "bad_shape": lambda c, t: t.update({"layers.0.ffn.w1": t["layers.0.ffn.w1"][:, :-1]}),
+    "huge_vocab_size": lambda c, t: c["encoder"].update(vocab_size=2**40),
 }
 
 
@@ -318,7 +341,7 @@ def test_sweep_bad_encoder_checkpoint_exits_two(tmp_path, corpus_file, vocab_fil
     from dualner.encoder import EncoderConfig, init_params, save_checkpoint
 
     enc = init_params(EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24))
-    config = {"kind": "encoder", "step": 0, "encoder": enc.config.to_dict()}
+    config = {"kind": "encoder", "step": 0, "encoder": asdict(enc.config)}
     ckpt_dir = tmp_path / "mlm"
     save_checkpoint(ckpt_dir / "mlm_step_000000.npz", *_edit(config, enc.tensors, ENCODER_CHECKPOINT_FAULTS[fault]))
     cfg_path = tmp_path / "exp.json"
@@ -363,7 +386,7 @@ def test_sweep_wrong_size_vocab_exits_two(tmp_path, corpus_file, vocab_file, sma
     ckpt_dir = tmp_path / "mlm"
     save_checkpoint(
         ckpt_dir / "mlm_step_000000.npz",
-        {"kind": "encoder", "step": 0, "encoder": enc.config.to_dict()},
+        {"kind": "encoder", "step": 0, "encoder": asdict(enc.config)},
         enc.tensors,
     )
     cfg_path = tmp_path / "exp.json"
@@ -388,7 +411,7 @@ def test_sweep_mixed_encoder_configs_exits_two(tmp_path, corpus_file, vocab_file
         enc = init_params(EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=ffn_dim))
         save_checkpoint(
             ckpt_dir / f"mlm_step_{step:06d}.npz",
-            {"kind": "encoder", "step": step, "encoder": enc.config.to_dict()},
+            {"kind": "encoder", "step": step, "encoder": asdict(enc.config)},
             enc.tensors,
         )
     cfg_path = tmp_path / "exp.json"
@@ -518,3 +541,152 @@ def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, caps
     assert "injected failure" in captured.err
     assert methods == ["word_tagger", "span_classifier"]
     assert list(run_dir.iterdir()) == []
+
+
+# Inputs that parse but do not fit the command; each is a data error.
+MISMATCHES = {
+    "train_vocab_size": (
+        lambda p: ["train", "--config", p["sized_config"], "--out-dir", p["out"]], "vocab_size=7"),
+    "pretrain_vocab_size": (
+        lambda p: ["pretrain-mlm", "--corpus", p["corpus"], "--vocab", p["vocab"],
+                   "--config", p["sized_config"], "--out-dir", p["out"]], "vocab_size=7"),
+    "pretrain_no_mask": (
+        lambda p: ["pretrain-mlm", "--corpus", p["corpus"], "--vocab", p["no_mask_vocab"],
+                   "--steps", "2", "--checkpoint-every", "1", "--out-dir", p["out"]], "no mask token"),
+    "build_vocab_unsegmented": (
+        lambda p: ["build-vocab", "--corpus", p["raw"], "--out", p["out"] / "vocab.json"], "no words"),
+    "analyze_unsegmented": (
+        lambda p: ["analyze-fragmentation", "--corpus", p["raw"], "--vocab", p["vocab"],
+                   "--out", p["out"] / "frag.json"], "no words"),
+    "train_unsegmented": (
+        lambda p: ["train", "--config", p["raw_config"], "--out-dir", p["out"]], "no sentences"),
+    "pretrain_unsegmented": (
+        lambda p: ["pretrain-mlm", "--corpus", p["raw"], "--vocab", p["vocab"],
+                   "--steps", "2", "--checkpoint-every", "1", "--out-dir", p["out"]], "no sentences"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, small_corpus, small_vocab, capsys, case):
+    raw = tmp_path / "raw.jsonl"
+    save_corpus(strip_segmentation(small_corpus), raw)
+    no_mask = small_vocab.to_json()
+    no_mask["special"]["mask"] = None
+    base = {
+        "n_train": 16,
+        "vocab": str(vocab_file),
+        "methods": ["word_tagger"],
+        "seeds": [0],
+        "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "train": {"epochs": 1},
+        "mlm": {"total_steps": 2, "checkpoint_every": 1},
+    }
+    sized = dict(base, corpus=str(corpus_file), encoder=dict(base["encoder"], vocab_size=7))
+    paths = {
+        "corpus": corpus_file, "vocab": vocab_file, "raw": raw, "out": tmp_path / "out",
+        "no_mask_vocab": tmp_path / "no_mask.json",
+        "sized_config": tmp_path / "sized.json", "raw_config": tmp_path / "raw.json",
+    }
+    paths["no_mask_vocab"].write_text(json.dumps(no_mask), encoding="utf-8")
+    paths["sized_config"].write_text(json.dumps(sized), encoding="utf-8")
+    paths["raw_config"].write_text(json.dumps(dict(base, corpus=str(raw))), encoding="utf-8")
+    argv, message = MISMATCHES[case]
+    code = main([str(a) for a in argv(paths)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert message in err
+    assert not paths["out"].exists() or not any(paths["out"].iterdir())
+
+
+DEFAULT_CONFIG_TEXT = """\
+{
+ "corpus": "c",
+ "n_train": 2,
+ "vocab": null,
+ "vocab_size": 200,
+ "methods": [
+  "word_tagger",
+  "span_classifier"
+ ],
+ "seeds": [
+  0,
+  1,
+  2
+ ],
+ "eval_splits": [
+  "tune"
+ ],
+ "encoder": {
+  "vocab_size": 0,
+  "max_positions": 512,
+  "hidden_dim": 64,
+  "n_layers": 2,
+  "n_heads": 4,
+  "ffn_dim": 128,
+  "dropout_rate": 0.0,
+  "init_seed": 0
+ },
+ "heads": {
+  "max_span_width": 12,
+  "span_len_dim": 16,
+  "span_hidden": 64
+ },
+ "train": {
+  "method": "word_tagger",
+  "learning_rate": 0.001,
+  "batch_size": 8,
+  "epochs": 50,
+  "weight_decay": 0.01,
+  "grad_clip": 1.0,
+  "seed": 0,
+  "checkpoint_every": 50,
+  "warmup_frac": 0.1,
+  "early_stop_f1": null
+ },
+ "mlm": {
+  "total_steps": 300,
+  "checkpoint_every": 60,
+  "mask_prob": 0.15,
+  "seed": 0,
+  "batch_size": 8,
+  "learning_rate": 0.001,
+  "weight_decay": 0.01,
+  "grad_clip": 1.0,
+  "warmup_frac": 0.1,
+  "heldout_fraction": 0.1
+ }
+}
+"""
+
+
+def test_serialised_files_keep_field_order(tmp_path, corpus_file, vocab_file, small_vocab):
+    from dualner.encoder import EncoderConfig, init_params, save_checkpoint
+    from dualner.train import ExperimentConfig, LogEntry, write_log
+
+    ExperimentConfig(corpus="c", n_train=2).save(tmp_path / "exp.json")
+    assert (tmp_path / "exp.json").read_text() == DEFAULT_CONFIG_TEXT
+
+    write_log(tmp_path / "log.jsonl", [LogEntry(3, "train", "loss", 0.5)])
+    assert (tmp_path / "log.jsonl").read_text() == '{"step": 3, "split": "train", "metric": "loss", "value": 0.5}\n'
+
+    enc = init_params(EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24))
+    save_checkpoint(tmp_path / "mlm" / "mlm_step_000000.npz",
+                    {"kind": "encoder", "step": 0, "encoder": asdict(enc.config)}, enc.tensors)
+    cfg_path = tmp_path / "sweep_exp.json"
+    cfg_path.write_text(json.dumps({"corpus": str(corpus_file), "n_train": 16, "train": {"epochs": 0}}))
+    assert main([
+        "sweep-tapt", "--config", str(cfg_path), "--vocab", str(vocab_file),
+        "--checkpoints", str(tmp_path / "mlm"), "--out-dir", str(tmp_path / "sweep"),
+    ]) == 0
+    sweep = (tmp_path / "sweep" / "sweep.json").read_text()
+    f1 = json.loads(sweep)["points"][0]["f1"]
+    assert sweep == f'{{\n "points": [\n  {{\n   "step": 0,\n   "f1": {f1!r},\n   "best_step": 0\n  }}\n ]\n}}\n'
+
+    assert main([
+        "evaluate", "--gold", str(corpus_file), "--pred", str(corpus_file),
+        "--by-subtokens", str(vocab_file), "--out", str(tmp_path / "eval.json"),
+    ]) == 0
+    bucket = json.loads((tmp_path / "eval.json").read_text())["overall"]["subtoken_grouped"]["3+"]
+    n = bucket["word_count"]
+    assert json.dumps(bucket) == f'{{"word_count": {n}, "tp": {n}, "fp": 0, "fn": 0, "f1": 1.0}}'

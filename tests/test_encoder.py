@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dualner.corpus import dataclass_from_dict
 from dualner.encoder import (
     EncoderConfig,
     encode,
@@ -378,9 +379,9 @@ def test_word_vectors_backward_scatters():
 def test_checkpoint_roundtrip(tmp_path):
     params = init_params(TINY)
     path = tmp_path / "enc.npz"
-    save_checkpoint(path, {"kind": "encoder", "encoder": TINY.to_dict()}, params.tensors)
+    save_checkpoint(path, {"kind": "encoder", "encoder": dataclasses.asdict(TINY)}, params.tensors)
     config, tensors = load_checkpoint(path)
-    assert EncoderConfig.from_dict(config["encoder"]) == TINY
+    assert dataclass_from_dict(EncoderConfig, config["encoder"], "encoder config") == TINY
     assert set(tensors) == set(params.tensors)
     for key in tensors:
         assert np.array_equal(tensors[key], params.tensors[key])

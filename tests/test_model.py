@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def tiny_setup():
 
 
 def _scaled_model(method, vocab, seed=7):
-    cfg = EncoderConfig(**{**ENC.to_dict(), "vocab_size": len(vocab)})
+    cfg = EncoderConfig(**{**asdict(ENC), "vocab_size": len(vocab)})
     model = init_model(method, INV, cfg, HEADS)
     rng = np.random.default_rng(seed)
     for key, arr in model_tensors(model).items():
@@ -55,7 +56,7 @@ def _scaled_model(method, vocab, seed=7):
 
 def test_init_model_rejects_unknown_method(tiny_setup):
     _docs, vocab = tiny_setup
-    cfg = EncoderConfig(**{**ENC.to_dict(), "vocab_size": len(vocab)})
+    cfg = EncoderConfig(**{**asdict(ENC), "vocab_size": len(vocab)})
     with pytest.raises(ValueError):
         init_model("crf", INV, cfg, HEADS)
 

@@ -387,6 +387,17 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
         ("heads", {"max_span_width": 0}, "head dimensions"),
         (None, {"methods": ["crf"]}, "method must be one of"),
         ("encoder", {"hidden_dim": 0}, "hidden_dim must be positive"),
+        ("mlm", {"learning_rate": -1.0}, "learning_rate must be positive"),
+        ("mlm", {"warmup_frac": 1.0}, "warmup_frac must be in"),
+        ("train", {"warmup_frac": -0.1}, "warmup_frac must be in"),
+        ("train", {"grad_clip": -1.0}, "grad_clip must be >= 0"),
+        ("mlm", {"grad_clip": -1.0}, "grad_clip must be >= 0"),
+        ("train", {"weight_decay": -0.01}, "weight_decay and grad_clip"),
+        ("mlm", {"weight_decay": -0.01}, "weight_decay and grad_clip"),
+        ("encoder", {"init_seed": -1}, "init_seed must be >= 0"),
+        (None, {"seeds": [0, -1]}, "seeds must be >= 0"),
+        ("train", {"seed": -1}, "seed >= 0"),
+        ("mlm", {"seed": -1}, "mlm seed must be >= 0"),
     ],
 )
 def test_experiment_config_checks_every_section(tmp_path, section, fault, message):
