@@ -327,13 +327,20 @@ def select_by_score(mentions: Sequence[Mention], conflict) -> list[Mention]:
     """Greedy score-descending subset (ties: earlier start, then shorter).
 
     A mention is kept unless ``conflict(mention, kept)`` holds for one
-    already kept; unscored mentions count as score 0.
+    already kept; unscored mentions count as score 0.  ``conflict`` must
+    imply ``mentions_overlap`` (both ``mentions_overlap`` and
+    ``mentions_cross`` do), so a mention is checked only against the kept
+    mentions that share a word with it.
     """
     order = sorted(mentions, key=lambda m: (-getattr(m, "score", 0.0), m.start_word, m.end_word))
     kept: list[Mention] = []
+    covering: dict[int, list[Mention]] = {}  # word -> kept mentions over it
     for m in order:
-        if not any(conflict(m, k) for k in kept):
+        words = range(m.start_word, m.end_word + 1)
+        if not any(conflict(m, k) for w in words for k in covering.get(w, ())):
             kept.append(m)
+            for w in words:
+                covering.setdefault(w, []).append(m)
     return kept
 
 

@@ -14,6 +14,7 @@ differences and training stays bit-reproducible on CPU.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,8 @@ from .subtok import SubTokenization
 __all__ = [
     "EncoderConfig",
     "EncoderParams",
+    "Workspace",
+    "scratch",
     "param_shapes",
     "draw_tensors",
     "init_params",
@@ -84,18 +87,52 @@ class EncoderParams:
         return EncoderParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
-def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x * Phi(x), Phi(x)); the normal CDF is kept for ``gelu_grad``."""
-    cdf = x / _SQRT2
+class Workspace:
+    """Named, grow-only float64 buffers that a training caller owns and
+    passes down, so that the large arrays of one sentence reuse the memory
+    of the last instead of being allocated and freed each time.  A view
+    handed out stays valid until the next ``take`` of the same name."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised C-contiguous ``shape`` view of buffer ``name``."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def scratch(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Buffer ``name`` of ``ws``, or a new ``np.empty`` array without one."""
+    return np.empty(shape) if ws is None else ws.take(name, shape)
+
+
+def gelu(x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(x * Phi(x), Phi(x)); the normal CDF is kept for ``gelu_grad``.
+    ``out`` is an optional (gelu, cdf) pair of arrays shaped like ``x``."""
+    h, cdf = (None, None) if out is None else out
+    cdf = np.divide(x, _SQRT2, out=cdf)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    return x * cdf, cdf
+    return np.multiply(x, cdf, out=h), cdf
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d gelu / dx at ``x``, given ``cdf`` = Phi(x) from ``gelu``."""
-    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
+    """d gelu / dx = cdf + x / sqrt(2 pi) * exp(-x * x / 2) at ``x``, given
+    ``cdf`` = Phi(x) from ``gelu``.  ``out`` is an optional (result,
+    temporary) pair of arrays shaped like ``x``."""
+    g, e = (np.empty_like(x), np.empty_like(x)) if out is None else out
+    np.multiply(x, _INV_SQRT_2PI, out=g)
+    np.multiply(x, -0.5, out=e)
+    e *= x
+    np.exp(e, out=e)
+    g *= e
+    g += cdf
+    return g
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -239,19 +276,36 @@ def _attention_forward(x, t, p, cfg, xq):
     return out, (x, q, k, v, probs, merged, scale)
 
 
-def _attention_backward(dout, t, grads, p, cache):
+# The attention backward takes the heads in groups whose [group, n, n] score
+# arrays hold at most this many floats (256 KiB): all heads at once at short
+# sentences, where a loop over single heads cost about 25 us per call at n=33
+# (4 heads, one BLAS thread), and fewer from n=91 (one at a time from
+# n=129), where the arrays of all four heads (850 KiB at n=165) raised
+# peak memory by 1 MiB.
+_SCORES_PER_GROUP = 2**15
+
+
+def _attention_backward(dout, t, grads, p, cache, workspace=None):
     x, q, k, v, probs, merged, scale = cache
     grads[p + "wo"] += merged.T @ dout
     grads[p + "bo"] += dout.sum(axis=0)
     dctx = _split_heads(dout @ t[p + "wo"].T, q.shape[0])
     dv = probs.swapaxes(-1, -2) @ dctx
-    # dscores = probs * (dprobs - sum(dprobs * probs)), formed in place
-    dscores = dctx @ v.swapaxes(-1, -2)
-    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
-    dscores *= probs
-    dq = dscores @ k
+    dq, dk = np.empty(q.shape), np.empty(k.shape)
+    n_heads, n = probs.shape[0], probs.shape[-1]
+    group = max(1, _SCORES_PER_GROUP // (n * n))
+    for hs in (slice(h, h + group) for h in range(0, n_heads, group)):
+        pr = probs[hs]
+        # dscores = probs * (dprobs - sum(dprobs * probs)), formed in place;
+        # every head's products and sums have the bits of an all-heads pass
+        dscores = np.matmul(dctx[hs], v[hs].swapaxes(-1, -2),
+                            out=scratch(workspace, "attn.dscores", pr.shape))
+        weighted = np.multiply(dscores, pr, out=scratch(workspace, "attn.weighted", pr.shape))
+        dscores -= weighted.sum(axis=-1, keepdims=True)
+        dscores *= pr
+        np.matmul(dscores, k[hs], out=dq[hs])
+        np.matmul(dscores.swapaxes(-1, -2), q[hs], out=dk[hs])
     dq *= scale
-    dk = dscores.swapaxes(-1, -2) @ q
     dk *= scale
     dx = np.zeros_like(x)
     for name, dh in (("wq", dq), ("wk", dk), ("wv", dv)):
@@ -371,12 +425,14 @@ def encode_backward(
     upstream: np.ndarray,
     cache: dict,
     grads: dict[str, np.ndarray] | None = None,
+    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of sum(vectors * upstream); shapes mirror params.
 
     ``cache`` is the one-sentence cache ``encode_with_cache`` returned with
     the vectors, so train-mode dropout masks match.  When ``grads`` is
-    given, gradients accumulate into it.
+    given, gradients accumulate into it.  The attention backward takes its
+    score temporaries from ``workspace`` when one is given.
     """
     cfg = params.config
     t = params.tensors
@@ -410,7 +466,7 @@ def encode_backward(
         grads[p + "ln1.g"] += dg1
         grads[p + "ln1.b"] += db1
         dattn = dr1 if c["mask1"] is None else dr1 * c["mask1"]
-        dx = dr1 + _attention_backward(dattn, t, grads, p + "attn.", c["attn"])
+        dx = dr1 + _attention_backward(dattn, t, grads, p + "attn.", c["attn"], workspace)
     np.add.at(grads["tok_emb"], ids, dx)
     grads["pos_emb"][: ids.size] += dx
     return grads

@@ -270,9 +270,11 @@ def _sentence_pairs(gold_docs: Sequence[Document], pred_docs: Sequence[Document]
             raise ValidationError(f"document order mismatch: {g_doc.id!r} vs {p_doc.id!r}")
         if len(g_doc.sentences) != len(p_doc.sentences):
             raise ValidationError(f"document {g_doc.id!r}: sentence count mismatch")
-        for g_sent, p_sent in zip(g_doc.sentences, p_doc.sentences):
-            if len(g_sent.words) != len(p_sent.words):
-                raise ValidationError(f"document {g_doc.id!r}: word count mismatch")
+        for si, (g_sent, p_sent) in enumerate(zip(g_doc.sentences, p_doc.sentences)):
+            if g_sent.words != p_sent.words:
+                raise ValidationError(
+                    f"document {g_doc.id!r}, sentence {si}: predicted words differ from the gold words"
+                )
             yield g_sent, p_sent
 
 

@@ -23,7 +23,7 @@ from .corpus import (
     mentions_cross,
     select_by_score,
 )
-from .encoder import draw_tensors, gelu, gelu_grad
+from .encoder import Workspace, draw_tensors, gelu, gelu_grad, scratch
 
 __all__ = [
     "HeadConfig",
@@ -209,29 +209,42 @@ def _span_arrays(spans: Sequence[tuple[int, int]], n_words: int, max_width: int)
     return starts, ends, lengths
 
 
-def _one_hot_sums(index: np.ndarray, size: int, rows: np.ndarray) -> np.ndarray:
+def _one_hot_sums(
+    index: np.ndarray, size: int, rows: np.ndarray, workspace: Workspace | None
+) -> np.ndarray:
     """[size, k]: row i sums ``rows[j]`` over every j with ``index[j] == i``."""
-    one_hot = np.zeros((size, index.size))
+    one_hot = scratch(workspace, "span.one_hot", (size, index.size))
+    one_hot.fill(0.0)
     one_hot[index, np.arange(index.size)] = 1.0
     return one_hot @ rows
 
 
-def span_logits_with_cache(word_vecs, spans, params: HeadParams):
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[index]`` written into ``out``.  The indices are checked by
+    ``_span_arrays``; ``mode="clip"`` keeps ``np.take`` from first copying ``out``."""
+    return np.take(table, index, axis=0, out=out, mode="clip")
+
+
+def span_logits_with_cache(word_vecs, spans, params: HeadParams, workspace: Workspace | None = None):
     """Logits of the span MLP over [h_start; h_end; len_emb[length-1]].
 
     The first layer is applied per endpoint: each word is projected once by
     the start and end blocks of ``span.w1`` and each length once by its
-    length block, and a candidate sums its three rows.
+    length block, and a candidate sums its three rows.  The
+    ``[n_candidates, span_hidden]`` arrays, the cache's among them, live in
+    ``workspace`` when one is given, until its next use.
     """
     t = params.tensors
     d = params.hidden_dim
     starts, ends, lengths = _span_arrays(spans, word_vecs.shape[0], params.config.max_span_width)
     w1 = t["span.w1"]
-    u = (word_vecs @ w1[:d])[starts]
-    u += (word_vecs @ w1[d : 2 * d])[ends]
-    u += (t["span.len_emb"] @ w1[2 * d :])[lengths - 1]
+    shape = (starts.size, w1.shape[1])
+    gathered = scratch(workspace, "span.tmp", shape)
+    u = _gather(word_vecs @ w1[:d], starts, scratch(workspace, "span.u", shape))
+    u += _gather(word_vecs @ w1[d : 2 * d], ends, gathered)
+    u += _gather(t["span.len_emb"] @ w1[2 * d :], lengths - 1, gathered)
     u += t["span.b1"]
-    h, cdf = gelu(u)
+    h, cdf = gelu(u, (scratch(workspace, "span.h", shape), scratch(workspace, "span.cdf", shape)))
     logits = h @ t["span.w2"] + t["span.b2"]
     return logits, (starts, ends, lengths, u, cdf, h)
 
@@ -260,21 +273,26 @@ def span_backward(
     d_logits: np.ndarray,
     grads: dict[str, np.ndarray],
     cache,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Accumulate span-head gradients from the forward ``cache`` of
     ``span_logits_with_cache`` over the same ``spans``; returns the
-    word-vector gradient."""
+    word-vector gradient.  The large temporaries live in ``workspace``
+    when one is given."""
     t = params.tensors
     d = params.hidden_dim
     starts, ends, lengths, u, cdf, h = cache
     grads["span.w2"] += h.T @ d_logits
     grads["span.b2"] += d_logits.sum(axis=0)
-    du = (d_logits @ t["span.w2"].T) * gelu_grad(u, cdf)
+    grad = gelu_grad(u, cdf, out=(scratch(workspace, "span.gelu_grad", u.shape),
+                                  scratch(workspace, "span.tmp", u.shape)))
+    du = np.matmul(d_logits, t["span.w2"].T, out=scratch(workspace, "span.tmp", u.shape))
+    du *= grad
     grads["span.b1"] += du.sum(axis=0)
     n = word_vecs.shape[0]
-    du_start = _one_hot_sums(starts, n, du)
-    du_end = _one_hot_sums(ends, n, du)
-    du_len = _one_hot_sums(lengths - 1, params.config.max_span_width, du)
+    du_start = _one_hot_sums(starts, n, du, workspace)
+    du_end = _one_hot_sums(ends, n, du, workspace)
+    du_len = _one_hot_sums(lengths - 1, params.config.max_span_width, du, workspace)
     w1, len_emb = t["span.w1"], t["span.len_emb"]
     g1 = grads["span.w1"]
     g1[:d] += word_vecs.T @ du_start

@@ -19,6 +19,7 @@ from .corpus import Document, LabelInventory, ScoredMention, dataclass_from_dict
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    Workspace,
     check_checkpoint_tensors,
     checkpoint_param_shapes,
     encode_backward,
@@ -205,8 +206,9 @@ def _encode_by_length(
             chunk = indices[j : j + per_stack]
             stack = np.stack([id_seqs[i] for i in chunk])
             width = max(len(rows[i]) for i in chunk)
-            picked = np.stack(
-                [np.pad(np.asarray(rows[i]), (0, width - len(rows[i])), mode="edge") for i in chunk]
+            picked = np.array(
+                [tuple(rows[i]) + (rows[i][-1],) * (width - len(rows[i])) for i in chunk],
+                dtype=np.int64,
             )
             yield chunk, encode_with_cache(stack, enc, "eval", rows=picked)[0]
 
@@ -217,7 +219,7 @@ def _forward_word_vecs(model: Model, ex: Example, mode: str, rng):
     return word_vectors(ctx, ex.align), cache
 
 
-def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None):
+def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspace=None):
     """Summed CE and unit count for one sentence; backward when grads given."""
     wv, cache = _forward_word_vecs(model, ex, mode, rng)
     if model.method == "word_tagger":
@@ -227,16 +229,16 @@ def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None):
         if grads is not None:
             d_wv = tagger_backward(wv, model.heads, dlogits, grads["heads"])
     else:
-        logits, span_cache = span_logits_with_cache(wv, ex.spans, model.heads)
+        logits, span_cache = span_logits_with_cache(wv, ex.spans, model.heads, workspace)
         ce, dlogits = _softmax_ce(logits, ex.span_classes)
         units = len(ex.spans)
         if grads is not None:
             d_wv = span_backward(
-                wv, ex.spans, model.heads, dlogits, grads["heads"], cache=span_cache
+                wv, ex.spans, model.heads, dlogits, grads["heads"], span_cache, workspace
             )
     if grads is not None:
         d_ctx = word_vectors_backward(d_wv, ex.align)
-        encode_backward(model.encoder, d_ctx, cache, grads=grads["encoder"])
+        encode_backward(model.encoder, d_ctx, cache, grads["encoder"], workspace)
     return ce, units
 
 
@@ -252,15 +254,24 @@ def batch_loss(model: Model, examples: Sequence[Example]) -> float:
 
 
 def batch_loss_and_grads(
-    model: Model, examples: Sequence[Example], mode: str = "train", rng=None
+    model: Model,
+    examples: Sequence[Example],
+    mode: str = "train",
+    rng=None,
+    workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and its gradient for every parameter (prefixed flat dict)."""
+    """Mean loss and its gradient for every parameter (prefixed flat dict).
+
+    ``workspace`` lends the span head and the attention backward their large
+    temporaries, reused sentence after sentence; without one they are
+    allocated per sentence.  Either way the bits are the same.
+    """
     grads = {"encoder": zero_grads(model.encoder),
              "heads": {k: np.zeros_like(v) for k, v in model.heads.tensors.items()}}
     total_ce = 0.0
     total_units = 0
     for ex in examples:
-        ce, units = _example_loss(model, ex, mode, rng, grads=grads)
+        ce, units = _example_loss(model, ex, mode, rng, grads, workspace)
         total_ce += ce
         total_units += units
     flat = {f"encoder.{k}": v for k, v in grads["encoder"].items()}
@@ -304,9 +315,12 @@ def mlm_batch_loss_and_grads(
     mode: str = "train",
     dropout_rng=None,
     with_grads: bool = True,
+    workspace: Workspace | None = None,
 ):
     """Mean masked-position CE and encoder gradients (None when no position
-    was masked, in which case parameters must not be updated).
+    was masked, in which case parameters must not be updated).  The
+    attention backward takes its temporaries from ``workspace`` when one is
+    given, as in ``batch_loss_and_grads``.
 
     Without gradients (eval mode only) every mask is drawn first, in
     sentence order, and equal-length sentences are encoded and scored as
@@ -338,7 +352,7 @@ def mlm_batch_loss_and_grads(
         d_ctx = np.zeros_like(ctx)
         d_ctx[positions] = dlogits @ emb
         grads["tok_emb"] += dlogits.T @ sel
-        encode_backward(enc, d_ctx, cache, grads=grads)
+        encode_backward(enc, d_ctx, cache, grads, workspace)
     if total_pos == 0:
         return 0.0, None
     for v in grads.values():

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict, read_json
-from .encoder import EncoderConfig, EncoderParams, check_vocab_size, init_params
+from .encoder import EncoderConfig, EncoderParams, Workspace, check_vocab_size, init_params
 from .errors import FormatError, ProtocolError, TrainingError, UnusableDataError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
@@ -277,6 +277,7 @@ def train_supervised(
     )
 
     log: list[LogEntry] = []
+    workspace = Workspace()  # one set of step buffers for the whole run
     best_model = model.clone()
     best_step = 0
     best_f1: float | None = None
@@ -295,7 +296,7 @@ def train_supervised(
         order = rng.permutation(len(examples))
         for chunk in _batches(order, train_cfg.batch_size):
             batch = [examples[i] for i in chunk]
-            loss, grads = batch_loss_and_grads(model, batch, "train", rng)
+            loss, grads = batch_loss_and_grads(model, batch, "train", rng, workspace)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at step {step + 1}")
             opt.step(tensors, grads, train_cfg.grad_clip)
@@ -389,13 +390,15 @@ def pretrain_mlm(
         warmup_steps=int(np.ceil(mlm_cfg.warmup_frac * mlm_cfg.total_steps)),
     )
     order: list[int] = []
+    workspace = Workspace()  # one set of step buffers for the whole run
     for step in range(1, mlm_cfg.total_steps + 1):
         while len(order) < mlm_cfg.batch_size:
             order.extend(rng.permutation(len(train_pool)).tolist())
         batch = [train_pool[i] for i in order[: mlm_cfg.batch_size]]
         del order[: mlm_cfg.batch_size]
         loss, grads = mlm_batch_loss_and_grads(
-            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng
+            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng,
+            workspace=workspace,
         )
         if grads is not None:
             if not np.isfinite(loss):

@@ -371,3 +371,58 @@ def layer_norm_backward_reference(dy, cache):
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     return inv * (dxhat - m1 - xhat * m2), dg, db
+
+
+def span_logits_allocating_reference(word_vecs, spans, params):
+    """The endpoint-factored span head's forward with a fresh array for every
+    intermediate; returns the logits and the head's cache tuple."""
+    t = params.tensors
+    d = params.hidden_dim
+    pairs = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+    starts, ends = pairs[:, 0], pairs[:, 1]
+    lengths = ends - starts + 1
+    w1 = t["span.w1"]
+    u = (word_vecs @ w1[:d])[starts]
+    u += (word_vecs @ w1[d : 2 * d])[ends]
+    u += (t["span.len_emb"] @ w1[2 * d :])[lengths - 1]
+    u += t["span.b1"]
+    cdf = 0.5 * (erf(u / np.sqrt(2.0)) + 1.0)
+    h = u * cdf
+    return h @ t["span.w2"] + t["span.b2"], (starts, ends, lengths, u, cdf, h)
+
+
+def span_backward_allocating_reference(word_vecs, params, d_logits, grads, cache):
+    """Backward of ``span_logits_allocating_reference``: parameter gradients
+    accumulate into ``grads``; returns the word-vector gradient."""
+    t = params.tensors
+    d = params.hidden_dim
+    starts, ends, lengths, u, cdf, h = cache
+    grads["span.w2"] += h.T @ d_logits
+    grads["span.b2"] += d_logits.sum(axis=0)
+    du = (d_logits @ t["span.w2"].T) * (cdf + u * (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * u * u))
+    grads["span.b1"] += du.sum(axis=0)
+
+    def one_hot_sums(index, size):
+        one_hot = np.zeros((size, index.size))
+        one_hot[index, np.arange(index.size)] = 1.0
+        return one_hot @ du
+
+    du_start = one_hot_sums(starts, word_vecs.shape[0])
+    du_end = one_hot_sums(ends, word_vecs.shape[0])
+    du_len = one_hot_sums(lengths - 1, params.config.max_span_width)
+    w1 = t["span.w1"]
+    grads["span.w1"][:d] += word_vecs.T @ du_start
+    grads["span.w1"][d : 2 * d] += word_vecs.T @ du_end
+    grads["span.w1"][2 * d :] += t["span.len_emb"].T @ du_len
+    grads["span.len_emb"] += du_len @ w1[2 * d :].T
+    return du_start @ w1[:d].T + du_end @ w1[d : 2 * d].T
+
+
+def select_by_score_reference(mentions, conflict):
+    """Greedy score-descending subset, each mention checked against every kept one."""
+    order = sorted(mentions, key=lambda m: (-getattr(m, "score", 0.0), m.start_word, m.end_word))
+    kept = []
+    for m in order:
+        if not any(conflict(m, k) for k in kept):
+            kept.append(m)
+    return kept

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -119,6 +119,24 @@ def test_evaluate_mismatched_pred_exits_two(tmp_path, corpus_file, small_corpus)
     shorter = tmp_path / "short.jsonl"
     save_corpus(small_corpus[:3], shorter)
     assert main(["evaluate", "--gold", str(corpus_file), "--pred", str(shorter)]) == 2
+
+
+def test_evaluate_pred_with_other_words_exits_two(tmp_path, corpus_file, small_corpus, capsys):
+    other = [
+        replace(doc, sentences=[
+            replace(sent, words=["x" + w for w in sent.words]) for sent in doc.sentences
+        ])
+        for doc in small_corpus
+    ]
+    pred = tmp_path / "other.jsonl"
+    save_corpus(other, pred)
+    report_path = tmp_path / "report.json"
+    code = main(["evaluate", "--gold", str(corpus_file), "--pred", str(pred), "--out", str(report_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "predicted words differ from the gold words" in err
+    assert not report_path.exists()
 
 
 def test_evaluate_by_subtokens(tmp_path, corpus_file, vocab_file, capsys):

@@ -16,12 +16,17 @@ from dualner.corpus import (
     generate_synthetic,
     load_corpus,
     load_predictions,
+    mentions_cross,
+    mentions_overlap,
     save_corpus,
+    select_by_score,
     split_train_tune,
     strip_segmentation,
     synthetic_pools,
 )
 from dualner.errors import FormatError, ValidationError
+
+from .oracles import select_by_score_reference
 
 
 def _write(tmp_path, lines, name="corpus.jsonl"):
@@ -207,3 +212,22 @@ def test_strip_segmentation_keeps_text(small_corpus):
     assert all(not d.sentences for d in stripped)
     assert [d.text for d in stripped] == [d.text for d in small_corpus]
     assert all(d.sentences for d in small_corpus)  # originals untouched
+
+
+_SPAN = st.tuples(st.integers(0, 12), st.integers(0, 5))
+_SCORED = st.builds(
+    lambda span, label, score: ScoredMention(span[0], span[0] + span[1], label, score),
+    _SPAN, st.sampled_from(["A", "B"]), st.sampled_from([0.0, 0.25, 0.5, 0.9]),
+)
+
+
+@given(mentions=st.lists(_SCORED | st.builds(lambda span: Mention(span[0], span[0] + span[1], "A"), _SPAN),
+                         max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_select_by_score_matches_all_pairs_reference(mentions):
+    """Same kept mentions, in the same order, as checking every kept one;
+    few scores and spans, so ties and equal spans are common."""
+    for conflict in (mentions_cross, mentions_overlap):
+        got = select_by_score(mentions, conflict)
+        want = select_by_score_reference(mentions, conflict)
+        assert [id(m) for m in got] == [id(m) for m in want]

@@ -9,6 +9,7 @@ import pytest
 from dualner.corpus import dataclass_from_dict
 from dualner.encoder import (
     EncoderConfig,
+    Workspace,
     encode,
     encode_backward,
     encode_with_cache,
@@ -229,6 +230,37 @@ def test_attention_and_layer_norm_match_allocating_reference():
         for got, want in zip(_layer_norm_backward(dout, ln_cache),
                              layer_norm_backward_reference(dout, ref_ln_cache)):
             assert np.array_equal(got, want)
+
+
+def test_attention_backward_workspace_matches_fresh_and_allocating_reference():
+    """One workspace reused over sentences of 112, 5, 100 and 165 sub-tokens
+    (heads taken in groups of 2, 4, 3 and 1), in the attention backward and
+    in the whole encoder backward."""
+    from dualner.encoder import _attention_backward, _attention_forward
+
+    cfg = EncoderConfig(vocab_size=30, max_positions=200, hidden_dim=64, n_layers=2, n_heads=4)
+    params = _scaled_params(cfg)
+    t, p = params.tensors, "layers.0.attn."
+    rng = np.random.default_rng(24)
+    ws = Workspace()
+    for n in (112, 5, 100, 165):
+        x = rng.normal(size=(n, 64))
+        dout = rng.normal(size=(n, 64))
+        _out, cache = _attention_forward(x, t, p, cfg, x)
+        _ref_out, ref_cache = attention_forward_reference(x, t, p, cfg)
+        grads, fresh_grads, ref_grads = zero_grads(params), zero_grads(params), zero_grads(params)
+        dx = _attention_backward(dout, t, grads, p, cache, ws)
+        assert np.array_equal(dx, _attention_backward(dout, t, fresh_grads, p, cache))
+        assert np.array_equal(dx, attention_backward_reference(dout, t, ref_grads, p, ref_cache))
+        assert all(np.array_equal(grads[k], fresh_grads[k]) for k in grads)
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+
+        ids = rng.integers(0, cfg.vocab_size, size=n)
+        ctx, enc_cache = encode_with_cache(ids, params)
+        upstream = rng.normal(size=ctx.shape)
+        with_ws = encode_backward(params, upstream, enc_cache, workspace=ws)
+        fresh = encode_backward(params, upstream, enc_cache)
+        assert all(np.array_equal(with_ws[k], fresh[k]) for k in fresh)
 
 
 def test_permutation_equivariance_without_positions():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualner.corpus import LabelInventory, Mention, ScoredMention
+from dualner.encoder import Workspace
 from dualner.heads import (
     HeadConfig,
     enumerate_spans,
@@ -25,7 +26,9 @@ from .oracles import (
     central_difference,
     gradient_agreement,
     random_flat_mentions,
+    span_backward_allocating_reference,
     span_head_reference,
+    span_logits_allocating_reference,
     span_representations,
 )
 
@@ -277,6 +280,42 @@ def test_span_head_matches_concatenated_reference(kind):
     for name, got, ref in pairs:
         assert got.shape == ref.shape, name
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def test_span_head_workspace_matches_fresh_and_allocating_reference():
+    """One workspace reused over long, short, long sentences gives the bits
+    of fresh arrays and of the allocating kernels, and reuses its memory."""
+    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), INV, seed=4)
+    rng = np.random.default_rng(23)
+    for arr in params.tensors.values():
+        arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
+    ws = Workspace()
+    caches = []
+    for n_words in (48, 5, 40):
+        vecs = rng.normal(size=(n_words, 64))
+        spans = enumerate_spans(n_words, 12)
+        d_logits = rng.normal(size=(len(spans), len(TYPES) + 1))
+        results = []
+        for run in ("workspace", "fresh", "reference"):
+            grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+            if run == "reference":
+                logits, cache = span_logits_allocating_reference(vecs, spans, params)
+                d_vecs = span_backward_allocating_reference(vecs, params, d_logits, grads, cache)
+            else:
+                workspace = ws if run == "workspace" else None
+                logits, cache = span_logits_with_cache(vecs, spans, params, workspace)
+                d_vecs = span_backward(vecs, spans, params, d_logits, grads, cache, workspace)
+            results.append((logits, d_vecs, grads, cache))
+            if run == "workspace":
+                caches.append(cache)
+        (logits, d_vecs, grads, cache), *others = results
+        for other_logits, other_d_vecs, other_grads, other_cache in others:
+            assert np.array_equal(logits, other_logits)
+            assert np.array_equal(d_vecs, other_d_vecs)
+            assert all(np.array_equal(grads[k], other_grads[k]) for k in grads)
+            assert all(np.array_equal(c, o) for c, o in zip(cache, other_cache))
+    # u, cdf and h of the third sentence sit in the first sentence's buffers
+    assert all(np.shares_memory(a, b) for a, b in zip(caches[0][3:], caches[2][3:]))
 
 
 # ---------------------------------------------------------------------------

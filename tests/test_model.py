@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import asdict
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualner.corpus import LabelInventory, generate_synthetic
-from dualner.encoder import EncoderConfig, load_checkpoint
+from dualner.encoder import EncoderConfig, Workspace, load_checkpoint
 from dualner.errors import FormatError
 from dualner.heads import HeadConfig
 from dualner.model import (
@@ -98,6 +99,36 @@ def test_full_pipeline_gradients_both_heads(tiny_setup):
                 )
                 worst = max(worst, gradient_agreement(grads[key].flat[idx], numeric))
         assert worst < 1e-5, f"{method}: {worst}"
+
+
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier", "mlm"])
+def test_batch_loss_and_grads_bits_do_not_depend_on_workspace(length_corpus, method):
+    """Loss and every gradient equal with one workspace reused across two
+    batches of long and short sentences, and with fresh arrays."""
+    docs, vocab = length_corpus
+    model = _scaled_model("span_classifier" if method == "mlm" else method, vocab)
+    model.encoder.config = dataclasses.replace(model.encoder.config, dropout_rate=0.1)
+    if method == "mlm":
+        pool = sorted(_mlm_pool(docs, vocab), key=len)
+        batches = [pool[-3:] + pool[:3], pool[-6:-3] + pool[3:6]]
+    else:
+        examples = sorted(build_examples(docs, vocab, INV, HEADS), key=lambda ex: ex.ids.size)
+        batches = [examples[-3:] + examples[:3], examples[-6:-3] + examples[3:6]]
+    ws = Workspace()
+    for batch in batches:
+        results = []
+        for workspace in (ws, None):
+            rng = np.random.default_rng(8)
+            if method == "mlm":
+                results.append(mlm_batch_loss_and_grads(
+                    model.encoder, batch, vocab, 0.3, rng, "train", rng, workspace=workspace
+                ))
+            else:
+                results.append(batch_loss_and_grads(model, batch, "train", rng, workspace))
+        (loss, grads), (fresh_loss, fresh_grads) = results
+        assert loss.hex() == fresh_loss.hex()
+        assert grads.keys() == fresh_grads.keys()
+        assert all(np.array_equal(grads[k], fresh_grads[k]) for k in grads)
 
 
 @pytest.mark.parametrize(
