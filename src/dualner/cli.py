@@ -219,13 +219,20 @@ def cmd_pretrain(args) -> None:
     result = pretrain_mlm(docs, vocab, enc_cfg, mlm_cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    written = set()
     for step, enc in result.checkpoints:
+        path = out_dir / f"mlm_step_{step:06d}.npz"
         save_checkpoint(
-            out_dir / f"mlm_step_{step:06d}.npz",
+            path,
             {"kind": "encoder", "step": step, "encoder": dataclasses.asdict(enc.config)},
             enc.tensors,
         )
+        written.add(path.name)
     write_log(out_dir / "mlm_log.jsonl", result.log)
+    # snapshots of an earlier run would join this run's in a sweep
+    for stale in out_dir.glob("mlm_step_*.npz"):
+        if stale.name not in written:
+            stale.unlink()
     first = result.probe_loss(0)
     last = result.probe_loss(result.checkpoints[-1][0])
     _info(

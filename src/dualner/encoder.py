@@ -30,6 +30,7 @@ __all__ = [
     "EncoderConfig",
     "EncoderParams",
     "Workspace",
+    "PARAM_SCRATCH",
     "scratch",
     "param_shapes",
     "draw_tensors",
@@ -103,6 +104,11 @@ class Workspace:
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
+
+
+# Two buffers for arrays the size of a parameter tensor: the optimizer's
+# temporaries, and before it runs the MLM step's tied-projection gradient.
+PARAM_SCRATCH = ("param.a", "param.b")
 
 
 def scratch(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray:

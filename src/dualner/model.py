@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import Document, LabelInventory, ScoredMention, dataclass_from_dict
 from .encoder import (
+    PARAM_SCRATCH,
     EncoderConfig,
     EncoderParams,
     Workspace,
@@ -25,6 +26,7 @@ from .encoder import (
     encode_backward,
     encode_with_cache,
     load_checkpoint,
+    scratch,
     save_checkpoint,
     word_vectors,
     word_vectors_backward,
@@ -59,6 +61,7 @@ __all__ = [
     "batch_loss",
     "batch_loss_and_grads",
     "mlm_mask",
+    "mlm_masks",
     "mlm_batch_loss_and_grads",
     "predict_sentence",
     "predict_documents",
@@ -316,23 +319,33 @@ def mlm_batch_loss_and_grads(
     dropout_rng=None,
     with_grads: bool = True,
     workspace: Workspace | None = None,
+    masks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ):
     """Mean masked-position CE and encoder gradients (None when no position
     was masked, in which case parameters must not be updated).  The
-    attention backward takes its temporaries from ``workspace`` when one is
-    given, as in ``batch_loss_and_grads``.
+    attention backward and the tied-projection gradient take their
+    temporaries from ``workspace`` when one is given, as in
+    ``batch_loss_and_grads``.
 
     Without gradients (eval mode only) every mask is drawn first, in
     sentence order, and equal-length sentences are encoded and scored as
     one stack; each sentence's CE is summed from its own rows, in sentence
     order, so the loss has the same bits as scoring one sentence at a time.
+    There, ``masks`` may give the ``mlm_masks`` of ``batch`` drawn before,
+    and ``mask_rng`` is then not drawn from.
     """
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
     if not with_grads:
         if mode != "eval":
             raise ValueError("an MLM loss without gradients is computed in eval mode only")
-        return _mlm_eval_loss(enc, batch, vocab, mask_prob, mask_rng), None
+        if masks is None:
+            masks = mlm_masks(batch, vocab, mask_prob, mask_rng)
+        elif len(masks) != len(batch):
+            raise ValueError(f"{len(masks)} masks given for {len(batch)} sentences")
+        return _mlm_eval_loss(enc, masks), None
+    if masks is not None:
+        raise ValueError("precomputed masks are scored without gradients only")
     emb = enc.tensors["tok_emb"]
     grads = zero_grads(enc)
     total_ce = 0.0
@@ -351,7 +364,9 @@ def mlm_batch_loss_and_grads(
         total_pos += positions.size
         d_ctx = np.zeros_like(ctx)
         d_ctx[positions] = dlogits @ emb
-        grads["tok_emb"] += dlogits.T @ sel
+        grads["tok_emb"] += np.matmul(
+            dlogits.T, sel, out=scratch(workspace, PARAM_SCRATCH[0], emb.shape)
+        )
         encode_backward(enc, d_ctx, cache, grads, workspace)
     if total_pos == 0:
         return 0.0, None
@@ -360,9 +375,14 @@ def mlm_batch_loss_and_grads(
     return total_ce / total_pos, grads
 
 
-def _mlm_eval_loss(enc: EncoderParams, batch, vocab: BpeVocab, mask_prob: float, mask_rng) -> float:
-    """Mean masked-position CE over ``batch``, equal lengths stacked."""
-    masked = [mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng) for ids in batch]
+def mlm_masks(batch: Sequence[np.ndarray], vocab: BpeVocab, mask_prob: float, rng):
+    """``mlm_mask`` of every sentence of ``batch``, drawn in sentence order."""
+    return [mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, rng) for ids in batch]
+
+
+def _mlm_eval_loss(enc: EncoderParams, masked) -> float:
+    """Mean masked-position CE under the ``mlm_masks`` ``masked``, equal
+    lengths stacked."""
     keep = [i for i, (_c, positions, _t) in enumerate(masked) if positions.size]
     if not keep:
         return 0.0
@@ -371,13 +391,19 @@ def _mlm_eval_loss(enc: EncoderParams, batch, vocab: BpeVocab, mask_prob: float,
     stacks = _encode_by_length(
         [masked[i][0] for i in keep], enc, [masked[i][1] for i in keep]
     )
+    workspace = Workspace()  # one logits buffer for every stack
     for chunk, sel in stacks:
         rows = [keep[c] for c in chunk]
         # equal lengths mask equally many positions, so no row list was padded
         targets = np.concatenate([masked[i][2] for i in rows])
-        logp = _log_softmax(sel.reshape(-1, sel.shape[-1]) @ emb.T)
-        picked = logp[np.arange(targets.size), targets].reshape(sel.shape[:2])
-        for i, row in zip(rows, picked):
+        flat = sel.reshape(-1, sel.shape[-1])
+        z = np.matmul(flat, emb.T, out=workspace.take("mlm.logits", (flat.shape[0], emb.shape[0])))
+        # log_softmax(z) at the targets, without the full log-probability array
+        z -= z.max(axis=-1, keepdims=True)
+        picked = z[np.arange(targets.size), targets]
+        np.exp(z, out=z)
+        picked -= np.log(z.sum(axis=-1))
+        for i, row in zip(rows, picked.reshape(sel.shape[:2])):
             ce[i] = -float(row.sum())
     total_ce = 0.0
     for i in keep:  # in sentence order, as when scored one at a time

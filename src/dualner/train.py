@@ -18,7 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict, read_json
-from .encoder import EncoderConfig, EncoderParams, Workspace, check_vocab_size, init_params
+from .encoder import (
+    PARAM_SCRATCH,
+    EncoderConfig,
+    EncoderParams,
+    Workspace,
+    check_vocab_size,
+    init_params,
+    scratch,
+)
 from .errors import FormatError, ProtocolError, TrainingError, UnusableDataError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
@@ -29,6 +37,7 @@ from .model import (
     build_examples,
     init_model,
     mlm_batch_loss_and_grads,
+    mlm_masks,
     model_tensors,
     predict_documents,
 )
@@ -164,11 +173,21 @@ class AdamW:
             return self.lr * self.t / self.warmup_steps
         return self.lr
 
-    def step(self, tensors, grads, grad_clip: float | None = None) -> None:
+    def step(
+        self, tensors, grads, grad_clip: float | None = None, workspace: Workspace | None = None
+    ) -> None:
+        """One update.  Its temporaries are the two ``PARAM_SCRATCH``
+        buffers of ``workspace``, or fresh arrays without one."""
         self.t += 1
+        # each tensor works in the heads of two buffers as large as the largest
+        n = max(grads[k].size for k in self.keys)
+        flat_a, flat_b = (scratch(workspace, name, (n,)) for name in PARAM_SCRATCH)
         scale = 1.0
         if grad_clip:
-            sq = sum(float((grads[k] ** 2).sum()) for k in self.keys)
+            sq = 0
+            for k in self.keys:
+                g = grads[k]
+                sq += float(np.multiply(g, g, out=flat_a[: g.size].reshape(g.shape)).sum())
             norm = np.sqrt(sq)
             if norm > grad_clip:
                 scale = grad_clip / norm
@@ -180,22 +199,26 @@ class AdamW:
         #   p -= lr (m / c1 / (sqrt(v / c2) + eps) + wd p)
         # so the arithmetic keeps its bits.
         for k in self.keys:
-            g = grads[k] if scale == 1.0 else grads[k] * scale
+            g = grads[k]
+            a = flat_a[: g.size].reshape(g.shape)
+            b = flat_b[: g.size].reshape(g.shape)
+            if scale != 1.0:
+                g = np.multiply(g, scale, out=b)
             m, v = self.m[k], self.v[k]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            scratch = g * g
-            scratch *= 1.0 - self.beta2
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
             v *= self.beta2
-            v += scratch
-            update = m / c1
-            np.divide(v, c2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += self.eps
-            update /= scratch
+            v += a
+            update = np.divide(m, c1, out=b)  # g is no longer read
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            update /= a
             if self.weight_decay and tensors[k].ndim >= 2:
-                np.multiply(tensors[k], self.weight_decay, out=scratch)
-                update += scratch
+                np.multiply(tensors[k], self.weight_decay, out=a)
+                update += a
             update *= lr
             tensors[k] -= update
 
@@ -299,7 +322,7 @@ def train_supervised(
             loss, grads = batch_loss_and_grads(model, batch, "train", rng, workspace)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at step {step + 1}")
-            opt.step(tensors, grads, train_cfg.grad_clip)
+            opt.step(tensors, grads, train_cfg.grad_clip, workspace)
             step += 1
             log.append(LogEntry(step, "train", "loss", loss))
             if step % train_cfg.checkpoint_every == 0:
@@ -342,8 +365,8 @@ def pretrain_mlm(
     Labels on ``docs`` are ignored.  Encoder snapshots are taken at step 0
     (the untouched initialization) and every ``checkpoint_every`` steps; at
     each snapshot an eval-mode loss is probed on the training pool and on a
-    held-out tail of sentences, under masks that are identical across
-    probes so the series is comparable.
+    held-out tail of sentences, under masks drawn once per run, so the
+    series is comparable.
     """
     mlm_cfg.validate()
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
@@ -362,23 +385,25 @@ def pretrain_mlm(
     heldout_pool = pool[len(pool) - n_heldout :] if n_heldout else []
 
     enc = init_params(encoder_cfg)
-    seq = np.random.SeedSequence(mlm_cfg.seed)
-    rng = np.random.default_rng(seq.spawn(2)[0])
-    probe_seed = seq.spawn(2)[1]
+    # Training draws from child (0,) of the seed and the probe masks from
+    # child (3,), as when the seed was spawned twice, two children each
+    # time.  Every logged loss depends on these keys.
+    rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(0,)))
+    probe_rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(3,)))
+    # the training pool's probe masks are drawn first
+    probe_sets = [("train", train_pool), ("heldout", heldout_pool)]
+    probe_masks = [mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng) for _, p in probe_sets]
     log: list[LogEntry] = []
     checkpoints: list[tuple[int, EncoderParams]] = []
 
     def probe(at_step: int) -> None:
-        probe_rng = np.random.default_rng(probe_seed)
-        loss, _ = mlm_batch_loss_and_grads(
-            enc, train_pool, vocab, mlm_cfg.mask_prob, probe_rng, mode="eval", with_grads=False
-        )
-        log.append(LogEntry(at_step, "train", "mlm_loss", loss))
-        if heldout_pool:
-            held, _ = mlm_batch_loss_and_grads(
-                enc, heldout_pool, vocab, mlm_cfg.mask_prob, probe_rng, mode="eval", with_grads=False
-            )
-            log.append(LogEntry(at_step, "heldout", "mlm_loss", held))
+        for (split, sentences), masks in zip(probe_sets, probe_masks):
+            if sentences:
+                loss, _ = mlm_batch_loss_and_grads(
+                    enc, sentences, vocab, mlm_cfg.mask_prob, None, mode="eval",
+                    with_grads=False, masks=masks,
+                )
+                log.append(LogEntry(at_step, split, "mlm_loss", loss))
 
     checkpoints.append((0, enc.clone()))
     probe(0)
@@ -403,7 +428,7 @@ def pretrain_mlm(
         if grads is not None:
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite MLM loss at step {step}")
-            opt.step(enc.tensors, grads, mlm_cfg.grad_clip)
+            opt.step(enc.tensors, grads, mlm_cfg.grad_clip, workspace)
         log.append(LogEntry(step, "train", "mlm_batch_loss", loss))
         if step % mlm_cfg.checkpoint_every == 0:
             checkpoints.append((step, enc.clone()))

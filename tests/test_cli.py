@@ -446,6 +446,35 @@ def test_sweep_mixed_encoder_configs_exits_two(tmp_path, corpus_file, vocab_file
     assert not (out_dir / "sweep.json").exists()
 
 
+def test_pretrain_removes_snapshots_of_an_earlier_run(tmp_path, corpus_file, vocab_file, capsys):
+    """A shorter run into the same directory leaves only its own snapshots,
+    so the sweep charts this run alone; other files stay."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(corpus_file), "n_train": 16, "train": {"epochs": 0},
+        "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "mlm"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept\n", encoding="utf-8")
+    for steps in ("20", "10"):
+        assert main([
+            "pretrain-mlm", "--config", str(cfg_path), "--corpus", str(corpus_file),
+            "--vocab", str(vocab_file), "--out-dir", str(out_dir),
+            "--steps", steps, "--checkpoint-every", "5",
+        ]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "mlm_log.jsonl", "mlm_step_000000.npz", "mlm_step_000005.npz", "mlm_step_000010.npz",
+        "notes.txt",
+    ]
+    assert main([
+        "sweep-tapt", "--config", str(cfg_path), "--vocab", str(vocab_file),
+        "--checkpoints", str(out_dir), "--out-dir", str(tmp_path / "sweep"),
+    ]) == 0
+    points = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["points"]
+    assert [p["step"] for p in points] == [0, 5, 10]
+
+
 def test_analyze_fragmentation_bad_special_ids_exits_two(tmp_path, corpus_file, small_vocab, capsys):
     obj = small_vocab.to_json()
     obj["special"] = {"pad": 0, "unk": 7, "mask": len(small_vocab)}

@@ -19,6 +19,7 @@ from dualner.model import (
     load_model,
     mlm_batch_loss_and_grads,
     mlm_mask,
+    mlm_masks,
     model_tensors,
     predict_documents,
     predict_sentence,
@@ -276,6 +277,29 @@ def test_mlm_eval_loss_matches_per_sentence_reference(length_corpus, mask_prob):
     assert loss > 0.0 and type(loss) is float
     assert loss.hex() == ref_loss.hex()
     assert rng.random() == ref_rng.random()  # both drew the same masks
+
+
+def test_mlm_eval_loss_scores_masks_drawn_before(length_corpus):
+    """``masks`` drawn by ``mlm_masks`` score as when the loss draws them;
+    they are accepted only without gradients and for the same batch."""
+    docs, vocab = length_corpus
+    model = _scaled_model("word_tagger", vocab)
+    pool = _mlm_pool(docs, vocab)[:25]
+    masks = mlm_masks(pool, vocab, 0.3, np.random.default_rng(6))
+    drawn, _ = mlm_batch_loss_and_grads(
+        model.encoder, pool, vocab, 0.3, np.random.default_rng(6), mode="eval", with_grads=False
+    )
+    for _repeat in range(2):
+        given, grads = mlm_batch_loss_and_grads(
+            model.encoder, pool, vocab, 0.3, None, mode="eval", with_grads=False, masks=masks
+        )
+        assert grads is None and given.hex() == drawn.hex()
+    with pytest.raises(ValueError, match="without gradients"):
+        mlm_batch_loss_and_grads(model.encoder, pool, vocab, 0.3, None, masks=masks)
+    with pytest.raises(ValueError, match="24 sentences"):
+        mlm_batch_loss_and_grads(
+            model.encoder, pool[:-1], vocab, 0.3, None, mode="eval", with_grads=False, masks=masks
+        )
 
 
 def test_mlm_eval_loss_without_masked_positions(length_corpus):

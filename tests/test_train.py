@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dualner import train as train_module
 from dualner.corpus import LabelInventory, generate_synthetic, split_train_tune
-from dualner.encoder import EncoderConfig
+from dualner.encoder import EncoderConfig, Workspace, init_params
 from dualner.errors import FormatError, ProtocolError, TrainingError
 from dualner.heads import HeadConfig
-from dualner.model import init_model, model_tensors
-from dualner.subtok import train_bpe
+from dualner.model import init_model, mlm_batch_loss_and_grads, model_tensors
+from dualner.subtok import subtokenize, train_bpe
 from dualner.train import (
     AdamW,
     ExperimentConfig,
@@ -24,7 +26,7 @@ from dualner.train import (
     write_log,
 )
 
-from .oracles import adamw_step_reference
+from .oracles import adamw_step_reference, mlm_eval_loss_reference
 
 INV = LabelInventory.from_types(["Alpha", "Beta"])
 ENC = EncoderConfig(hidden_dim=32, n_layers=1, n_heads=2, ffn_dim=48, init_seed=0)
@@ -137,24 +139,47 @@ def test_adamw_skips_decay_on_vectors():
 
 @pytest.mark.parametrize("grad_clip", [None, 0.05, 1e9], ids=["no_clip", "clipping", "clip_inactive"])
 def test_adamw_matches_allocating_reference(grad_clip):
+    """With one workspace, lent to a larger tensor set and then to a smaller
+    one, and without a workspace, every step equals the allocating reference."""
     rng = np.random.default_rng(3)
-    shapes = {"w": (6, 5), "b": (5,), "emb": (9, 4)}
-    start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-    ours = {k: v.copy() for k, v in start.items()}
-    ref = {k: v.copy() for k, v in start.items()}
+    workspace = Workspace()
     settings = dict(learning_rate=0.05, weight_decay=0.1, warmup_steps=5)
-    opt, ref_opt = AdamW(ours, **settings), AdamW(ref, **settings)
-    for _step in range(20):
-        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        kept = {k: v.copy() for k, v in grads.items()}
-        opt.step(ours, grads, grad_clip)
-        adamw_step_reference(ref_opt, ref, grads, grad_clip)
-        assert all(np.array_equal(grads[k], kept[k]) for k in grads)
-    assert opt.t == ref_opt.t == 20
-    for k in shapes:
-        assert np.array_equal(ours[k], ref[k])
-        assert np.array_equal(opt.m[k], ref_opt.m[k])
-        assert np.array_equal(opt.v[k], ref_opt.v[k])
+    for shapes in ({"w": (12, 10), "b": (10,), "emb": (30, 8)}, {"w": (6, 5), "b": (5,), "emb": (9, 4)}):
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        runs = [{k: v.copy() for k, v in start.items()} for _ in range(3)]
+        opts = [AdamW(tensors, **settings) for tensors in runs]
+        for _step in range(20):
+            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+            kept = {k: v.copy() for k, v in grads.items()}
+            opts[0].step(runs[0], grads, grad_clip, workspace)
+            opts[1].step(runs[1], grads, grad_clip)
+            adamw_step_reference(opts[2], runs[2], grads, grad_clip)
+            assert all(np.array_equal(grads[k], kept[k]) for k in grads)
+        assert [opt.t for opt in opts] == [20, 20, 20]
+        for k in shapes:
+            for tensors, opt in zip(runs[:2], opts[:2]):
+                assert np.array_equal(tensors[k], runs[2][k])
+                assert np.array_equal(opt.m[k], opts[2].m[k])
+                assert np.array_equal(opt.v[k], opts[2].v[k])
+
+
+def test_adamw_step_with_workspace_allocates_no_tensor_sized_arrays():
+    """After one warm-up step, steps over a 1883 x 64 ``tok_emb`` take every
+    temporary from the workspace (a ``tok_emb``-sized array is 941 KiB)."""
+    enc = init_params(EncoderConfig(vocab_size=1883, hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128))
+    rng = np.random.default_rng(0)
+    grads = {k: rng.normal(size=v.shape) for k, v in enc.tensors.items()}
+    opt = AdamW(enc.tensors, learning_rate=1e-3, weight_decay=0.01, warmup_steps=2)
+    workspace = Workspace()
+    opt.step(enc.tensors, grads, 1.0, workspace)  # grows the buffers
+    tracemalloc.start()
+    try:
+        for _step in range(3):
+            opt.step(enc.tensors, grads, 1.0, workspace)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_write_log_jsonl(tmp_path, mini):
@@ -207,6 +232,80 @@ def test_pretrain_deterministic(mini):
         assert sa == sb
         for key in pa.tensors:
             assert np.array_equal(pa.tensors[key], pb.tensors[key])
+
+
+def _seed_children(seed: int):
+    """The generators ``pretrain_mlm`` has always drawn from: the seed was
+    spawned twice, two children each time; training took the first child of
+    the first spawn and the probes the second child of the second."""
+    seq = np.random.SeedSequence(seed)
+    train_seed = seq.spawn(2)[0]
+    probe_seed = seq.spawn(2)[1]
+    return train_seed, probe_seed
+
+
+def _mlm_pools(docs, vocab, heldout_fraction: float = 0.1):
+    pool = [np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
+            for d in docs for s in d.sentences]
+    n_heldout = min(int(np.ceil(heldout_fraction * len(pool))), len(pool) - 1)
+    return pool[: len(pool) - n_heldout], pool[len(pool) - n_heldout :]
+
+
+def test_pretrain_matches_reference_optimizer_and_probe_scoring(mini, monkeypatch):
+    """The run equals one with the allocating optimizer, no workspace, and
+    every probe scored one sentence at a time from a fresh probe generator
+    (training pool first, then the held-out pool)."""
+    train_docs, _tune, vocab = mini
+    cfg = MlmConfig(total_steps=10, checkpoint_every=5, seed=3, grad_clip=0.05)
+    ours = pretrain_mlm(train_docs, vocab, ENC, cfg)
+
+    real = train_module.mlm_batch_loss_and_grads
+    probe_calls = []
+
+    def reference(enc, batch, vocab, mask_prob, mask_rng, mode="train", dropout_rng=None,
+                  with_grads=True, workspace=None, masks=None):
+        if with_grads:
+            return real(enc, batch, vocab, mask_prob, mask_rng, mode, dropout_rng)
+        if len(probe_calls) % 2 == 0:
+            probe_calls.append(np.random.default_rng(_seed_children(cfg.seed)[1]))
+        else:
+            probe_calls.append(probe_calls[-1])
+        return mlm_eval_loss_reference(enc, batch, vocab, mask_prob, probe_calls[-1])
+
+    monkeypatch.setattr(train_module, "mlm_batch_loss_and_grads", reference)
+    monkeypatch.setattr(AdamW, "step", lambda self, tensors, grads, grad_clip=None, workspace=None:
+                        adamw_step_reference(self, tensors, grads, grad_clip))
+    ref = pretrain_mlm(train_docs, vocab, ENC, cfg)
+    assert len(probe_calls) == 2 * len(ref.checkpoints)  # the held-out pool is probed too
+    assert ours.log == ref.log
+    assert [s for s, _ in ours.checkpoints] == [s for s, _ in ref.checkpoints]
+    for (_s, a), (_r, b) in zip(ours.checkpoints, ref.checkpoints):
+        assert a.tensors.keys() == b.tensors.keys()
+        assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
+
+
+def test_pretrain_seed_children_are_pinned(mini):
+    """Training draws from child (0,) of the MLM seed and the probe masks
+    from child (3,); a change here changes every logged loss."""
+    train_docs, _tune, vocab = mini
+    cfg = MlmConfig(total_steps=5, checkpoint_every=5, seed=6, batch_size=3)
+    result = pretrain_mlm(train_docs, vocab, ENC, cfg)
+    train_seed, probe_seed = _seed_children(cfg.seed)
+    assert (train_seed.spawn_key, probe_seed.spawn_key) == ((0,), (3,))
+    train_pool, heldout_pool = _mlm_pools(train_docs, vocab)
+    init = result.checkpoints[0][1]
+
+    probe_rng = np.random.default_rng(probe_seed)
+    train_probe, _ = mlm_eval_loss_reference(init, train_pool, vocab, cfg.mask_prob, probe_rng)
+    held_probe, _ = mlm_eval_loss_reference(init, heldout_pool, vocab, cfg.mask_prob, probe_rng)
+    assert result.probe_loss(0).hex() == train_probe.hex()
+    assert result.probe_loss(0, "heldout").hex() == held_probe.hex()
+
+    rng = np.random.default_rng(train_seed)
+    batch = [train_pool[i] for i in rng.permutation(len(train_pool))[: cfg.batch_size]]
+    first, _ = mlm_batch_loss_and_grads(init, batch, vocab, cfg.mask_prob, rng, "train", rng)
+    logged = [e.value for e in result.log if e.step == 1 and e.metric == "mlm_batch_loss"]
+    assert [v.hex() for v in logged] == [first.hex()]
 
 
 def test_pretrain_mask_prob_zero_keeps_params(mini):
