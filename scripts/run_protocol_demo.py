@@ -46,7 +46,7 @@ def main() -> None:
         vocab,
         methods=["word_tagger", "span_classifier"],
         seeds=args.seeds,
-        encoder_cfgs=EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128),
+        encoder_cfg=EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128),
         head_cfg=HeadConfig(),
         train_cfg=TrainConfig(epochs=args.epochs, checkpoint_every=20),
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ from .corpus import (
     load_predictions,
     save_corpus,
     split_train_tune,
+    write_json,
 )
 from .encoder import (
     EncoderConfig,
@@ -66,12 +66,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _write_json(path, obj) -> None:
-    with atomic_write(path) as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
 
 
 def _load_experiment(args) -> ExperimentConfig:
@@ -155,7 +149,7 @@ def _train_protocol(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir
         train_docs, tune_docs, eval_sets, vocab,
         cfg.methods, cfg.seeds, cfg.encoder, cfg.heads, cfg.train,
     )
-    _write_json(out_dir / "report.json", report.to_dict())
+    write_json(out_dir / "report.json", report.to_dict())
     with atomic_write(out_dir / "report.txt") as fh:
         fh.write(report.render_table() + "\n")
     print(report.render_table())
@@ -176,7 +170,7 @@ def _train_single_seed(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_
         ckpt = out_dir / f"{method}_seed{seed}.npz"
         save_model(ckpt, result.model)
         write_log(out_dir / f"{method}_seed{seed}_log.jsonl", result.log)
-        _write_json(
+        write_json(
             out_dir / f"{method}_seed{seed}_summary.json",
             {
                 "method": method,
@@ -284,7 +278,7 @@ def cmd_sweep(args) -> None:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "sweep.json", {"points": [dataclasses.asdict(p) for p in points]})
+    write_json(out_dir / "sweep.json", {"points": [dataclasses.asdict(p) for p in points]})
     lines = [f"{'pretrain step':>13} {'tune F1':>9}", "-" * 23]
     lines += [f"{p.step:>13} {p.f1:>9.4f}" for p in points]
     table = "\n".join(lines)
@@ -329,7 +323,7 @@ def cmd_evaluate(args) -> None:
         for name, f1 in rows.items():
             print(f"{name:<16} {f1:>8.4f}")
     if args.out:
-        _write_json(args.out, out)
+        write_json(args.out, out)
 
 
 def cmd_analyze(args) -> None:
@@ -342,7 +336,7 @@ def cmd_analyze(args) -> None:
     for bucket, count in report.histogram.items():
         print(f"{bucket:<12} {count:>8} {count / report.total_words:>8.1%}")
     if args.out:
-        _write_json(args.out, report.to_dict())
+        write_json(args.out, report.to_dict())
 
 
 # ---------------------------------------------------------------------------

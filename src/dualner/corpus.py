@@ -41,6 +41,7 @@ __all__ = [
     "synthetic_pools",
     "atomic_write",
     "read_json",
+    "write_json",
 ]
 
 
@@ -185,6 +186,13 @@ def read_json(path: str | Path):
         raise FormatError(f"unreadable file ({_reason(exc)})", path=str(path)) from exc
 
 
+def write_json(path: str | Path, obj) -> None:
+    """``obj`` as indented JSON, written atomically."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
 def _reason(exc: Exception) -> str:
     if isinstance(exc, UnicodeDecodeError):
         return "not UTF-8 text"
@@ -215,37 +223,12 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator:
         raise
 
 
-def _mention_to_obj(m: Mention) -> dict:
-    obj = {"start_word": m.start_word, "end_word": m.end_word, "label": m.label}
-    if isinstance(m, ScoredMention):
-        obj["score"] = m.score
-    return obj
-
-
-def _document_to_obj(doc: Document) -> dict:
-    return {
-        "id": doc.id,
-        "text": doc.text,
-        "sentences": [
-            {
-                "words": s.words,
-                "char_start": s.char_start,
-                "char_end": s.char_end,
-                "mentions": [_mention_to_obj(m) for m in s.mentions],
-            }
-            for s in doc.sentences
-        ],
-    }
-
-
-def document_to_json(doc: Document) -> str:
-    return json.dumps(_document_to_obj(doc), ensure_ascii=False, separators=(",", ":"))
-
-
 def save_corpus(docs: Sequence[Document], path: str | Path) -> None:
+    """One JSON line per document.  A record's ``__dict__`` holds its fields
+    in order, so its keys follow the dataclass; ``asdict`` would copy every word."""
     with atomic_write(path) as fh:
         for doc in docs:
-            fh.write(document_to_json(doc))
+            fh.write(json.dumps(doc, default=vars, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
 
 
@@ -254,14 +237,27 @@ def _require(cond: bool, msg: str, path: str, line: int) -> None:
         raise FormatError(msg, path=path, line=line)
 
 
+# Both kinds of file know "score"; a gold file's scores are dropped.
+_DOCUMENT_KEYS = frozenset(f.name for f in fields(Document))
+_SENTENCE_KEYS = frozenset(f.name for f in fields(Sentence))
+_MENTION_KEYS = frozenset(f.name for f in fields(ScoredMention))
+
+
+def _require_known_keys(obj: dict, known: frozenset, record: str, path: str, line: int) -> None:
+    if not obj.keys() <= known:
+        raise FormatError(f"unknown {record} keys: {sorted(obj.keys() - known)}", path=path, line=line)
+
+
 def _parse_document(obj, path: str, line: int, predicted: bool) -> Document:
     _require(isinstance(obj, dict), "document must be a JSON object", path, line)
+    _require_known_keys(obj, _DOCUMENT_KEYS, "document", path, line)
     _require(isinstance(obj.get("id"), str), 'missing or non-string "id"', path, line)
     _require(isinstance(obj.get("text"), str), 'missing or non-string "text"', path, line)
     _require(isinstance(obj.get("sentences"), list), 'missing or non-list "sentences"', path, line)
     sentences = []
     for sobj in obj["sentences"]:
         _require(isinstance(sobj, dict), "sentence must be a JSON object", path, line)
+        _require_known_keys(sobj, _SENTENCE_KEYS, "sentence", path, line)
         words = sobj.get("words")
         _require(
             isinstance(words, list) and all(isinstance(w, str) for w in words),
@@ -279,6 +275,7 @@ def _parse_document(obj, path: str, line: int, predicted: bool) -> Document:
         mentions = []
         for mobj in sobj.get("mentions", []):
             _require(isinstance(mobj, dict), "mention must be a JSON object", path, line)
+            _require_known_keys(mobj, _MENTION_KEYS, "mention", path, line)
             _require(
                 type(mobj.get("start_word")) is int
                 and type(mobj.get("end_word")) is int

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import tokenize
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -523,8 +524,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             if not isinstance(config, dict):
                 raise FormatError("checkpoint __config__ is not a JSON object", path=str(path))
             tensors = {k: z[k].copy() for k in z.files if k != "__config__"}
-    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
-        # TypeError: an .npy file, which np.load returns as a bare array
+    except (OSError, EOFError, ValueError, TypeError, RuntimeError, zipfile.BadZipFile, tokenize.TokenError) as exc:
+        # TypeError: an .npy file, which np.load returns as a bare array;
+        # RuntimeError (NotImplementedError too): a zip entry flagged as
+        # encrypted or patched, which zipfile refuses to open; TokenError:
+        # an unparsable .npy header, from numpy's fallback header filter
         raise FormatError(f"unreadable checkpoint: {exc}", path=str(path)) from exc
     return config, tensors
 

@@ -218,20 +218,8 @@ class EvalReport:
     subtoken_grouped: dict[str, BucketScore] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "per_type": self.per_type,
-        }
-        if self.mcc is not None:
-            out["mcc"] = self.mcc
-        if self.subtoken_grouped is not None:
-            out["subtoken_grouped"] = {b: asdict(s) for b, s in self.subtoken_grouped.items()}
-        return out
+        """Every field in order; ``mcc`` and ``subtoken_grouped`` only when computed."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def render_table(self) -> str:
         lines = [

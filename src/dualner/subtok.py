@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -327,26 +327,20 @@ def bucket_of(n_subtokens: int) -> str:
     return "3+"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FragmentationReport:
+    # fields in the order ``to_dict`` writes them
+    scope: str
     ratio: float
-    histogram: dict[str, int] = field(default_factory=dict)
-    total_words: int = 0
-    total_subtokens: int = 0
-    scope: str = "all_words"
+    total_words: int
+    total_subtokens: int
+    histogram: dict[str, int]
 
     def shares(self) -> dict[str, float]:
         return {b: self.histogram[b] / self.total_words for b in BUCKETS}
 
     def to_dict(self) -> dict:
-        return {
-            "scope": self.scope,
-            "ratio": self.ratio,
-            "total_words": self.total_words,
-            "total_subtokens": self.total_subtokens,
-            "histogram": dict(self.histogram),
-            "shares": self.shares(),
-        }
+        return asdict(self) | {"shares": self.shares()}
 
 
 def _mention_word_mask(sent) -> list[bool]:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict, read_json
+from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict, read_json, write_json
 from .encoder import (
     PARAM_SCRATCH,
     EncoderConfig,
@@ -315,23 +315,26 @@ def train_supervised(
             best_f1, best_step, best_model = f1, at_step, model.clone()
         return f1
 
-    for _epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(examples))
-        for chunk in _batches(order, train_cfg.batch_size):
-            batch = [examples[i] for i in chunk]
-            loss, grads = batch_loss_and_grads(model, batch, "train", rng, workspace)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at step {step + 1}")
-            opt.step(tensors, grads, train_cfg.grad_clip, workspace)
-            step += 1
-            log.append(LogEntry(step, "train", "loss", loss))
-            if step % train_cfg.checkpoint_every == 0:
-                f1 = record_tune(step)
-                if train_cfg.early_stop_f1 is not None and f1 >= train_cfg.early_stop_f1:
-                    stop = True
-                    break
-        if stop:
-            break
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # check below reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(train_cfg.epochs):
+            order = rng.permutation(len(examples))
+            for chunk in _batches(order, train_cfg.batch_size):
+                batch = [examples[i] for i in chunk]
+                loss, grads = batch_loss_and_grads(model, batch, "train", rng, workspace)
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite training loss at step {step + 1}")
+                opt.step(tensors, grads, train_cfg.grad_clip, workspace)
+                step += 1
+                log.append(LogEntry(step, "train", "loss", loss))
+                if step % train_cfg.checkpoint_every == 0:
+                    f1 = record_tune(step)
+                    if train_cfg.early_stop_f1 is not None and f1 >= train_cfg.early_stop_f1:
+                        stop = True
+                        break
+            if stop:
+                break
     if step > 0 and step % train_cfg.checkpoint_every != 0:
         record_tune(step)
     return TrainResult(model=best_model, log=log, best_step=best_step, best_tune_f1=best_f1)
@@ -416,23 +419,24 @@ def pretrain_mlm(
     )
     order: list[int] = []
     workspace = Workspace()  # one set of step buffers for the whole run
-    for step in range(1, mlm_cfg.total_steps + 1):
-        while len(order) < mlm_cfg.batch_size:
-            order.extend(rng.permutation(len(train_pool)).tolist())
-        batch = [train_pool[i] for i in order[: mlm_cfg.batch_size]]
-        del order[: mlm_cfg.batch_size]
-        loss, grads = mlm_batch_loss_and_grads(
-            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng,
-            workspace=workspace,
-        )
-        if grads is not None:
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite MLM loss at step {step}")
-            opt.step(enc.tensors, grads, mlm_cfg.grad_clip, workspace)
-        log.append(LogEntry(step, "train", "mlm_batch_loss", loss))
-        if step % mlm_cfg.checkpoint_every == 0:
-            checkpoints.append((step, enc.clone()))
-            probe(step)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in train_supervised
+        for step in range(1, mlm_cfg.total_steps + 1):
+            while len(order) < mlm_cfg.batch_size:
+                order.extend(rng.permutation(len(train_pool)).tolist())
+            batch = [train_pool[i] for i in order[: mlm_cfg.batch_size]]
+            del order[: mlm_cfg.batch_size]
+            loss, grads = mlm_batch_loss_and_grads(
+                enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng,
+                workspace=workspace,
+            )
+            if grads is not None:
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite MLM loss at step {step}")
+                opt.step(enc.tensors, grads, mlm_cfg.grad_clip, workspace)
+            log.append(LogEntry(step, "train", "mlm_batch_loss", loss))
+            if step % mlm_cfg.checkpoint_every == 0:
+                checkpoints.append((step, enc.clone()))
+                probe(step)
     return MlmResult(checkpoints=checkpoints, log=log)
 
 
@@ -490,17 +494,11 @@ class ProtocolReport:
     rows: dict[tuple[str, str, str], dict[str, dict]]
 
     def to_dict(self) -> dict:
-        return {
-            "methods": self.methods,
-            "encoders": self.encoders,
-            "splits": self.splits,
-            "seeds": self.seeds,
-            "metrics": self.metrics,
-            "rows": [
-                {"method": m, "encoder": e, "split": s, "metrics": vals}
-                for (m, e, s), vals in self.rows.items()
-            ],
-        }
+        rows = [
+            {"method": m, "encoder": e, "split": s, "metrics": vals}
+            for (m, e, s), vals in self.rows.items()
+        ]
+        return asdict(self) | {"rows": rows}
 
     def render_table(self) -> str:
         head = f"{'method':<18} {'encoder':<10} {'split':<10}"
@@ -523,11 +521,11 @@ def run_protocol(
     vocab: BpeVocab,
     methods: Sequence[str],
     seeds: Sequence[int],
-    encoder_cfgs: dict[str, EncoderConfig] | EncoderConfig,
+    encoder_cfg: EncoderConfig,
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
 ) -> ProtocolReport:
-    """Repeat every (method, encoder) experiment once per seed and aggregate.
+    """Repeat every method's experiment once per seed and aggregate.
 
     Each run seeds both the initialization and the data order, the best
     checkpoint is evaluated on every split in ``eval_sets``, and the report
@@ -537,38 +535,34 @@ def run_protocol(
     """
     if len(seeds) < 2:
         raise ValueError("the protocol needs at least 2 seeds to report a standard deviation")
-    if isinstance(encoder_cfgs, EncoderConfig):
-        encoder_cfgs = {"desk": encoder_cfgs}
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    encoder = "desk"  # the report's name for the one from-scratch encoder
     metrics = ["f1", "precision", "recall", "mcc"]
     values: dict[tuple[str, str, str], dict[str, list[float]]] = {}
     failures: list[tuple[str, int, str]] = []
     for method in methods:
-        for enc_name, enc_cfg in encoder_cfgs.items():
-            for seed in seeds:
-                try:
-                    result = train_supervised(
-                        train_docs,
-                        tune_docs,
-                        vocab,
-                        replace(enc_cfg, init_seed=seed),
-                        head_cfg,
-                        replace(train_cfg, method=method, seed=seed),
-                    )
-                    for split, docs in eval_sets.items():
-                        preds = predict_documents(result.model, docs, vocab)
-                        report = evaluate_predictions(docs, preds, with_mcc=True)
-                        row = values.setdefault(
-                            (method, enc_name, split), {m: [] for m in metrics}
-                        )
-                        row["f1"].append(report.f1)
-                        row["precision"].append(report.precision)
-                        row["recall"].append(report.recall)
-                        row["mcc"].append(report.mcc)
-                except TrainingError as exc:
-                    failures.append((f"{method}/{enc_name}", seed, str(exc)))
+        for seed in seeds:
+            try:
+                result = train_supervised(
+                    train_docs,
+                    tune_docs,
+                    vocab,
+                    replace(encoder_cfg, init_seed=seed),
+                    head_cfg,
+                    replace(train_cfg, method=method, seed=seed),
+                )
+                for split, docs in eval_sets.items():
+                    preds = predict_documents(result.model, docs, vocab)
+                    report = evaluate_predictions(docs, preds, with_mcc=True)
+                    row = values.setdefault((method, encoder, split), {m: [] for m in metrics})
+                    row["f1"].append(report.f1)
+                    row["precision"].append(report.precision)
+                    row["recall"].append(report.recall)
+                    row["mcc"].append(report.mcc)
+            except TrainingError as exc:
+                failures.append((f"{method}/{encoder}", seed, str(exc)))
     if failures:
         failed = ", ".join(f"{name} seed {seed}" for name, seed, _ in failures)
         raise ProtocolError(f"protocol runs failed: {failed}", failures=failures)
@@ -581,7 +575,7 @@ def run_protocol(
     }
     return ProtocolReport(
         methods=list(methods),
-        encoders=list(encoder_cfgs),
+        encoders=[encoder],
         splits=list(eval_sets),
         seeds=list(seeds),
         metrics=metrics,
@@ -644,6 +638,4 @@ class ExperimentConfig:
         return cls.from_dict(read_json(path), where=str(path))
 
     def save(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            json.dump(asdict(self), fh, indent=1)
-            fh.write("\n")
+        write_json(path, asdict(self))

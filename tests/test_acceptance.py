@@ -302,7 +302,7 @@ def test_c08_protocol_structure(desk):
         vocab,
         methods=["word_tagger", "span_classifier"],
         seeds=[0, 1, 2],
-        encoder_cfgs=encoder_cfg,
+        encoder_cfg=encoder_cfg,
         head_cfg=head_cfg,
         train_cfg=TrainConfig(epochs=2, checkpoint_every=8),
     )

@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -120,6 +121,9 @@ RECORD_FAULTS = {
     "score_list": (lambda d: _mention(d).update(score=[1]), ("pred",)),
     "score_true": (lambda d: _mention(d).update(score=True), ("pred",)),
     "score_nan": (lambda d: _mention(d).update(score=float("nan")), ("pred",)),
+    "mentions_misspelt": (lambda d: _sentence(d).update(mention=_sentence(d).pop("mentions")), ("gold", "pred")),
+    "score_misspelt": (lambda d: _mention(d).update(Score=_mention(d).pop("score")), ("gold", "pred")),
+    "extra_document_key": (lambda d: d.update(title="Alpha"), ("gold", "pred")),
 }
 
 
@@ -257,6 +261,44 @@ def test_bad_model_tensor_exits_two(tmp_path, files, small_vocab, fault, key):
     ])
     _assert_data_error(code, err)
     assert key in err
+    assert not out.exists()
+
+
+def _set_zip_flag(bit):
+    def edit(raw, n_vocab):
+        (cd_offset,) = struct.unpack_from("<I", raw, raw.rfind(b"PK\x05\x06") + 16)
+        raw[cd_offset + 8] |= 1 << bit  # flag bits of the first central-directory entry
+
+    return edit
+
+
+def _break_npy_header(raw, n_vocab):
+    # tok_emb is too large for zipfile to check its CRC before numpy parses the header
+    at = raw.index(b"False, 'shape': (%d, 16)" % n_vocab)
+    raw[at] = ord("]")
+
+
+# zipfile refuses flagged entries with RuntimeError or NotImplementedError,
+# and numpy a broken header with tokenize.TokenError, none a BadZipFile
+CHECKPOINT_DAMAGE = {
+    "encrypted": _set_zip_flag(0),
+    "patched": _set_zip_flag(5),
+    "strong_encryption": _set_zip_flag(6),
+    "npy_header": _break_npy_header,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_damaged_checkpoint_exits_two(tmp_path, files, small_vocab, damage):
+    ckpt, out = tmp_path / "model.npz", tmp_path / "pred.jsonl"
+    save_model(ckpt, _small_model(small_vocab))
+    raw = bytearray(ckpt.read_bytes())
+    CHECKPOINT_DAMAGE[damage](raw, len(small_vocab))
+    _put(ckpt, bytes(raw))
+    code, err = _run([
+        "predict", "--corpus", files["corpus"], "--vocab", files["vocab"], "--checkpoint", ckpt, "--out", out,
+    ])
+    _assert_data_error(code, err)
     assert not out.exists()
 
 

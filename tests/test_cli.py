@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, replace
 
 import pytest
@@ -245,6 +246,32 @@ def test_train_divergence_exits_three(tmp_path, corpus_file, capsys):
     assert code == 3
     assert "training error" in capsys.readouterr().err
     assert not (run_dir / "word_tagger_seed0.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain-mlm"])
+def test_divergence_prints_one_line(tmp_path, corpus_file, vocab_file, capsys, command):
+    """A diverging run exits 3 with the training error alone: numpy's
+    overflow warnings do not come first, and no output is written."""
+    diverge = {"learning_rate": 1e160, "grad_clip": 0.0, "warmup_frac": 0.0}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(corpus_file), "n_train": 16, "vocab": str(vocab_file),
+        "methods": ["word_tagger"], "seeds": [0],
+        "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "train": {"epochs": 2, **diverge},
+        "mlm": {"total_steps": 4, "checkpoint_every": 2, **diverge},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out-dir", str(out_dir)]
+    if command == "pretrain-mlm":
+        argv += ["--corpus", str(corpus_file), "--vocab", str(vocab_file)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print lines of its own
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("training error: non-finite") and err.count("\n") == 1, err
+    # train makes its --out-dir before it starts, pretrain-mlm only once it succeeded
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_train_missing_config_exits_one(tmp_path, monkeypatch, capsys):

@@ -114,6 +114,24 @@ def test_roundtrip_byte_identical(tmp_path, inventory, small_corpus):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_saved_lines_pin_the_format(tmp_path):
+    """Record fields define the written keys and their order; pin one gold
+    and one prediction line, non-ASCII text included."""
+    sent = Sentence(words=["Café", "b"], char_start=0, char_end=6, mentions=[Mention(0, 1, "X")])
+    gold = Document(id="g", text="Café b", sentences=[sent])
+    scored = Sentence(["Café", "b"], 0, 6, [ScoredMention(0, 0, "X", score=0.25), ScoredMention(1, 1, "Y")])
+    pred = Document(id="p", text="Café b", sentences=[scored])
+    path = tmp_path / "c.jsonl"
+    save_corpus([gold, pred], path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"id":"g","text":"Café b","sentences":[{"words":["Café","b"],"char_start":0,"char_end":6,'
+        '"mentions":[{"start_word":0,"end_word":1,"label":"X"}]}]}\n'
+        '{"id":"p","text":"Café b","sentences":[{"words":["Café","b"],"char_start":0,"char_end":6,'
+        '"mentions":[{"start_word":0,"end_word":0,"label":"X","score":0.25},'
+        '{"start_word":1,"end_word":1,"label":"Y","score":0.0}]}]}\n'
+    )
+
+
 def test_predictions_roundtrip_scores_and_allow_nesting(tmp_path):
     doc = Document(
         id="p0",

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from dualner.corpus import Mention, ScoredMention
 from dualner.evaluate import (
+    BucketScore,
     confusion_matrix,
     mcc_from_confusion,
     mean_std,
@@ -259,3 +263,23 @@ def test_project_non_overlapping_prefers_score():
     ]
     got = project_non_overlapping(nested)
     assert [(m.start_word, m.end_word) for m in got] == [(1, 2), (7, 8)]
+
+
+def test_report_dict_pins_the_format():
+    """Field order defines the report's keys; MCC and the sub-token groups
+    appear only when computed."""
+    report = mention_prf([[Mention(0, 0, "X")]], [[Mention(0, 0, "X"), Mention(1, 1, "Y")]])
+    prf = (
+        '{"f1": 0.6666666666666666, "precision": 0.5, "recall": 1.0, "tp": 1, "fp": 1, "fn": 0, '
+        '"per_type": {"X": {"tp": 1, "fp": 0, "fn": 0, "f1": 1.0}, "Y": {"tp": 0, "fp": 1, "fn": 0, "f1": 0.0}}'
+    )
+    assert json.dumps(report.to_dict()) == prf + "}"
+    assert json.dumps(replace(report, mcc=0.25).to_dict()) == prf + ', "mcc": 0.25}'
+    grouped = {"1": BucketScore(2, 1, 0, 1, 0.5), "2": BucketScore(0, 0, 0, 0, None), "3+": BucketScore(1, 1, 0, 0, 1.0)}
+    assert json.dumps(replace(report, mcc=0.25, subtoken_grouped=grouped).to_dict()) == prf + (
+        ', "mcc": 0.25, "subtoken_grouped": {'
+        '"1": {"word_count": 2, "tp": 1, "fp": 0, "fn": 1, "f1": 0.5}, '
+        '"2": {"word_count": 0, "tp": 0, "fp": 0, "fn": 0, "f1": null}, '
+        '"3+": {"word_count": 1, "tp": 1, "fp": 0, "fn": 0, "f1": 1.0}}}'
+    )
+    assert json.dumps(replace(report, subtoken_grouped=grouped).to_dict()).startswith(prf + ', "subtoken_grouped": {')

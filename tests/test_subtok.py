@@ -15,6 +15,7 @@ from dualner.subtok import (
     PAD_TOKEN,
     UNK_TOKEN,
     BpeVocab,
+    FragmentationReport,
     fragmentation_ratio,
     subtokenize,
     corpus_words,
@@ -265,6 +266,16 @@ def test_fragmentation_mention_scope():
     assert all_report.total_words == 3
     assert mention_report.total_words == 1
     assert mention_report.ratio == 2.0
+
+
+def test_fragmentation_report_dict_pins_the_format():
+    report = FragmentationReport(
+        scope="mention_words", ratio=1.5, total_words=4, total_subtokens=6, histogram={"1": 2, "2": 1, "3+": 1}
+    )
+    assert json.dumps(report.to_dict()) == (
+        '{"scope": "mention_words", "ratio": 1.5, "total_words": 4, "total_subtokens": 6, '
+        '"histogram": {"1": 2, "2": 1, "3+": 1}, "shares": {"1": 0.5, "2": 0.25, "3+": 0.25}}'
+    )
 
 
 def test_fragmentation_rejects_empty_scope():

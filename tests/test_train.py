@@ -18,6 +18,7 @@ from dualner.train import (
     AdamW,
     ExperimentConfig,
     MlmConfig,
+    ProtocolReport,
     TrainConfig,
     pretrain_mlm,
     run_protocol,
@@ -368,7 +369,7 @@ def test_protocol_structure_and_aggregation(mini):
         vocab,
         methods=["word_tagger", "span_classifier"],
         seeds=[0, 1],
-        encoder_cfgs=ENC,
+        encoder_cfg=ENC,
         head_cfg=HEADS,
         train_cfg=TrainConfig(epochs=2, checkpoint_every=4),
     )
@@ -385,6 +386,19 @@ def test_protocol_structure_and_aggregation(mini):
     table = report.render_table()
     assert "word_tagger" in table and "span_classifier" in table
     assert "tune" in table
+
+
+def test_protocol_report_dict_pins_the_format():
+    cell = {"mean": 0.5, "std": 0.0, "values": [0.5, 0.5]}
+    report = ProtocolReport(
+        methods=["word_tagger"], encoders=["desk"], splits=["tune"], seeds=[0, 1], metrics=["f1"],
+        rows={("word_tagger", "desk", "tune"): {"f1": cell}},
+    )
+    assert json.dumps(report.to_dict()) == (
+        '{"methods": ["word_tagger"], "encoders": ["desk"], "splits": ["tune"], "seeds": [0, 1], '
+        '"metrics": ["f1"], "rows": [{"method": "word_tagger", "encoder": "desk", "split": "tune", '
+        '"metrics": {"f1": {"mean": 0.5, "std": 0.0, "values": [0.5, 0.5]}}}]}'
+    )
 
 
 def test_protocol_requires_two_seeds(mini):
