@@ -2,9 +2,10 @@
 
 One executable, subcommand per pipeline stage; experiment-level commands
 are config-file-first (JSON, see ExperimentConfig) with flag overrides.
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 training error.  Output files are written atomically, so a failing
-invocation leaves no partial outputs behind.
+Exit codes: 0 success, 1 usage error, 2 data or validation error (an
+allocation that fails included), 3 training error.  Output files are
+written atomically, so a failing invocation leaves no partial outputs
+behind.
 """
 
 from __future__ import annotations
@@ -116,20 +117,19 @@ def cmd_build_vocab(args) -> None:
 
 
 def _apply_train_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    updates = {}
     if args.method:
-        cfg.methods = [args.method]
+        updates["methods"] = [args.method]
     if args.seeds is not None:
-        cfg.seeds = args.seeds
+        updates["seeds"] = args.seeds
     if args.epochs is not None:
-        cfg.train = dataclasses.replace(cfg.train, epochs=args.epochs)
-    cfg.validate()
-    return cfg
+        updates["train"] = dataclasses.replace(cfg.train, epochs=args.epochs)
+    return dataclasses.replace(cfg, **updates)
 
 
 def cmd_train(args) -> None:
     cfg = _apply_train_overrides(_load_experiment(args), args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     docs = load_corpus(cfg.corpus)
     train_docs, tune_docs = split_train_tune(docs, cfg.n_train)
     vocab = _resolve_vocab(cfg, train_docs)
@@ -212,7 +212,6 @@ def cmd_pretrain(args) -> None:
     vocab = BpeVocab.load(args.vocab)
     result = pretrain_mlm(docs, vocab, enc_cfg, mlm_cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = set()
     for step, enc in result.checkpoints:
         path = out_dir / f"mlm_step_{step:06d}.npz"
@@ -277,7 +276,6 @@ def cmd_sweep(args) -> None:
         checkpoints, train_docs, tune_docs, vocab, enc_cfg, cfg.heads, train_cfg
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "sweep.json", {"points": [dataclasses.asdict(p) for p in points]})
     lines = [f"{'pretrain step':>13} {'tune F1':>9}", "-" * 23]
     lines += [f"{p.step:>13} {p.f1:>9.4f}" for p in points]
@@ -461,6 +459,9 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # e.g. a config asking for a model too large to allocate
+        print(f"data error: out of memory ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

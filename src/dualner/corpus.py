@@ -173,6 +173,8 @@ def dataclass_from_dict(cls, obj, where: str):
         return cls(**obj)
     except TypeError as exc:
         raise FormatError(f"bad {where} section: {exc}") from exc
+    except ValueError as exc:  # the dataclass's own checks
+        raise FormatError(f"invalid {where}: {exc}") from exc
 
 
 def read_json(path: str | Path):
@@ -458,7 +460,7 @@ class SyntheticProfile:
     oov_fraction: float = 0.2
     terminator: str = "."
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("sentences_per_doc", "words_per_sentence", "mentions_per_sentence", "mention_len"):
             lo, hi = getattr(self, name)
             if not (0 <= lo <= hi):
@@ -547,7 +549,6 @@ def generate_synthetic(
     if len(inventory) == 0:
         raise ValueError("inventory must contain at least one type")
     profile = profile or SyntheticProfile()
-    profile.validate()
 
     common, type_pools, oov = synthetic_pools(seed, inventory, profile)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])

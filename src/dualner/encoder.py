@@ -67,9 +67,11 @@ class EncoderConfig:
     dropout_rate: float = 0.0
     init_seed: int = 0
 
-    def validate(self) -> None:
-        if min(self.vocab_size, self.max_positions, self.hidden_dim) < 1:
-            raise ValueError("vocab_size, max_positions and hidden_dim must be positive")
+    def __post_init__(self) -> None:
+        if self.vocab_size < 0:
+            raise ValueError("vocab_size must be >= 0 (0 is filled in from the vocabulary)")
+        if min(self.max_positions, self.hidden_dim) < 1:
+            raise ValueError("max_positions and hidden_dim must be positive")
         if self.n_layers < 0 or self.init_seed < 0 or self.n_heads < 1 or self.ffn_dim < 1:
             raise ValueError("n_layers and init_seed must be >= 0; n_heads and ffn_dim positive")
         if self.hidden_dim % self.n_heads != 0:
@@ -154,7 +156,8 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
 
 def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every encoder tensor, in the order ``init_params`` draws them."""
-    cfg.validate()
+    if cfg.vocab_size < 1:
+        raise ValueError("vocab_size must be positive to build an encoder")
     d, f = cfg.hidden_dim, cfg.ffn_dim
     shapes = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_positions, d)}
     for i in range(cfg.n_layers):

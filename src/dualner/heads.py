@@ -48,7 +48,7 @@ class HeadConfig:
     span_len_dim: int = 16
     span_hidden: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.max_span_width, self.span_len_dim, self.span_hidden) < 1:
             raise ValueError("all head dimensions must be positive")
 
@@ -68,7 +68,6 @@ class HeadParams:
 
 def head_shapes(hidden_dim: int, cfg: HeadConfig, n_types: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of both heads' tensors, in the order ``init_head_params`` draws them."""
-    cfg.validate()
     if n_types < 1:
         raise ValueError("label inventory is empty")
     n_tags = 1 + 2 * n_types

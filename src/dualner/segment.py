@@ -25,7 +25,7 @@ class SegmenterConfig:
     min_words: int = 10
     terminator: str = "."
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.min_words < 0:
             raise ValueError(f"min_words must be >= 0, got {self.min_words}")
         if len(self.terminator) != 1:
@@ -41,7 +41,6 @@ def split_sentences(text: str, cfg: SegmenterConfig | None = None) -> list[Sente
     emitted even without a terminator.
     """
     cfg = cfg or SegmenterConfig()
-    cfg.validate()
     sentences: list[Sentence] = []
     words: list[str] = []
     start = end = 0

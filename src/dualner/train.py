@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .encoder import (
     init_params,
     scratch,
 )
-from .errors import FormatError, ProtocolError, TrainingError, UnusableDataError
+from .errors import ProtocolError, TrainingError, UnusableDataError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
 from .model import (
@@ -84,7 +84,7 @@ class TrainConfig:
     warmup_frac: float = 0.1
     early_stop_f1: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         _check_optimizer(self)
@@ -105,7 +105,7 @@ class MlmConfig:
     warmup_frac: float = 0.1
     heldout_fraction: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_optimizer(self)
         if self.total_steps < 1 or self.checkpoint_every < 1 or self.batch_size < 1:
             raise ValueError("total_steps, checkpoint_every, and batch_size must be >= 1")
@@ -250,9 +250,40 @@ def _tune_f1(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> float:
     return mention_prf(gold, pred).f1
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for i in range(0, order.size, batch_size):
-        yield order[i : i + batch_size]
+def _run_steps(
+    cfg: TrainConfig | MlmConfig,
+    tensors: dict[str, np.ndarray],
+    total_steps: int,
+    batches: Iterable,
+    loss_and_grads: Callable,
+    log: list[LogEntry],
+    snapshot: Callable[[int], bool],
+    metric: str,
+    what: str,
+) -> None:
+    """The step loop of both trainings.
+
+    ``loss_and_grads(batch, workspace)`` runs on each batch drawn from
+    ``batches``; its loss is checked and logged as ``metric``, and AdamW
+    updates ``tensors`` unless the gradients are ``None``.  ``snapshot(step)``
+    runs every ``checkpoint_every`` steps and at a last step off that
+    interval; when it returns True the run ends there.
+    """
+    warmup_steps = int(np.ceil(cfg.warmup_frac * total_steps))
+    opt = AdamW(tensors, cfg.learning_rate, cfg.weight_decay, warmup_steps)
+    workspace = Workspace()  # one set of step buffers for the whole run
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # check below reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, batch in enumerate(batches, start=1):
+            loss, grads = loss_and_grads(batch, workspace)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite {what} loss at step {step}")
+            if grads is not None:
+                opt.step(tensors, grads, cfg.grad_clip, workspace)
+            log.append(LogEntry(step, "train", metric, loss))
+            if (step % cfg.checkpoint_every == 0 or step == total_steps) and snapshot(step):
+                break
 
 
 def train_supervised(
@@ -271,8 +302,6 @@ def train_supervised(
     step.  ``init_encoder`` warm-starts the encoder, e.g. from an MLM
     snapshot.  Zero epochs return the initialization with an empty log.
     """
-    train_cfg.validate()
-    head_cfg.validate()
     if not train_docs or not tune_docs:
         raise ValueError("both the train and tune splits must be non-empty")
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
@@ -289,55 +318,29 @@ def train_supervised(
         model.encoder = init_encoder.clone()
 
     rng = np.random.default_rng(train_cfg.seed)
-    steps_per_epoch = -(-len(examples) // train_cfg.batch_size)
-    total_steps = train_cfg.epochs * steps_per_epoch
-    tensors = model_tensors(model)
-    opt = AdamW(
-        tensors,
-        learning_rate=train_cfg.learning_rate,
-        weight_decay=train_cfg.weight_decay,
-        warmup_steps=int(np.ceil(train_cfg.warmup_frac * total_steps)),
+    size = train_cfg.batch_size
+    batches = (  # each epoch's order is drawn when its first batch is
+        [examples[i] for i in order[start : start + size]]
+        for order in (rng.permutation(len(examples)) for _ in range(train_cfg.epochs))
+        for start in range(0, len(examples), size)
     )
-
     log: list[LogEntry] = []
-    workspace = Workspace()  # one set of step buffers for the whole run
-    best_model = model.clone()
-    best_step = 0
-    best_f1: float | None = None
-    step = 0
-    stop = False
+    best = TrainResult(model.clone(), log, best_step=0, best_tune_f1=None)
 
-    def record_tune(at_step: int) -> float:
-        nonlocal best_model, best_step, best_f1
+    def snapshot(step: int) -> bool:
         f1 = _tune_f1(model, tune_docs, vocab)
-        log.append(LogEntry(at_step, "tune", "micro_f1", f1))
-        if best_f1 is None or f1 > best_f1:
-            best_f1, best_step, best_model = f1, at_step, model.clone()
-        return f1
+        log.append(LogEntry(step, "tune", "micro_f1", f1))
+        if best.best_tune_f1 is None or f1 > best.best_tune_f1:
+            best.model, best.best_step, best.best_tune_f1 = model.clone(), step, f1
+        return train_cfg.early_stop_f1 is not None and f1 >= train_cfg.early_stop_f1
 
-    # a diverging run overflows before its loss turns non-finite; the loss
-    # check below reports it, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _epoch in range(train_cfg.epochs):
-            order = rng.permutation(len(examples))
-            for chunk in _batches(order, train_cfg.batch_size):
-                batch = [examples[i] for i in chunk]
-                loss, grads = batch_loss_and_grads(model, batch, "train", rng, workspace)
-                if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite training loss at step {step + 1}")
-                opt.step(tensors, grads, train_cfg.grad_clip, workspace)
-                step += 1
-                log.append(LogEntry(step, "train", "loss", loss))
-                if step % train_cfg.checkpoint_every == 0:
-                    f1 = record_tune(step)
-                    if train_cfg.early_stop_f1 is not None and f1 >= train_cfg.early_stop_f1:
-                        stop = True
-                        break
-            if stop:
-                break
-    if step > 0 and step % train_cfg.checkpoint_every != 0:
-        record_tune(step)
-    return TrainResult(model=best_model, log=log, best_step=best_step, best_tune_f1=best_f1)
+    total_steps = train_cfg.epochs * -(-len(examples) // size)
+    _run_steps(
+        train_cfg, model_tensors(model), total_steps, batches,
+        lambda batch, ws: batch_loss_and_grads(model, batch, "train", rng, ws),
+        log, snapshot, metric="loss", what="training",
+    )
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +374,6 @@ def pretrain_mlm(
     held-out tail of sentences, under masks drawn once per run, so the
     series is comparable.
     """
-    mlm_cfg.validate()
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
@@ -399,44 +401,33 @@ def pretrain_mlm(
     log: list[LogEntry] = []
     checkpoints: list[tuple[int, EncoderParams]] = []
 
-    def probe(at_step: int) -> None:
+    def snapshot(step: int) -> bool:
+        checkpoints.append((step, enc.clone()))
         for (split, sentences), masks in zip(probe_sets, probe_masks):
             if sentences:
                 loss, _ = mlm_batch_loss_and_grads(
                     enc, sentences, vocab, mlm_cfg.mask_prob, None, mode="eval",
                     with_grads=False, masks=masks,
                 )
-                log.append(LogEntry(at_step, split, "mlm_loss", loss))
+                log.append(LogEntry(step, split, "mlm_loss", loss))
+        return False
 
-    checkpoints.append((0, enc.clone()))
-    probe(0)
-
-    opt = AdamW(
-        enc.tensors,
-        learning_rate=mlm_cfg.learning_rate,
-        weight_decay=mlm_cfg.weight_decay,
-        warmup_steps=int(np.ceil(mlm_cfg.warmup_frac * mlm_cfg.total_steps)),
-    )
-    order: list[int] = []
-    workspace = Workspace()  # one set of step buffers for the whole run
-    with np.errstate(over="ignore", invalid="ignore"):  # as in train_supervised
-        for step in range(1, mlm_cfg.total_steps + 1):
+    def batches():
+        order: list[int] = []
+        for _ in range(mlm_cfg.total_steps):
             while len(order) < mlm_cfg.batch_size:
                 order.extend(rng.permutation(len(train_pool)).tolist())
-            batch = [train_pool[i] for i in order[: mlm_cfg.batch_size]]
+            yield [train_pool[i] for i in order[: mlm_cfg.batch_size]]
             del order[: mlm_cfg.batch_size]
-            loss, grads = mlm_batch_loss_and_grads(
-                enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng,
-                workspace=workspace,
-            )
-            if grads is not None:
-                if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite MLM loss at step {step}")
-                opt.step(enc.tensors, grads, mlm_cfg.grad_clip, workspace)
-            log.append(LogEntry(step, "train", "mlm_batch_loss", loss))
-            if step % mlm_cfg.checkpoint_every == 0:
-                checkpoints.append((step, enc.clone()))
-                probe(step)
+
+    snapshot(0)
+    _run_steps(
+        mlm_cfg, enc.tensors, mlm_cfg.total_steps, batches(),
+        lambda batch, ws: mlm_batch_loss_and_grads(
+            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng, workspace=ws
+        ),
+        log, snapshot, metric="mlm_batch_loss", what="MLM",
+    )
     return MlmResult(checkpoints=checkpoints, log=log)
 
 
@@ -604,9 +595,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     mlm: MlmConfig = field(default_factory=MlmConfig)
 
-    def validate(self) -> None:
-        """Check every field and section, so a bad value stops a command
-        before any work."""
+    def __post_init__(self) -> None:
+        """Sections check themselves when built; this checks the rest."""
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if not self.methods or not self.seeds:
@@ -619,19 +609,10 @@ class ExperimentConfig:
         for split in self.eval_splits:
             if split not in ("train", "tune"):
                 raise ValueError(f"eval split must be 'train' or 'tune', got {split!r}")
-        # vocab_size 0 is filled in from the vocabulary when training starts
-        encoder = self.encoder if self.encoder.vocab_size else replace(self.encoder, vocab_size=1)
-        for section in (encoder, self.heads, self.train, self.mlm):
-            section.validate()
 
     @classmethod
     def from_dict(cls, obj: dict, where: str = "experiment config") -> "ExperimentConfig":
-        cfg = dataclass_from_dict(cls, obj, where)
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise FormatError(f"invalid {where}: {exc}") from exc
-        return cfg
+        return dataclass_from_dict(cls, obj, where)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":

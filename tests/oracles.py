@@ -2,20 +2,34 @@
 
 Everything here is deliberately written from first principles (brute force,
 one-hot covariance, central differences) and never calls back into the code
-path under test.
+path under test.  The reference training loops are built from the
+library's step pieces (loss and gradients, AdamW, tune F1) and stand in for
+the step loop those pieces run in.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import erf
 
-from dualner.corpus import Mention, ScoredMention
-from dualner.encoder import encode_with_cache
-from dualner.model import mlm_mask
-from dualner.subtok import MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, BpeVocab, corpus_words
+from dualner.corpus import LabelInventory, Mention, ScoredMention
+from dualner.encoder import Workspace, encode_with_cache, init_params
+from dualner.evaluate import mention_prf
+from dualner.model import (
+    batch_loss_and_grads,
+    build_examples,
+    init_model,
+    mlm_batch_loss_and_grads,
+    mlm_mask,
+    mlm_masks,
+    model_tensors,
+    predict_documents,
+)
+from dualner.subtok import MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, BpeVocab, corpus_words, subtokenize
+from dualner.train import AdamW, LogEntry
 
 
 def central_difference(loss_fn, arr: np.ndarray, flat_index: int, step: float) -> float:
@@ -426,3 +440,119 @@ def select_by_score_reference(mentions, conflict):
         if not any(conflict(m, k) for k in kept):
             kept.append(m)
     return kept
+
+
+def train_supervised_reference(train_docs, tune_docs, vocab, encoder_cfg, head_cfg, train_cfg):
+    """``train_supervised`` as two nested loops of its own: epochs, then
+    batches, with the tune snapshot, the early stop and the last
+    off-interval snapshot written out.  Returns (model, log, best_step,
+    best_tune_f1)."""
+    encoder_cfg = replace(encoder_cfg, vocab_size=len(vocab))
+    labels = LabelInventory.from_documents(list(train_docs) + list(tune_docs))
+    examples = build_examples(train_docs, vocab, labels, head_cfg)
+    model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg)
+
+    rng = np.random.default_rng(train_cfg.seed)
+    steps_per_epoch = -(-len(examples) // train_cfg.batch_size)
+    total_steps = train_cfg.epochs * steps_per_epoch
+    tensors = model_tensors(model)
+    opt = AdamW(
+        tensors,
+        learning_rate=train_cfg.learning_rate,
+        weight_decay=train_cfg.weight_decay,
+        warmup_steps=int(np.ceil(train_cfg.warmup_frac * total_steps)),
+    )
+    log = []
+    workspace = Workspace()
+    best_model, best_step, best_f1 = model.clone(), 0, None
+    step = 0
+    stop = False
+
+    def record_tune(at_step: int) -> float:
+        nonlocal best_model, best_step, best_f1
+        preds = predict_documents(model, tune_docs, vocab)
+        gold = [s.mentions for d in tune_docs for s in d.sentences]
+        pred = [s.mentions for d in preds for s in d.sentences]
+        f1 = mention_prf(gold, pred).f1
+        log.append(LogEntry(at_step, "tune", "micro_f1", f1))
+        if best_f1 is None or f1 > best_f1:
+            best_f1, best_step, best_model = f1, at_step, model.clone()
+        return f1
+
+    for _epoch in range(train_cfg.epochs):
+        order = rng.permutation(len(examples))
+        for i in range(0, order.size, train_cfg.batch_size):
+            batch = [examples[j] for j in order[i : i + train_cfg.batch_size]]
+            loss, grads = batch_loss_and_grads(model, batch, "train", rng, workspace)
+            opt.step(tensors, grads, train_cfg.grad_clip, workspace)
+            step += 1
+            log.append(LogEntry(step, "train", "loss", loss))
+            if step % train_cfg.checkpoint_every == 0:
+                f1 = record_tune(step)
+                if train_cfg.early_stop_f1 is not None and f1 >= train_cfg.early_stop_f1:
+                    stop = True
+                    break
+        if stop:
+            break
+    if step > 0 and step % train_cfg.checkpoint_every != 0:
+        record_tune(step)
+    return best_model, log, best_step, best_f1
+
+
+def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
+    """``pretrain_mlm`` as one loop of its own over the steps, drawing each
+    batch from a running order of pool permutations.  Returns
+    (checkpoints, log)."""
+    encoder_cfg = replace(encoder_cfg, vocab_size=len(vocab))
+    pool = [
+        np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
+        for d in docs
+        for s in d.sentences
+    ]
+    n_heldout = min(int(np.ceil(mlm_cfg.heldout_fraction * len(pool))), len(pool) - 1)
+    train_pool = pool[: len(pool) - n_heldout] if n_heldout else pool
+    heldout_pool = pool[len(pool) - n_heldout :] if n_heldout else []
+
+    enc = init_params(encoder_cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(0,)))
+    probe_rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(3,)))
+    probe_sets = [("train", train_pool), ("heldout", heldout_pool)]
+    probe_masks = [mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng) for _, p in probe_sets]
+    log = []
+    checkpoints = []
+
+    def probe(at_step: int) -> None:
+        for (split, sentences), masks in zip(probe_sets, probe_masks):
+            if sentences:
+                loss, _ = mlm_batch_loss_and_grads(
+                    enc, sentences, vocab, mlm_cfg.mask_prob, None, mode="eval",
+                    with_grads=False, masks=masks,
+                )
+                log.append(LogEntry(at_step, split, "mlm_loss", loss))
+
+    checkpoints.append((0, enc.clone()))
+    probe(0)
+    opt = AdamW(
+        enc.tensors,
+        learning_rate=mlm_cfg.learning_rate,
+        weight_decay=mlm_cfg.weight_decay,
+        warmup_steps=int(np.ceil(mlm_cfg.warmup_frac * mlm_cfg.total_steps)),
+    )
+    order = []
+    workspace = Workspace()
+    for step in range(1, mlm_cfg.total_steps + 1):
+        while len(order) < mlm_cfg.batch_size:
+            order.extend(rng.permutation(len(train_pool)).tolist())
+        batch = [train_pool[i] for i in order[: mlm_cfg.batch_size]]
+        del order[: mlm_cfg.batch_size]
+        loss, grads = mlm_batch_loss_and_grads(
+            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng,
+            workspace=workspace,
+        )
+        if grads is not None:
+            opt.step(enc.tensors, grads, mlm_cfg.grad_clip, workspace)
+        log.append(LogEntry(step, "train", "mlm_batch_loss", loss))
+        if step % mlm_cfg.checkpoint_every == 0:
+            checkpoints.append((step, enc.clone()))
+            probe(step)
+    return checkpoints, log

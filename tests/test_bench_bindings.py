@@ -2,14 +2,20 @@
 
 ``bench/run.py --trace 1`` wraps the functions in ``workloads.TARGETS`` at
 every binding and fails the run when one is missing.  Installing and
-uninstalling the tracer here, without running anything, catches a renamed
-or deleted target in seconds instead of at the end of a benchmark run.
+uninstalling the tracer here catches a renamed or deleted target in seconds
+instead of at the end of a benchmark run, and tiny trainings under it catch
+a loop that calls a function it captured before the tracer patched it.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+
+from dualner import train
+from dualner.corpus import split_train_tune
+from dualner.encoder import EncoderConfig
+from dualner.heads import HeadConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,3 +46,30 @@ def test_tracer_installs_over_every_benchmark_target(monkeypatch):
     after = _bindings(workloads.TARGETS)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_traced_trainings_record_their_step_spans(monkeypatch, small_corpus, small_vocab):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+
+    train_docs, tune_docs = split_train_tune(small_corpus[:6], 4)
+    enc = EncoderConfig(hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
+    heads = HeadConfig(max_span_width=4, span_len_dim=4, span_hidden=8)
+    tracer = spans.Tracer()
+    tracer.install(workloads.TARGETS)
+    try:
+        for method in ("word_tagger", "span_classifier"):
+            tracer.run = method
+            cfg = train.TrainConfig(method=method, epochs=1, checkpoint_every=2)
+            train.train_supervised(train_docs, tune_docs, small_vocab, enc, heads, cfg)
+        tracer.run = "mlm"
+        train.pretrain_mlm(train_docs, small_vocab, enc, train.MlmConfig(total_steps=2, checkpoint_every=2))
+    finally:
+        tracer.uninstall()
+    names = {run: {s[spans.NAME] for s in tracer.spans if s[spans.RUN] == run}
+             for run in ("word_tagger", "span_classifier", "mlm")}
+    step = {"train.AdamW.step", "encoder.encode_backward"}
+    for method in ("word_tagger", "span_classifier"):
+        assert step | {"model.batch_loss_and_grads", "model.predict_documents"} <= names[method]
+    assert step | {"model.mlm_batch_loss_and_grads", "model.mlm_batch_loss_and_grads.eval"} <= names["mlm"]

@@ -245,7 +245,7 @@ def test_train_divergence_exits_three(tmp_path, corpus_file, capsys):
         code = main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)])
     assert code == 3
     assert "training error" in capsys.readouterr().err
-    assert not (run_dir / "word_tagger_seed0.npz").exists()
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "pretrain-mlm"])
@@ -270,8 +270,32 @@ def test_divergence_prints_one_line(tmp_path, corpus_file, vocab_file, capsys, c
         code = main(argv)
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("training error: non-finite") and err.count("\n") == 1, err
-    # train makes its --out-dir before it starts, pretrain-mlm only once it succeeded
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    assert not out_dir.exists()  # only a run that succeeds makes its --out-dir
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain-mlm"])
+def test_unallocatable_model_exits_two(tmp_path, corpus_file, vocab_file, capsys, command):
+    """A model too large to allocate is a data error of one line.  The
+    position table asks for 2**40 x 16 floats, which numpy refuses before
+    touching any memory."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(corpus_file), "n_train": 16, "vocab": str(vocab_file),
+        "methods": ["word_tagger"], "seeds": [0],
+        "encoder": {"max_positions": 2**40, "hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "train": {"epochs": 1},
+        "mlm": {"total_steps": 2, "checkpoint_every": 1},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out-dir", str(out_dir)]
+    if command == "pretrain-mlm":
+        argv += ["--corpus", str(corpus_file), "--vocab", str(vocab_file)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("data error: out of memory") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_train_missing_config_exits_one(tmp_path, monkeypatch, capsys):
@@ -558,8 +582,7 @@ def test_train_over_long_sentence_exits_two_and_leaves_no_vocab(tmp_path, corpus
     assert code == 2, captured.err
     assert captured.err.startswith("data error:") and captured.err.count("\n") == 1, captured.err
     assert "exceeds max_positions=8" in captured.err
-    assert not (run_dir / "vocab.json").exists()
-    assert list(run_dir.iterdir()) == []
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["single_seed", "protocol"])
@@ -614,7 +637,7 @@ def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, caps
     assert code == 3, captured.err
     assert "injected failure" in captured.err
     assert methods == ["word_tagger", "span_classifier"]
-    assert list(run_dir.iterdir()) == []
+    assert not run_dir.exists()
 
 
 # Inputs that parse but do not fit the command; each is a data error.
@@ -670,7 +693,7 @@ def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, sm
     assert code == 2, err
     assert err.startswith("data error:") and err.count("\n") == 1, err
     assert message in err
-    assert not paths["out"].exists() or not any(paths["out"].iterdir())
+    assert not paths["out"].exists()
 
 
 DEFAULT_CONFIG_TEXT = """\

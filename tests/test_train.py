@@ -27,7 +27,12 @@ from dualner.train import (
     write_log,
 )
 
-from .oracles import adamw_step_reference, mlm_eval_loss_reference
+from .oracles import (
+    adamw_step_reference,
+    mlm_eval_loss_reference,
+    pretrain_mlm_reference,
+    train_supervised_reference,
+)
 
 INV = LabelInventory.from_types(["Alpha", "Beta"])
 ENC = EncoderConfig(hidden_dim=32, n_layers=1, n_heads=2, ffn_dim=48, init_seed=0)
@@ -44,12 +49,12 @@ def mini():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(method="viterbi").validate()
+        TrainConfig(method="viterbi")
     with pytest.raises(ValueError):
-        MlmConfig(total_steps=100, checkpoint_every=33).validate()
-    MlmConfig(total_steps=99, checkpoint_every=33).validate()
+        MlmConfig(total_steps=100, checkpoint_every=33)
+    MlmConfig(total_steps=99, checkpoint_every=33)
 
 
 def test_zero_epochs_returns_initialization(mini):
@@ -119,6 +124,40 @@ def test_divergence_raises_training_error(mini):
     cfg = TrainConfig(epochs=2, seed=0, learning_rate=1e160, grad_clip=0.0, warmup_frac=0.0)
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match="step"):
         train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
+
+
+def _hex_log(log):
+    return [(e.step, e.split, e.metric, e.value.hex()) for e in log]
+
+
+@pytest.mark.parametrize(
+    "method, epochs, checkpoint_every, early_stop_f1",
+    [
+        ("word_tagger", 3, 4, None),  # 2 steps per epoch: tune at 4 and at the last step, 6
+        ("span_classifier", 3, 4, None),
+        ("word_tagger", 3, 2, 0.0),  # stops at the first snapshot, step 2 of 6
+        ("span_classifier", 3, 2, 0.0),
+        ("span_classifier", 0, 4, None),
+    ],
+)
+def test_train_matches_reference_loop(mini, method, epochs, checkpoint_every, early_stop_f1):
+    """The shared step loop gives the log, best step, best F1 and weights of
+    the two nested loops it replaced."""
+    train_docs, tune_docs, vocab = mini
+    enc = dataclasses.replace(ENC, dropout_rate=0.1)
+    cfg = TrainConfig(method=method, epochs=epochs, seed=4, checkpoint_every=checkpoint_every,
+                      early_stop_f1=early_stop_f1)
+    ours = train_supervised(train_docs, tune_docs, vocab, enc, HEADS, cfg)
+    model, log, best_step, best_f1 = train_supervised_reference(train_docs, tune_docs, vocab, enc, HEADS, cfg)
+    steps = [e.step for e in log if e.split == "train"]
+    if epochs and early_stop_f1 is None:
+        assert steps[-1] % checkpoint_every != 0  # the last snapshot is off the interval
+    if early_stop_f1 is not None:
+        assert steps[-1] == checkpoint_every < epochs * 2
+    assert _hex_log(ours.log) == _hex_log(log)
+    assert (ours.best_step, ours.best_tune_f1) == (best_step, best_f1)
+    theirs = model_tensors(model)
+    assert all(np.array_equal(a, theirs[k]) for k, a in model_tensors(ours.model).items())
 
 
 def test_empty_splits_rejected(mini):
@@ -281,6 +320,23 @@ def test_pretrain_matches_reference_optimizer_and_probe_scoring(mini, monkeypatc
     assert ours.log == ref.log
     assert [s for s, _ in ours.checkpoints] == [s for s, _ in ref.checkpoints]
     for (_s, a), (_r, b) in zip(ours.checkpoints, ref.checkpoints):
+        assert a.tensors.keys() == b.tensors.keys()
+        assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
+
+
+def test_pretrain_matches_reference_loop(mini):
+    """The shared step loop gives the log and snapshots of the loop it
+    replaced, with a batch size that does not divide the training pool."""
+    train_docs, _tune, vocab = mini
+    enc = dataclasses.replace(ENC, dropout_rate=0.1)
+    cfg = MlmConfig(total_steps=8, checkpoint_every=4, seed=2, batch_size=5)
+    train_pool, _heldout = _mlm_pools(train_docs, vocab)
+    assert len(train_pool) % cfg.batch_size != 0
+    ours = pretrain_mlm(train_docs, vocab, enc, cfg)
+    checkpoints, log = pretrain_mlm_reference(train_docs, vocab, enc, cfg)
+    assert _hex_log(ours.log) == _hex_log(log)
+    assert [s for s, _ in ours.checkpoints] == [s for s, _ in checkpoints] == [0, 4, 8]
+    for (_s, a), (_r, b) in zip(ours.checkpoints, checkpoints):
         assert a.tensors.keys() == b.tensors.keys()
         assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
 
