@@ -138,9 +138,10 @@ def _is_finite_number(x) -> bool:
 
 
 def _conforms(value, hint) -> bool:
-    """``value`` fits annotation ``hint``; a float field also takes an int."""
+    """``value`` fits annotation ``hint``; a float field also takes an int,
+    and a ``tuple[X, ...]`` field a JSON array of X."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
+    if typing.get_origin(hint) in (list, tuple):
         return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
     if args:  # X | None
         return any(_conforms(value, h) for h in args)

@@ -5,10 +5,11 @@ through post-layer-norm transformer blocks (multi-head self-attention, then
 a GELU feed-forward), with no framing tokens and no padding.  Training
 encodes one sentence at a time; eval passes may stack sentences of equal
 sub-token length as one ``[B, n]`` array, which needs no mask and gives
-each sentence the same bits as encoding it alone, and may run the last
-layer only at the rows they read.  Forward and backward are
-written out in numpy so analytic gradients can be checked against finite
-differences and training stays bit-reproducible on CPU.
+each sentence the same bits as encoding it alone.  Both may run the last
+layer only at the rows they read, and the backward of such a pass works on
+those rows only.  Forward and backward are written out in numpy so
+analytic gradients can be checked against finite differences and training
+stays bit-reproducible on CPU.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "encode_with_cache",
     "encode_backward",
     "word_vectors",
-    "word_vectors_backward",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_param_shapes",
@@ -204,12 +204,17 @@ def check_vocab_size(cfg: EncoderConfig, n_symbols: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _dropout(x, rate, mode, rng):
+def _dropout(x, rate, mode, rng, shape, rows=None):
+    """``x`` times a train-mode dropout mask drawn at the layer's full
+    ``shape``; with ``rows``, ``x`` holds those rows only and the mask is
+    taken there, so the generator is drawn from as by a full pass."""
     if mode != "train" or rate <= 0.0:
         return x, None
     if rng is None:
         raise ValueError("train-mode encoding with dropout needs a random generator")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(shape) >= rate) / (1.0 - rate)
+    if rows is not None:
+        mask = _gather_rows(mask, rows)
     return x * mask, mask
 
 
@@ -266,11 +271,22 @@ def _affine(x, w, b):
 
 def _gather_rows(x, rows):
     """Rows ``rows`` ([w] or [B, w]) of ``x`` ([n, d] or [B, n, d])."""
-    return np.take_along_axis(x, rows[..., None], axis=-2)
+    return x[rows] if rows.ndim == 1 else np.take_along_axis(x, rows[..., None], axis=-2)
 
 
-def _attention_forward(x, t, p, cfg, xq):
-    """Self-attention over the rows of ``x``, queried at the rows ``xq``."""
+def _add_rows(x, rows, v):
+    """``x[rows] += v`` for one sentence's ``[w]`` rows, a repeated row
+    receiving the sum of its values (``np.add.at``, seven times slower, is
+    taken only then)."""
+    if (rows[1:] > rows[:-1]).all():
+        x[rows] += v
+    else:
+        np.add.at(x, rows, v)
+
+
+def _attention_forward(x, t, p, cfg, xq, rows=None):
+    """Self-attention over the rows of ``x``, queried at ``xq``, which is
+    ``x`` itself or its rows ``rows``."""
     scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
     q = _split_heads(_affine(xq, t[p + "wq"], t[p + "bq"]), cfg.n_heads)
     k = _split_heads(_affine(x, t[p + "wk"], t[p + "bk"]), cfg.n_heads)
@@ -283,7 +299,7 @@ def _attention_forward(x, t, p, cfg, xq):
     probs /= probs.sum(axis=-1, keepdims=True)
     merged = _merge_heads(probs @ v)
     out = _affine(merged, t[p + "wo"], t[p + "bo"])
-    return out, (x, q, k, v, probs, merged, scale)
+    return out, (x, q, k, v, probs, merged, scale, xq, rows)
 
 
 # The attention backward takes the heads in groups whose [group, n, n] score
@@ -296,14 +312,15 @@ _SCORES_PER_GROUP = 2**15
 
 
 def _attention_backward(dout, t, grads, p, cache, workspace=None):
-    x, q, k, v, probs, merged, scale = cache
+    """Input gradient ``[n, d]``; ``dout`` has one row per query row."""
+    x, q, k, v, probs, merged, scale, xq, rows = cache
     grads[p + "wo"] += merged.T @ dout
     grads[p + "bo"] += dout.sum(axis=0)
     dctx = _split_heads(dout @ t[p + "wo"].T, q.shape[0])
     dv = probs.swapaxes(-1, -2) @ dctx
     dq, dk = np.empty(q.shape), np.empty(k.shape)
-    n_heads, n = probs.shape[0], probs.shape[-1]
-    group = max(1, _SCORES_PER_GROUP // (n * n))
+    n_heads, m, n = probs.shape
+    group = max(1, _SCORES_PER_GROUP // (m * n))
     for hs in (slice(h, h + group) for h in range(0, n_heads, group)):
         pr = probs[hs]
         # dscores = probs * (dprobs - sum(dprobs * probs)), formed in place;
@@ -318,11 +335,14 @@ def _attention_backward(dout, t, grads, p, cache, workspace=None):
     dq *= scale
     dk *= scale
     dx = np.zeros_like(x)
-    for name, dh in (("wq", dq), ("wk", dk), ("wv", dv)):
+    for name, dh, xin, at in (("wq", dq, xq, rows), ("wk", dk, x, None), ("wv", dv, x, None)):
         flat = _merge_heads(dh)
-        grads[p + name] += x.T @ flat
+        grads[p + name] += xin.T @ flat
         grads[p + "b" + name[1]] += flat.sum(axis=0)
-        dx += flat @ t[p + name].T
+        if at is None:
+            dx += flat @ t[p + name].T
+        else:  # the queries are at rows ``at`` only
+            _add_rows(dx, at, flat @ t[p + name].T)
     return dx
 
 
@@ -330,15 +350,16 @@ def _layer_forward(x, t, i, cfg, mode, rng, rows=None):
     """One block over ``x``; with ``rows``, its output only at those rows."""
     p = f"layers.{i}."
     xq = x if rows is None else _gather_rows(x, rows)
-    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq)
-    attn_d, mask1 = _dropout(attn, cfg.dropout_rate, mode, rng)
+    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq, rows)
+    attn_d, mask1 = _dropout(attn, cfg.dropout_rate, mode, rng, x.shape, rows)
     x1, ln1_cache = _layer_norm_forward(xq + attn_d, t[p + "ln1.g"], t[p + "ln1.b"])
     u = _affine(x1, t[p + "ffn.w1"], t[p + "ffn.b1"])
     g, cdf = gelu(u)
     f = _affine(g, t[p + "ffn.w2"], t[p + "ffn.b2"])
-    f_d, mask2 = _dropout(f, cfg.dropout_rate, mode, rng)
+    f_d, mask2 = _dropout(f, cfg.dropout_rate, mode, rng, x.shape, rows)
     x2, ln2_cache = _layer_norm_forward(x1 + f_d, t[p + "ln2.g"], t[p + "ln2.b"])
     cache = {
+        "rows": rows,
         "attn": attn_cache,
         "mask1": mask1,
         "ln1": ln1_cache,
@@ -350,6 +371,34 @@ def _layer_forward(x, t, i, cfg, mode, rng, rows=None):
         "ln2": ln2_cache,
     }
     return x2, cache
+
+
+def _layer_backward(dy, t, grads, p, c, workspace):
+    """Input gradient ``[n, d]`` of one block, given the upstream ``dy`` at
+    the rows the block computed (all of them unless it ran at ``rows``)."""
+    rows = c["rows"]
+    if rows is not None and dy.shape[0] < rows.size:
+        # a one-row pass computed its row twice; the copy is read by nothing
+        dy = np.concatenate((dy, np.zeros((rows.size - dy.shape[0], dy.shape[1]))))
+    dr2, dg2, db2 = _layer_norm_backward(dy, c["ln2"])
+    grads[p + "ln2.g"] += dg2
+    grads[p + "ln2.b"] += db2
+    df = dr2 if c["mask2"] is None else dr2 * c["mask2"]
+    grads[p + "ffn.w2"] += c["g"].T @ df
+    grads[p + "ffn.b2"] += df.sum(axis=0)
+    du = (df @ t[p + "ffn.w2"].T) * gelu_grad(c["u"], c["cdf"])
+    grads[p + "ffn.w1"] += c["x1"].T @ du
+    grads[p + "ffn.b1"] += du.sum(axis=0)
+    dx1 = dr2 + du @ t[p + "ffn.w1"].T
+    dr1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
+    grads[p + "ln1.g"] += dg1
+    grads[p + "ln1.b"] += db1
+    dattn = dr1 if c["mask1"] is None else dr1 * c["mask1"]
+    dx = _attention_backward(dattn, t, grads, p + "attn.", c["attn"], workspace)
+    if rows is None:
+        return dr1 + dx
+    _add_rows(dx, rows, dr1)  # the residual reaches the rows only; the bits of dr1 + dx
+    return dx
 
 
 def _check_input(ids, cfg: EncoderConfig, name):
@@ -367,9 +416,7 @@ def _check_input(ids, cfg: EncoderConfig, name):
     return ids
 
 
-def _check_rows(rows, ids, mode):
-    if mode != "eval":
-        raise ValueError("rows can be selected in eval mode only")
+def _check_rows(rows, ids):
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != ids.ndim or rows.shape[:-1] != ids.shape[:-1] or rows.shape[-1] == 0:
         raise ValueError(f"rows of shape {rows.shape} do not fit ids of shape {ids.shape}")
@@ -385,12 +432,12 @@ def encode_with_cache(
 
     ``ids`` is one sentence ``[n]`` or a stack of equal-length sentences
     ``[B, n]``; the vectors are ``[n, hidden_dim]`` or ``[B, n, hidden_dim]``.
-    In eval mode ``rows`` (``[w]`` or ``[B, w]``, repeats allowed) asks for
-    the vectors at those rows only, ``[w, hidden_dim]`` or
-    ``[B, w, hidden_dim]``, with the bits of the same rows of the full
-    pass: the last layer still takes keys and values from every row but
-    computes the rest of the layer at ``rows`` alone.  Only a one-sentence
-    cache without ``rows`` can be passed to ``encode_backward``.
+    ``rows`` (``[w]`` or ``[B, w]``, repeats allowed) asks for the vectors
+    at those rows only, ``[w, hidden_dim]`` or ``[B, w, hidden_dim]``, with
+    the bits of the same rows of the full pass: the last layer still takes
+    keys and values from every row but computes the rest of the layer at
+    ``rows`` alone.  Train-mode dropout masks are drawn as by the full
+    pass.  Only a one-sentence cache can be passed to ``encode_backward``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -398,7 +445,7 @@ def encode_with_cache(
     t = params.tensors
     ids = _check_input(ids, cfg, name)
     if rows is not None:
-        rows = _check_rows(rows, ids, mode)
+        rows = _check_rows(rows, ids)
     n = ids.shape[-1]
     x = t["tok_emb"][ids] + t["pos_emb"][:n]
     cache = {"ids": ids, "rows": rows, "layers": []}
@@ -440,43 +487,35 @@ def encode_backward(
     """Parameter gradients of sum(vectors * upstream); shapes mirror params.
 
     ``cache`` is the one-sentence cache ``encode_with_cache`` returned with
-    the vectors, so train-mode dropout masks match.  When ``grads`` is
-    given, gradients accumulate into it.  The attention backward takes its
-    score temporaries from ``workspace`` when one is given.
+    the vectors, so train-mode dropout masks match, and ``upstream`` has
+    the vectors' shape.  With a cache of ``rows``, the last layer's
+    backward runs at those rows only: what the full pass would compute
+    there from a zero upstream is zero and is skipped, so the gradients are
+    those of the full pass with the rows' upstream scattered into zeros
+    (repeated rows summed), up to the rounding of shorter products.  When
+    ``grads`` is given, gradients accumulate into it.  The attention
+    backward takes its score temporaries from ``workspace`` when one is
+    given.
     """
     cfg = params.config
     t = params.tensors
-    ids = cache["ids"]
-    if ids.ndim != 1 or cache["rows"] is not None:
-        raise ValueError(
-            "encode_backward takes the cache of one sentence, not of a stack or of selected rows"
-        )
+    ids, rows = cache["ids"], cache["rows"]
+    if ids.ndim != 1:
+        raise ValueError("encode_backward takes the cache of one sentence, not of a stack")
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (ids.size, cfg.hidden_dim):
-        raise ValueError(
-            f"upstream gradient shape {upstream.shape} != {(ids.size, cfg.hidden_dim)}"
-        )
+    want = (ids.size if rows is None else rows.size, cfg.hidden_dim)
+    if upstream.shape != want:
+        raise ValueError(f"upstream gradient shape {upstream.shape} != {want}")
     if grads is None:
         grads = zero_grads(params)
+    layers = cache["layers"]
     dx = upstream
+    if rows is not None and (not layers or layers[-1]["rows"] is None):
+        # the rows were gathered from a full pass
+        dx = np.zeros((ids.size, cfg.hidden_dim))
+        _add_rows(dx, rows, upstream)
     for i in reversed(range(cfg.n_layers)):
-        p = f"layers.{i}."
-        c = cache["layers"][i]
-        dr2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
-        grads[p + "ln2.g"] += dg2
-        grads[p + "ln2.b"] += db2
-        df = dr2 if c["mask2"] is None else dr2 * c["mask2"]
-        grads[p + "ffn.w2"] += c["g"].T @ df
-        grads[p + "ffn.b2"] += df.sum(axis=0)
-        du = (df @ t[p + "ffn.w2"].T) * gelu_grad(c["u"], c["cdf"])
-        grads[p + "ffn.w1"] += c["x1"].T @ du
-        grads[p + "ffn.b1"] += du.sum(axis=0)
-        dx1 = dr2 + du @ t[p + "ffn.w1"].T
-        dr1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
-        grads[p + "ln1.g"] += dg1
-        grads[p + "ln1.b"] += db1
-        dattn = dr1 if c["mask1"] is None else dr1 * c["mask1"]
-        dx = dr1 + _attention_backward(dattn, t, grads, p + "attn.", c["attn"], workspace)
+        dx = _layer_backward(dx, t, grads, f"layers.{i}.", layers[i], workspace)
     np.add.at(grads["tok_emb"], ids, dx)
     grads["pos_emb"][: ids.size] += dx
     return grads
@@ -494,17 +533,6 @@ def word_vectors(ctx: np.ndarray, align: SubTokenization) -> np.ndarray:
             f"contextual rows ({ctx.shape[0]}) != alignment sub-tokens ({align.n_subtokens})"
         )
     return ctx[np.asarray(align.first_subtoken_index, dtype=np.int64)]
-
-
-def word_vectors_backward(d_wordvecs: np.ndarray, align: SubTokenization) -> np.ndarray:
-    """Scatter word-vector gradients back onto the sub-token rows."""
-    if d_wordvecs.shape[0] != align.n_words:
-        raise ValueError(
-            f"gradient rows ({d_wordvecs.shape[0]}) != word count ({align.n_words})"
-        )
-    d_ctx = np.zeros((align.n_subtokens, d_wordvecs.shape[1]))
-    d_ctx[np.asarray(align.first_subtoken_index, dtype=np.int64)] = d_wordvecs
-    return d_ctx
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from .encoder import (
     load_checkpoint,
     scratch,
     save_checkpoint,
-    word_vectors,
-    word_vectors_backward,
     zero_grads,
 )
 from .errors import FormatError, UnusableDataError
@@ -216,15 +214,14 @@ def _encode_by_length(
             yield chunk, encode_with_cache(stack, enc, "eval", rows=picked)[0]
 
 
-def _forward_word_vecs(model: Model, ex: Example, mode: str, rng):
-    name = f"{ex.doc_id}[{ex.sent_index}]"
-    ctx, cache = encode_with_cache(ex.ids, model.encoder, mode, rng, name=name)
-    return word_vectors(ctx, ex.align), cache
-
-
 def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspace=None):
-    """Summed CE and unit count for one sentence; backward when grads given."""
-    wv, cache = _forward_word_vecs(model, ex, mode, rng)
+    """Summed CE and unit count for one sentence; backward when grads given.
+    The encoder runs its last layer, forward and backward, only at the
+    first sub-tokens of the words, the rows both heads read."""
+    name = f"{ex.doc_id}[{ex.sent_index}]"
+    wv, cache = encode_with_cache(
+        ex.ids, model.encoder, mode, rng, name=name, rows=ex.align.first_subtoken_index
+    )
     if model.method == "word_tagger":
         logits = tagger_forward(wv, model.heads)
         ce, dlogits = _softmax_ce(logits, ex.tag_ids)
@@ -240,8 +237,7 @@ def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspa
                 wv, ex.spans, model.heads, dlogits, grads["heads"], span_cache, workspace
             )
     if grads is not None:
-        d_ctx = word_vectors_backward(d_wv, ex.align)
-        encode_backward(model.encoder, d_ctx, cache, grads["encoder"], workspace)
+        encode_backward(model.encoder, d_wv, cache, grads["encoder"], workspace)
     return ce, units
 
 

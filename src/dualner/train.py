@@ -579,17 +579,18 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of a run: corpus, split, model, schedule, seeds."""
+    """Declarative description of a run: corpus, split, model, schedule, seeds.
+    ``methods``, ``seeds`` and ``eval_splits`` are held as tuples (JSON arrays)."""
 
     corpus: str
     n_train: int
     vocab: str | None = None
     vocab_size: int = 200
-    methods: list[str] = field(default_factory=lambda: list(METHODS))
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
-    eval_splits: list[str] = field(default_factory=lambda: ["tune"])
+    methods: tuple[str, ...] = METHODS
+    seeds: tuple[int, ...] = (0, 1, 2)
+    eval_splits: tuple[str, ...] = ("tune",)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     heads: HeadConfig = field(default_factory=HeadConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -597,6 +598,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Sections check themselves when built; this checks the rest."""
+        for name in ("methods", "seeds", "eval_splits"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if not self.methods or not self.seeds:

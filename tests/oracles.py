@@ -16,9 +16,18 @@ import numpy as np
 from scipy.special import erf
 
 from dualner.corpus import LabelInventory, Mention, ScoredMention
-from dualner.encoder import Workspace, encode_with_cache, init_params
+from dualner.encoder import (
+    Workspace,
+    encode_backward,
+    encode_with_cache,
+    init_params,
+    word_vectors,
+    zero_grads,
+)
+from dualner.heads import span_backward, span_logits_with_cache, tagger_backward, tagger_forward
 from dualner.evaluate import mention_prf
 from dualner.model import (
+    _softmax_ce,
     batch_loss_and_grads,
     build_examples,
     init_model,
@@ -366,6 +375,45 @@ def attention_backward_reference(dout, t, grads, p, cache):
         grads[p + "b" + name[1]] += flat.sum(axis=0)
         dx += flat @ t[p + name].T
     return dx
+
+
+def word_vectors_backward(d_wordvecs: np.ndarray, align) -> np.ndarray:
+    """Scatter word-vector gradients back onto the sub-token rows: the
+    upstream of a full encoder pass whose first-sub-token rows were read."""
+    if d_wordvecs.shape[0] != align.n_words:
+        raise ValueError(
+            f"gradient rows ({d_wordvecs.shape[0]}) != word count ({align.n_words})"
+        )
+    d_ctx = np.zeros((align.n_subtokens, d_wordvecs.shape[1]))
+    d_ctx[np.asarray(align.first_subtoken_index, dtype=np.int64)] = d_wordvecs
+    return d_ctx
+
+
+def batch_loss_and_grads_full_pass_reference(model, examples, rng):
+    """``batch_loss_and_grads`` in train mode with the encoder run at every
+    sub-token: the heads read the first sub-token rows of the full pass,
+    and their gradient is scattered back onto every row before the full
+    encoder backward."""
+    grads = {"encoder": zero_grads(model.encoder),
+             "heads": {k: np.zeros_like(v) for k, v in model.heads.tensors.items()}}
+    total_ce, total_units = 0.0, 0
+    for ex in examples:
+        ctx, cache = encode_with_cache(ex.ids, model.encoder, "train", rng)
+        wv = word_vectors(ctx, ex.align)
+        if model.method == "word_tagger":
+            ce, dlogits = _softmax_ce(tagger_forward(wv, model.heads), ex.tag_ids)
+            d_wv = tagger_backward(wv, model.heads, dlogits, grads["heads"])
+            total_units += len(ex.tag_ids)
+        else:
+            logits, span_cache = span_logits_with_cache(wv, ex.spans, model.heads)
+            ce, dlogits = _softmax_ce(logits, ex.span_classes)
+            d_wv = span_backward(wv, ex.spans, model.heads, dlogits, grads["heads"], span_cache)
+            total_units += len(ex.spans)
+        encode_backward(model.encoder, word_vectors_backward(d_wv, ex.align), cache, grads["encoder"])
+        total_ce += ce
+    flat = {f"encoder.{k}": v / total_units for k, v in grads["encoder"].items()}
+    flat.update({f"heads.{k}": v / total_units for k, v in grads["heads"].items()})
+    return total_ce / total_units, flat
 
 
 def layer_norm_forward_reference(x, g, b, eps: float = 1e-5):

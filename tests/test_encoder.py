@@ -19,7 +19,6 @@ from dualner.encoder import (
     load_checkpoint,
     save_checkpoint,
     word_vectors,
-    word_vectors_backward,
     zero_grads,
 )
 from dualner.errors import SentenceTooLongError
@@ -32,6 +31,7 @@ from .oracles import (
     gradient_agreement,
     layer_norm_backward_reference,
     layer_norm_forward_reference,
+    word_vectors_backward,
 )
 
 TINY = EncoderConfig(
@@ -157,11 +157,66 @@ def test_rows_equal_full_pass_rows():
             ids = rng.integers(0, STACKED.vocab_size, size=n)
             full = encode(ids, params)
             for rows in _row_choices(n, rng):
-                out = encode_with_cache(ids, params, rows=rows)[0]
-                assert out.shape == (rows.size, STACKED.hidden_dim)
-                assert np.array_equal(out, full[rows]), (n_layers, n, rows)
-    with pytest.raises(ValueError, match="eval mode only"):
-        encode_with_cache(ids, params, "train", np.random.default_rng(0), rows=[0])
+                for mode in ("eval", "train"):
+                    out = encode_with_cache(ids, params, mode, rows=rows)[0]
+                    assert out.shape == (rows.size, STACKED.hidden_dim)
+                    assert np.array_equal(out, full[rows]), (n_layers, n, rows, mode)
+
+
+def _assert_grads_close(got, want):
+    """Equal to 1e-12 relative, with an absolute floor of 1e-15 times the
+    largest gradient: ``attn.bk`` has an exact gradient of 0 (softmax does
+    not see a shift of every score of a query), so its values are rounding
+    only and take their scale from the rest of the model."""
+    assert got.keys() == want.keys()
+    floor = 1e-15 * max(np.abs(g).max() for g in want.values())
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=floor, err_msg=key)
+
+
+def test_rows_backward_matches_full_backward():
+    """The gradients of a rows cache are those of the full cache with the
+    rows' upstream scattered into zeros (a repeated row's upstream summed):
+    one row (computed twice), a one-sub-token sentence, no layers, repeats."""
+    rng = np.random.default_rng(13)
+    for n_layers in (0, 1, 2):
+        params = _scaled_params(dataclasses.replace(STACKED, n_layers=n_layers))
+        for n in (1, 2, 5, STACKED.max_positions):
+            ids = rng.integers(0, STACKED.vocab_size, size=n)
+            full, full_cache = encode_with_cache(ids, params, "train")
+            for rows in _row_choices(n, rng):
+                out, cache = encode_with_cache(ids, params, "train", rows=rows)
+                upstream = rng.normal(size=out.shape)
+                scattered = np.zeros_like(full)
+                np.add.at(scattered, rows, upstream)
+                ws = Workspace()
+                got = encode_backward(params, upstream, cache, workspace=ws)
+                want = encode_backward(params, scattered, full_cache)
+                _assert_grads_close(got, want)
+                again = encode_backward(params, upstream, cache)
+                assert all(np.array_equal(got[k], again[k]) for k in got)
+
+
+def test_rows_keep_the_dropout_stream():
+    """With dropout, a rows pass draws its masks at the full shape: the
+    generator ends where the full pass leaves it, the rows' vectors are the
+    full pass's, and the gradients agree."""
+    cfg = dataclasses.replace(STACKED, dropout_rate=0.2)
+    params = _scaled_params(cfg)
+    rng = np.random.default_rng(14)
+    for n in (1, 5, cfg.max_positions):
+        ids = rng.integers(0, cfg.vocab_size, size=n)
+        rows = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        full_rng, rows_rng = np.random.default_rng(3), np.random.default_rng(3)
+        full, full_cache = encode_with_cache(ids, params, "train", full_rng)
+        out, cache = encode_with_cache(ids, params, "train", rows_rng, rows=rows)
+        assert rows_rng.bit_generator.state == full_rng.bit_generator.state
+        assert np.array_equal(out, full[rows])
+        upstream = rng.normal(size=out.shape)
+        scattered = np.zeros_like(full)
+        scattered[rows] = upstream
+        _assert_grads_close(encode_backward(params, upstream, cache),
+                            encode_backward(params, scattered, full_cache))
 
 
 def test_stacked_rows_equal_full_pass_rows():
@@ -193,7 +248,7 @@ def test_rows_reject_bad_input():
         with pytest.raises(ValueError, match="out of range"):
             encode_with_cache(ids, params, rows=[[0, bad], [1, 2]])
     _out, cache = encode_with_cache(ids[0], params, rows=[0, 3])
-    with pytest.raises(ValueError, match="selected rows"):
+    with pytest.raises(ValueError, match=r"upstream gradient shape \(5, 8\) != \(2, 8\)"):
         encode_backward(params, np.ones((5, STACKED.hidden_dim)), cache)
 
 

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dualner.corpus import LabelInventory, generate_synthetic
+from dualner.corpus import Document, LabelInventory, Mention, Sentence, generate_synthetic
 from dualner.encoder import EncoderConfig, Workspace, load_checkpoint
 from dualner.errors import FormatError
 from dualner.heads import HeadConfig
@@ -28,6 +28,7 @@ from dualner.model import (
 from dualner.subtok import subtokenize, train_bpe
 
 from .oracles import (
+    batch_loss_and_grads_full_pass_reference,
     central_difference,
     gradient_agreement,
     mlm_eval_loss_reference,
@@ -130,6 +131,32 @@ def test_batch_loss_and_grads_bits_do_not_depend_on_workspace(length_corpus, met
         assert loss.hex() == fresh_loss.hex()
         assert grads.keys() == fresh_grads.keys()
         assert all(np.array_equal(grads[k], fresh_grads[k]) for k in grads)
+
+
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+def test_batch_loss_and_grads_match_full_encoder_pass(length_corpus, method, dropout_rate):
+    """Training runs the last encoder layer only at the words' first
+    sub-tokens; loss, dropout draws and gradients are those of a full pass
+    whose head gradient is scattered back onto every sub-token."""
+    docs, vocab = length_corpus
+    model = _scaled_model(method, vocab)
+    model.encoder.config = dataclasses.replace(model.encoder.config, dropout_rate=dropout_rate)
+    # a one-word sentence runs the last layer at its row twice, and a
+    # one-sub-token sentence runs in full
+    longest = max((w for d in docs for s in d.sentences for w in s.words), key=len)
+    short = Document("short", "", [Sentence([longest], 0, 0), Sentence(["a"], 0, 0, [Mention(0, 0, "Beta")])])
+    examples = build_examples(docs + [short], vocab, INV, HEADS)
+    assert [ex.ids.size > 1 for ex in examples[-2:]] == [True, False]
+    for batch in (examples[:8], examples[-5:]):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        loss, grads = batch_loss_and_grads(model, batch, "train", rng, Workspace())
+        ref_loss, ref_grads = batch_loss_and_grads_full_pass_reference(model, batch, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert loss == ref_loss
+        floor = 1e-15 * max(np.abs(g).max() for g in ref_grads.values())
+        for key in ref_grads:
+            np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=floor, err_msg=key)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from dualner.corpus import LabelInventory, generate_synthetic, split_train_tune
 from dualner.encoder import EncoderConfig, Workspace, init_params
 from dualner.errors import FormatError, ProtocolError, TrainingError
 from dualner.heads import HeadConfig
-from dualner.model import init_model, mlm_batch_loss_and_grads, model_tensors
+from dualner.model import METHODS, init_model, mlm_batch_loss_and_grads, model_tensors
 from dualner.subtok import subtokenize, train_bpe
 from dualner.train import (
     AdamW,
@@ -533,6 +533,18 @@ def test_experiment_config_roundtrip(tmp_path):
     cfg.save(path)
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
+
+
+def test_experiment_config_is_immutable(tmp_path):
+    cfg = ExperimentConfig(corpus="c", n_train=2, seeds=[0, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.methods = ["crf"]
+    with pytest.raises(AttributeError):
+        cfg.seeds.append(-1)
+    assert (cfg.methods, cfg.seeds, cfg.eval_splits) == (METHODS, (0, 1), ("tune",))
+    cfg.save(tmp_path / "exp.json")
+    saved = json.loads((tmp_path / "exp.json").read_text(encoding="utf-8"))
+    assert (saved["methods"], saved["seeds"], saved["eval_splits"]) == (list(METHODS), [0, 1], ["tune"])
 
 
 def test_experiment_config_rejects_unknown_keys(tmp_path):
