@@ -20,7 +20,6 @@ from .corpus import (
     LabelInventory,
     SyntheticProfile,
     atomic_write,
-    dataclass_from_dict,
     generate_synthetic,
     load_corpus,
     load_predictions,
@@ -28,15 +27,7 @@ from .corpus import (
     split_train_tune,
     write_json,
 )
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    check_checkpoint_tensors,
-    check_vocab_size,
-    checkpoint_param_shapes,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .encoder import EncoderConfig, EncoderParams, check_vocab_size, load_encoder_snapshot, save_checkpoint
 from .errors import DataError, FormatError, TrainingError
 from .evaluate import evaluate_predictions
 from .model import load_model, predict_documents, save_model
@@ -239,26 +230,22 @@ def _load_encoder_checkpoints(directory: str) -> list[tuple[int, EncoderParams]]
     if not paths:
         raise FormatError(f"no mlm_step_*.npz checkpoints under {directory}")
     out = []
+    file_of_step: dict[int, str] = {}
     for p in paths:
-        config, tensors = load_checkpoint(p)
-        if config.get("kind") != "encoder":
-            raise FormatError(f"not an encoder checkpoint: {p}", path=str(p))
+        config, enc, _tensors = load_encoder_snapshot(p, "encoder")
         step = config.get("step")
-        if type(step) is not int:
-            raise FormatError('"step" must be an integer', path=str(p))
-        cfg = dataclass_from_dict(EncoderConfig, config.get("encoder"), f"{p} encoder config")
-        if out and cfg != out[0][1].config:
+        if type(step) is not int or step < 0:
+            raise FormatError('"step" must be a non-negative integer', path=str(p))
+        if step in file_of_step:
+            raise FormatError(f"step {step} is also the step of {file_of_step[step]}", path=str(p))
+        file_of_step[step] = p.name
+        if out and enc.config != out[0][1].config:
             raise FormatError(
                 f"encoder config differs from that of {paths[0].name}; "
                 "every snapshot of a sweep must share one",
                 path=str(p),
             )
-        try:
-            shapes = checkpoint_param_shapes(cfg, tensors)
-        except ValueError as exc:
-            raise FormatError(f"bad encoder config: {exc}", path=str(p)) from exc
-        check_checkpoint_tensors(shapes, tensors, p)
-        out.append((step, EncoderParams(cfg, {k: tensors[k] for k in shapes})))
+        out.append((step, enc))
     out.sort(key=lambda pair: pair[0])
     return out
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .corpus import atomic_write
+from .corpus import atomic_write, dataclass_from_dict
 from .errors import FormatError, SentenceTooLongError, UnusableDataError
 from .subtok import SubTokenization
 
@@ -44,8 +44,8 @@ __all__ = [
     "word_vectors",
     "save_checkpoint",
     "load_checkpoint",
-    "checkpoint_param_shapes",
-    "check_checkpoint_tensors",
+    "load_encoder_snapshot",
+    "softmax",
     "gelu",
     "gelu_grad",
     "trunc_normal",
@@ -163,7 +163,8 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         shapes.update({p + f"attn.{name}": (d, d) for name in ("wq", "wk", "wv", "wo")})
-        shapes.update({p + f"attn.{name}": (d,) for name in ("bq", "bk", "bv", "bo")})
+        # no key bias: it would shift every score of a query alike, which the softmax removes
+        shapes.update({p + f"attn.{name}": (d,) for name in ("bq", "bv", "bo")})
         shapes.update({p + "ln1.g": (d,), p + "ln1.b": (d,)})
         shapes.update({p + "ffn.w1": (d, f), p + "ffn.b1": (f,), p + "ffn.w2": (f, d), p + "ffn.b2": (d,)})
         shapes.update({p + "ln2.g": (d,), p + "ln2.b": (d,)})
@@ -216,6 +217,14 @@ def _dropout(x, rate, mode, rng, shape, rows=None):
     if rows is not None:
         mask = _gather_rows(mask, rows)
     return x * mask, mask
+
+
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max) / sum over the last axis; ``out`` may be ``x`` itself."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _mean_last(x):
@@ -289,14 +298,11 @@ def _attention_forward(x, t, p, cfg, xq, rows=None):
     ``x`` itself or its rows ``rows``."""
     scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
     q = _split_heads(_affine(xq, t[p + "wq"], t[p + "bq"]), cfg.n_heads)
-    k = _split_heads(_affine(x, t[p + "wk"], t[p + "bk"]), cfg.n_heads)
+    k = _split_heads(x @ t[p + "wk"], cfg.n_heads)
     v = _split_heads(_affine(x, t[p + "wv"], t[p + "bv"]), cfg.n_heads)
-    # softmax in place, in the operation order of e = exp(s * scale - max); e / sum(e)
     probs = q @ k.swapaxes(-1, -2)
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    softmax(probs, out=probs)
     merged = _merge_heads(probs @ v)
     out = _affine(merged, t[p + "wo"], t[p + "bo"])
     return out, (x, q, k, v, probs, merged, scale, xq, rows)
@@ -338,7 +344,8 @@ def _attention_backward(dout, t, grads, p, cache, workspace=None):
     for name, dh, xin, at in (("wq", dq, xq, rows), ("wk", dk, x, None), ("wv", dv, x, None)):
         flat = _merge_heads(dh)
         grads[p + name] += xin.T @ flat
-        grads[p + "b" + name[1]] += flat.sum(axis=0)
+        if name != "wk":
+            grads[p + "b" + name[1]] += flat.sum(axis=0)
         if at is None:
             dx += flat @ t[p + name].T
         else:  # the queries are at rows ``at`` only
@@ -564,33 +571,44 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, tensors
 
 
-def checkpoint_param_shapes(cfg: EncoderConfig, loaded: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
-    """``param_shapes(cfg)``, refusing first a layer count that ``loaded`` cannot hold."""
-    if cfg.n_layers > len(loaded):
-        raise ValueError(f"n_layers={cfg.n_layers} but the checkpoint holds {len(loaded)} tensors")
-    return param_shapes(cfg)
+def load_encoder_snapshot(
+    path: str | Path, kind: str, prefix: str = "", other_shapes=None
+) -> tuple[dict, EncoderParams, dict[str, np.ndarray]]:
+    """The checkpoint at ``path``, whose config must be of ``kind``, as
+    (config, encoder, every tensor of the file).
 
-
-def check_checkpoint_tensors(
-    shapes: dict[str, tuple[int, ...]], loaded: dict[str, np.ndarray], path: str | Path
-) -> None:
-    """``loaded`` holds exactly the tensors of ``shapes``, each finite float64;
-    checked before anything is allocated, so a small file claiming a huge model costs nothing."""
-    if set(shapes) != set(loaded):
-        missing = set(shapes) - set(loaded)
-        extra = set(loaded) - set(shapes)
-        raise FormatError(
-            f"checkpoint tensor mismatch (missing {sorted(missing)}, unexpected {sorted(extra)})",
-            path=str(path),
-        )
+    The encoder is built from the config's ``encoder`` section and the
+    tensors named ``prefix`` plus its ``param_shapes`` names.
+    ``other_shapes(config, encoder_cfg)`` names the shapes of the file's
+    other tensors; a ``ValueError`` it raises is a bad config.  The file must
+    hold exactly these tensors, each finite float64, checked before anything
+    is allocated, so a small file claiming a huge model costs nothing.  A
+    checkpoint written while the encoder had a key bias holds
+    ``layers.{i}.attn.bk`` and is refused here as an unexpected tensor.
+    """
+    config, tensors = load_checkpoint(path)
+    if config.get("kind") != kind:
+        raise FormatError(f'checkpoint "kind" is {config.get("kind")!r}, expected {kind!r}', path=str(path))
+    cfg = dataclass_from_dict(EncoderConfig, config.get("encoder"), f"{path} encoder config")
+    try:
+        # a layer count the file cannot hold is refused before its names are listed
+        if cfg.n_layers > len(tensors):
+            raise ValueError(f"n_layers={cfg.n_layers} but the checkpoint holds {len(tensors)} tensors")
+        enc_shapes = param_shapes(cfg)
+        shapes = {prefix + k: s for k, s in enc_shapes.items()}
+        if other_shapes is not None:
+            shapes |= other_shapes(config, cfg)
+    except ValueError as exc:
+        raise FormatError(f"bad {kind} config: {exc}", path=str(path)) from exc
+    if set(shapes) != set(tensors):
+        missing, extra = sorted(set(shapes) - set(tensors)), sorted(set(tensors) - set(shapes))
+        raise FormatError(f"checkpoint tensor mismatch (missing {missing}, unexpected {extra})", path=str(path))
     for key, shape in shapes.items():
-        got = loaded[key]
+        got = tensors[key]
         if got.shape != shape:
-            raise FormatError(
-                f"checkpoint tensor {key} has shape {got.shape}, expected {shape}",
-                path=str(path),
-            )
+            raise FormatError(f"checkpoint tensor {key} has shape {got.shape}, expected {shape}", path=str(path))
         if got.dtype.kind != "f" or got.dtype.itemsize != 8:
             raise FormatError(f"checkpoint tensor {key} has dtype {got.dtype}, expected float64", path=str(path))
         if not np.isfinite(got).all():
             raise FormatError(f"checkpoint tensor {key} has non-finite values", path=str(path))
+    return config, EncoderParams(cfg, {k: tensors[prefix + k] for k in enc_shapes}), tensors

@@ -23,14 +23,13 @@ from .corpus import (
     mentions_cross,
     select_by_score,
 )
-from .encoder import Workspace, draw_tensors, gelu, gelu_grad, scratch
+from .encoder import Workspace, draw_tensors, gelu, gelu_grad, scratch, softmax
 
 __all__ = [
     "HeadConfig",
     "HeadParams",
     "head_shapes",
     "init_head_params",
-    "softmax",
     "tagger_forward",
     "tagger_backward",
     "tags_to_mentions",
@@ -89,12 +88,6 @@ def init_head_params(
     shapes = head_shapes(hidden_dim, cfg, len(labels))
     tensors = draw_tensors(shapes, np.random.default_rng(seed))
     return HeadParams(config=cfg, labels=labels, hidden_dim=hidden_dim, tensors=tensors)
-
-
-def softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

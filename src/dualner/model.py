@@ -10,24 +10,24 @@ encoder backward, so the whole pipeline is finite-difference checkable.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, ScoredMention, dataclass_from_dict
+from .corpus import Document, LabelInventory, ScoredMention, Sentence, dataclass_from_dict
 from .encoder import (
     PARAM_SCRATCH,
     EncoderConfig,
     EncoderParams,
     Workspace,
-    check_checkpoint_tensors,
-    checkpoint_param_shapes,
     encode_backward,
     encode_with_cache,
-    load_checkpoint,
+    load_encoder_snapshot,
     scratch,
     save_checkpoint,
+    softmax,
     zero_grads,
 )
 from .errors import FormatError, UnusableDataError
@@ -38,7 +38,6 @@ from .heads import (
     head_shapes,
     init_head_params,
     mentions_to_tags,
-    softmax,
     span_backward,
     span_decode,
     span_forward,
@@ -122,55 +121,56 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
 
 @dataclass
 class Example:
+    """One sentence's sub-token ids; each head's gold targets are built when
+    first read, so a run builds only those of the head it trains.  Gold
+    mentions wider than ``max_span_width`` have no matching candidate and
+    stay unreachable for the span head (permanent fn)."""
+
     doc_id: str
     sent_index: int
     ids: np.ndarray
     align: SubTokenization
-    tag_ids: np.ndarray
-    spans: list[tuple[int, int]]
-    span_classes: np.ndarray
+    sentence: Sentence
+    tag_index: dict[str, int]  # BIO tag -> tagger class, shared by all examples
+    type_index: dict[str, int]  # entity type -> span class, shared by all examples
+    max_span_width: int
+
+    @cached_property
+    def tag_ids(self) -> np.ndarray:
+        tags = mentions_to_tags(self.sentence.mentions, len(self.sentence.words))
+        return np.fromiter((self.tag_index[t] for t in tags), dtype=np.int64, count=len(tags))
+
+    @cached_property
+    def spans(self) -> list[tuple[int, int]]:
+        return enumerate_spans(len(self.sentence.words), self.max_span_width)
+
+    @cached_property
+    def span_classes(self) -> np.ndarray:
+        gold = {(m.start_word, m.end_word): self.type_index[m.label] for m in self.sentence.mentions}
+        return np.fromiter((gold.get(span, 0) for span in self.spans), dtype=np.int64, count=len(self.spans))
 
 
 def build_examples(
     docs: Sequence[Document], vocab: BpeVocab, labels: LabelInventory, head_cfg: HeadConfig
 ) -> list[Example]:
-    """Pre-tokenized training units, one per sentence, with gold targets for
-    both heads.  Gold mentions wider than ``max_span_width`` have no matching
-    candidate and stay unreachable for the span head (permanent fn)."""
+    """Pre-tokenized training units, one per sentence."""
     tag_index = {t: i for i, t in enumerate(labels.tag_set())}
     type_index = {t: i + 1 for i, t in enumerate(labels.types)}
     examples = []
     for doc in docs:
         for si, sent in enumerate(doc.sentences):
             align = subtokenize(sent.words, vocab)
-            tags = mentions_to_tags(sent.mentions, len(sent.words))
-            spans = enumerate_spans(len(sent.words), head_cfg.max_span_width)
-            gold_by_span = {(m.start_word, m.end_word): type_index[m.label] for m in sent.mentions}
-            span_classes = np.fromiter(
-                (gold_by_span.get(span, 0) for span in spans), dtype=np.int64, count=len(spans)
-            )
+            ids = np.asarray(align.sub_token_ids, dtype=np.int64)
             examples.append(
-                Example(
-                    doc_id=doc.id,
-                    sent_index=si,
-                    ids=np.asarray(align.sub_token_ids, dtype=np.int64),
-                    align=align,
-                    tag_ids=np.fromiter((tag_index[t] for t in tags), dtype=np.int64, count=len(tags)),
-                    spans=spans,
-                    span_classes=span_classes,
-                )
+                Example(doc.id, si, ids, align, sent, tag_index, type_index, head_cfg.max_span_width)
             )
     return examples
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed cross-entropy and its gradient (probs minus one-hot)."""
-    logp = _log_softmax(logits)
+    logp = logits - logits.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     rows = np.arange(len(targets))
     ce = -float(logp[rows, targets].sum())
     dlogits = np.exp(logp)
@@ -475,25 +475,20 @@ def save_model(path: str | Path, model: Model) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    config, tensors = load_checkpoint(path)
-    if config.get("kind") != "model":
-        raise FormatError(f"not a model checkpoint: {path}", path=str(path))
-    labels = config.get("labels")
-    if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
-        raise FormatError('"labels" must be a list of strings', path=str(path))
-    enc_cfg = dataclass_from_dict(EncoderConfig, config.get("encoder"), f"{path} encoder config")
-    head_cfg = dataclass_from_dict(HeadConfig, config.get("heads"), f"{path} heads config")
-    labels = LabelInventory.from_types(labels)
-    method = config.get("method")
-    try:
-        prefix = _head_prefix(method)
-        enc_shapes = checkpoint_param_shapes(enc_cfg, tensors)
+    labels = head_cfg = None
+
+    def head_tensor_shapes(config: dict, enc_cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+        nonlocal labels, head_cfg
+        types = config.get("labels")
+        if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+            raise FormatError('"labels" must be a list of strings', path=str(path))
+        labels = LabelInventory.from_types(types)
+        head_cfg = dataclass_from_dict(HeadConfig, config.get("heads"), f"{path} heads config")
+        prefix = _head_prefix(config.get("method"))
         both = head_shapes(enc_cfg.hidden_dim, head_cfg, len(labels))
-    except ValueError as exc:
-        raise FormatError(f"bad model config: {exc}", path=str(path)) from exc
-    head = {k: s for k, s in both.items() if k.startswith(prefix)}
-    shapes = {f"encoder.{k}": s for k, s in enc_shapes.items()} | {f"heads.{k}": s for k, s in head.items()}
-    check_checkpoint_tensors(shapes, tensors, path)
-    encoder = EncoderParams(enc_cfg, {k: tensors[f"encoder.{k}"] for k in enc_shapes})
-    heads = HeadParams(head_cfg, labels, enc_cfg.hidden_dim, {k: tensors[f"heads.{k}"] for k in head})
-    return Model(method, labels, encoder, heads)
+        return {f"heads.{k}": s for k, s in both.items() if k.startswith(prefix)}
+
+    config, encoder, tensors = load_encoder_snapshot(path, "model", "encoder.", head_tensor_shapes)
+    heads = {k.removeprefix("heads."): v for k, v in tensors.items() if k.startswith("heads.")}
+    heads = HeadParams(head_cfg, labels, encoder.config.hidden_dim, heads)
+    return Model(config["method"], labels, encoder, heads)

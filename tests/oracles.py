@@ -346,7 +346,7 @@ def attention_forward_reference(x, t, p, cfg):
     returns the output and the encoder's attention cache tuple."""
     scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
     q = _split_heads(x @ t[p + "wq"] + t[p + "bq"], cfg.n_heads)
-    k = _split_heads(x @ t[p + "wk"] + t[p + "bk"], cfg.n_heads)
+    k = _split_heads(x @ t[p + "wk"], cfg.n_heads)
     v = _split_heads(x @ t[p + "wv"] + t[p + "bv"], cfg.n_heads)
     scores = (q @ k.swapaxes(-1, -2)) * scale
     scores = scores - scores.max(axis=-1, keepdims=True)
@@ -372,7 +372,8 @@ def attention_backward_reference(dout, t, grads, p, cache):
     for name, dh in (("wq", dq), ("wk", dk), ("wv", dv)):
         flat = _merge_heads(dh)
         grads[p + name] += x.T @ flat
-        grads[p + "b" + name[1]] += flat.sum(axis=0)
+        if name != "wk":  # there is no key bias
+            grads[p + "b" + name[1]] += flat.sum(axis=0)
         dx += flat @ t[p + name].T
     return dx
 

@@ -4,6 +4,7 @@ import json
 import warnings
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from dualner.cli import main
@@ -345,6 +346,8 @@ MODEL_CONFIG_FAULTS = {
     "missing_method": lambda c, t: c.pop("method"),
     "unknown_method": lambda c, t: c.update(method="crf"),
     "both_heads": _two_heads,
+    # written while the encoder had a key bias
+    "key_bias": lambda c, t: t.update({"encoder.layers.0.attn.bk": np.zeros(16)}),
     # compared with the tensors before anything is allocated
     "huge_vocab_size": lambda c, t: c["encoder"].update(vocab_size=2**40),
 }
@@ -373,6 +376,8 @@ def test_predict_bad_checkpoint_exits_two(tmp_path, corpus_file, vocab_file, sma
     assert not out.exists()
     if fault == "both_heads":
         assert "unexpected ['heads.span.b1', 'heads.span.b2', 'heads.span.len_emb'" in err
+    if fault == "key_bias":
+        assert "unexpected ['encoder.layers.0.attn.bk']" in err
 
 
 def test_predict_tagger_ignores_span_head_config(tmp_path, corpus_file, vocab_file, small_vocab):
@@ -397,11 +402,13 @@ def test_predict_tagger_ignores_span_head_config(tmp_path, corpus_file, vocab_fi
 ENCODER_CHECKPOINT_FAULTS = {
     "missing_step": lambda c, t: c.pop("step"),
     "malformed_step": lambda c, t: c.update(step="60"),
+    "negative_step": lambda c, t: c.update(step=-3),
     "missing_encoder": lambda c, t: c.pop("encoder"),
     "unknown_encoder_key": lambda c, t: c["encoder"].update(bogus=1),
     "missing_tensor": lambda c, t: t.pop("layers.0.ffn.w1"),
     "bad_shape": lambda c, t: t.update({"layers.0.ffn.w1": t["layers.0.ffn.w1"][:, :-1]}),
     "huge_vocab_size": lambda c, t: c["encoder"].update(vocab_size=2**40),
+    "key_bias": lambda c, t: t.update({"layers.0.attn.bk": np.zeros(16)}),
 }
 
 
@@ -422,6 +429,8 @@ def test_sweep_bad_encoder_checkpoint_exits_two(tmp_path, corpus_file, vocab_fil
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("data error:") and err.count("\n") == 1, err
+    if fault == "key_bias":
+        assert "unexpected ['layers.0.attn.bk']" in err
 
 
 def test_predict_wrong_size_vocab_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys):
@@ -495,6 +504,28 @@ def test_sweep_mixed_encoder_configs_exits_two(tmp_path, corpus_file, vocab_file
     assert err.startswith("data error:") and err.count("\n") == 1, err
     assert "mlm_step_000010.npz" in err
     assert not (out_dir / "sweep.json").exists()
+
+
+def test_sweep_duplicate_step_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys):
+    from dualner.encoder import EncoderConfig, init_params, save_checkpoint
+
+    enc = init_params(EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24))
+    ckpt_dir = tmp_path / "mlm"
+    names = ["mlm_step_000000.npz", "mlm_step_000010.npz"]
+    for name in names:
+        save_checkpoint(ckpt_dir / name, {"kind": "encoder", "step": 0, "encoder": asdict(enc.config)}, enc.tensors)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"corpus": str(corpus_file), "n_train": 16}), encoding="utf-8")
+    out_dir = tmp_path / "sweep"
+    code = main([
+        "sweep-tapt", "--config", str(cfg_path), "--vocab", str(vocab_file),
+        "--checkpoints", str(ckpt_dir), "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert all(name in err for name in names), err
+    assert not out_dir.exists()
 
 
 def test_pretrain_removes_snapshots_of_an_earlier_run(tmp_path, corpus_file, vocab_file, capsys):

@@ -165,9 +165,7 @@ def test_rows_equal_full_pass_rows():
 
 def _assert_grads_close(got, want):
     """Equal to 1e-12 relative, with an absolute floor of 1e-15 times the
-    largest gradient: ``attn.bk`` has an exact gradient of 0 (softmax does
-    not see a shift of every score of a query), so its values are rounding
-    only and take their scale from the rest of the model."""
+    largest gradient for entries near 0, whose values are mostly rounding."""
     assert got.keys() == want.keys()
     floor = 1e-15 * max(np.abs(g).max() for g in want.values())
     for key in want:

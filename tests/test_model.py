@@ -83,6 +83,70 @@ def test_build_examples_targets(tiny_setup):
             assert tag_set[ex.tag_ids[m.start_word]] == f"B-{m.label}"
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls ``dualner.model`` makes to its imports ``names``."""
+    from dualner import model as model_module
+
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(model_module, name, counted(name, getattr(model_module, name)))
+    return calls
+
+
+def test_build_examples_builds_targets_on_first_read(monkeypatch, tiny_setup):
+    docs, vocab = tiny_setup
+    calls = _count_calls(monkeypatch, "enumerate_spans", "mentions_to_tags")
+    examples = build_examples(docs, vocab, INV, HEADS)
+    assert sum(ex.ids.size for ex in examples) > 0
+    assert calls == {}
+    for ex in examples:
+        assert ex.tag_ids is ex.tag_ids  # built once
+    assert calls == {"mentions_to_tags": len(examples)}
+    for ex in examples:
+        assert ex.span_classes.size == len(ex.spans)
+    assert calls == {"mentions_to_tags": len(examples), "enumerate_spans": len(examples)}
+
+
+def test_tagger_training_enumerates_no_spans(monkeypatch, tiny_setup):
+    from dualner.corpus import split_train_tune
+    from dualner.train import TrainConfig, train_supervised
+
+    docs, vocab = tiny_setup
+    calls = _count_calls(monkeypatch, "enumerate_spans")
+    train_docs, tune_docs = split_train_tune(docs, 3)
+    cfg = TrainConfig(method="word_tagger", epochs=2, batch_size=4, checkpoint_every=1)
+    result = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
+    assert result.best_tune_f1 is not None
+    assert calls["enumerate_spans"] == 0
+
+
+@pytest.mark.parametrize("loss", ["word_tagger", "span_classifier", "mlm"])
+def test_every_encoder_tensor_has_a_gradient(tiny_setup, loss):
+    """At the healthy weights of the gradient check, no encoder tensor's
+    gradient is rounding noise: each reaches 1e-8 of the largest one."""
+    docs, vocab = tiny_setup
+    model = _scaled_model("word_tagger" if loss == "mlm" else loss, vocab)
+    examples = build_examples(docs, vocab, INV, HEADS)[:3]
+    if loss == "mlm":
+        _loss, grads = mlm_batch_loss_and_grads(
+            model.encoder, [ex.ids for ex in examples], vocab, 0.5, np.random.default_rng(0), mode="eval"
+        )
+    else:
+        _loss, flat = batch_loss_and_grads(model, examples, mode="eval")
+        grads = {k.removeprefix("encoder."): v for k, v in flat.items() if k.startswith("encoder.")}
+    assert grads.keys() == model.encoder.tensors.keys()
+    largest = max(np.abs(g).max() for g in grads.values())
+    dead = sorted(k for k, g in grads.items() if np.abs(g).max() <= 1e-8 * largest)
+    assert dead == [], dead
+
+
 def test_full_pipeline_gradients_both_heads(tiny_setup):
     docs, vocab = tiny_setup
     for method in ("word_tagger", "span_classifier"):
