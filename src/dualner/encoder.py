@@ -2,14 +2,19 @@
 
 Token embeddings are added to learned absolute position embeddings and fed
 through post-layer-norm transformer blocks (multi-head self-attention, then
-a GELU feed-forward), with no framing tokens and no padding.  Training
-encodes one sentence at a time; eval passes may stack sentences of equal
-sub-token length as one ``[B, n]`` array, which needs no mask and gives
-each sentence the same bits as encoding it alone.  Both may run the last
-layer only at the rows they read, and the backward of such a pass works on
-those rows only.  Forward and backward are written out in numpy so
-analytic gradients can be checked against finite differences and training
-stays bit-reproducible on CPU.
+a GELU feed-forward), with no framing tokens and no padding.  Supervised
+training encodes one sentence at a time.  MLM training packs its batch:
+the sentences' rows are concatenated, so the dense ops and their backward
+run once over all of them, while positions restart in each sentence and
+attention runs per group of equal-length sentences; the results differ
+from per-sentence passes only at rounding level.  Eval passes may stack
+sentences of equal sub-token length as one ``[B, n]`` array, which needs no
+mask and gives each sentence the same bits as encoding it alone.  Eval
+passes and supervised training may run the last layer only at the rows
+they read, and the backward of such a pass works on those rows only.
+Forward and backward are written out in numpy so analytic gradients can be
+checked against finite differences and training stays bit-reproducible on
+CPU.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "encode",
     "encode_with_cache",
     "encode_backward",
+    "dropout_masks",
     "word_vectors",
     "save_checkpoint",
     "load_checkpoint",
@@ -110,7 +116,7 @@ class Workspace:
 
 
 # Two buffers for arrays the size of a parameter tensor: the optimizer's
-# temporaries, and before it runs the MLM step's tied-projection gradient.
+# temporaries, and before it runs the MLM step's logits.
 PARAM_SCRATCH = ("param.a", "param.b")
 
 
@@ -205,15 +211,52 @@ def check_vocab_size(cfg: EncoderConfig, n_symbols: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _dropout(x, rate, mode, rng, shape, rows=None):
-    """``x`` times a train-mode dropout mask drawn at the layer's full
+def _mask_source(cfg: EncoderConfig, mode: str, rng, given=None):
+    """``draw(shape)``: the next dropout mask of a pass, drawn from ``rng``
+    in train mode or taken in turn from ``given`` when those were drawn
+    before; None in eval mode or at rate 0."""
+    rate = cfg.dropout_rate
+    if mode != "train" or rate <= 0.0:
+        return lambda shape: None
+    if given is not None:
+        if len(given) != 2 * cfg.n_layers:
+            raise ValueError(f"{len(given)} dropout masks given for {cfg.n_layers} layers, not two per layer")
+        masks = iter(given)
+
+        def take(shape):
+            mask = next(masks)
+            if mask.shape != shape:
+                raise ValueError(f"dropout mask of shape {mask.shape} given for a pass of shape {shape}")
+            return mask
+
+        return take
+
+    def draw(shape):
+        if rng is None:
+            raise ValueError("train-mode encoding with dropout needs a random generator")
+        return (rng.random(shape) >= rate) / (1.0 - rate)
+
+    return draw
+
+
+def dropout_masks(cfg: EncoderConfig, n: int, rng) -> list[np.ndarray]:
+    """The train-mode dropout masks a pass over one sentence of ``n``
+    sub-tokens draws from ``rng``, in draw order: two ``[n, hidden_dim]``
+    masks per layer, none at rate 0.  A packed pass (``encode_with_cache``
+    with ``lengths``) takes its sentences' masks concatenated."""
+    if cfg.dropout_rate <= 0.0:
+        return []
+    draw = _mask_source(cfg, "train", rng)
+    return [draw((n, cfg.hidden_dim)) for _ in range(2 * cfg.n_layers)]
+
+
+def _dropout(x, draw, shape, rows=None):
+    """``x`` times the dropout mask ``draw(shape)`` of the layer's full
     ``shape``; with ``rows``, ``x`` holds those rows only and the mask is
     taken there, so the generator is drawn from as by a full pass."""
-    if mode != "train" or rate <= 0.0:
+    mask = draw(shape)
+    if mask is None:
         return x, None
-    if rng is None:
-        raise ValueError("train-mode encoding with dropout needs a random generator")
-    mask = (rng.random(shape) >= rate) / (1.0 - rate)
     if rows is not None:
         mask = _gather_rows(mask, rows)
     return x * mask, mask
@@ -293,23 +336,42 @@ def _add_rows(x, rows, v):
         np.add.at(x, rows, v)
 
 
-def _attention_forward(x, t, p, cfg, xq, rows=None):
-    """Self-attention over the rows of ``x``, queried at ``xq``, which is
-    ``x`` itself or its rows ``rows``."""
-    scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
-    q = _split_heads(_affine(xq, t[p + "wq"], t[p + "bq"]), cfg.n_heads)
-    k = _split_heads(x @ t[p + "wk"], cfg.n_heads)
-    v = _split_heads(_affine(x, t[p + "wv"], t[p + "bv"]), cfg.n_heads)
+def _attend(q, k, v, scale):
+    """(probs, context) of split-head ``[..., h, n, dh]`` arrays."""
     probs = q @ k.swapaxes(-1, -2)
     probs *= scale
     softmax(probs, out=probs)
-    merged = _merge_heads(probs @ v)
+    return probs, probs @ v
+
+
+def _attention_forward(x, t, p, cfg, xq, rows=None, groups=None):
+    """Self-attention over the rows of ``x``, queried at ``xq``, which is
+    ``x`` itself or its rows ``rows``.  With ``groups`` (``_length_groups``
+    of a packed ``[N, d]`` ``x``), the projections run once over the N rows
+    and each group of equal-length sentences attends as one ``[B, h, n, n]``
+    stack, within its sentences."""
+    scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
+    q = _affine(xq, t[p + "wq"], t[p + "bq"])
+    k = x @ t[p + "wk"]
+    v = _affine(x, t[p + "wv"], t[p + "bv"])
+    if groups is None:
+        q, k, v = (_split_heads(a, cfg.n_heads) for a in (q, k, v))
+        probs, ctx = _attend(q, k, v, scale)
+        merged = _merge_heads(ctx)
+    else:
+        merged = np.empty_like(q)
+        probs = []  # one [B, h, n, n] stack per group
+        for idx in groups:
+            pg, ctx = _attend(*(_split_heads(a[idx], cfg.n_heads) for a in (q, k, v)), scale)
+            merged[idx] = _merge_heads(ctx)
+            probs.append(pg)
     out = _affine(merged, t[p + "wo"], t[p + "bo"])
-    return out, (x, q, k, v, probs, merged, scale, xq, rows)
+    return out, (x, q, k, v, probs, merged, scale, xq, rows, groups)
 
 
 # The attention backward takes the heads in groups whose [group, n, n] score
-# arrays hold at most this many floats (256 KiB): all heads at once at short
+# arrays ([B, group, n, n] for B packed sentences of one length) hold at
+# most this many floats (256 KiB): all heads at once at short
 # sentences, where a loop over single heads cost about 25 us per call at n=33
 # (4 heads, one BLAS thread), and fewer from n=91 (one at a time from
 # n=129), where the arrays of all four heads (850 KiB at n=165) raised
@@ -317,32 +379,49 @@ def _attention_forward(x, t, p, cfg, xq, rows=None):
 _SCORES_PER_GROUP = 2**15
 
 
-def _attention_backward(dout, t, grads, p, cache, workspace=None):
-    """Input gradient ``[n, d]``; ``dout`` has one row per query row."""
-    x, q, k, v, probs, merged, scale, xq, rows = cache
-    grads[p + "wo"] += merged.T @ dout
-    grads[p + "bo"] += dout.sum(axis=0)
-    dctx = _split_heads(dout @ t[p + "wo"].T, q.shape[0])
+def _attend_backward(dctx, q, k, v, probs, scale, workspace):
+    """Merged-head (dq, dk, dv) of ``_attend``, given the split-head upstream
+    ``dctx`` of its context."""
     dv = probs.swapaxes(-1, -2) @ dctx
     dq, dk = np.empty(q.shape), np.empty(k.shape)
-    n_heads, m, n = probs.shape
-    group = max(1, _SCORES_PER_GROUP // (m * n))
+    *lead, n_heads, m, n = probs.shape
+    group = max(1, _SCORES_PER_GROUP // (math.prod(lead) * m * n))
     for hs in (slice(h, h + group) for h in range(0, n_heads, group)):
-        pr = probs[hs]
+        at = (..., hs, slice(None), slice(None))
+        pr = probs[at]
         # dscores = probs * (dprobs - sum(dprobs * probs)), formed in place;
         # every head's products and sums have the bits of an all-heads pass
-        dscores = np.matmul(dctx[hs], v[hs].swapaxes(-1, -2),
+        dscores = np.matmul(dctx[at], v[at].swapaxes(-1, -2),
                             out=scratch(workspace, "attn.dscores", pr.shape))
         weighted = np.multiply(dscores, pr, out=scratch(workspace, "attn.weighted", pr.shape))
         dscores -= weighted.sum(axis=-1, keepdims=True)
         dscores *= pr
-        np.matmul(dscores, k[hs], out=dq[hs])
-        np.matmul(dscores.swapaxes(-1, -2), q[hs], out=dk[hs])
+        np.matmul(dscores, k[at], out=dq[at])
+        np.matmul(dscores.swapaxes(-1, -2), q[at], out=dk[at])
     dq *= scale
     dk *= scale
+    return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+
+
+def _attention_backward(dout, t, grads, p, cache, workspace=None):
+    """Input gradient ``[n, d]`` (``[N, d]`` packed); ``dout`` has one row
+    per query row."""
+    x, q, k, v, probs, merged, scale, xq, rows, groups = cache
+    grads[p + "wo"] += merged.T @ dout
+    grads[p + "bo"] += dout.sum(axis=0)
+    dctx = dout @ t[p + "wo"].T
+    if groups is None:
+        dq, dk, dv = _attend_backward(
+            _split_heads(dctx, q.shape[0]), q, k, v, probs, scale, workspace
+        )
+    else:
+        dq, dk, dv = (np.empty_like(x) for _ in range(3))
+        n_heads = probs[0].shape[-3]
+        for idx, pg in zip(groups, probs):
+            dctx_g, qg, kg, vg = (_split_heads(a[idx], n_heads) for a in (dctx, q, k, v))
+            dq[idx], dk[idx], dv[idx] = _attend_backward(dctx_g, qg, kg, vg, pg, scale, workspace)
     dx = np.zeros_like(x)
-    for name, dh, xin, at in (("wq", dq, xq, rows), ("wk", dk, x, None), ("wv", dv, x, None)):
-        flat = _merge_heads(dh)
+    for name, flat, xin, at in (("wq", dq, xq, rows), ("wk", dk, x, None), ("wv", dv, x, None)):
         grads[p + name] += xin.T @ flat
         if name != "wk":
             grads[p + "b" + name[1]] += flat.sum(axis=0)
@@ -353,17 +432,18 @@ def _attention_backward(dout, t, grads, p, cache, workspace=None):
     return dx
 
 
-def _layer_forward(x, t, i, cfg, mode, rng, rows=None):
-    """One block over ``x``; with ``rows``, its output only at those rows."""
+def _layer_forward(x, t, i, cfg, draw, rows=None, groups=None):
+    """One block over ``x``, its dropout masks from ``draw``; with ``rows``,
+    its output only at those rows; with ``groups``, over packed sentences."""
     p = f"layers.{i}."
     xq = x if rows is None else _gather_rows(x, rows)
-    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq, rows)
-    attn_d, mask1 = _dropout(attn, cfg.dropout_rate, mode, rng, x.shape, rows)
+    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq, rows, groups)
+    attn_d, mask1 = _dropout(attn, draw, x.shape, rows)
     x1, ln1_cache = _layer_norm_forward(xq + attn_d, t[p + "ln1.g"], t[p + "ln1.b"])
     u = _affine(x1, t[p + "ffn.w1"], t[p + "ffn.b1"])
     g, cdf = gelu(u)
     f = _affine(g, t[p + "ffn.w2"], t[p + "ffn.b2"])
-    f_d, mask2 = _dropout(f, cfg.dropout_rate, mode, rng, x.shape, rows)
+    f_d, mask2 = _dropout(f, draw, x.shape, rows)
     x2, ln2_cache = _layer_norm_forward(x1 + f_d, t[p + "ln2.g"], t[p + "ln2.b"])
     cache = {
         "rows": rows,
@@ -408,19 +488,24 @@ def _layer_backward(dy, t, grads, p, c, workspace):
     return dx
 
 
-def _check_input(ids, cfg: EncoderConfig, name):
+def _check_input(ids, cfg: EncoderConfig, name, lengths=None):
     ids = np.asarray(ids, dtype=np.int64)
     label = f" in {name}" if name else ""
     if ids.ndim not in (1, 2) or ids.size == 0:
         raise ValueError(f"expected a non-empty 1-D id sequence or 2-D stack of them{label}")
-    n = ids.shape[-1]
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        fits = ids.ndim == 1 and lengths.ndim == 1 and lengths.size and lengths.min() >= 1
+        if not fits or lengths.sum() != ids.size:
+            raise ValueError(f"lengths do not split the {ids.size} packed sub-tokens into sentences{label}")
+    n = ids.shape[-1] if lengths is None else int(lengths.max())
     if n > cfg.max_positions:
         raise SentenceTooLongError(
             f"sentence of {n} sub-tokens exceeds max_positions={cfg.max_positions}{label}"
         )
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"sub-token id out of range for vocab_size={cfg.vocab_size}{label}")
-    return ids
+    return ids, lengths
 
 
 def _check_rows(rows, ids):
@@ -432,8 +517,19 @@ def _check_rows(rows, ids):
     return rows
 
 
+def _length_groups(lengths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(positions, groups) of packed sentences of ``lengths``: each row's
+    position within its sentence, and for each length, in first-seen order,
+    the ``[B, n]`` rows of its sentences."""
+    starts = np.cumsum(lengths) - lengths
+    positions = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    groups = [starts[lengths == n][:, None] + np.arange(n) for n in dict.fromkeys(lengths.tolist())]
+    return positions, groups
+
+
 def encode_with_cache(
-    ids, params: EncoderParams, mode: str = "eval", rng=None, name=None, rows=None
+    ids, params: EncoderParams, mode: str = "eval", rng=None, name=None, rows=None,
+    lengths=None, dropout_masks=None,
 ):
     """Forward pass returning both the contextual vectors and the backward cache.
 
@@ -444,24 +540,42 @@ def encode_with_cache(
     the bits of the same rows of the full pass: the last layer still takes
     keys and values from every row but computes the rest of the layer at
     ``rows`` alone.  Train-mode dropout masks are drawn as by the full
-    pass.  Only a one-sentence cache can be passed to ``encode_backward``.
+    pass, or, given as ``dropout_masks``, applied in draw order.
+
+    ``lengths`` packs sentences of any lengths: ``ids`` is then their ``[N]``
+    concatenation and the vectors ``[N, hidden_dim]``.  Each sentence is
+    encoded as alone (positions restart at 0, attention stays within it,
+    ``max_positions`` holds per sentence), but the embeddings, affine maps,
+    layer norms and GELU run once over all N rows, and attention once per
+    group of equal-length sentences.  Its train-mode masks are the
+    ``dropout_masks`` of its sentences, concatenated.  A one-sentence or
+    packed cache can be passed to ``encode_backward``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
     t = params.tensors
-    ids = _check_input(ids, cfg, name)
+    ids, lengths = _check_input(ids, cfg, name, lengths)
     if rows is not None:
+        if lengths is not None:
+            raise ValueError("a packed pass computes every row; rows cannot be asked for")
         rows = _check_rows(rows, ids)
-    n = ids.shape[-1]
-    x = t["tok_emb"][ids] + t["pos_emb"][:n]
-    cache = {"ids": ids, "rows": rows, "layers": []}
+    draw = _mask_source(cfg, mode, rng, dropout_masks)
+    positions = groups = None
+    if lengths is None:
+        n = ids.shape[-1]
+        x = t["tok_emb"][ids] + t["pos_emb"][:n]
+    else:
+        positions, groups = _length_groups(lengths)
+        n = ids.size
+        x = t["tok_emb"][ids] + t["pos_emb"][positions]
+    cache = {"ids": ids, "rows": rows, "positions": positions, "layers": []}
     # A one-row matrix product takes another BLAS path than the same row of
     # a larger product and can differ in its last bits, so the last layer is
     # computed at no fewer than 2 rows, and a one-sub-token sentence runs in full.
     last = cfg.n_layers - 1 if rows is not None and n >= 2 and cfg.n_layers else cfg.n_layers
     for i in range(last):
-        x, layer_cache = _layer_forward(x, t, i, cfg, mode, rng)
+        x, layer_cache = _layer_forward(x, t, i, cfg, draw, groups=groups)
         cache["layers"].append(layer_cache)
     if rows is None:
         return x, cache
@@ -469,7 +583,7 @@ def encode_with_cache(
     if last == cfg.n_layers:
         return _gather_rows(x, rows), cache
     at_least_two = rows if w >= 2 else np.concatenate((rows, rows), axis=-1)
-    x, layer_cache = _layer_forward(x, t, last, cfg, mode, rng, at_least_two)
+    x, layer_cache = _layer_forward(x, t, last, cfg, draw, at_least_two)
     cache["layers"].append(layer_cache)
     return x[..., :w, :], cache
 
@@ -493,9 +607,9 @@ def encode_backward(
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of sum(vectors * upstream); shapes mirror params.
 
-    ``cache`` is the one-sentence cache ``encode_with_cache`` returned with
-    the vectors, so train-mode dropout masks match, and ``upstream`` has
-    the vectors' shape.  With a cache of ``rows``, the last layer's
+    ``cache`` is the one-sentence or packed cache ``encode_with_cache``
+    returned with the vectors, so train-mode dropout masks match, and
+    ``upstream`` has the vectors' shape.  With a cache of ``rows``, the last layer's
     backward runs at those rows only: what the full pass would compute
     there from a zero upstream is zero and is skipped, so the gradients are
     those of the full pass with the rows' upstream scattered into zeros
@@ -524,7 +638,10 @@ def encode_backward(
     for i in reversed(range(cfg.n_layers)):
         dx = _layer_backward(dx, t, grads, f"layers.{i}.", layers[i], workspace)
     np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"][: ids.size] += dx
+    if cache["positions"] is None:
+        grads["pos_emb"][: ids.size] += dx
+    else:  # row by row, so each sentence adds to the positions as when alone
+        np.add.at(grads["pos_emb"], cache["positions"], dx)
     return grads
 
 

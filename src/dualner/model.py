@@ -22,6 +22,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     Workspace,
+    dropout_masks,
     encode_backward,
     encode_with_cache,
     load_encoder_snapshot,
@@ -178,6 +179,18 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return ce, dlogits
 
 
+def _target_log_probs(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log_softmax(z) at the targets, without a log-probability array:
+    ``z`` is left holding exp(z - max), and its ``[rows, 1]`` sums are
+    returned too."""
+    z -= z.max(axis=-1, keepdims=True)
+    picked = z[np.arange(targets.size), targets]
+    np.exp(z, out=z)
+    total = z.sum(axis=-1, keepdims=True)
+    picked -= np.log(total[:, 0])
+    return picked, total
+
+
 # An eval stack holds at most this many sub-tokens (always at least one
 # sentence).  Measured on the MLM scoring pass of a 1883-symbol vocabulary
 # (one BLAS thread, 2-core Xeon): 64 rows 467 ms, 128 rows 372 ms, 512 rows
@@ -318,10 +331,20 @@ def mlm_batch_loss_and_grads(
     masks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ):
     """Mean masked-position CE and encoder gradients (None when no position
-    was masked, in which case parameters must not be updated).  The
-    attention backward and the tied-projection gradient take their
-    temporaries from ``workspace`` when one is given, as in
-    ``batch_loss_and_grads``.
+    was masked, in which case parameters must not be updated).
+
+    With gradients, each sentence draws its ``mlm_mask`` and then, in train
+    mode, its ``dropout_masks`` from the generators, in sentence order, as
+    when each sentence was encoded alone.  The sentences that masked a
+    position are then encoded as one packed pass (``encode_with_cache`` with
+    ``lengths``) and backpropagated by one ``encode_backward``; the tied
+    projection is one ``[P, V]`` product at the P masked rows, and its
+    gradient one ``[V, P] @ [P, d]`` product.  Sums over all rows at once
+    round differently from accumulating sentence by sentence, so the loss
+    and gradients differ from that only at rounding level.  With a
+    ``workspace``, the returned gradients are its ``grad.*`` buffers (valid
+    until the next call with it), and the logits and the attention
+    backward's temporaries come from it too; the bits are the same without.
 
     Without gradients (eval mode only) every mask is drawn first, in
     sentence order, and equal-length sentences are encoded and scored as
@@ -342,33 +365,46 @@ def mlm_batch_loss_and_grads(
         return _mlm_eval_loss(enc, masks), None
     if masks is not None:
         raise ValueError("precomputed masks are scored without gradients only")
-    emb = enc.tensors["tok_emb"]
-    grads = zero_grads(enc)
-    total_ce = 0.0
-    total_pos = 0
+    sentences, positions, targets, drops = [], [], [], []
+    offset = 0
     for ids in batch:
-        corrupted, positions, targets = mlm_mask(
-            ids, len(vocab), vocab.mask_id, mask_prob, mask_rng
-        )
-        if positions.size == 0:
+        corrupted, masked, target = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
+        if masked.size == 0:
             continue
-        ctx, cache = encode_with_cache(corrupted, enc, mode, dropout_rng)
-        sel = ctx[positions]
-        logits = sel @ emb.T
-        ce, dlogits = _softmax_ce(logits, targets)
-        total_ce += ce
-        total_pos += positions.size
-        d_ctx = np.zeros_like(ctx)
-        d_ctx[positions] = dlogits @ emb
-        grads["tok_emb"] += np.matmul(
-            dlogits.T, sel, out=scratch(workspace, PARAM_SCRATCH[0], emb.shape)
-        )
-        encode_backward(enc, d_ctx, cache, grads, workspace)
-    if total_pos == 0:
+        if mode == "train":
+            drops.append(dropout_masks(enc.config, corrupted.size, dropout_rng))
+        sentences.append(corrupted)
+        positions.append(masked + offset)
+        targets.append(target)
+        offset += corrupted.size
+    if not sentences:
         return 0.0, None
+    ctx, cache = encode_with_cache(
+        np.concatenate(sentences), enc, mode, lengths=[c.size for c in sentences],
+        dropout_masks=[np.concatenate(m) for m in zip(*drops)] if drops else None,
+    )
+    positions = np.concatenate(positions)
+    emb = enc.tensors["tok_emb"]
+    sel = ctx[positions]
+    # the logits, turned in place into their gradient (softmax minus one-hot)
+    dlogits = np.matmul(
+        sel, emb.T, out=scratch(workspace, PARAM_SCRATCH[0], (positions.size, emb.shape[0]))
+    )
+    targets = np.concatenate(targets)
+    picked, total = _target_log_probs(dlogits, targets)
+    dlogits /= total
+    dlogits[np.arange(targets.size), targets] -= 1.0
+    grads = {k: scratch(workspace, "grad." + k, v.shape) for k, v in enc.tensors.items()}
+    for key, g in grads.items():
+        if key != "tok_emb":  # written whole by the projection gradient
+            g.fill(0.0)
+    np.matmul(dlogits.T, sel, out=grads["tok_emb"])
+    d_ctx = np.zeros_like(ctx)
+    d_ctx[positions] = dlogits @ emb
+    encode_backward(enc, d_ctx, cache, grads, workspace)
     for v in grads.values():
-        v *= 1.0 / total_pos
-    return total_ce / total_pos, grads
+        v *= 1.0 / positions.size
+    return -float(picked.sum()) / positions.size, grads
 
 
 def mlm_masks(batch: Sequence[np.ndarray], vocab: BpeVocab, mask_prob: float, rng):
@@ -394,11 +430,7 @@ def _mlm_eval_loss(enc: EncoderParams, masked) -> float:
         targets = np.concatenate([masked[i][2] for i in rows])
         flat = sel.reshape(-1, sel.shape[-1])
         z = np.matmul(flat, emb.T, out=workspace.take("mlm.logits", (flat.shape[0], emb.shape[0])))
-        # log_softmax(z) at the targets, without the full log-probability array
-        z -= z.max(axis=-1, keepdims=True)
-        picked = z[np.arange(targets.size), targets]
-        np.exp(z, out=z)
-        picked -= np.log(z.sum(axis=-1))
+        picked, _total = _target_log_probs(z, targets)
         for i, row in zip(rows, picked.reshape(sel.shape[:2])):
             ce[i] = -float(row.sum())
     total_ce = 0.0

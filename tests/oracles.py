@@ -288,6 +288,35 @@ def mlm_eval_loss_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_
     return total_ce / total_pos, None
 
 
+def mlm_batch_loss_and_grads_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_rng,
+                                       mode: str = "train", dropout_rng=None):
+    """The masked-LM training step one sentence at a time: mask, encode
+    (drawing the dropout masks), project onto the tied embeddings, and
+    backpropagate, accumulating the summed CE and the gradients in batch
+    order.  Returns (mean CE, gradients), or (0.0, None) when no position
+    was masked."""
+    emb = enc.tensors["tok_emb"]
+    grads = zero_grads(enc)
+    total_ce = 0.0
+    total_pos = 0
+    for ids in batch:
+        corrupted, positions, targets = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
+        if positions.size == 0:
+            continue
+        ctx, cache = encode_with_cache(corrupted, enc, mode, dropout_rng)
+        sel = ctx[positions]
+        ce, dlogits = _softmax_ce(sel @ emb.T, targets)
+        total_ce += ce
+        total_pos += positions.size
+        d_ctx = np.zeros_like(ctx)
+        d_ctx[positions] = dlogits @ emb
+        grads["tok_emb"] += dlogits.T @ sel
+        encode_backward(enc, d_ctx, cache, grads)
+    if total_pos == 0:
+        return 0.0, None
+    return total_ce / total_pos, {k: v / total_pos for k, v in grads.items()}
+
+
 def adamw_step_reference(opt, tensors, grads, grad_clip: float | None = None) -> None:
     """One AdamW step on ``opt``'s state, allocating fresh moments and update
     arrays instead of updating in place."""

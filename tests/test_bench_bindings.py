@@ -12,7 +12,9 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from dualner import train
+import numpy as np
+
+from dualner import model, train
 from dualner.corpus import split_train_tune
 from dualner.encoder import EncoderConfig
 from dualner.heads import HeadConfig
@@ -73,3 +75,46 @@ def test_traced_trainings_record_their_step_spans(monkeypatch, small_corpus, sma
     for method in ("word_tagger", "span_classifier"):
         assert step | {"model.batch_loss_and_grads", "model.predict_documents"} <= names[method]
     assert step | {"model.mlm_batch_loss_and_grads", "model.mlm_batch_loss_and_grads.eval"} <= names["mlm"]
+
+
+def test_traced_mlm_steps_count_the_subtokens_they_encode(monkeypatch, small_corpus, small_vocab):
+    """``train.subtokens``, the numerator of the benchmark's
+    ``train_subtokens_per_s``, sums the sub-tokens ``encoder.encode_with_cache``
+    takes within the MLM training steps: the summed lengths of the sentences
+    that masked a position.  Each such step makes one ``encoder.encode_backward``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import spans
+    import workloads
+
+    draws = []  # (sub-tokens, masked positions) of every mlm_mask call
+    masked = []  # per training step: summed lengths of the sentences that masked a position
+    real_step, real_mask = model.mlm_batch_loss_and_grads, model.mlm_mask
+
+    def mask(ids, *args, **kwargs):
+        out = real_mask(ids, *args, **kwargs)
+        draws.append((np.size(ids), out[1].size))
+        return out
+
+    def step(*args, **kwargs):
+        first = len(draws)
+        out = real_step(*args, **kwargs)
+        if out[1] is not None:
+            masked.append(sum(n for n, k in draws[first:] if k))
+        return out
+
+    monkeypatch.setattr(model, "mlm_mask", mask)
+    for module in (model, train):
+        monkeypatch.setattr(module, "mlm_batch_loss_and_grads", step)
+    enc = EncoderConfig(hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
+    tracer = spans.Tracer()
+    tracer.install(workloads.TARGETS)
+    try:
+        tracer.run = "mlm"
+        train.pretrain_mlm(small_corpus[:6], small_vocab, enc, train.MlmConfig(total_steps=3, checkpoint_every=3))
+    finally:
+        tracer.uninstall()
+    counts = layers.counts(tracer.spans, "mlm")
+    assert len(masked) == counts["model.mlm_batch_loss_and_grads"] == 3
+    assert counts["train.subtokens"] == sum(masked) > 0
+    assert counts["encoder.encode_backward"] == 3

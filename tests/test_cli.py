@@ -14,7 +14,7 @@ from dualner.corpus import (
     save_corpus,
     strip_segmentation,
 )
-from dualner.subtok import BpeVocab
+from dualner.subtok import BpeVocab, subtokenize
 
 
 @pytest.fixture()
@@ -614,6 +614,34 @@ def test_train_over_long_sentence_exits_two_and_leaves_no_vocab(tmp_path, corpus
     assert captured.err.startswith("data error:") and captured.err.count("\n") == 1, captured.err
     assert "exceeds max_positions=8" in captured.err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("spare, code", [(0, 0), (-1, 2)], ids=["longest_fits", "longest_too_long"])
+def test_pretrain_checks_max_positions_per_sentence(
+    tmp_path, corpus_file, vocab_file, small_corpus, small_vocab, capsys, spare, code
+):
+    """MLM training packs each batch into one pass, which may hold more
+    sub-tokens than ``max_positions``; only a longer sentence is a data error."""
+    longest = max(len(subtokenize(s.words, small_vocab).sub_token_ids) for d in small_corpus for s in d.sentences)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(corpus_file), "n_train": 16,
+        "encoder": {"max_positions": longest + spare, "hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "mlm": {"total_steps": 2, "checkpoint_every": 2, "batch_size": 8},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "mlm"
+    got = main([
+        "pretrain-mlm", "--config", str(cfg_path), "--corpus", str(corpus_file),
+        "--vocab", str(vocab_file), "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert got == code, err
+    if code:
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert f"sentence of {longest} sub-tokens exceeds max_positions={longest - 1}" in err
+        assert not out_dir.exists()
+    else:
+        assert (out_dir / "mlm_step_000002.npz").exists()
 
 
 @pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["single_seed", "protocol"])

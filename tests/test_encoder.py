@@ -10,6 +10,7 @@ from dualner.corpus import dataclass_from_dict
 from dualner.encoder import (
     EncoderConfig,
     Workspace,
+    dropout_masks,
     encode,
     encode_backward,
     encode_with_cache,
@@ -248,6 +249,57 @@ def test_rows_reject_bad_input():
     _out, cache = encode_with_cache(ids[0], params, rows=[0, 3])
     with pytest.raises(ValueError, match=r"upstream gradient shape \(5, 8\) != \(2, 8\)"):
         encode_backward(params, np.ones((5, STACKED.hidden_dim)), cache)
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+def test_packed_pass_equals_per_sentence_passes(dropout_rate):
+    """Sentences of lengths 5, 1, 16, 5, 3 and 5, packed into 35 rows (more
+    than ``max_positions``), get the vectors of their own passes, and the
+    packed backward the summed gradients of theirs, up to rounding; with
+    dropout, each sentence's masks are those its own pass draws."""
+    cfg = dataclasses.replace(STACKED, dropout_rate=dropout_rate)
+    params = _scaled_params(cfg)
+    rng = np.random.default_rng(15)
+    lengths = [5, 1, cfg.max_positions, 5, 3, 5]
+    sentences = [rng.integers(0, cfg.vocab_size, size=n) for n in lengths]
+    upstream = rng.normal(size=(sum(lengths), cfg.hidden_dim))
+    mask_rng, alone_rng = np.random.default_rng(4), np.random.default_rng(4)
+    masks = [dropout_masks(cfg, n, mask_rng) for n in lengths]
+    packed, cache = encode_with_cache(
+        np.concatenate(sentences), params, "train", lengths=lengths,
+        dropout_masks=[np.concatenate(m) for m in zip(*masks)],
+    )
+    want_grads = zero_grads(params)
+    start = 0
+    for ids in sentences:
+        alone, alone_cache = encode_with_cache(ids, params, "train", alone_rng)
+        rows = slice(start, start + ids.size)
+        np.testing.assert_allclose(packed[rows], alone, rtol=1e-12, atol=1e-14)
+        encode_backward(params, upstream[rows], alone_cache, want_grads)
+        start += ids.size
+    assert mask_rng.random() == alone_rng.random()
+    _assert_grads_close(encode_backward(params, upstream, cache, workspace=Workspace()), want_grads)
+
+
+def test_packed_pass_rejects_bad_input():
+    params = init_params(dataclasses.replace(STACKED, dropout_rate=0.2))
+    ids = np.ones(10, dtype=int)
+    for lengths in ([4, 5], [10, 0], [], [[5, 5]]):
+        with pytest.raises(ValueError, match="do not split"):
+            encode_with_cache(ids, params, lengths=lengths)
+    with pytest.raises(ValueError, match="do not split"):
+        encode_with_cache(ids.reshape(2, 5), params, lengths=[5, 5])
+    with pytest.raises(SentenceTooLongError, match="17 sub-tokens exceeds max_positions=16"):
+        encode_with_cache(np.ones(20, dtype=int), params, lengths=[3, 17])
+    with pytest.raises(ValueError, match="rows cannot"):
+        encode_with_cache(ids, params, rows=[0, 1], lengths=[5, 5])
+    masks = [np.ones((10, STACKED.hidden_dim))] * 4
+    with pytest.raises(ValueError, match="3 dropout masks given for 2 layers"):
+        encode_with_cache(ids, params, "train", lengths=[5, 5], dropout_masks=masks[:3])
+    with pytest.raises(ValueError, match=r"dropout mask of shape \(9, 8\)"):
+        encode_with_cache(ids, params, "train", lengths=[5, 5], dropout_masks=[np.ones((9, 8))] * 4)
+    out, _cache = encode_with_cache(ids, params, "train", lengths=[5, 5], dropout_masks=masks)
+    assert np.array_equal(out, encode_with_cache(ids, params, lengths=[5, 5])[0])
 
 
 def test_attention_and_layer_norm_match_allocating_reference():

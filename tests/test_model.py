@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from dualner.corpus import Document, LabelInventory, Mention, Sentence, generate_synthetic
-from dualner.encoder import EncoderConfig, Workspace, load_checkpoint
-from dualner.errors import FormatError
+from dualner.encoder import EncoderConfig, Workspace, init_params, load_checkpoint
+from dualner.errors import FormatError, SentenceTooLongError
 from dualner.heads import HeadConfig
 from dualner.model import (
     batch_loss,
@@ -31,6 +31,7 @@ from .oracles import (
     batch_loss_and_grads_full_pass_reference,
     central_difference,
     gradient_agreement,
+    mlm_batch_loss_and_grads_reference,
     mlm_eval_loss_reference,
     mlm_mask_reference,
 )
@@ -402,6 +403,105 @@ def test_mlm_eval_loss_without_masked_positions(length_corpus):
     assert mlm_eval_loss_reference(*args) == (0.0, None)
     with pytest.raises(ValueError, match="eval mode"):
         mlm_batch_loss_and_grads(*args, mode="train", with_grads=False)
+
+
+def _by_length(pool) -> dict[int, list]:
+    out: dict[int, list] = {}
+    for ids in pool:
+        out.setdefault(ids.size, []).append(ids)
+    return out
+
+
+def _mlm_step_batches(pool):
+    """Equal lengths, distinct lengths (one a single sub-token), one
+    sentence, and an empty sentence, which masks no position, between two."""
+    by_length = _by_length(pool)
+    empty = np.empty(0, dtype=np.int64)
+    return {
+        "equal": next(group for group in by_length.values() if len(group) >= 3)[:3],
+        "distinct": [group[0] for group in by_length.values()][:4] + [np.array([5])],
+        "one": pool[:1],
+        "with_empty": [pool[0], empty, pool[1]],
+    }
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+def test_mlm_step_matches_per_sentence_reference(length_corpus, dropout_rate):
+    """The packed training step gives the loss and every gradient of the
+    per-sentence step up to rounding, and leaves the generator where the
+    per-sentence step leaves it (masks and dropout masks drawn alike)."""
+    docs, vocab = length_corpus
+    enc = _scaled_model("word_tagger", vocab).encoder
+    enc.config = dataclasses.replace(enc.config, dropout_rate=dropout_rate)
+    pool = _mlm_pool(docs, vocab)
+    ws = Workspace()
+    for name, batch in _mlm_step_batches(pool).items():
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        loss, grads = mlm_batch_loss_and_grads(enc, batch, vocab, 0.3, rng, "train", rng, workspace=ws)
+        ref_loss, ref_grads = mlm_batch_loss_and_grads_reference(
+            enc, batch, vocab, 0.3, ref_rng, "train", ref_rng
+        )
+        assert rng.random() == ref_rng.random(), name
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, err_msg=name)
+        assert grads.keys() == ref_grads.keys()
+        floor = 1e-15 * max(np.abs(g).max() for g in ref_grads.values())
+        for key in ref_grads:
+            np.testing.assert_allclose(
+                grads[key], ref_grads[key], rtol=1e-12, atol=floor, err_msg=f"{name} {key}"
+            )
+    empty = np.empty(0, dtype=np.int64)
+    for batch, mask_prob in (([empty, empty], 0.3), (pool[:3], 0.0)):
+        rng = np.random.default_rng(5)
+        assert mlm_batch_loss_and_grads(enc, batch, vocab, mask_prob, rng, "train", rng) == (0.0, None)
+        assert mlm_batch_loss_and_grads_reference(enc, batch, vocab, mask_prob, rng, "train", rng) == (0.0, None)
+
+
+def test_mlm_step_gradients_match_central_differences(length_corpus):
+    """Every encoder tensor's gradient from the packed step agrees with
+    central differences of the eval-path loss under the same masks, over
+    sentences of mixed lengths, two of them of equal length."""
+    docs, vocab = length_corpus
+    enc = _scaled_model("word_tagger", vocab).encoder
+    by_length = _by_length(_mlm_pool(docs, vocab))
+    pair = next(group for group in by_length.values() if len(group) >= 2)[:2]
+    others = [group[0] for n, group in by_length.items() if n != pair[0].size][:2]
+    batch = [others[0], pair[0], others[1], pair[1]]
+    masks = mlm_masks(batch, vocab, 0.5, np.random.default_rng(3))
+    loss, grads = mlm_batch_loss_and_grads(enc, batch, vocab, 0.5, np.random.default_rng(3), mode="eval")
+
+    def eval_loss():
+        return mlm_batch_loss_and_grads(
+            enc, batch, vocab, 0.5, None, mode="eval", with_grads=False, masks=masks
+        )[0]
+
+    np.testing.assert_allclose(loss, eval_loss(), rtol=1e-12)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for key in sorted(enc.tensors):
+        arr = enc.tensors[key]
+        # one index anywhere, one where the gradient is not zero
+        for idx in (int(rng.integers(0, arr.size)), int(rng.choice(np.flatnonzero(grads[key])))):
+            numeric = central_difference(eval_loss, arr, idx, step=1e-5)
+            worst = max(worst, gradient_agreement(grads[key].flat[idx], numeric))
+    assert worst < 1e-5, worst
+
+
+def test_mlm_step_checks_max_positions_per_sentence(length_corpus):
+    """A packed batch may hold more sub-tokens than ``max_positions``; a
+    sentence may not."""
+    docs, vocab = length_corpus
+    pool = _mlm_pool(docs, vocab)
+    longest = max(pool, key=len)
+    batch = pool[:8] + [longest]
+    cfg = EncoderConfig(**{**asdict(ENC), "vocab_size": len(vocab), "max_positions": longest.size})
+    assert sum(ids.size for ids in batch) > cfg.max_positions
+    rng = np.random.default_rng(0)
+    loss, grads = mlm_batch_loss_and_grads(init_params(cfg), batch, vocab, 0.15, rng, "train", rng)
+    assert loss > 0.0 and grads is not None
+    short = init_params(dataclasses.replace(cfg, max_positions=longest.size - 1))
+    match = f"sentence of {longest.size} sub-tokens exceeds max_positions={longest.size - 1}"
+    with pytest.raises(SentenceTooLongError, match=match):
+        mlm_batch_loss_and_grads(short, batch, vocab, 0.15, rng, "train", rng)
 
 
 def test_encode_by_length_rows_equal_full_pass_rows(length_corpus):

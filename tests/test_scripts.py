@@ -11,13 +11,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name: str, *args: str) -> None:
+def _run_script(name: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
+    done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, check=True, capture_output=True, timeout=300,
+        env=env, check=True, capture_output=True, timeout=300, text=True,
     )
+    return done.stdout
 
 
 def test_protocol_demo_writes_report(tmp_path):
@@ -40,3 +41,34 @@ def test_tapt_demo_writes_sweep(tmp_path):
     points = json.loads((tmp_path / "sweep.json").read_text())["points"]
     assert [p["step"] for p in points] == [0, 1, 2]
     assert all(list(p) == ["step", "f1", "best_step"] and 0.0 <= p["f1"] <= 1.0 for p in points)
+
+
+def _bench_run(side: str, rate: float, with_run_line: bool) -> dict:
+    metrics = {"setup_s": 0.1, "train_subtokens_per_s": rate, "predict_words_per_s": 2.0 * rate,
+               "final_loss": 5.0, "peak_rss_mb": 80.0}
+    run = {"pair": 1, "side": side, "seed": 1,
+           "result": {"correct": True, "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}}
+    if with_run_line:  # the workload is named in the harness's run line only
+        run["run"] = {"workload": "mlm_bigvocab", "seed": 1, "final_loss_hex": (5.0).hex()}
+    else:
+        run["workload"] = "mlm_bigvocab"
+    return run
+
+
+def test_bench_trajectory_reads_both_schemas(tmp_path):
+    """Medians per file, workload, seed and side, from runs that keep only
+    the harness's ``result`` and from runs that keep its ``run`` line too;
+    a list of traced runs without end-to-end metrics is skipped."""
+    traced = {"side": "change", "workload": "mlm_bigvocab", "result": {"metrics": {"encoder.bwd_s": {"value": 1.0}}}}
+    for name, with_run_line in (("BENCH_result.json", False), ("BENCH_run.json", True)):
+        runs = [_bench_run(side, rate, with_run_line)
+                for side, rate in (("parent", 100.0), ("change", 130.0), ("parent", 110.0), ("change", 150.0))]
+        (tmp_path / name).write_text(json.dumps({"runs": runs, "traced_runs": [traced]}), encoding="utf-8")
+    out = _run_script("bench_trajectory.py", str(tmp_path / "BENCH_result.json"), str(tmp_path / "BENCH_run.json"))
+    lines = out.splitlines()
+    assert len(lines) == 4
+    for name, hexes in (("BENCH_result.json", ""), ("BENCH_run.json", f" final_loss_hex={(5.0).hex()}")):
+        for side, rate in (("parent", 105), ("change", 140)):
+            want = (f"{name} runs mlm_bigvocab seed=1 {side} n=2 setup_s=0.1 train_subtokens_per_s={rate} "
+                    f"predict_words_per_s={2 * rate} final_loss=5 peak_rss_mb=80{hexes}")
+            assert want in lines, out
