@@ -6,12 +6,16 @@ a GELU feed-forward), with no framing tokens and no padding.  Supervised
 training encodes one sentence at a time.  MLM training packs its batch:
 the sentences' rows are concatenated, so the dense ops and their backward
 run once over all of them, while positions restart in each sentence and
-attention runs per group of equal-length sentences; the results differ
-from per-sentence passes only at rounding level.  Eval passes may stack
-sentences of equal sub-token length as one ``[B, n]`` array, which needs no
-mask and gives each sentence the same bits as encoding it alone.  Eval
-passes and supervised training may run the last layer only at the rows
-they read, and the backward of such a pass works on those rows only.
+attention runs per group of equal-length sentences.  The packed vectors
+have the bits of per-sentence passes, except for a one-sub-token sentence,
+whose own pass takes BLAS's one-row path; the gradients, summed over all
+rows at once, round differently from sentence-by-sentence sums.  Eval
+passes may stack sentences of equal sub-token length as one ``[B, n]``
+array, which needs no mask and gives each sentence the same bits as
+encoding it alone.  Eval passes and supervised training may run the last
+layer only at the rows they read, and the backward of such a pass works on
+those rows only.  Dropout masks are drawn by the caller with
+``dropout_masks``; a pass applies the masks it is given.
 Forward and backward are written out in numpy so analytic gradients can be
 checked against finite differences and training stays bit-reproducible on
 CPU.
@@ -43,6 +47,7 @@ __all__ = [
     "draw_tensors",
     "init_params",
     "check_vocab_size",
+    "check_length",
     "encode",
     "encode_with_cache",
     "encode_backward",
@@ -211,55 +216,30 @@ def check_vocab_size(cfg: EncoderConfig, n_symbols: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _mask_source(cfg: EncoderConfig, mode: str, rng, given=None):
-    """``draw(shape)``: the next dropout mask of a pass, drawn from ``rng``
-    in train mode or taken in turn from ``given`` when those were drawn
-    before; None in eval mode or at rate 0."""
+def dropout_masks(cfg: EncoderConfig, n: int, rng) -> list[np.ndarray] | None:
+    """The dropout masks of a train-mode pass over one sentence of ``n``
+    sub-tokens, drawn from ``rng``: two ``[n, hidden_dim]`` masks per layer,
+    in layer order, or None (no dropout) at rate 0.  A packed pass
+    (``encode_with_cache`` with ``lengths``) takes its sentences' masks
+    concatenated."""
     rate = cfg.dropout_rate
-    if mode != "train" or rate <= 0.0:
-        return lambda shape: None
-    if given is not None:
-        if len(given) != 2 * cfg.n_layers:
-            raise ValueError(f"{len(given)} dropout masks given for {cfg.n_layers} layers, not two per layer")
-        masks = iter(given)
-
-        def take(shape):
-            mask = next(masks)
-            if mask.shape != shape:
-                raise ValueError(f"dropout mask of shape {mask.shape} given for a pass of shape {shape}")
-            return mask
-
-        return take
-
-    def draw(shape):
-        if rng is None:
-            raise ValueError("train-mode encoding with dropout needs a random generator")
-        return (rng.random(shape) >= rate) / (1.0 - rate)
-
-    return draw
+    if rate <= 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout needs a random generator")
+    return [(rng.random((n, cfg.hidden_dim)) >= rate) / (1.0 - rate) for _ in range(2 * cfg.n_layers)]
 
 
-def dropout_masks(cfg: EncoderConfig, n: int, rng) -> list[np.ndarray]:
-    """The train-mode dropout masks a pass over one sentence of ``n``
-    sub-tokens draws from ``rng``, in draw order: two ``[n, hidden_dim]``
-    masks per layer, none at rate 0.  A packed pass (``encode_with_cache``
-    with ``lengths``) takes its sentences' masks concatenated."""
-    if cfg.dropout_rate <= 0.0:
-        return []
-    draw = _mask_source(cfg, "train", rng)
-    return [draw((n, cfg.hidden_dim)) for _ in range(2 * cfg.n_layers)]
-
-
-def _dropout(x, draw, shape, rows=None):
-    """``x`` times the dropout mask ``draw(shape)`` of the layer's full
-    ``shape``; with ``rows``, ``x`` holds those rows only and the mask is
-    taken there, so the generator is drawn from as by a full pass."""
-    mask = draw(shape)
-    if mask is None:
-        return x, None
-    if rows is not None:
-        mask = _gather_rows(mask, rows)
-    return x * mask, mask
+def _check_masks(masks, cfg: EncoderConfig, shape) -> list:
+    """Each layer's pair of dropout masks, ``(None, None)`` without ``masks``."""
+    if masks is None:
+        return [(None, None)] * cfg.n_layers
+    if len(masks) != 2 * cfg.n_layers:
+        raise ValueError(f"{len(masks)} dropout masks given for {cfg.n_layers} layers, not two per layer")
+    for mask in masks:
+        if mask.shape != shape:
+            raise ValueError(f"dropout mask of shape {mask.shape} given for a pass of shape {shape}")
+    return list(zip(masks[::2], masks[1::2]))
 
 
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -432,31 +412,25 @@ def _attention_backward(dout, t, grads, p, cache, workspace=None):
     return dx
 
 
-def _layer_forward(x, t, i, cfg, draw, rows=None, groups=None):
-    """One block over ``x``, its dropout masks from ``draw``; with ``rows``,
-    its output only at those rows; with ``groups``, over packed sentences."""
+def _layer_forward(x, t, i, cfg, masks, rows=None, groups=None):
+    """One block over ``x`` with its pair of dropout ``masks``, each None or
+    shaped like the block's output; with ``rows``, its output only at those
+    rows; with ``groups``, over packed sentences."""
     p = f"layers.{i}."
+    mask1, mask2 = masks
     xq = x if rows is None else _gather_rows(x, rows)
     attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq, rows, groups)
-    attn_d, mask1 = _dropout(attn, draw, x.shape, rows)
-    x1, ln1_cache = _layer_norm_forward(xq + attn_d, t[p + "ln1.g"], t[p + "ln1.b"])
+    if mask1 is not None:
+        attn *= mask1
+    x1, ln1_cache = _layer_norm_forward(xq + attn, t[p + "ln1.g"], t[p + "ln1.b"])
     u = _affine(x1, t[p + "ffn.w1"], t[p + "ffn.b1"])
     g, cdf = gelu(u)
     f = _affine(g, t[p + "ffn.w2"], t[p + "ffn.b2"])
-    f_d, mask2 = _dropout(f, draw, x.shape, rows)
-    x2, ln2_cache = _layer_norm_forward(x1 + f_d, t[p + "ln2.g"], t[p + "ln2.b"])
-    cache = {
-        "rows": rows,
-        "attn": attn_cache,
-        "mask1": mask1,
-        "ln1": ln1_cache,
-        "x1": x1,
-        "u": u,
-        "cdf": cdf,
-        "g": g,
-        "mask2": mask2,
-        "ln2": ln2_cache,
-    }
+    if mask2 is not None:
+        f *= mask2
+    x2, ln2_cache = _layer_norm_forward(x1 + f, t[p + "ln2.g"], t[p + "ln2.b"])
+    cache = dict(rows=rows, attn=attn_cache, mask1=mask1, ln1=ln1_cache, x1=x1, u=u, cdf=cdf, g=g,
+                 mask2=mask2, ln2=ln2_cache)
     return x2, cache
 
 
@@ -488,23 +462,26 @@ def _layer_backward(dy, t, grads, p, c, workspace):
     return dx
 
 
-def _check_input(ids, cfg: EncoderConfig, name, lengths=None):
+def check_length(cfg: EncoderConfig, n: int, name: str | None = None) -> None:
+    """A sentence of ``n`` sub-tokens must fit in ``max_positions``; the
+    error names the sentence ``name`` when given."""
+    if n > cfg.max_positions:
+        label = f" in {name}" if name else ""
+        raise SentenceTooLongError(f"sentence of {n} sub-tokens exceeds max_positions={cfg.max_positions}{label}")
+
+
+def _check_input(ids, cfg: EncoderConfig, lengths=None):
     ids = np.asarray(ids, dtype=np.int64)
-    label = f" in {name}" if name else ""
     if ids.ndim not in (1, 2) or ids.size == 0:
-        raise ValueError(f"expected a non-empty 1-D id sequence or 2-D stack of them{label}")
+        raise ValueError("expected a non-empty 1-D id sequence or 2-D stack of them")
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=np.int64)
         fits = ids.ndim == 1 and lengths.ndim == 1 and lengths.size and lengths.min() >= 1
         if not fits or lengths.sum() != ids.size:
-            raise ValueError(f"lengths do not split the {ids.size} packed sub-tokens into sentences{label}")
-    n = ids.shape[-1] if lengths is None else int(lengths.max())
-    if n > cfg.max_positions:
-        raise SentenceTooLongError(
-            f"sentence of {n} sub-tokens exceeds max_positions={cfg.max_positions}{label}"
-        )
+            raise ValueError(f"lengths do not split the {ids.size} packed sub-tokens into sentences")
+    check_length(cfg, ids.shape[-1] if lengths is None else int(lengths.max()))
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise ValueError(f"sub-token id out of range for vocab_size={cfg.vocab_size}{label}")
+        raise ValueError(f"sub-token id out of range for vocab_size={cfg.vocab_size}")
     return ids, lengths
 
 
@@ -527,10 +504,7 @@ def _length_groups(lengths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return positions, groups
 
 
-def encode_with_cache(
-    ids, params: EncoderParams, mode: str = "eval", rng=None, name=None, rows=None,
-    lengths=None, dropout_masks=None,
-):
+def encode_with_cache(ids, params: EncoderParams, rows=None, lengths=None, dropout_masks=None):
     """Forward pass returning both the contextual vectors and the backward cache.
 
     ``ids`` is one sentence ``[n]`` or a stack of equal-length sentences
@@ -539,28 +513,27 @@ def encode_with_cache(
     at those rows only, ``[w, hidden_dim]`` or ``[B, w, hidden_dim]``, with
     the bits of the same rows of the full pass: the last layer still takes
     keys and values from every row but computes the rest of the layer at
-    ``rows`` alone.  Train-mode dropout masks are drawn as by the full
-    pass, or, given as ``dropout_masks``, applied in draw order.
+    ``rows`` alone.  ``dropout_masks`` (see ``dropout_masks``; None is no
+    dropout) are two per layer, in layer order, each of the pass's full
+    shape; the last layer of a ``rows`` pass takes its masks at the rows.
 
     ``lengths`` packs sentences of any lengths: ``ids`` is then their ``[N]``
     concatenation and the vectors ``[N, hidden_dim]``.  Each sentence is
     encoded as alone (positions restart at 0, attention stays within it,
     ``max_positions`` holds per sentence), but the embeddings, affine maps,
     layer norms and GELU run once over all N rows, and attention once per
-    group of equal-length sentences.  Its train-mode masks are the
-    ``dropout_masks`` of its sentences, concatenated.  A one-sentence or
-    packed cache can be passed to ``encode_backward``.
+    group of equal-length sentences.  Its masks are the ``dropout_masks``
+    of its sentences, concatenated.  A one-sentence or packed cache can be
+    passed to ``encode_backward``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
     t = params.tensors
-    ids, lengths = _check_input(ids, cfg, name, lengths)
+    ids, lengths = _check_input(ids, cfg, lengths)
     if rows is not None:
         if lengths is not None:
             raise ValueError("a packed pass computes every row; rows cannot be asked for")
         rows = _check_rows(rows, ids)
-    draw = _mask_source(cfg, mode, rng, dropout_masks)
+    masks = _check_masks(dropout_masks, cfg, (*ids.shape, cfg.hidden_dim))
     positions = groups = None
     if lengths is None:
         n = ids.shape[-1]
@@ -575,7 +548,7 @@ def encode_with_cache(
     # computed at no fewer than 2 rows, and a one-sub-token sentence runs in full.
     last = cfg.n_layers - 1 if rows is not None and n >= 2 and cfg.n_layers else cfg.n_layers
     for i in range(last):
-        x, layer_cache = _layer_forward(x, t, i, cfg, draw, groups=groups)
+        x, layer_cache = _layer_forward(x, t, i, cfg, masks[i], groups=groups)
         cache["layers"].append(layer_cache)
     if rows is None:
         return x, cache
@@ -583,14 +556,15 @@ def encode_with_cache(
     if last == cfg.n_layers:
         return _gather_rows(x, rows), cache
     at_least_two = rows if w >= 2 else np.concatenate((rows, rows), axis=-1)
-    x, layer_cache = _layer_forward(x, t, last, cfg, draw, at_least_two)
+    at_rows = [None if m is None else _gather_rows(m, at_least_two) for m in masks[last]]
+    x, layer_cache = _layer_forward(x, t, last, cfg, at_rows, at_least_two)
     cache["layers"].append(layer_cache)
     return x[..., :w, :], cache
 
 
-def encode(ids, params: EncoderParams, mode: str = "eval", rng=None, name=None) -> np.ndarray:
-    """Contextual vectors, one row per sub-token ([n, hidden_dim])."""
-    out, _cache = encode_with_cache(ids, params, mode, rng, name)
+def encode(ids, params: EncoderParams) -> np.ndarray:
+    """Contextual vectors without dropout, one row per sub-token ([n, hidden_dim])."""
+    out, _cache = encode_with_cache(ids, params)
     return out
 
 
@@ -608,7 +582,7 @@ def encode_backward(
     """Parameter gradients of sum(vectors * upstream); shapes mirror params.
 
     ``cache`` is the one-sentence or packed cache ``encode_with_cache``
-    returned with the vectors, so train-mode dropout masks match, and
+    returned with the vectors, so the dropout masks match, and
     ``upstream`` has the vectors' shape.  With a cache of ``rows``, the last layer's
     backward runs at those rows only: what the full pass would compute
     there from a zero upstream is zero and is skipped, so the gradients are

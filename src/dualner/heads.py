@@ -260,7 +260,6 @@ def span_forward(
 
 def span_backward(
     word_vecs: np.ndarray,
-    spans: Sequence[tuple[int, int]],
     params: HeadParams,
     d_logits: np.ndarray,
     grads: dict[str, np.ndarray],
@@ -268,7 +267,7 @@ def span_backward(
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Accumulate span-head gradients from the forward ``cache`` of
-    ``span_logits_with_cache`` over the same ``spans``; returns the
+    ``span_logits_with_cache``, which holds its candidates; returns the
     word-vector gradient.  The large temporaries live in ``workspace``
     when one is given."""
     t = params.tensors

@@ -22,6 +22,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     Workspace,
+    check_length,
     dropout_masks,
     encode_backward,
     encode_with_cache,
@@ -55,6 +56,7 @@ __all__ = [
     "Example",
     "init_model",
     "build_examples",
+    "check_sentence_lengths",
     "model_tensors",
     "batch_loss",
     "batch_loss_and_grads",
@@ -127,8 +129,6 @@ class Example:
     mentions wider than ``max_span_width`` have no matching candidate and
     stay unreachable for the span head (permanent fn)."""
 
-    doc_id: str
-    sent_index: int
     ids: np.ndarray
     align: SubTokenization
     sentence: Sentence
@@ -159,13 +159,28 @@ def build_examples(
     type_index = {t: i + 1 for i, t in enumerate(labels.types)}
     examples = []
     for doc in docs:
-        for si, sent in enumerate(doc.sentences):
+        for sent in doc.sentences:
             align = subtokenize(sent.words, vocab)
             ids = np.asarray(align.sub_token_ids, dtype=np.int64)
-            examples.append(
-                Example(doc.id, si, ids, align, sent, tag_index, type_index, head_cfg.max_span_width)
-            )
+            examples.append(Example(ids, align, sent, tag_index, type_index, head_cfg.max_span_width))
     return examples
+
+
+def check_sentence_lengths(cfg: EncoderConfig, docs: Sequence[Document], id_seqs) -> None:
+    """Every sentence of ``docs``, whose sub-token ids ``id_seqs`` holds in
+    document order, must fit in ``max_positions``; the error names the
+    first that does not as ``doc_id[sentence index]``."""
+    names = (f"{doc.id}[{si}]" for doc in docs for si in range(len(doc.sentences)))
+    for name, ids in zip(names, id_seqs):
+        check_length(cfg, len(ids), name)
+
+
+def _masks_for(mode: str, cfg: EncoderConfig, n: int, rng):
+    """The dropout masks of a pass over ``n`` sub-tokens: drawn from ``rng``
+    in train mode, none in eval mode."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    return dropout_masks(cfg, n, rng) if mode == "train" else None
 
 
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -224,16 +239,16 @@ def _encode_by_length(
                 [tuple(rows[i]) + (rows[i][-1],) * (width - len(rows[i])) for i in chunk],
                 dtype=np.int64,
             )
-            yield chunk, encode_with_cache(stack, enc, "eval", rows=picked)[0]
+            yield chunk, encode_with_cache(stack, enc, rows=picked)[0]
 
 
 def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspace=None):
     """Summed CE and unit count for one sentence; backward when grads given.
     The encoder runs its last layer, forward and backward, only at the
     first sub-tokens of the words, the rows both heads read."""
-    name = f"{ex.doc_id}[{ex.sent_index}]"
+    masks = _masks_for(mode, model.encoder.config, ex.ids.size, rng)
     wv, cache = encode_with_cache(
-        ex.ids, model.encoder, mode, rng, name=name, rows=ex.align.first_subtoken_index
+        ex.ids, model.encoder, rows=ex.align.first_subtoken_index, dropout_masks=masks
     )
     if model.method == "word_tagger":
         logits = tagger_forward(wv, model.heads)
@@ -246,9 +261,7 @@ def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspa
         ce, dlogits = _softmax_ce(logits, ex.span_classes)
         units = len(ex.spans)
         if grads is not None:
-            d_wv = span_backward(
-                wv, ex.spans, model.heads, dlogits, grads["heads"], span_cache, workspace
-            )
+            d_wv = span_backward(wv, model.heads, dlogits, grads["heads"], span_cache, workspace)
     if grads is not None:
         encode_backward(model.encoder, d_wv, cache, grads["encoder"], workspace)
     return ce, units
@@ -371,8 +384,7 @@ def mlm_batch_loss_and_grads(
         corrupted, masked, target = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
         if masked.size == 0:
             continue
-        if mode == "train":
-            drops.append(dropout_masks(enc.config, corrupted.size, dropout_rng))
+        drops.append(_masks_for(mode, enc.config, corrupted.size, dropout_rng))
         sentences.append(corrupted)
         positions.append(masked + offset)
         targets.append(target)
@@ -380,8 +392,8 @@ def mlm_batch_loss_and_grads(
     if not sentences:
         return 0.0, None
     ctx, cache = encode_with_cache(
-        np.concatenate(sentences), enc, mode, lengths=[c.size for c in sentences],
-        dropout_masks=[np.concatenate(m) for m in zip(*drops)] if drops else None,
+        np.concatenate(sentences), enc, lengths=[c.size for c in sentences],
+        dropout_masks=None if drops[0] is None else [np.concatenate(m) for m in zip(*drops)],
     )
     positions = np.concatenate(positions)
     emb = enc.tensors["tok_emb"]
@@ -466,7 +478,7 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
 def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
     align = subtokenize(words, vocab)
     ids = np.asarray(align.sub_token_ids, dtype=np.int64)
-    wv, _ = encode_with_cache(ids, model.encoder, "eval", rows=align.first_subtoken_index)
+    wv, _ = encode_with_cache(ids, model.encoder, rows=align.first_subtoken_index)
     return _decode(model, wv)
 
 
@@ -474,10 +486,12 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
     """Copies of ``docs`` whose mentions are the model's scored predictions.
 
     Every sentence is decoded as by ``predict_sentence``, but equal-length
-    sentences are encoded together.
+    sentences are encoded together.  Every sentence's length is checked
+    before the first pass (``check_sentence_lengths``).
     """
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
     ids = [np.asarray(align.sub_token_ids, dtype=np.int64) for align in aligns]
+    check_sentence_lengths(model.encoder.config, docs, ids)
     firsts = [align.first_subtoken_index for align in aligns]
     found: list[list[ScoredMention]] = [[] for _ in aligns]
     for chunk, wv in _encode_by_length(ids, model.encoder, firsts):

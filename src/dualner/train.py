@@ -35,6 +35,7 @@ from .model import (
     Model,
     batch_loss_and_grads,
     build_examples,
+    check_sentence_lengths,
     init_model,
     mlm_batch_loss_and_grads,
     mlm_masks,
@@ -301,6 +302,8 @@ def train_supervised(
     step); the returned model maximizes it, ties resolved to the earliest
     step.  ``init_encoder`` warm-starts the encoder, e.g. from an MLM
     snapshot.  Zero epochs return the initialization with an empty log.
+    A sentence of either split longer than ``max_positions`` is refused
+    before the first step, by name.
     """
     if not train_docs or not tune_docs:
         raise ValueError("both the train and tune splits must be non-empty")
@@ -311,6 +314,9 @@ def train_supervised(
         raise UnusableDataError("training split contains no sentences; segment it first")
     if len(labels) == 0:
         raise UnusableDataError("the train and tune splits hold no entity mentions")
+    check_sentence_lengths(encoder_cfg, train_docs, (ex.ids for ex in examples))
+    check_sentence_lengths(encoder_cfg, tune_docs, (subtokenize(s.words, vocab).sub_token_ids
+                                                    for d in tune_docs for s in d.sentences))
     model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg)
     if init_encoder is not None:
         if init_encoder.config != encoder_cfg:
@@ -384,6 +390,7 @@ def pretrain_mlm(
     ]
     if not pool:
         raise UnusableDataError("corpus contains no sentences; segment it first")
+    check_sentence_lengths(encoder_cfg, docs, pool)
     n_heldout = int(np.ceil(mlm_cfg.heldout_fraction * len(pool)))
     n_heldout = min(n_heldout, len(pool) - 1)
     train_pool = pool[: len(pool) - n_heldout] if n_heldout else pool
@@ -529,6 +536,8 @@ def run_protocol(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
+        raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
     encoder = "desk"  # the report's name for the one from-scratch encoder
     metrics = ["f1", "precision", "recall", "mcc"]
     values: dict[tuple[str, str, str], dict[str, list[float]]] = {}
@@ -599,7 +608,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Sections check themselves when built; this checks the rest."""
         for name in ("methods", "seeds", "eval_splits"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if len(set(values)) < len(values):  # a repeated run would count twice
+                raise ValueError(f"{name} must be distinct, got {list(values)}")
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if not self.methods or not self.seeds:

@@ -18,6 +18,7 @@ from scipy.special import erf
 from dualner.corpus import LabelInventory, Mention, ScoredMention
 from dualner.encoder import (
     Workspace,
+    dropout_masks,
     encode_backward,
     encode_with_cache,
     init_params,
@@ -277,7 +278,7 @@ def mlm_eval_loss_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_
         corrupted, positions, targets = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
         if positions.size == 0:
             continue
-        ctx, _cache = encode_with_cache(corrupted, enc, "eval")
+        ctx, _cache = encode_with_cache(corrupted, enc)
         logits = ctx[positions] @ emb.T
         z = logits - logits.max(axis=-1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -303,7 +304,8 @@ def mlm_batch_loss_and_grads_reference(enc, batch, vocab: BpeVocab, mask_prob: f
         corrupted, positions, targets = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
         if positions.size == 0:
             continue
-        ctx, cache = encode_with_cache(corrupted, enc, mode, dropout_rng)
+        masks = dropout_masks(enc.config, corrupted.size, dropout_rng) if mode == "train" else None
+        ctx, cache = encode_with_cache(corrupted, enc, dropout_masks=masks)
         sel = ctx[positions]
         ce, dlogits = _softmax_ce(sel @ emb.T, targets)
         total_ce += ce
@@ -428,7 +430,8 @@ def batch_loss_and_grads_full_pass_reference(model, examples, rng):
              "heads": {k: np.zeros_like(v) for k, v in model.heads.tensors.items()}}
     total_ce, total_units = 0.0, 0
     for ex in examples:
-        ctx, cache = encode_with_cache(ex.ids, model.encoder, "train", rng)
+        masks = dropout_masks(model.encoder.config, ex.ids.size, rng)
+        ctx, cache = encode_with_cache(ex.ids, model.encoder, dropout_masks=masks)
         wv = word_vectors(ctx, ex.align)
         if model.method == "word_tagger":
             ce, dlogits = _softmax_ce(tagger_forward(wv, model.heads), ex.tag_ids)
@@ -437,7 +440,7 @@ def batch_loss_and_grads_full_pass_reference(model, examples, rng):
         else:
             logits, span_cache = span_logits_with_cache(wv, ex.spans, model.heads)
             ce, dlogits = _softmax_ce(logits, ex.span_classes)
-            d_wv = span_backward(wv, ex.spans, model.heads, dlogits, grads["heads"], span_cache)
+            d_wv = span_backward(wv, model.heads, dlogits, grads["heads"], span_cache)
             total_units += len(ex.spans)
         encode_backward(model.encoder, word_vectors_backward(d_wv, ex.align), cache, grads["encoder"])
         total_ce += ce

@@ -5,14 +5,21 @@ every binding and fails the run when one is missing.  Installing and
 uninstalling the tracer here catches a renamed or deleted target in seconds
 instead of at the end of a benchmark run, and tiny trainings under it catch
 a loop that calls a function it captured before the tracer patched it.
+One untraced operation of every workload catches a library signature the
+benchmark calls that has drifted.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dualner import model, train
 from dualner.corpus import split_train_tune
@@ -20,6 +27,7 @@ from dualner.encoder import EncoderConfig
 from dualner.heads import HeadConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOAD_NAMES = [w["name"] for w in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _bindings(targets) -> dict:
@@ -118,3 +126,16 @@ def test_traced_mlm_steps_count_the_subtokens_they_encode(monkeypatch, small_cor
     assert len(masked) == counts["model.mlm_batch_loss_and_grads"] == 3
     assert counts["train.subtokens"] == sum(masked) > 0
     assert counts["encoder.encode_backward"] == 3
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_each_workload_runs_one_operation(monkeypatch, tmp_path, name):
+    """Set-up and one operation at seed 1, as ``bench/run.py`` runs them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    w = workloads.WORKLOADS[name]
+    prep = workloads.set_up(w, 1)
+    op = workloads.run_op(w, prep, lambda _region: contextlib.nullcontext(), time.perf_counter, tmp_path)
+    assert prep.failures == [] and op.failures == []
+    assert math.isfinite(op.final_loss)

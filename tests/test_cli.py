@@ -664,6 +664,23 @@ def test_train_bad_section_value_exits_two_before_any_work(tmp_path, corpus_file
     assert not run_dir.exists()
 
 
+def test_train_repeated_seeds_exit_before_any_work(tmp_path, corpus_file, capsys):
+    """Repeated seeds would run twice and count twice: a config file's are a
+    data error (2), a flag's a usage error (1)."""
+    config = {"corpus": str(corpus_file), "n_train": 16, "methods": ["word_tagger"], "seeds": [1, 1]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)]) == 2
+    config["seeds"] = [0, 1]
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path), "--seeds", "0", "0", "--out-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("data error:") and "seeds must be distinct, got [1, 1]" in err[0]
+    assert err[1] == "error: seeds must be distinct, got [0, 0]"
+    assert not run_dir.exists()
+
+
 def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, capsys, monkeypatch):
     import dualner.cli as cli_mod
     from dualner.errors import TrainingError

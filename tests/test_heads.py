@@ -274,7 +274,7 @@ def test_span_head_matches_concatenated_reference(kind):
     ref_logits, ref_grads, ref_d_vecs = span_head_reference(vecs, spans, params, d_logits)
     logits, cache = span_logits_with_cache(vecs, spans, params)
     grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    d_vecs = span_backward(vecs, spans, params, d_logits, grads, cache=cache)
+    d_vecs = span_backward(vecs, params, d_logits, grads, cache=cache)
     pairs = [("logits", logits, ref_logits), ("word vectors", d_vecs, ref_d_vecs)]
     pairs += [(k, grads[k], ref_grads[k]) for k in sorted(ref_grads)]
     for name, got, ref in pairs:
@@ -304,7 +304,7 @@ def test_span_head_workspace_matches_fresh_and_allocating_reference():
             else:
                 workspace = ws if run == "workspace" else None
                 logits, cache = span_logits_with_cache(vecs, spans, params, workspace)
-                d_vecs = span_backward(vecs, spans, params, d_logits, grads, cache, workspace)
+                d_vecs = span_backward(vecs, params, d_logits, grads, cache, workspace)
             results.append((logits, d_vecs, grads, cache))
             if run == "workspace":
                 caches.append(cache)
@@ -388,7 +388,7 @@ def test_span_gradients():
     dlogits = probs.copy()
     dlogits[np.arange(len(spans)), targets] -= 1.0
     grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    d_vecs = span_backward(vecs, spans, params, dlogits, grads, cache=cache)
+    d_vecs = span_backward(vecs, params, dlogits, grads, cache=cache)
     rng = np.random.default_rng(14)
     worst = 0.0
     for key in sorted(grads):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualner.corpus import Document, LabelInventory, Mention, Sentence, generate_synthetic
-from dualner.encoder import EncoderConfig, Workspace, init_params, load_checkpoint
+from dualner.encoder import EncoderConfig, Workspace, dropout_masks, init_params, load_checkpoint
 from dualner.errors import FormatError, SentenceTooLongError
 from dualner.heads import HeadConfig
 from dualner.model import (
@@ -203,7 +203,8 @@ def test_batch_loss_and_grads_bits_do_not_depend_on_workspace(length_corpus, met
 def test_batch_loss_and_grads_match_full_encoder_pass(length_corpus, method, dropout_rate):
     """Training runs the last encoder layer only at the words' first
     sub-tokens; loss, dropout draws and gradients are those of a full pass
-    whose head gradient is scattered back onto every sub-token."""
+    whose head gradient is scattered back onto every sub-token.  The
+    generator ends where per-sentence ``dropout_masks`` draws leave it."""
     docs, vocab = length_corpus
     model = _scaled_model(method, vocab)
     model.encoder.config = dataclasses.replace(model.encoder.config, dropout_rate=dropout_rate)
@@ -218,6 +219,10 @@ def test_batch_loss_and_grads_match_full_encoder_pass(length_corpus, method, dro
         loss, grads = batch_loss_and_grads(model, batch, "train", rng, Workspace())
         ref_loss, ref_grads = batch_loss_and_grads_full_pass_reference(model, batch, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        drawn = np.random.default_rng(5)
+        for ex in batch:
+            dropout_masks(model.encoder.config, ex.ids.size, drawn)
+        assert rng.bit_generator.state == drawn.bit_generator.state
         assert loss == ref_loss
         floor = 1e-15 * max(np.abs(g).max() for g in ref_grads.values())
         for key in ref_grads:

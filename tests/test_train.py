@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from dualner import train as train_module
-from dualner.corpus import LabelInventory, generate_synthetic, split_train_tune
+from dualner.corpus import Document, LabelInventory, Sentence, generate_synthetic, split_train_tune
 from dualner.encoder import EncoderConfig, Workspace, init_params
-from dualner.errors import FormatError, ProtocolError, TrainingError
+from dualner.errors import FormatError, ProtocolError, SentenceTooLongError, TrainingError
 from dualner.heads import HeadConfig
-from dualner.model import METHODS, init_model, mlm_batch_loss_and_grads, model_tensors
+from dualner.model import METHODS, init_model, mlm_batch_loss_and_grads, model_tensors, predict_documents
 from dualner.subtok import subtokenize, train_bpe
 from dualner.train import (
     AdamW,
@@ -166,6 +166,46 @@ def test_empty_splits_rejected(mini):
         train_supervised([], tune_docs, vocab, ENC, HEADS, TrainConfig())
     with pytest.raises(ValueError):
         train_supervised(train_docs, [], vocab, ENC, HEADS, TrainConfig())
+
+
+def _long_doc(docs, vocab):
+    """(A document "long-doc" whose sentence 1 joins every word of
+    ``docs``, that sentence's sub-token count, the longest of ``docs``)."""
+    words = [w for d in docs for s in d.sentences for w in s.words]
+    lengths = [len(subtokenize(s.words, vocab).sub_token_ids) for d in docs for s in d.sentences]
+    long_doc = Document("long-doc", "", [docs[0].sentences[0], Sentence(words, 0, 0)])
+    return long_doc, len(subtokenize(words, vocab).sub_token_ids), max(lengths)
+
+
+@pytest.mark.parametrize("split", ["train", "tune"])
+def test_too_long_sentence_is_refused_before_the_first_step(mini, monkeypatch, split):
+    """A sentence of either split longer than ``max_positions`` stops
+    training before any step, and the error names it by document and index."""
+    train_docs, tune_docs, vocab = mini
+    long_doc, n_long, n_fit = _long_doc(list(train_docs) + list(tune_docs), vocab)
+    if split == "train":
+        train_docs = list(train_docs) + [long_doc]
+    else:
+        tune_docs = list(tune_docs) + [long_doc]
+    steps = []
+    monkeypatch.setattr(train_module, "batch_loss_and_grads", lambda *args: steps.append(args))
+    message = rf"sentence of {n_long} sub-tokens exceeds max_positions={n_fit} in long-doc\[1\]$"
+    with pytest.raises(SentenceTooLongError, match=message):
+        train_supervised(train_docs, tune_docs, vocab, dataclasses.replace(ENC, max_positions=n_fit),
+                         HEADS, TrainConfig(epochs=2, checkpoint_every=50))
+    assert steps == []
+
+
+def test_predict_and_pretrain_name_a_too_long_sentence(mini):
+    train_docs, _tune_docs, vocab = mini
+    long_doc, n_long, n_fit = _long_doc(train_docs, vocab)
+    docs = list(train_docs) + [long_doc]
+    enc = dataclasses.replace(ENC, vocab_size=len(vocab), max_positions=n_fit)
+    message = rf"sentence of {n_long} sub-tokens exceeds max_positions={n_fit} in long-doc\[1\]$"
+    with pytest.raises(SentenceTooLongError, match=message):
+        predict_documents(init_model("word_tagger", INV, enc, HEADS), docs, vocab)
+    with pytest.raises(SentenceTooLongError, match=message):
+        pretrain_mlm(docs, vocab, enc, MlmConfig(total_steps=2, checkpoint_every=2))
 
 
 def test_adamw_skips_decay_on_vectors():
@@ -466,6 +506,21 @@ def test_protocol_requires_two_seeds(mini):
         )
 
 
+def test_protocol_refuses_repeated_methods_and_seeds(mini, monkeypatch):
+    """A repeated method or seed would run twice and count twice in the
+    mean and the standard deviation."""
+    train_docs, tune_docs, vocab = mini
+    runs = []
+    monkeypatch.setattr(train_module, "train_supervised", lambda *args: runs.append(args))
+    for methods, seeds in ((["word_tagger", "word_tagger"], [0, 1]), (["word_tagger"], [0, 0])):
+        with pytest.raises(ValueError, match="must be distinct"):
+            run_protocol(
+                train_docs, tune_docs, {"tune": tune_docs}, vocab,
+                methods, seeds, ENC, HEADS, TrainConfig(epochs=1),
+            )
+    assert runs == []
+
+
 def test_protocol_zero_std_for_identical_metrics():
     from dualner.evaluate import mean_std
 
@@ -579,6 +634,9 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
         (None, {"seeds": [0, -1]}, "seeds must be >= 0"),
         ("train", {"seed": -1}, "seed >= 0"),
         ("mlm", {"seed": -1}, "mlm seed must be >= 0"),
+        (None, {"seeds": [1, 1]}, r"seeds must be distinct, got \[1, 1\]"),
+        (None, {"methods": ["word_tagger", "word_tagger"]}, "methods must be distinct"),
+        (None, {"eval_splits": ["tune", "tune"]}, "eval_splits must be distinct"),
     ],
 )
 def test_experiment_config_checks_every_section(tmp_path, section, fault, message):
