@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Print the cProfile call count of six library paths on the benchmark set-ups.
+
+    python3 scripts/call_counts.py [WORKLOAD ...]
+
+Sets up each named workload of ``bench/workloads.py`` (default: all three)
+at seed 1 and counts, with ``cProfile``, the Python and built-in function
+calls of its paths:
+
+- ``tagger_short`` and ``span_long``: ``train``, ``batch_loss_and_grads``
+  over the first 10 batches of 8 training sentences, and ``predict``, one
+  ``predict_documents`` over the whole corpus, both with a fresh model;
+- ``mlm_bigvocab``: ``mlm_eval``, the benchmark's MLM scoring loss over the
+  whole corpus, and ``mlm_steps``, 20 packed MLM training steps of 8
+  sentences.
+
+A call count is deterministic, so unlike a time it can be compared between
+two revisions in one run each on a noisy machine.  Prints one line per
+path: ``<workload> <path> <calls>``.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import os
+import pstats
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+TRAIN_BATCHES, BATCH = 10, 8
+MLM_STEPS = 20
+
+
+def count_calls(fn) -> int:
+    profiler = cProfile.Profile()
+    profiler.runcall(fn)
+    return pstats.Stats(profiler).total_calls
+
+
+def paths(workloads, name: str) -> dict:
+    """Path name -> no-argument function running that path once."""
+    import numpy as np
+
+    from dualner import corpus, encoder, model, subtok
+    from dualner.heads import HeadConfig
+
+    w = workloads.WORKLOADS[name]
+    prep = workloads.set_up(w, SEED)
+    if w.supervised:
+        labels = corpus.LabelInventory.from_documents(prep.docs)
+        train_docs, _tune = corpus.split_train_tune(prep.docs, len(prep.docs) - w.n_tune)
+        examples = model.build_examples(train_docs, prep.vocab, labels, HeadConfig())
+        batches = [examples[i * BATCH:(i + 1) * BATCH] for i in range(TRAIN_BATCHES)]
+        trained = model.init_model(w.method, labels, prep.encoder_cfg, HeadConfig())
+
+        def train():
+            ws = encoder.Workspace()
+            for batch in batches:
+                model.batch_loss_and_grads(trained, batch, "train", np.random.default_rng(0), ws)
+
+        return {"train": train, "predict": lambda: model.predict_documents(trained, prep.docs, prep.vocab)}
+    params = encoder.init_params(prep.encoder_cfg)
+    pool = [np.asarray(subtok.subtokenize(s.words, prep.vocab).sub_token_ids, dtype=np.int64)
+            for d in prep.docs for s in d.sentences]
+
+    def mlm_eval():
+        model.mlm_batch_loss_and_grads(params, pool, prep.vocab, 0.15, np.random.default_rng(0),
+                                       mode="eval", with_grads=False)
+
+    def mlm_steps():
+        ws, rng = encoder.Workspace(), np.random.default_rng(0)
+        for step in range(MLM_STEPS):
+            batch = pool[step * BATCH:(step + 1) * BATCH]
+            model.mlm_batch_loss_and_grads(params, batch, prep.vocab, 0.15, rng, mode="train", workspace=ws)
+
+    return {"mlm_eval": mlm_eval, "mlm_steps": mlm_steps}
+
+
+def main(argv: list[str]) -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy is first imported
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import workloads
+
+    names = argv or list(workloads.WORKLOADS)
+    unknown = sorted(set(names) - set(workloads.WORKLOADS))
+    if unknown:
+        print(f"error: unknown workload {unknown}; choose from {sorted(workloads.WORKLOADS)}", file=sys.stderr)
+        return 1
+    for name in names:
+        for path, fn in paths(workloads, name).items():
+            print(f"{name} {path} {count_calls(fn)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

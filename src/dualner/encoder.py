@@ -2,20 +2,17 @@
 
 Token embeddings are added to learned absolute position embeddings and fed
 through post-layer-norm transformer blocks (multi-head self-attention, then
-a GELU feed-forward), with no framing tokens and no padding.  Supervised
-training encodes one sentence at a time.  MLM training packs its batch:
-the sentences' rows are concatenated, so the dense ops and their backward
-run once over all of them, while positions restart in each sentence and
-attention runs per group of equal-length sentences.  The packed vectors
-have the bits of per-sentence passes, except for a one-sub-token sentence,
-whose own pass takes BLAS's one-row path; the gradients, summed over all
-rows at once, round differently from sentence-by-sentence sums.  Eval
-passes may stack sentences of equal sub-token length as one ``[B, n]``
-array, which needs no mask and gives each sentence the same bits as
-encoding it alone.  Eval passes and supervised training may run the last
-layer only at the rows they read, and the backward of such a pass works on
-those rows only.  Dropout masks are drawn by the caller with
-``dropout_masks``; a pass applies the masks it is given.
+a GELU feed-forward), with no framing tokens and no padding.  A pass takes
+a pack of sentences: their rows are concatenated, so the dense ops and
+their backward run once over all of them, while positions restart in each
+sentence and attention runs per run of consecutive equal-length sentences.
+One sentence is a pack of one.  The packed vectors have the bits of
+per-sentence passes, except for a one-sub-token sentence packed with
+others, whose own pass takes BLAS's one-row path; the gradients, summed
+over all rows at once, round differently from sentence-by-sentence sums.
+A pass may run the last layer only at the rows its caller reads, and the
+backward of such a pass works on those rows only.  Dropout masks are drawn
+by the caller with ``dropout_masks``; a pass applies the masks it is given.
 Forward and backward are written out in numpy so analytic gradients can be
 checked against finite differences and training stays bit-reproducible on
 CPU.
@@ -35,7 +32,6 @@ from scipy.special import erf
 
 from .corpus import atomic_write, dataclass_from_dict
 from .errors import FormatError, SentenceTooLongError, UnusableDataError
-from .subtok import SubTokenization
 
 __all__ = [
     "EncoderConfig",
@@ -52,7 +48,6 @@ __all__ = [
     "encode_with_cache",
     "encode_backward",
     "dropout_masks",
-    "word_vectors",
     "save_checkpoint",
     "load_checkpoint",
     "load_encoder_snapshot",
@@ -219,9 +214,8 @@ def check_vocab_size(cfg: EncoderConfig, n_symbols: int, what: str) -> None:
 def dropout_masks(cfg: EncoderConfig, n: int, rng) -> list[np.ndarray] | None:
     """The dropout masks of a train-mode pass over one sentence of ``n``
     sub-tokens, drawn from ``rng``: two ``[n, hidden_dim]`` masks per layer,
-    in layer order, or None (no dropout) at rate 0.  A packed pass
-    (``encode_with_cache`` with ``lengths``) takes its sentences' masks
-    concatenated."""
+    in layer order, or None (no dropout) at rate 0.  A pack of sentences
+    takes its sentences' masks concatenated."""
     rate = cfg.dropout_rate
     if rate <= 0.0:
         return None
@@ -282,16 +276,9 @@ def _layer_norm_backward(dy, cache):
     return dxhat, dg, db
 
 
-def _split_heads(x, n_heads):
-    """[..., n, d] -> [..., n_heads, n, d / n_heads]."""
-    *lead, n, d = x.shape
-    return x.reshape(*lead, n, n_heads, d // n_heads).swapaxes(-3, -2)
-
-
-def _merge_heads(x):
-    """[..., h, n, dh] -> [..., n, h * dh]."""
-    *lead, h, n, dh = x.shape
-    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
+def _split_heads(x, b, n_heads):
+    """The ``[b * n, d]`` rows of b sentences as a ``[b, n_heads, n, d / n_heads]`` view."""
+    return x.reshape(b, -1, n_heads, x.shape[1] // n_heads).swapaxes(1, 2)
 
 
 def _affine(x, w, b):
@@ -301,106 +288,84 @@ def _affine(x, w, b):
     return y
 
 
-def _gather_rows(x, rows):
-    """Rows ``rows`` ([w] or [B, w]) of ``x`` ([n, d] or [B, n, d])."""
-    return x[rows] if rows.ndim == 1 else np.take_along_axis(x, rows[..., None], axis=-2)
-
-
 def _add_rows(x, rows, v):
-    """``x[rows] += v`` for one sentence's ``[w]`` rows, a repeated row
-    receiving the sum of its values (``np.add.at``, seven times slower, is
-    taken only then)."""
+    """``x[rows] += v``, a repeated row receiving the sum of its values
+    (``np.add.at``, seven times slower, is taken only then)."""
     if (rows[1:] > rows[:-1]).all():
         x[rows] += v
     else:
         np.add.at(x, rows, v)
 
 
-def _attend(q, k, v, scale):
-    """(probs, context) of split-head ``[..., h, n, dh]`` arrays."""
-    probs = q @ k.swapaxes(-1, -2)
-    probs *= scale
-    softmax(probs, out=probs)
-    return probs, probs @ v
-
-
-def _attention_forward(x, t, p, cfg, xq, rows=None, groups=None):
+def _attention_forward(x, t, p, cfg, xq, runs, rows=None):
     """Self-attention over the rows of ``x``, queried at ``xq``, which is
-    ``x`` itself or its rows ``rows``.  With ``groups`` (``_length_groups``
-    of a packed ``[N, d]`` ``x``), the projections run once over the N rows
-    and each group of equal-length sentences attends as one ``[B, h, n, n]``
+    ``x`` itself or its rows ``rows``.  The projections run once over all
+    rows; each run ``(key row, query row, b, n, m)`` of b sentences of n
+    sub-tokens, queried at m rows each, attends as one ``[b, h, m, n]``
     stack, within its sentences."""
-    scale = 1.0 / np.sqrt(cfg.hidden_dim // cfg.n_heads)
+    h = cfg.n_heads
+    scale = 1.0 / np.sqrt(cfg.hidden_dim // h)
     q = _affine(xq, t[p + "wq"], t[p + "bq"])
     k = x @ t[p + "wk"]
     v = _affine(x, t[p + "wv"], t[p + "bv"])
-    if groups is None:
-        q, k, v = (_split_heads(a, cfg.n_heads) for a in (q, k, v))
-        probs, ctx = _attend(q, k, v, scale)
-        merged = _merge_heads(ctx)
-    else:
-        merged = np.empty_like(q)
-        probs = []  # one [B, h, n, n] stack per group
-        for idx in groups:
-            pg, ctx = _attend(*(_split_heads(a[idx], cfg.n_heads) for a in (q, k, v)), scale)
-            merged[idx] = _merge_heads(ctx)
-            probs.append(pg)
+    merged = np.empty_like(q)
+    heads = []  # per run: the split-head views of q, k and v, and the [b, h, m, n] probs
+    for ks, qs, b, n, m in runs:
+        kr, qr = slice(ks, ks + b * n), slice(qs, qs + b * m)
+        qh, kh, vh = _split_heads(q[qr], b, h), _split_heads(k[kr], b, h), _split_heads(v[kr], b, h)
+        probs = qh @ kh.swapaxes(-1, -2)
+        probs *= scale
+        softmax(probs, out=probs)
+        np.matmul(probs, vh, out=_split_heads(merged[qr], b, h))
+        heads.append((qh, kh, vh, probs))
     out = _affine(merged, t[p + "wo"], t[p + "bo"])
-    return out, (x, q, k, v, probs, merged, scale, xq, rows, groups)
+    return out, (x, xq, rows, runs, heads, merged, scale)
 
 
-# The attention backward takes the heads in groups whose [group, n, n] score
-# arrays ([B, group, n, n] for B packed sentences of one length) hold at
-# most this many floats (256 KiB): all heads at once at short
-# sentences, where a loop over single heads cost about 25 us per call at n=33
-# (4 heads, one BLAS thread), and fewer from n=91 (one at a time from
-# n=129), where the arrays of all four heads (850 KiB at n=165) raised
+# The attention backward takes the heads in groups whose [b, group, m, n]
+# score arrays hold at most this many floats (256 KiB): all heads at once at
+# short sentences, where a loop over single heads cost about 25 us per call
+# at n=33 (4 heads, one BLAS thread), and fewer from n=91 (one at a time
+# from n=129), where the arrays of all four heads (850 KiB at n=165) raised
 # peak memory by 1 MiB.
 _SCORES_PER_GROUP = 2**15
 
 
-def _attend_backward(dctx, q, k, v, probs, scale, workspace):
-    """Merged-head (dq, dk, dv) of ``_attend``, given the split-head upstream
-    ``dctx`` of its context."""
-    dv = probs.swapaxes(-1, -2) @ dctx
-    dq, dk = np.empty(q.shape), np.empty(k.shape)
-    *lead, n_heads, m, n = probs.shape
-    group = max(1, _SCORES_PER_GROUP // (math.prod(lead) * m * n))
+def _attend_backward(dctx, q, k, v, probs, workspace, dq, dk, dv):
+    """Unscaled (dq, dk, dv) of one run's attention, written into the
+    split-head views ``dq``, ``dk`` and ``dv``, given the upstream ``dctx``
+    of its context."""
+    np.matmul(probs.swapaxes(-1, -2), dctx, out=dv)
+    b, n_heads, m, n = probs.shape
+    group = max(1, _SCORES_PER_GROUP // (b * m * n))
     for hs in (slice(h, h + group) for h in range(0, n_heads, group)):
-        at = (..., hs, slice(None), slice(None))
-        pr = probs[at]
+        pr = probs[:, hs]
         # dscores = probs * (dprobs - sum(dprobs * probs)), formed in place;
         # every head's products and sums have the bits of an all-heads pass
-        dscores = np.matmul(dctx[at], v[at].swapaxes(-1, -2),
+        dscores = np.matmul(dctx[:, hs], v[:, hs].swapaxes(-1, -2),
                             out=scratch(workspace, "attn.dscores", pr.shape))
         weighted = np.multiply(dscores, pr, out=scratch(workspace, "attn.weighted", pr.shape))
         dscores -= weighted.sum(axis=-1, keepdims=True)
         dscores *= pr
-        np.matmul(dscores, k[at], out=dq[at])
-        np.matmul(dscores.swapaxes(-1, -2), q[at], out=dk[at])
-    dq *= scale
-    dk *= scale
-    return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+        np.matmul(dscores, k[:, hs], out=dq[:, hs])
+        np.matmul(dscores.swapaxes(-1, -2), q[:, hs], out=dk[:, hs])
 
 
 def _attention_backward(dout, t, grads, p, cache, workspace=None):
-    """Input gradient ``[n, d]`` (``[N, d]`` packed); ``dout`` has one row
-    per query row."""
-    x, q, k, v, probs, merged, scale, xq, rows, groups = cache
+    """Input gradient ``[N, d]``; ``dout`` has one row per query row."""
+    x, xq, rows, runs, heads, merged, scale = cache
     grads[p + "wo"] += merged.T @ dout
     grads[p + "bo"] += dout.sum(axis=0)
     dctx = dout @ t[p + "wo"].T
-    if groups is None:
-        dq, dk, dv = _attend_backward(
-            _split_heads(dctx, q.shape[0]), q, k, v, probs, scale, workspace
-        )
-    else:
-        dq, dk, dv = (np.empty_like(x) for _ in range(3))
-        n_heads = probs[0].shape[-3]
-        for idx, pg in zip(groups, probs):
-            dctx_g, qg, kg, vg = (_split_heads(a[idx], n_heads) for a in (dctx, q, k, v))
-            dq[idx], dk[idx], dv[idx] = _attend_backward(dctx_g, qg, kg, vg, pg, scale, workspace)
-    dx = np.zeros_like(x)
+    dq, dk, dv = np.empty(xq.shape), np.empty(x.shape), np.empty(x.shape)
+    for (ks, qs, b, n, m), (qh, kh, vh, probs) in zip(runs, heads):
+        kr, qr = slice(ks, ks + b * n), slice(qs, qs + b * m)
+        h = probs.shape[1]
+        _attend_backward(_split_heads(dctx[qr], b, h), qh, kh, vh, probs, workspace,
+                         _split_heads(dq[qr], b, h), _split_heads(dk[kr], b, h), _split_heads(dv[kr], b, h))
+    dq *= scale
+    dk *= scale
+    dx = np.zeros(x.shape)
     for name, flat, xin, at in (("wq", dq, xq, rows), ("wk", dk, x, None), ("wv", dv, x, None)):
         grads[p + name] += xin.T @ flat
         if name != "wk":
@@ -412,14 +377,14 @@ def _attention_backward(dout, t, grads, p, cache, workspace=None):
     return dx
 
 
-def _layer_forward(x, t, i, cfg, masks, rows=None, groups=None):
+def _layer_forward(x, t, i, cfg, masks, runs, rows=None):
     """One block over ``x`` with its pair of dropout ``masks``, each None or
     shaped like the block's output; with ``rows``, its output only at those
-    rows; with ``groups``, over packed sentences."""
+    rows, which ``runs`` describe."""
     p = f"layers.{i}."
     mask1, mask2 = masks
-    xq = x if rows is None else _gather_rows(x, rows)
-    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq, rows, groups)
+    xq = x if rows is None else x[rows]
+    attn, attn_cache = _attention_forward(x, t, p + "attn.", cfg, xq, runs, rows)
     if mask1 is not None:
         attn *= mask1
     x1, ln1_cache = _layer_norm_forward(xq + attn, t[p + "ln1.g"], t[p + "ln1.b"])
@@ -435,12 +400,8 @@ def _layer_forward(x, t, i, cfg, masks, rows=None, groups=None):
 
 
 def _layer_backward(dy, t, grads, p, c, workspace):
-    """Input gradient ``[n, d]`` of one block, given the upstream ``dy`` at
+    """Input gradient ``[N, d]`` of one block, given the upstream ``dy`` at
     the rows the block computed (all of them unless it ran at ``rows``)."""
-    rows = c["rows"]
-    if rows is not None and dy.shape[0] < rows.size:
-        # a one-row pass computed its row twice; the copy is read by nothing
-        dy = np.concatenate((dy, np.zeros((rows.size - dy.shape[0], dy.shape[1]))))
     dr2, dg2, db2 = _layer_norm_backward(dy, c["ln2"])
     grads[p + "ln2.g"] += dg2
     grads[p + "ln2.b"] += db2
@@ -456,9 +417,9 @@ def _layer_backward(dy, t, grads, p, c, workspace):
     grads[p + "ln1.b"] += db1
     dattn = dr1 if c["mask1"] is None else dr1 * c["mask1"]
     dx = _attention_backward(dattn, t, grads, p + "attn.", c["attn"], workspace)
-    if rows is None:
+    if c["rows"] is None:
         return dr1 + dx
-    _add_rows(dx, rows, dr1)  # the residual reaches the rows only; the bits of dr1 + dx
+    _add_rows(dx, c["rows"], dr1)  # the residual reaches the rows only; the bits of dr1 + dx
     return dx
 
 
@@ -470,96 +431,128 @@ def check_length(cfg: EncoderConfig, n: int, name: str | None = None) -> None:
         raise SentenceTooLongError(f"sentence of {n} sub-tokens exceeds max_positions={cfg.max_positions}{label}")
 
 
-def _check_input(ids, cfg: EncoderConfig, lengths=None):
+def _check_input(ids, cfg: EncoderConfig, lengths):
+    """(ids, runs) of a pass: ``runs`` holds ``(first row, first row, b, n,
+    n)`` for each run of b consecutive sentences of n sub-tokens."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim not in (1, 2) or ids.size == 0:
-        raise ValueError("expected a non-empty 1-D id sequence or 2-D stack of them")
-    if lengths is not None:
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError(f"expected a non-empty 1-D id sequence, got shape {ids.shape}")
+    if lengths is None:
+        lengths = [ids.size]
+    else:
         lengths = np.asarray(lengths, dtype=np.int64)
-        fits = ids.ndim == 1 and lengths.ndim == 1 and lengths.size and lengths.min() >= 1
+        fits = lengths.ndim == 1 and lengths.size and lengths.min() >= 1
         if not fits or lengths.sum() != ids.size:
             raise ValueError(f"lengths do not split the {ids.size} packed sub-tokens into sentences")
-    check_length(cfg, ids.shape[-1] if lengths is None else int(lengths.max()))
+        lengths = lengths.tolist()
+    check_length(cfg, max(lengths))
+    runs = []
+    start = 0
+    for n in lengths:
+        if runs and runs[-1][3] == n:
+            runs[-1] = (*runs[-1][:2], runs[-1][2] + 1, n, n)
+        else:
+            runs.append((start, start, 1, n, n))
+        start += n
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"sub-token id out of range for vocab_size={cfg.vocab_size}")
-    return ids, lengths
+    return ids, runs
 
 
-def _check_rows(rows, ids):
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != ids.ndim or rows.shape[:-1] != ids.shape[:-1] or rows.shape[-1] == 0:
-        raise ValueError(f"rows of shape {rows.shape} do not fit ids of shape {ids.shape}")
-    if rows.min() < 0 or rows.max() >= ids.shape[-1]:
-        raise ValueError(f"row index out of range for {ids.shape[-1]} sub-tokens")
-    return rows
-
-
-def _length_groups(lengths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(positions, groups) of packed sentences of ``lengths``: each row's
-    position within its sentence, and for each length, in first-seen order,
-    the ``[B, n]`` rows of its sentences."""
-    starts = np.cumsum(lengths) - lengths
-    positions = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
-    groups = [starts[lengths == n][:, None] + np.arange(n) for n in dict.fromkeys(lengths.tolist())]
-    return positions, groups
+def _query_layout(rows, runs):
+    """Where a ``rows`` pass computes its last layer: (the query ``runs``,
+    the flat query rows, and a mask of the query rows that were asked for,
+    None when all were).  ``rows`` holds one index array per sentence.  The
+    b sentences of a run are queried as one ``[b, w]`` block: each
+    sentence's rows are padded to the run's widest, and to at least 2, by
+    repeating its last row (a one-row product takes another BLAS path than
+    the same row of a larger product and can differ in its last bits)."""
+    sents = [np.asarray(r, dtype=np.int64) for r in rows]
+    n_sents = sum(run[2] for run in runs)
+    if len(sents) != n_sents:
+        raise ValueError(f"{len(sents)} row lists given for {n_sents} sentences")
+    qruns, blocks, own = [], [], []  # own: (first query row, row count) per sentence
+    i = qs = asked = 0
+    for ks, _qs, b, n, _m in runs:
+        w = 2
+        for r in sents[i : i + b]:
+            if r.ndim != 1 or r.size == 0:
+                raise ValueError(f"rows of shape {r.shape} given for a sentence, not a non-empty 1-D array")
+            w = max(w, r.size)
+        block = np.empty((b, w), dtype=np.int64)
+        for j, r in enumerate(sents[i : i + b]):
+            block[j, : r.size] = r
+            block[j, r.size :] = r[-1]
+            own.append((qs + j * w, r.size))
+            asked += r.size
+        if block.min() < 0 or block.max() >= n:
+            raise ValueError(f"row index out of range for a sentence of {n} sub-tokens")
+        block += np.arange(ks, ks + b * n, n)[:, None]
+        qruns.append((ks, qs, b, n, w))
+        blocks.append(block.reshape(-1))
+        i += b
+        qs += b * w
+    keep = None
+    if asked < qs:
+        keep = np.zeros(qs, dtype=bool)
+        for start, size in own:
+            keep[start : start + size] = True
+    return qruns, np.concatenate(blocks), keep
 
 
 def encode_with_cache(ids, params: EncoderParams, rows=None, lengths=None, dropout_masks=None):
     """Forward pass returning both the contextual vectors and the backward cache.
 
-    ``ids`` is one sentence ``[n]`` or a stack of equal-length sentences
-    ``[B, n]``; the vectors are ``[n, hidden_dim]`` or ``[B, n, hidden_dim]``.
-    ``rows`` (``[w]`` or ``[B, w]``, repeats allowed) asks for the vectors
-    at those rows only, ``[w, hidden_dim]`` or ``[B, w, hidden_dim]``, with
-    the bits of the same rows of the full pass: the last layer still takes
-    keys and values from every row but computes the rest of the layer at
-    ``rows`` alone.  ``dropout_masks`` (see ``dropout_masks``; None is no
-    dropout) are two per layer, in layer order, each of the pass's full
-    shape; the last layer of a ``rows`` pass takes its masks at the rows.
+    ``ids`` is the ``[N]`` concatenation of sentences whose ``lengths`` add
+    up to N, or one sentence when ``lengths`` is None; the vectors are
+    ``[N, hidden_dim]``.  Each sentence is encoded as alone (positions
+    restart at 0, attention stays within it, ``max_positions`` holds per
+    sentence), but the embeddings, affine maps, layer norms and GELU run
+    once over all N rows, and attention once per run of consecutive
+    sentences of equal length.  The vectors have the bits of per-sentence
+    passes, except a one-sub-token sentence's when it is packed with
+    others: its own pass takes BLAS's one-row path.
 
-    ``lengths`` packs sentences of any lengths: ``ids`` is then their ``[N]``
-    concatenation and the vectors ``[N, hidden_dim]``.  Each sentence is
-    encoded as alone (positions restart at 0, attention stays within it,
-    ``max_positions`` holds per sentence), but the embeddings, affine maps,
-    layer norms and GELU run once over all N rows, and attention once per
-    group of equal-length sentences.  Its masks are the ``dropout_masks``
-    of its sentences, concatenated.  A one-sentence or packed cache can be
-    passed to ``encode_backward``.
+    ``rows`` (one index array per sentence, repeats allowed) asks for the
+    vectors at those rows only, concatenated in sentence order, with the
+    bits of the same rows of the full pass: the last layer still takes
+    keys and values from every row but computes the rest of the layer at
+    the rows alone (see ``_query_layout``).  ``dropout_masks`` (see
+    ``dropout_masks``; None is no dropout) are two per layer, in layer
+    order, each ``[N, hidden_dim]`` (the sentences' own masks,
+    concatenated); the last layer of a ``rows`` pass takes its masks at the
+    rows.  Every cache can be passed to ``encode_backward``.
     """
     cfg = params.config
     t = params.tensors
-    ids, lengths = _check_input(ids, cfg, lengths)
+    ids, runs = _check_input(ids, cfg, lengths)
+    masks = _check_masks(dropout_masks, cfg, (ids.size, cfg.hidden_dim))
+    x = t["tok_emb"][ids]
+    for start, _qs, b, n, _m in runs:
+        sentences = x[start : start + b * n].reshape(b, n, -1)
+        sentences += t["pos_emb"][:n]
+    cache = {"ids": ids, "runs": runs, "keep": None, "gathered": None, "layers": []}
+    query = None
     if rows is not None:
-        if lengths is not None:
-            raise ValueError("a packed pass computes every row; rows cannot be asked for")
-        rows = _check_rows(rows, ids)
-    masks = _check_masks(dropout_masks, cfg, (*ids.shape, cfg.hidden_dim))
-    positions = groups = None
-    if lengths is None:
-        n = ids.shape[-1]
-        x = t["tok_emb"][ids] + t["pos_emb"][:n]
-    else:
-        positions, groups = _length_groups(lengths)
-        n = ids.size
-        x = t["tok_emb"][ids] + t["pos_emb"][positions]
-    cache = {"ids": ids, "rows": rows, "positions": positions, "layers": []}
-    # A one-row matrix product takes another BLAS path than the same row of
-    # a larger product and can differ in its last bits, so the last layer is
-    # computed at no fewer than 2 rows, and a one-sub-token sentence runs in full.
-    last = cfg.n_layers - 1 if rows is not None and n >= 2 and cfg.n_layers else cfg.n_layers
-    for i in range(last):
-        x, layer_cache = _layer_forward(x, t, i, cfg, masks[i], groups=groups)
+        qruns, query, cache["keep"] = _query_layout(rows, runs)
+    # The last layer runs at the query rows only.  Without layers, or at one
+    # sub-token in all, the rows are gathered from the full pass instead, so
+    # that a one-sub-token sentence keeps the bits of its own pass.
+    at_rows = query is not None and ids.size >= 2 and cfg.n_layers > 0
+    for i in range(cfg.n_layers - at_rows):
+        x, layer_cache = _layer_forward(x, t, i, cfg, masks[i], runs)
         cache["layers"].append(layer_cache)
-    if rows is None:
-        return x, cache
-    w = rows.shape[-1]
-    if last == cfg.n_layers:
-        return _gather_rows(x, rows), cache
-    at_least_two = rows if w >= 2 else np.concatenate((rows, rows), axis=-1)
-    at_rows = [None if m is None else _gather_rows(m, at_least_two) for m in masks[last]]
-    x, layer_cache = _layer_forward(x, t, last, cfg, at_rows, at_least_two)
-    cache["layers"].append(layer_cache)
-    return x[..., :w, :], cache
+    if at_rows:
+        last_masks = [None if m is None else m[query] for m in masks[-1]]
+        x, layer_cache = _layer_forward(x, t, cfg.n_layers - 1, cfg, last_masks, qruns, query)
+        cache["layers"].append(layer_cache)
+    elif query is not None:
+        x = x[query]
+        cache["gathered"] = query
+    if cache["keep"] is not None:
+        x = x[cache["keep"]]
+    cache["shape"] = x.shape
+    return x, cache
 
 
 def encode(ids, params: EncoderParams) -> np.ndarray:
@@ -581,56 +574,40 @@ def encode_backward(
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of sum(vectors * upstream); shapes mirror params.
 
-    ``cache`` is the one-sentence or packed cache ``encode_with_cache``
-    returned with the vectors, so the dropout masks match, and
-    ``upstream`` has the vectors' shape.  With a cache of ``rows``, the last layer's
-    backward runs at those rows only: what the full pass would compute
-    there from a zero upstream is zero and is skipped, so the gradients are
-    those of the full pass with the rows' upstream scattered into zeros
-    (repeated rows summed), up to the rounding of shorter products.  When
-    ``grads`` is given, gradients accumulate into it.  The attention
-    backward takes its score temporaries from ``workspace`` when one is
-    given.
+    ``cache`` is the cache ``encode_with_cache`` returned with the vectors,
+    so the dropout masks match, and ``upstream`` has the vectors' shape.
+    With a cache of ``rows``, the last layer's backward runs at those rows
+    only: what the full pass would compute there from a zero upstream is
+    zero and is skipped, so the gradients are those of the full pass with
+    the rows' upstream scattered into zeros (repeated rows summed), up to
+    the rounding of shorter products.  A packed cache gives the summed
+    gradients of its sentences' passes, up to rounding.  When ``grads`` is
+    given, gradients accumulate into it.  The attention backward takes its
+    score temporaries from ``workspace`` when one is given.
     """
     cfg = params.config
     t = params.tensors
-    ids, rows = cache["ids"], cache["rows"]
-    if ids.ndim != 1:
-        raise ValueError("encode_backward takes the cache of one sentence, not of a stack")
-    upstream = np.asarray(upstream, dtype=float)
-    want = (ids.size if rows is None else rows.size, cfg.hidden_dim)
-    if upstream.shape != want:
-        raise ValueError(f"upstream gradient shape {upstream.shape} != {want}")
+    ids, keep, gathered = cache["ids"], cache["keep"], cache["gathered"]
+    dx = upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != cache["shape"]:
+        raise ValueError(f"upstream gradient shape {upstream.shape} != {cache['shape']}")
     if grads is None:
         grads = zero_grads(params)
-    layers = cache["layers"]
-    dx = upstream
-    if rows is not None and (not layers or layers[-1]["rows"] is None):
-        # the rows were gathered from a full pass
-        dx = np.zeros((ids.size, cfg.hidden_dim))
-        _add_rows(dx, rows, upstream)
+    if keep is not None:  # the padded query rows get no gradient
+        dx = np.zeros((keep.size, cfg.hidden_dim))
+        dx[keep] = upstream
+    if gathered is not None:  # the rows were gathered from the full pass
+        full = np.zeros((ids.size, cfg.hidden_dim))
+        _add_rows(full, gathered, dx)
+        dx = full
     for i in reversed(range(cfg.n_layers)):
-        dx = _layer_backward(dx, t, grads, f"layers.{i}.", layers[i], workspace)
+        dx = _layer_backward(dx, t, grads, f"layers.{i}.", cache["layers"][i], workspace)
     np.add.at(grads["tok_emb"], ids, dx)
-    if cache["positions"] is None:
-        grads["pos_emb"][: ids.size] += dx
-    else:  # row by row, so each sentence adds to the positions as when alone
-        np.add.at(grads["pos_emb"], cache["positions"], dx)
+    pos = grads["pos_emb"]
+    for start, _qs, b, n, _m in cache["runs"]:
+        for sentence in dx[start : start + b * n].reshape(b, n, -1):  # in order, as when alone
+            pos[:n] += sentence
     return grads
-
-
-# ---------------------------------------------------------------------------
-# First-sub-token word representations
-# ---------------------------------------------------------------------------
-
-
-def word_vectors(ctx: np.ndarray, align: SubTokenization) -> np.ndarray:
-    """Row w is the contextual vector of word w's first sub-token."""
-    if ctx.shape[0] != align.n_subtokens:
-        raise ValueError(
-            f"contextual rows ({ctx.shape[0]}) != alignment sub-tokens ({align.n_subtokens})"
-        )
-    return ctx[np.asarray(align.first_subtoken_index, dtype=np.int64)]
 
 
 # ---------------------------------------------------------------------------

@@ -206,40 +206,39 @@ def _target_log_probs(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
     return picked, total
 
 
-# An eval stack holds at most this many sub-tokens (always at least one
+# An eval pack holds at most this many sub-tokens (always at least one
 # sentence).  Measured on the MLM scoring pass of a 1883-symbol vocabulary
-# (one BLAS thread, 2-core Xeon): 64 rows 467 ms, 128 rows 372 ms, 512 rows
-# 358 ms but 18 MiB more peak memory, against 853 ms one sentence at a time.
-_STACK_ROWS = 128
+# (one BLAS thread, 2-core Xeon), with stacks of equal-length sentences:
+# 64 rows 467 ms, 128 rows 372 ms, 512 rows 358 ms but 18 MiB more peak
+# memory, against 853 ms one sentence at a time.
+_PACK_ROWS = 128
 
 
-def _encode_by_length(
-    id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequence[Sequence[int]]
-):
-    """Eval-mode encoding of many sentences at the rows their callers read,
-    equal lengths stacked together.
+def _eval_packs(id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequence[Sequence[int]]):
+    """Eval-mode encoding of many sentences at the rows their callers read.
 
-    Yields ``(indices, vecs)`` where, for ``i = indices[r]``,
-    ``vecs[r, :len(rows[i])]`` holds the contextual vectors of ``id_seqs[i]``
-    at the sub-token positions ``rows[i]``; a shorter row list in a stack is
-    padded by repeating its last position.  Lengths are taken in first-seen
-    order.  An equal-length stack needs no padding or mask, so every
-    sentence gets the same bits as when encoded alone.
+    Yields ``(indices, vecs)`` per pack, where ``vecs`` holds the vectors
+    of ``id_seqs[i]`` at the sub-token positions ``rows[i]`` for each ``i``
+    of ``indices``, concatenated in that order.  Sentences are packed
+    shortest first (ties in input order), at most ``_PACK_ROWS`` sub-tokens
+    to a pack; a longer sentence, and each one-sub-token sentence, is
+    packed alone, so that every sentence gets the bits of its own pass.
     """
-    by_length: dict[int, list[int]] = {}
-    for i, ids in enumerate(id_seqs):
-        by_length.setdefault(len(ids), []).append(i)
-    for n, indices in by_length.items():
-        per_stack = max(1, _STACK_ROWS // max(n, 1))
-        for j in range(0, len(indices), per_stack):
-            chunk = indices[j : j + per_stack]
-            stack = np.stack([id_seqs[i] for i in chunk])
-            width = max(len(rows[i]) for i in chunk)
-            picked = np.array(
-                [tuple(rows[i]) + (rows[i][-1],) * (width - len(rows[i])) for i in chunk],
-                dtype=np.int64,
-            )
-            yield chunk, encode_with_cache(stack, enc, rows=picked)[0]
+    sizes = [ids.size for ids in id_seqs]
+    packs: list[list[int]] = []
+    size = 0
+    for i in sorted(range(len(id_seqs)), key=sizes.__getitem__):
+        if not packs or size + sizes[i] > _PACK_ROWS or size == 1:
+            packs.append([])
+            size = 0
+        packs[-1].append(i)
+        size += sizes[i]
+    for pack in packs:
+        # the pass's cache is dropped before the caller reads the vectors
+        yield pack, encode_with_cache(
+            np.concatenate([id_seqs[i] for i in pack]), enc,
+            rows=[rows[i] for i in pack], lengths=[sizes[i] for i in pack],
+        )[0]
 
 
 def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspace=None):
@@ -248,7 +247,7 @@ def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspa
     first sub-tokens of the words, the rows both heads read."""
     masks = _masks_for(mode, model.encoder.config, ex.ids.size, rng)
     wv, cache = encode_with_cache(
-        ex.ids, model.encoder, rows=ex.align.first_subtoken_index, dropout_masks=masks
+        ex.ids, model.encoder, rows=[ex.align.first_subtoken_index], dropout_masks=masks
     )
     if model.method == "word_tagger":
         logits = tagger_forward(wv, model.heads)
@@ -338,7 +337,6 @@ def mlm_batch_loss_and_grads(
     mask_prob: float,
     mask_rng,
     mode: str = "train",
-    dropout_rng=None,
     with_grads: bool = True,
     workspace: Workspace | None = None,
     masks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
@@ -347,24 +345,25 @@ def mlm_batch_loss_and_grads(
     was masked, in which case parameters must not be updated).
 
     With gradients, each sentence draws its ``mlm_mask`` and then, in train
-    mode, its ``dropout_masks`` from the generators, in sentence order, as
+    mode, its ``dropout_masks`` from ``mask_rng``, in sentence order, as
     when each sentence was encoded alone.  The sentences that masked a
-    position are then encoded as one packed pass (``encode_with_cache`` with
-    ``lengths``) and backpropagated by one ``encode_backward``; the tied
-    projection is one ``[P, V]`` product at the P masked rows, and its
-    gradient one ``[V, P] @ [P, d]`` product.  Sums over all rows at once
-    round differently from accumulating sentence by sentence, so the loss
-    and gradients differ from that only at rounding level.  With a
-    ``workspace``, the returned gradients are its ``grad.*`` buffers (valid
-    until the next call with it), and the logits and the attention
-    backward's temporaries come from it too; the bits are the same without.
+    position are then encoded, in batch order, as one pack
+    (``encode_with_cache`` with ``lengths``) and backpropagated by one
+    ``encode_backward``; the tied projection is one ``[P, V]`` product at
+    the P masked rows, and its gradient one ``[V, P] @ [P, d]`` product.
+    Sums over all rows at once round differently from accumulating sentence
+    by sentence, so the loss and gradients differ from that only at
+    rounding level.  With a ``workspace``, the returned gradients are its
+    ``grad.*`` buffers (valid until the next call with it), and the logits
+    and the attention backward's temporaries come from it too; the bits are
+    the same without.
 
     Without gradients (eval mode only) every mask is drawn first, in
-    sentence order, and equal-length sentences are encoded and scored as
-    one stack; each sentence's CE is summed from its own rows, in sentence
-    order, so the loss has the same bits as scoring one sentence at a time.
-    There, ``masks`` may give the ``mlm_masks`` of ``batch`` drawn before,
-    and ``mask_rng`` is then not drawn from.
+    sentence order, and the sentences are encoded at their masked rows and
+    scored in packs (``_eval_packs``); each sentence's CE is summed from its
+    own rows, in sentence order, so the loss has the same bits as scoring
+    one sentence at a time.  There, ``masks`` may give the ``mlm_masks`` of
+    ``batch`` drawn before, and ``mask_rng`` is then not drawn from.
     """
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
@@ -384,7 +383,7 @@ def mlm_batch_loss_and_grads(
         corrupted, masked, target = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
         if masked.size == 0:
             continue
-        drops.append(_masks_for(mode, enc.config, corrupted.size, dropout_rng))
+        drops.append(_masks_for(mode, enc.config, corrupted.size, mask_rng))
         sentences.append(corrupted)
         positions.append(masked + offset)
         targets.append(target)
@@ -425,26 +424,25 @@ def mlm_masks(batch: Sequence[np.ndarray], vocab: BpeVocab, mask_prob: float, rn
 
 
 def _mlm_eval_loss(enc: EncoderParams, masked) -> float:
-    """Mean masked-position CE under the ``mlm_masks`` ``masked``, equal
-    lengths stacked."""
+    """Mean masked-position CE under the ``mlm_masks`` ``masked``, encoded
+    and scored in packs (``_eval_packs``)."""
     keep = [i for i, (_c, positions, _t) in enumerate(masked) if positions.size]
     if not keep:
         return 0.0
     emb = enc.tensors["tok_emb"]
     ce = [0.0] * len(masked)
-    stacks = _encode_by_length(
-        [masked[i][0] for i in keep], enc, [masked[i][1] for i in keep]
-    )
-    workspace = Workspace()  # one logits buffer for every stack
-    for chunk, sel in stacks:
-        rows = [keep[c] for c in chunk]
-        # equal lengths mask equally many positions, so no row list was padded
-        targets = np.concatenate([masked[i][2] for i in rows])
-        flat = sel.reshape(-1, sel.shape[-1])
-        z = np.matmul(flat, emb.T, out=workspace.take("mlm.logits", (flat.shape[0], emb.shape[0])))
+    packs = _eval_packs([masked[i][0] for i in keep], enc, [masked[i][1] for i in keep])
+    workspace = Workspace()  # one logits buffer for every pack
+    for pack, sel in packs:
+        sentences = [keep[j] for j in pack]
+        targets = np.concatenate([masked[i][2] for i in sentences])
+        z = np.matmul(sel, emb.T, out=workspace.take("mlm.logits", (sel.shape[0], emb.shape[0])))
         picked, _total = _target_log_probs(z, targets)
-        for i, row in zip(rows, picked.reshape(sel.shape[:2])):
-            ce[i] = -float(row.sum())
+        start = 0
+        for i in sentences:
+            stop = start + masked[i][1].size
+            ce[i] = -float(picked[start:stop].sum())
+            start = stop
     total_ce = 0.0
     for i in keep:  # in sentence order, as when scored one at a time
         total_ce += ce[i]
@@ -478,15 +476,15 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
 def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
     align = subtokenize(words, vocab)
     ids = np.asarray(align.sub_token_ids, dtype=np.int64)
-    wv, _ = encode_with_cache(ids, model.encoder, rows=align.first_subtoken_index)
+    wv, _ = encode_with_cache(ids, model.encoder, rows=[align.first_subtoken_index])
     return _decode(model, wv)
 
 
 def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> list[Document]:
     """Copies of ``docs`` whose mentions are the model's scored predictions.
 
-    Every sentence is decoded as by ``predict_sentence``, but equal-length
-    sentences are encoded together.  Every sentence's length is checked
+    Every sentence is decoded as by ``predict_sentence``, but sentences are
+    encoded in packs (``_eval_packs``).  Every sentence's length is checked
     before the first pass (``check_sentence_lengths``).
     """
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
@@ -494,9 +492,12 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
     check_sentence_lengths(model.encoder.config, docs, ids)
     firsts = [align.first_subtoken_index for align in aligns]
     found: list[list[ScoredMention]] = [[] for _ in aligns]
-    for chunk, wv in _encode_by_length(ids, model.encoder, firsts):
-        for i, sent_wv in zip(chunk, wv):
-            found[i] = _decode(model, sent_wv[: aligns[i].n_words])
+    for pack, wv in _eval_packs(ids, model.encoder, firsts):
+        start = 0
+        for i in pack:
+            stop = start + len(firsts[i])
+            found[i] = _decode(model, wv[start:stop])
+            start = stop
     found_iter = iter(found)
     return [
         replace(doc, sentences=[replace(sent, mentions=next(found_iter)) for sent in doc.sentences])

@@ -431,7 +431,7 @@ def pretrain_mlm(
     _run_steps(
         mlm_cfg, enc.tensors, mlm_cfg.total_steps, batches(),
         lambda batch, ws: mlm_batch_loss_and_grads(
-            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng, workspace=ws
+            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", workspace=ws
         ),
         log, snapshot, metric="mlm_batch_loss", what="MLM",
     )
@@ -538,6 +538,8 @@ def run_protocol(
             raise ValueError(f"unknown method {method!r}")
     if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
         raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
+    if not eval_sets:  # every run would train only to report nothing
+        raise ValueError("the protocol needs at least one eval split")
     encoder = "desk"  # the report's name for the one from-scratch encoder
     metrics = ["f1", "precision", "recall", "mcc"]
     values: dict[tuple[str, str, str], dict[str, list[float]]] = {}
@@ -614,8 +616,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be distinct, got {list(values)}")
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
-        if not self.methods or not self.seeds:
-            raise ValueError("methods and seeds must be non-empty")
+        if not self.methods or not self.seeds or not self.eval_splits:
+            raise ValueError("methods, seeds and eval_splits must be non-empty")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be >= 0")
         for method in self.methods:

@@ -22,7 +22,6 @@ from dualner.encoder import (
     encode_backward,
     encode_with_cache,
     init_params,
-    word_vectors,
     zero_grads,
 )
 from dualner.heads import span_backward, span_logits_with_cache, tagger_backward, tagger_forward
@@ -290,9 +289,9 @@ def mlm_eval_loss_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_
 
 
 def mlm_batch_loss_and_grads_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_rng,
-                                       mode: str = "train", dropout_rng=None):
+                                       mode: str = "train"):
     """The masked-LM training step one sentence at a time: mask, encode
-    (drawing the dropout masks), project onto the tied embeddings, and
+    (drawing the dropout masks from ``mask_rng`` too), project onto the tied embeddings, and
     backpropagate, accumulating the summed CE and the gradients in batch
     order.  Returns (mean CE, gradients), or (0.0, None) when no position
     was masked."""
@@ -304,7 +303,7 @@ def mlm_batch_loss_and_grads_reference(enc, batch, vocab: BpeVocab, mask_prob: f
         corrupted, positions, targets = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
         if positions.size == 0:
             continue
-        masks = dropout_masks(enc.config, corrupted.size, dropout_rng) if mode == "train" else None
+        masks = dropout_masks(enc.config, corrupted.size, mask_rng) if mode == "train" else None
         ctx, cache = encode_with_cache(corrupted, enc, dropout_masks=masks)
         sel = ctx[positions]
         ce, dlogits = _softmax_ce(sel @ emb.T, targets)
@@ -407,6 +406,15 @@ def attention_backward_reference(dout, t, grads, p, cache):
             grads[p + "b" + name[1]] += flat.sum(axis=0)
         dx += flat @ t[p + name].T
     return dx
+
+
+def word_vectors(ctx: np.ndarray, align) -> np.ndarray:
+    """Row w is the contextual vector of word w's first sub-token."""
+    if ctx.shape[0] != align.n_subtokens:
+        raise ValueError(
+            f"contextual rows ({ctx.shape[0]}) != alignment sub-tokens ({align.n_subtokens})"
+        )
+    return ctx[np.asarray(align.first_subtoken_index, dtype=np.int64)]
 
 
 def word_vectors_backward(d_wordvecs: np.ndarray, align) -> np.ndarray:
@@ -627,8 +635,7 @@ def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
         batch = [train_pool[i] for i in order[: mlm_cfg.batch_size]]
         del order[: mlm_cfg.batch_size]
         loss, grads = mlm_batch_loss_and_grads(
-            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", dropout_rng=rng,
-            workspace=workspace,
+            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", workspace=workspace,
         )
         if grads is not None:
             opt.step(enc.tensors, grads, mlm_cfg.grad_clip, workspace)

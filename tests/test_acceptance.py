@@ -263,7 +263,9 @@ def test_c07_overfit_oracle(desk, overfit_runs):
     inventory, docs, vocab, _enc, head_cfg = desk
     span_model = overfit_runs["span_classifier"][0].model
     from dualner.heads import span_forward
-    from dualner.encoder import encode, word_vectors
+    from dualner.encoder import encode
+
+    from .oracles import word_vectors
     from dualner.subtok import subtokenize
 
     checked = 0

@@ -681,6 +681,23 @@ def test_train_repeated_seeds_exit_before_any_work(tmp_path, corpus_file, capsys
     assert not run_dir.exists()
 
 
+def test_train_empty_eval_splits_exit_before_any_work(tmp_path, corpus_file, capsys, monkeypatch):
+    """A multi-seed run without an eval split would train every run only to
+    write an empty table: the config file is a data error (2)."""
+    import dualner.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "train_supervised", lambda *args, **kwargs: pytest.fail("trained"))
+    config = {"corpus": str(corpus_file), "n_train": 16, "seeds": [0, 1], "eval_splits": []}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")
+    assert "eval_splits must be non-empty" in err[0]
+    assert not run_dir.exists()
+
+
 def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, capsys, monkeypatch):
     import dualner.cli as cli_mod
     from dualner.errors import TrainingError

@@ -19,7 +19,6 @@ from dualner.encoder import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    word_vectors,
     zero_grads,
 )
 from dualner.errors import SentenceTooLongError
@@ -32,6 +31,7 @@ from .oracles import (
     gradient_agreement,
     layer_norm_backward_reference,
     layer_norm_forward_reference,
+    word_vectors,
     word_vectors_backward,
 )
 
@@ -114,31 +114,33 @@ STACKED = dataclasses.replace(TINY, n_layers=2)
 @pytest.mark.parametrize("n", [1, 5, STACKED.max_positions])
 @pytest.mark.parametrize("batch", [1, 3, 7])
 def test_stacked_encode_equals_per_sentence(batch, n):
+    """A pack of ``batch`` sentences of ``n`` sub-tokens, one run, gives
+    each sentence the vectors of its own pass: bit for bit, except one-sub-
+    token sentences packed together, whose own passes take BLAS's one-row
+    path."""
     params = _scaled_params(STACKED)
     ids = np.random.default_rng(100 * batch + n).integers(0, STACKED.vocab_size, size=(batch, n))
-    stacked = encode(ids, params)
-    assert stacked.shape == (batch, n, STACKED.hidden_dim)
-    for row_ids, row in zip(ids, stacked):
-        assert np.array_equal(row, encode(row_ids, params))
+    packed = encode_with_cache(ids.reshape(-1), params, lengths=[n] * batch)[0]
+    assert packed.shape == (batch * n, STACKED.hidden_dim)
+    for row_ids, rows in zip(ids, packed.reshape(batch, n, -1)):
+        if n >= 2 or batch == 1:
+            assert np.array_equal(rows, encode(row_ids, params))
+        else:
+            np.testing.assert_allclose(rows, encode(row_ids, params), rtol=1e-12, atol=1e-14)
 
 
 def test_stacked_encode_rejects_bad_input():
+    """Ids are one flat sequence: a ``[B, n]`` stack is refused, packed or not."""
     params = init_params(STACKED)
-    with pytest.raises(SentenceTooLongError, match="17 sub-tokens exceeds max_positions=16"):
-        encode(np.ones((3, 17), dtype=int), params)
+    for ids, lengths in ((np.ones((3, 4), dtype=int), None), (np.ones((2, 5), dtype=int), [5, 5]),
+                         (np.ones((1, 1), dtype=int), [1]), (np.ones((2, 0), dtype=int), None)):
+        with pytest.raises(ValueError, match="1-D id sequence"):
+            encode_with_cache(ids, params, lengths=lengths)
     for bad_id in (STACKED.vocab_size, -1):
-        ids = np.ones((2, 4), dtype=int)
-        ids[1, 2] = bad_id
+        ids = np.ones(8, dtype=int)
+        ids[6] = bad_id
         with pytest.raises(ValueError, match="out of range"):
-            encode(ids, params)
-    with pytest.raises(ValueError, match="non-empty"):
-        encode(np.ones((2, 0), dtype=int), params)
-    with pytest.raises(ValueError, match="non-empty"):
-        encode(np.ones((2, 2, 2), dtype=int), params)
-    ids = np.ones((2, 3), dtype=int)
-    _out, cache = encode_with_cache(ids, params)
-    with pytest.raises(ValueError, match="one sentence"):
-        encode_backward(params, np.ones((6, STACKED.hidden_dim)), cache)
+            encode_with_cache(ids, params, lengths=[4, 4])
 
 
 def _row_choices(n, rng):
@@ -154,7 +156,7 @@ def test_rows_equal_full_pass_rows():
             ids = rng.integers(0, STACKED.vocab_size, size=n)
             full = encode(ids, params)
             for rows in _row_choices(n, rng):
-                out = encode_with_cache(ids, params, rows=rows)[0]
+                out = encode_with_cache(ids, params, rows=[rows])[0]
                 assert out.shape == (rows.size, STACKED.hidden_dim)
                 assert np.array_equal(out, full[rows]), (n_layers, n, rows)
 
@@ -179,7 +181,7 @@ def test_rows_backward_matches_full_backward():
             ids = rng.integers(0, STACKED.vocab_size, size=n)
             full, full_cache = encode_with_cache(ids, params)
             for rows in _row_choices(n, rng):
-                out, cache = encode_with_cache(ids, params, rows=rows)
+                out, cache = encode_with_cache(ids, params, rows=[rows])
                 upstream = rng.normal(size=out.shape)
                 scattered = np.zeros_like(full)
                 np.add.at(scattered, rows, upstream)
@@ -203,7 +205,7 @@ def test_rows_keep_the_dropout_stream():
         rows = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
         masks = dropout_masks(cfg, n, np.random.default_rng(3))
         full, full_cache = encode_with_cache(ids, params, dropout_masks=masks)
-        out, cache = encode_with_cache(ids, params, rows=rows, dropout_masks=masks)
+        out, cache = encode_with_cache(ids, params, rows=[rows], dropout_masks=masks)
         assert not np.array_equal(full, encode(ids, params))
         assert np.array_equal(out, full[rows])
         upstream = rng.normal(size=out.shape)
@@ -213,35 +215,70 @@ def test_rows_keep_the_dropout_stream():
                             encode_backward(params, scattered, full_cache))
 
 
+def _packed_rows_cases(rng):
+    """(lengths, rows) packs: a run of four sentences whose row counts
+    differ, runs of short sentences that read one row each, and mixed
+    lengths with repeated rows; and a one-sub-token sentence alone."""
+    mixed = [5, 5, 3, STACKED.max_positions, 2, 5]
+    return [
+        ([5] * 4, [np.sort(rng.choice(5, size=k, replace=False)) for k in (1, 3, 5, 2)]),
+        ([3, 3, 2, 2, 2, 4], [np.array([n - 1]) for n in (3, 3, 2, 2, 2, 4)]),
+        (mixed, [rng.integers(0, n, size=int(rng.integers(1, n + 2))) for n in mixed]),
+        ([1], [np.array([0])]),
+    ]
+
+
 def test_stacked_rows_equal_full_pass_rows():
+    """Packed rows are the same rows of per-sentence full passes, bit for
+    bit, concatenated in sentence order."""
     rng = np.random.default_rng(12)
     for n_layers in (0, 2):
         params = _scaled_params(dataclasses.replace(STACKED, n_layers=n_layers))
-        for n in (1, 2, 5, STACKED.max_positions):
-            ids = rng.integers(0, STACKED.vocab_size, size=(4, n))
-            full = encode(ids, params)
-            # word counts differ per sentence; shorter lists repeat their last row
-            wanted = [np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-                      for _ in range(4)]
-            width = max(r.size for r in wanted)
-            for w in sorted({1, width}):
-                rows = np.stack([np.pad(r[:w], (0, w - r[:w].size), mode="edge") for r in wanted])
-                out = encode_with_cache(ids, params, rows=rows)[0]
-                assert out.shape == (4, w, STACKED.hidden_dim)
-                for b in range(4):
-                    assert np.array_equal(out[b], full[b][rows[b]]), (n_layers, n, rows)
+        for lengths, rows in _packed_rows_cases(rng):
+            sentences = [rng.integers(0, STACKED.vocab_size, size=n) for n in lengths]
+            out = encode_with_cache(np.concatenate(sentences), params, rows=rows, lengths=lengths)[0]
+            want = np.concatenate([encode(ids, params)[r] for ids, r in zip(sentences, rows)])
+            assert out.shape == want.shape
+            assert np.array_equal(out, want), (n_layers, lengths)
+
+
+def test_packed_rows_backward_matches_per_sentence_rows_backward():
+    """The backward of a packed rows cache gives the summed gradients of
+    the sentences' own rows caches, up to rounding, with and without
+    dropout."""
+    rng = np.random.default_rng(16)
+    for n_layers, rate in ((0, 0.0), (1, 0.0), (2, 0.0), (2, 0.2)):
+        cfg = dataclasses.replace(STACKED, n_layers=n_layers, dropout_rate=rate)
+        params = _scaled_params(cfg)
+        for lengths, rows in _packed_rows_cases(rng):
+            sentences = [rng.integers(0, cfg.vocab_size, size=n) for n in lengths]
+            masks = [dropout_masks(cfg, n, rng) for n in lengths]
+            packed_masks = None if rate == 0 else [np.concatenate(m) for m in zip(*masks)]
+            out, cache = encode_with_cache(np.concatenate(sentences), params, rows=rows, lengths=lengths,
+                                           dropout_masks=packed_masks)
+            upstream = rng.normal(size=out.shape)
+            want = zero_grads(params)
+            start = 0
+            for ids, r, sent_masks in zip(sentences, rows, masks):
+                _out, alone = encode_with_cache(ids, params, rows=[r], dropout_masks=sent_masks)
+                encode_backward(params, upstream[start : start + r.size], alone, want)
+                start += r.size
+            _assert_grads_close(encode_backward(params, upstream, cache, workspace=Workspace()), want)
 
 
 def test_rows_reject_bad_input():
     params = init_params(STACKED)
-    ids = np.ones((2, 5), dtype=int)
-    for rows in ([0, 1], np.zeros((3, 2), dtype=int), np.zeros((2, 0), dtype=int)):
-        with pytest.raises(ValueError, match="do not fit"):
-            encode_with_cache(ids, params, rows=rows)
-    for bad in (5, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            encode_with_cache(ids, params, rows=[[0, bad], [1, 2]])
-    _out, cache = encode_with_cache(ids[0], params, rows=[0, 3])
+    ids = np.ones(10, dtype=int)
+    for rows in ([[0]], [[0], [1], [2]]):
+        with pytest.raises(ValueError, match="row lists given for 2 sentences"):
+            encode_with_cache(ids, params, rows=rows, lengths=[5, 5])
+    for rows in ([0, 1], [[0], []], [[0], [[1, 2]]]):
+        with pytest.raises(ValueError, match="not a non-empty 1-D array"):
+            encode_with_cache(ids, params, rows=rows, lengths=[5, 5])
+    for bad in (5, -1):  # 5 is in the pack but not in the first sentence
+        with pytest.raises(ValueError, match="out of range for a sentence of 5"):
+            encode_with_cache(ids, params, rows=[[0, bad], [1, 2]], lengths=[5, 5])
+    _out, cache = encode_with_cache(ids[:5], params, rows=[[0, 3]])
     with pytest.raises(ValueError, match=r"upstream gradient shape \(5, 8\) != \(2, 8\)"):
         encode_backward(params, np.ones((5, STACKED.hidden_dim)), cache)
 
@@ -285,12 +322,8 @@ def test_packed_pass_rejects_bad_input():
     for lengths in ([4, 5], [10, 0], [], [[5, 5]]):
         with pytest.raises(ValueError, match="do not split"):
             encode_with_cache(ids, params, lengths=lengths)
-    with pytest.raises(ValueError, match="do not split"):
-        encode_with_cache(ids.reshape(2, 5), params, lengths=[5, 5])
     with pytest.raises(SentenceTooLongError, match="17 sub-tokens exceeds max_positions=16"):
         encode_with_cache(np.ones(20, dtype=int), params, lengths=[3, 17])
-    with pytest.raises(ValueError, match="rows cannot"):
-        encode_with_cache(ids, params, rows=[0, 1], lengths=[5, 5])
     masks = [np.ones((10, STACKED.hidden_dim))] * 4
     with pytest.raises(ValueError, match="3 dropout masks given for 2 layers"):
         encode_with_cache(ids, params, lengths=[5, 5], dropout_masks=masks[:3])
@@ -301,6 +334,9 @@ def test_packed_pass_rejects_bad_input():
 
 
 def test_attention_and_layer_norm_match_allocating_reference():
+    """One sentence, and a pack of three of 20 sub-tokens (one run), whose
+    attention and input gradient have the bits of per-sentence references
+    and whose parameter gradients are their sums up to rounding."""
     from dualner.encoder import (
         _attention_backward,
         _attention_forward,
@@ -315,23 +351,31 @@ def test_attention_and_layer_norm_match_allocating_reference():
     g, b = rng.normal(size=64), rng.normal(size=64)
     for shape in ((1, 64), (2, 64), (20, 64), (112, 64), (3, 20, 64)):
         x = rng.normal(size=shape)
-        out, cache = _attention_forward(x, t, p, cfg, x)
-        ref_out, ref_cache = attention_forward_reference(x, t, p, cfg)
-        assert np.array_equal(out, ref_out)
-        assert all(np.array_equal(c, r) for c, r in zip(cache, ref_cache))
+        sentences = x.reshape(-1, *shape[-2:])
+        flat = x.reshape(-1, 64)
+        out, cache = _attention_forward(flat, t, p, cfg, flat, [(0, 0, len(sentences), shape[-2], shape[-2])])
+        ref_out, (_x, ref_q, ref_k, ref_v, ref_probs, ref_merged, _s) = attention_forward_reference(x, t, p, cfg)
+        assert np.array_equal(out, ref_out.reshape(flat.shape))
+        assert np.array_equal(cache[5], ref_merged.reshape(flat.shape))
+        (head_views,) = cache[4]
+        for got, want in zip(head_views, (ref_q, ref_k, ref_v, ref_probs)):
+            assert np.array_equal(got, want.reshape(got.shape))
         y, ln_cache = _layer_norm_forward(x, g, b)
         ref_y, ref_ln_cache = layer_norm_forward_reference(x, g, b)
         assert np.array_equal(y, ref_y)
         assert all(np.array_equal(c, r) for c, r in zip(ln_cache, ref_ln_cache))
-        if x.ndim == 3:
-            continue  # backward takes one sentence
-        dout = rng.normal(size=shape)
+        dout = rng.normal(size=flat.shape)
         grads, ref_grads = zero_grads(params), zero_grads(params)
         dx = _attention_backward(dout, t, grads, p, cache)
-        assert np.array_equal(dx, attention_backward_reference(dout, t, ref_grads, p, ref_cache))
-        assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
-        for got, want in zip(_layer_norm_backward(dout, ln_cache),
-                             layer_norm_backward_reference(dout, ref_ln_cache)):
+        ref_dx = [attention_backward_reference(d, t, ref_grads, p, attention_forward_reference(s, t, p, cfg)[1])
+                  for s, d in zip(sentences, dout.reshape(sentences.shape))]
+        assert np.array_equal(dx, np.concatenate(ref_dx))
+        if x.ndim == 3:  # summed over the pack at once, not sentence by sentence
+            _assert_grads_close(grads, ref_grads)
+        else:
+            assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+        for got, want in zip(_layer_norm_backward(dout.reshape(shape), ln_cache),
+                             layer_norm_backward_reference(dout.reshape(shape), ref_ln_cache)):
             assert np.array_equal(got, want)
 
 
@@ -349,7 +393,7 @@ def test_attention_backward_workspace_matches_fresh_and_allocating_reference():
     for n in (112, 5, 100, 165):
         x = rng.normal(size=(n, 64))
         dout = rng.normal(size=(n, 64))
-        _out, cache = _attention_forward(x, t, p, cfg, x)
+        _out, cache = _attention_forward(x, t, p, cfg, x, [(0, 0, 1, n, n)])
         _ref_out, ref_cache = attention_forward_reference(x, t, p, cfg)
         grads, fresh_grads, ref_grads = zero_grads(params), zero_grads(params), zero_grads(params)
         dx = _attention_backward(dout, t, grads, p, cache, ws)

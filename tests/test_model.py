@@ -188,7 +188,7 @@ def test_batch_loss_and_grads_bits_do_not_depend_on_workspace(length_corpus, met
             rng = np.random.default_rng(8)
             if method == "mlm":
                 results.append(mlm_batch_loss_and_grads(
-                    model.encoder, batch, vocab, 0.3, rng, "train", rng, workspace=workspace
+                    model.encoder, batch, vocab, 0.3, rng, "train", workspace=workspace
                 ))
             else:
                 results.append(batch_loss_and_grads(model, batch, "train", rng, workspace))
@@ -334,11 +334,17 @@ def length_corpus():
     return docs, train_bpe(docs, 140)
 
 
+def _one_sub_token_doc() -> Document:
+    """Two sentences of one one-letter word, one sub-token each."""
+    return Document("one-sub-token", "a b", [Sentence(["a"], 0, 1), Sentence(["b"], 2, 3)])
+
+
 @pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
 def test_predict_documents_equals_predict_sentence(length_corpus, method):
     docs, vocab = length_corpus
+    docs = docs + [_one_sub_token_doc()]
     lengths = Counter(len(subtokenize(s.words, vocab).sub_token_ids) for d in docs for s in d.sentences)
-    assert 1 in lengths.values() and max(lengths.values()) > 1
+    assert 1 in lengths.values() and max(lengths.values()) > 1 and lengths[1] == 2
     model = _scaled_model(method, vocab)
     preds = predict_documents(model, docs, vocab)
     assert [d.id for d in preds] == [d.id for d in docs]
@@ -442,9 +448,9 @@ def test_mlm_step_matches_per_sentence_reference(length_corpus, dropout_rate):
     ws = Workspace()
     for name, batch in _mlm_step_batches(pool).items():
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        loss, grads = mlm_batch_loss_and_grads(enc, batch, vocab, 0.3, rng, "train", rng, workspace=ws)
+        loss, grads = mlm_batch_loss_and_grads(enc, batch, vocab, 0.3, rng, "train", workspace=ws)
         ref_loss, ref_grads = mlm_batch_loss_and_grads_reference(
-            enc, batch, vocab, 0.3, ref_rng, "train", ref_rng
+            enc, batch, vocab, 0.3, ref_rng, "train"
         )
         assert rng.random() == ref_rng.random(), name
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, err_msg=name)
@@ -457,8 +463,8 @@ def test_mlm_step_matches_per_sentence_reference(length_corpus, dropout_rate):
     empty = np.empty(0, dtype=np.int64)
     for batch, mask_prob in (([empty, empty], 0.3), (pool[:3], 0.0)):
         rng = np.random.default_rng(5)
-        assert mlm_batch_loss_and_grads(enc, batch, vocab, mask_prob, rng, "train", rng) == (0.0, None)
-        assert mlm_batch_loss_and_grads_reference(enc, batch, vocab, mask_prob, rng, "train", rng) == (0.0, None)
+        assert mlm_batch_loss_and_grads(enc, batch, vocab, mask_prob, rng, "train") == (0.0, None)
+        assert mlm_batch_loss_and_grads_reference(enc, batch, vocab, mask_prob, rng, "train") == (0.0, None)
 
 
 def test_mlm_step_gradients_match_central_differences(length_corpus):
@@ -501,64 +507,75 @@ def test_mlm_step_checks_max_positions_per_sentence(length_corpus):
     cfg = EncoderConfig(**{**asdict(ENC), "vocab_size": len(vocab), "max_positions": longest.size})
     assert sum(ids.size for ids in batch) > cfg.max_positions
     rng = np.random.default_rng(0)
-    loss, grads = mlm_batch_loss_and_grads(init_params(cfg), batch, vocab, 0.15, rng, "train", rng)
+    loss, grads = mlm_batch_loss_and_grads(init_params(cfg), batch, vocab, 0.15, rng, "train")
     assert loss > 0.0 and grads is not None
     short = init_params(dataclasses.replace(cfg, max_positions=longest.size - 1))
     match = f"sentence of {longest.size} sub-tokens exceeds max_positions={longest.size - 1}"
     with pytest.raises(SentenceTooLongError, match=match):
-        mlm_batch_loss_and_grads(short, batch, vocab, 0.15, rng, "train", rng)
+        mlm_batch_loss_and_grads(short, batch, vocab, 0.15, rng, "train")
 
 
-def test_encode_by_length_rows_equal_full_pass_rows(length_corpus):
+def test_eval_packs_rows_equal_full_pass_rows(length_corpus):
+    """Every sentence is encoded once, and its rows have the bits of its
+    own full pass, one-sub-token sentences included."""
     from dualner.encoder import encode
-    from dualner.model import _encode_by_length
+    from dualner.model import _eval_packs
 
     docs, vocab = length_corpus
     model = _scaled_model("word_tagger", vocab)
     rng = np.random.default_rng(3)
-    short = [np.arange(n) % len(vocab) for n in (1, 3, 3, 4, 4, 4)]
+    short = [np.arange(n) % len(vocab) for n in (1, 3, 3, 4, 4, 4, 1)]
     pool = _mlm_pool(docs, vocab)[:30] + short
-    # row lists of differing lengths within a stack, and stacks whose
-    # sentences all read one row, as an MLM mask of a short sentence does
+    # row lists of differing lengths within a run, and runs whose sentences
+    # all read one row, as an MLM mask of a short sentence does
     rows = [np.sort(rng.choice(ids.size, size=int(rng.integers(1, ids.size + 1)), replace=False))
             for ids in pool[:30]]
     rows += [np.array([ids.size - 1]) for ids in short]
     seen = []
-    for chunk, vecs in _encode_by_length(pool, model.encoder, rows):
-        for i, sent_vecs in zip(chunk, vecs):
-            # a row list shorter than its stack's is padded with its last row
-            padded = np.pad(rows[i], (0, len(sent_vecs) - rows[i].size), mode="edge")
-            assert np.array_equal(sent_vecs, encode(pool[i], model.encoder)[padded]), i
+    for pack, vecs in _eval_packs(pool, model.encoder, rows):
+        start = 0
+        for i in pack:
+            stop = start + rows[i].size
+            assert np.array_equal(vecs[start:stop], encode(pool[i], model.encoder)[rows[i]]), i
             seen.append(i)
+            start = stop
+        assert start == len(vecs)
     assert sorted(seen) == list(range(len(pool)))
 
 
-def test_eval_stacks_hold_at_most_128_subtokens(monkeypatch, length_corpus):
+def test_eval_packs_hold_at_most_128_subtokens(monkeypatch, length_corpus):
+    """Eval packs take sentences shortest first, at most 128 sub-tokens to a
+    pack; a longer sentence and each one-sub-token sentence go alone."""
     import dualner.model as model_mod
 
     docs, vocab = length_corpus
     model = _scaled_model("span_classifier", vocab)
-    stacks = []
+    packs = []
     real = model_mod.encode_with_cache
 
-    def spy(ids, *args, **kwargs):
-        stacks.append(np.shape(ids))
-        return real(ids, *args, **kwargs)
+    def spy(ids, *args, lengths=None, **kwargs):
+        packs.append([np.size(ids)] if lengths is None else list(lengths))
+        return real(ids, *args, lengths=lengths, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode_with_cache", spy)
+    docs = docs + [_one_sub_token_doc()]
     predict_documents(model, docs, vocab)
-    assert any(shape[0] > 1 for shape in stacks)
-    assert all(shape[0] * shape[1] <= 128 or shape[0] == 1 for shape in stacks)
+    assert any(len(pack) > 1 for pack in packs)
+    assert all(sum(pack) <= 128 or len(pack) == 1 for pack in packs)
+    assert all(len(pack) == 1 for pack in packs if 1 in pack)
+    flat = [n for pack in packs for n in pack]
+    assert flat == sorted(len(subtokenize(s.words, vocab).sub_token_ids) for d in docs for s in d.sentences)
 
-    # 40 of length 5 fill one 125-row stack and a 75-row rest; length 200
-    # exceeds the cap alone, so each such sentence is its own stack
-    ids = {n: np.arange(n) % len(vocab) for n in (5, 7, 200)}
-    pool = [ids[5]] * 20 + [ids[200], ids[7]] + [ids[5]] * 20 + [ids[200], ids[7]]
-    stacks.clear()
+    # 40 of length 5 fill one 125-row pack, and 15 more a pack with the two of
+    # length 7; length 200 exceeds the cap alone, so each such sentence is
+    # its own pack, as is each one-sub-token sentence
+    ids = {n: np.arange(n) % len(vocab) for n in (1, 5, 7, 200)}
+    pool = [ids[5]] * 20 + [ids[200], ids[7], ids[1]] + [ids[5]] * 20 + [ids[200], ids[7], ids[1]]
+    packs.clear()
     mlm_batch_loss_and_grads(
         model.encoder, pool, vocab, 0.15, np.random.default_rng(0), mode="eval", with_grads=False
     )
-    assert stacks == [(25, 5), (15, 5), (1, 200), (1, 200), (2, 7)]
+    assert packs == [[1], [1], [5] * 25, [5] * 15 + [7, 7], [200], [200]]
 
 
 def test_model_checkpoint_roundtrip(tmp_path, tiny_setup):

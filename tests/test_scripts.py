@@ -72,3 +72,16 @@ def test_bench_trajectory_reads_both_schemas(tmp_path):
             want = (f"{name} runs mlm_bigvocab seed=1 {side} n=2 setup_s=0.1 train_subtokens_per_s={rate} "
                     f"predict_words_per_s={2 * rate} final_loss=5 peak_rss_mb=80{hexes}")
             assert want in lines, out
+
+
+def test_call_counts_prints_a_repeatable_count_per_path():
+    """Two runs print the same positive call count for both paths of a
+    supervised workload; an unknown workload is refused."""
+    runs = [_run_script("call_counts.py", "tagger_short").splitlines() for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert [line.rsplit(" ", 1)[0] for line in runs[0]] == ["tagger_short train", "tagger_short predict"]
+    assert all(int(line.rsplit(" ", 1)[1]) > 0 for line in runs[0])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "call_counts.py"), "no_such_workload"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1 and "unknown workload" in done.stderr

@@ -342,10 +342,10 @@ def test_pretrain_matches_reference_optimizer_and_probe_scoring(mini, monkeypatc
     real = train_module.mlm_batch_loss_and_grads
     probe_calls = []
 
-    def reference(enc, batch, vocab, mask_prob, mask_rng, mode="train", dropout_rng=None,
-                  with_grads=True, workspace=None, masks=None):
+    def reference(enc, batch, vocab, mask_prob, mask_rng, mode="train", with_grads=True,
+                  workspace=None, masks=None):
         if with_grads:
-            return real(enc, batch, vocab, mask_prob, mask_rng, mode, dropout_rng)
+            return real(enc, batch, vocab, mask_prob, mask_rng, mode)
         if len(probe_calls) % 2 == 0:
             probe_calls.append(np.random.default_rng(_seed_children(cfg.seed)[1]))
         else:
@@ -400,7 +400,7 @@ def test_pretrain_seed_children_are_pinned(mini):
 
     rng = np.random.default_rng(train_seed)
     batch = [train_pool[i] for i in rng.permutation(len(train_pool))[: cfg.batch_size]]
-    first, _ = mlm_batch_loss_and_grads(init, batch, vocab, cfg.mask_prob, rng, "train", rng)
+    first, _ = mlm_batch_loss_and_grads(init, batch, vocab, cfg.mask_prob, rng, "train")
     logged = [e.value for e in result.log if e.step == 1 and e.metric == "mlm_batch_loss"]
     assert [v.hex() for v in logged] == [first.hex()]
 
@@ -521,6 +521,16 @@ def test_protocol_refuses_repeated_methods_and_seeds(mini, monkeypatch):
     assert runs == []
 
 
+def test_protocol_refuses_empty_eval_sets(mini, monkeypatch):
+    """Without an eval split every run would train only to report nothing."""
+    train_docs, tune_docs, vocab = mini
+    runs = []
+    monkeypatch.setattr(train_module, "train_supervised", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match="at least one eval split"):
+        run_protocol(train_docs, tune_docs, {}, vocab, ["word_tagger"], [0, 1], ENC, HEADS, TrainConfig(epochs=1))
+    assert runs == []
+
+
 def test_protocol_zero_std_for_identical_metrics():
     from dualner.evaluate import mean_std
 
@@ -637,6 +647,7 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
         (None, {"seeds": [1, 1]}, r"seeds must be distinct, got \[1, 1\]"),
         (None, {"methods": ["word_tagger", "word_tagger"]}, "methods must be distinct"),
         (None, {"eval_splits": ["tune", "tune"]}, "eval_splits must be distinct"),
+        (None, {"eval_splits": []}, "eval_splits must be non-empty"),
     ],
 )
 def test_experiment_config_checks_every_section(tmp_path, section, fault, message):
