@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the cProfile call count of six library paths on the benchmark set-ups.
+"""Print the cProfile call count of nine library paths on the benchmark set-ups.
 
     python3 scripts/call_counts.py [WORKLOAD ...]
 
@@ -12,7 +12,9 @@ calls of its paths:
   ``predict_documents`` over the whole corpus, both with a fresh model;
 - ``mlm_bigvocab``: ``mlm_eval``, the benchmark's MLM scoring loss over the
   whole corpus, and ``mlm_steps``, 20 packed MLM training steps of 8
-  sentences.
+  sentences;
+- every workload: ``read``, one ``load_predictions`` of its documents, saved
+  with ``save_corpus`` to a temporary directory.
 
 A call count is deterministic, so unlike a time it can be compared between
 two revisions in one run each on a noisy machine.  Prints one line per
@@ -25,6 +27,7 @@ import cProfile
 import os
 import pstats
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,8 +42,9 @@ def count_calls(fn) -> int:
     return pstats.Stats(profiler).total_calls
 
 
-def paths(workloads, name: str) -> dict:
-    """Path name -> no-argument function running that path once."""
+def paths(workloads, name: str, tmp: str) -> dict:
+    """Path name -> no-argument function running that path once; ``read``'s
+    file is saved under directory ``tmp``."""
     import numpy as np
 
     from dualner import corpus, encoder, model, subtok
@@ -48,6 +52,9 @@ def paths(workloads, name: str) -> dict:
 
     w = workloads.WORKLOADS[name]
     prep = workloads.set_up(w, SEED)
+    saved = Path(tmp) / f"{name}.jsonl"
+    corpus.save_corpus(prep.docs, saved)
+    read = {"read": lambda: corpus.load_predictions(saved)}
     if w.supervised:
         labels = corpus.LabelInventory.from_documents(prep.docs)
         train_docs, _tune = corpus.split_train_tune(prep.docs, len(prep.docs) - w.n_tune)
@@ -60,7 +67,7 @@ def paths(workloads, name: str) -> dict:
             for batch in batches:
                 model.batch_loss_and_grads(trained, batch, "train", np.random.default_rng(0), ws)
 
-        return {"train": train, "predict": lambda: model.predict_documents(trained, prep.docs, prep.vocab)}
+        return {"train": train, "predict": lambda: model.predict_documents(trained, prep.docs, prep.vocab)} | read
     params = encoder.init_params(prep.encoder_cfg)
     pool = [np.asarray(subtok.subtokenize(s.words, prep.vocab).sub_token_ids, dtype=np.int64)
             for d in prep.docs for s in d.sentences]
@@ -75,7 +82,7 @@ def paths(workloads, name: str) -> dict:
             batch = pool[step * BATCH:(step + 1) * BATCH]
             model.mlm_batch_loss_and_grads(params, batch, prep.vocab, 0.15, rng, mode="train", workspace=ws)
 
-    return {"mlm_eval": mlm_eval, "mlm_steps": mlm_steps}
+    return {"mlm_eval": mlm_eval, "mlm_steps": mlm_steps} | read
 
 
 def main(argv: list[str]) -> int:
@@ -89,9 +96,10 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"error: unknown workload {unknown}; choose from {sorted(workloads.WORKLOADS)}", file=sys.stderr)
         return 1
-    for name in names:
-        for path, fn in paths(workloads, name).items():
-            print(f"{name} {path} {count_calls(fn)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            for path, fn in paths(workloads, name, tmp).items():
+                print(f"{name} {path} {count_calls(fn)}", flush=True)
     return 0
 
 

@@ -7,13 +7,20 @@ flat: mentions within a sentence never overlap or nest.  Prediction files
 reuse the same schema with an extra per-mention "score" and are allowed to
 contain nested mentions (the span classifier produces them before
 post-processing).
+
+Records are written from the dataclass fields and read back by
+``dataclass_from_dict``, the reader of the config sections too, which
+checks each JSON value against its field's annotation and names the record
+path of a bad one (``document.sentences[0].mentions[0]``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import re
 import string
 import tempfile
 import typing
@@ -137,45 +144,95 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def _conforms(value, hint) -> bool:
-    """``value`` fits annotation ``hint``; a float field also takes an int,
-    and a ``tuple[X, ...]`` field a JSON array of X."""
-    args = typing.get_args(hint)
+def _json_types(hint) -> frozenset:
+    """The types of the JSON values that may stand for annotation ``hint``:
+    an int for a float, an array for a list or tuple, an object for a dataclass."""
     if typing.get_origin(hint) in (list, tuple):
-        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
-    if args:  # X | None
-        return any(_conforms(value, h) for h in args)
-    if hint is float:
-        return _is_finite_number(value)
-    if hint is int:
-        return type(value) is int
-    return value is None if hint is type(None) else isinstance(value, hint)
+        return frozenset({list})
+    if typing.get_args(hint):  # X | None
+        return frozenset().union(*map(_json_types, typing.get_args(hint)))
+    return frozenset({dict} if is_dataclass(hint) else {int, float} if hint is float else {hint})
 
 
-def dataclass_from_dict(cls, obj, where: str):
-    """Build config dataclass ``cls`` from a JSON object, rejecting unknown
-    keys and values whose type does not match the field's annotation; a
-    field typed as a dataclass is built from its nested object likewise."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where} must be a JSON object")
+def _mismatch(where: str, name: str, hint, value) -> FormatError:
+    expected = hint.__name__ if isinstance(hint, type) else re.sub(r"\w+\.", "", str(hint))
+    got = value if type(value) is float else type(value).__name__  # nan or 1.0 says more than "float"
+    return FormatError(f"invalid {where}: {name} must be {expected}, got {got}")
+
+
+def _field_reader(name: str, hint, scores: bool):
+    """How field ``name``, annotated ``hint``, is read: the JSON types its
+    value may have, and ``finish(value, where)``, which checks the value
+    further and builds the field from it, or None where the value is the field."""
+    types, args = _json_types(hint), typing.get_args(hint)
+    if is_dataclass(hint):
+        read = _record_reader(hint, scores)
+        return types, lambda value, where: read(value, f"{where}.{name}")
+    if typing.get_origin(hint) not in (list, tuple):
+        if float not in types:
+            return types, None
+        fits = lambda value: value is None or _is_finite_number(value)
+    elif is_dataclass(args[0]):
+        read = _record_reader(args[0], scores)
+        return types, lambda value, where: [read(v, f"{where}.{name}[{i}]") for i, v in enumerate(value)]
+    else:
+        items = _json_types(args[0])
+        fits = lambda value: set(map(type, value)) <= items and (
+            float not in items or all(map(_is_finite_number, value)))
+
+    def finish(value, where: str):
+        if not fits(value):
+            raise _mismatch(where, name, hint, value)
+        return float(value) if type(value) is int else value
+
+    return types, finish
+
+
+@functools.cache
+def _record_reader(cls, scores: bool):
+    """``read(obj, where)``: record ``cls`` built from the JSON object ``obj``.
+
+    A ``Mention`` is read with the fields of ``ScoredMention``, so gold and
+    prediction records both take a ``score``; it is kept with ``scores`` and
+    dropped, leaving a plain ``Mention``, without.
+    """
+    build = cls
+    if cls is Mention:
+        cls = ScoredMention
+        build = cls if scores else lambda score=0.0, **span: Mention(**span)
     hints = typing.get_type_hints(cls)
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise FormatError(f"unknown keys in {where}: {sorted(unknown)}")
-    obj = dict(obj)
-    for name, value in obj.items():
-        hint = hints[name]
-        if is_dataclass(hint):
-            obj[name] = dataclass_from_dict(hint, value, f"{where}.{name}")
-        elif not _conforms(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise FormatError(f"invalid {where}: {name} must be {expected}, got {type(value).__name__}")
-    try:
-        return cls(**obj)
-    except TypeError as exc:
-        raise FormatError(f"bad {where} section: {exc}") from exc
-    except ValueError as exc:  # the dataclass's own checks
-        raise FormatError(f"invalid {where}: {exc}") from exc
+    spec = {f.name: _field_reader(f.name, hints[f.name], scores) for f in fields(cls)}
+
+    def read(obj, where: str):
+        if type(obj) is not dict:
+            raise FormatError(f"{where} must be a JSON object")
+        kwargs = {}
+        for name, value in obj.items():
+            if name not in spec:
+                raise FormatError(f"unknown keys in {where}: {sorted(obj.keys() - spec.keys())}")
+            types, finish = spec[name]
+            if type(value) not in types:
+                raise _mismatch(where, name, hints[name], value)
+            kwargs[name] = value if finish is None else finish(value, where)
+        try:
+            return build(**kwargs)
+        except (TypeError, ValueError) as exc:  # a missing field, or the dataclass's own checks
+            raise FormatError(f"invalid {where}: {exc}") from exc
+
+    return read
+
+
+def dataclass_from_dict(cls, obj, where: str, *, scores: bool = True):
+    """Build dataclass ``cls`` from a JSON object: a config section, or a
+    document of a corpus or prediction file with its sentences and mentions.
+
+    Unknown keys, missing fields and values that do not fit a field's
+    annotation are FormatErrors naming the record path from ``where``; a
+    field typed as a dataclass, or a list of them, is built from its nested
+    objects likewise, and a JSON integer given for a float is held as a float.
+    Gold corpora pass ``scores=False`` (see ``_record_reader``).
+    """
+    return _record_reader(cls, scores)(obj, where)
 
 
 def read_json(path: str | Path):
@@ -233,76 +290,6 @@ def save_corpus(docs: Sequence[Document], path: str | Path) -> None:
         for doc in docs:
             fh.write(json.dumps(doc, default=vars, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
-
-
-def _require(cond: bool, msg: str, path: str, line: int) -> None:
-    if not cond:
-        raise FormatError(msg, path=path, line=line)
-
-
-# Both kinds of file know "score"; a gold file's scores are dropped.
-_DOCUMENT_KEYS = frozenset(f.name for f in fields(Document))
-_SENTENCE_KEYS = frozenset(f.name for f in fields(Sentence))
-_MENTION_KEYS = frozenset(f.name for f in fields(ScoredMention))
-
-
-def _require_known_keys(obj: dict, known: frozenset, record: str, path: str, line: int) -> None:
-    if not obj.keys() <= known:
-        raise FormatError(f"unknown {record} keys: {sorted(obj.keys() - known)}", path=path, line=line)
-
-
-def _parse_document(obj, path: str, line: int, predicted: bool) -> Document:
-    _require(isinstance(obj, dict), "document must be a JSON object", path, line)
-    _require_known_keys(obj, _DOCUMENT_KEYS, "document", path, line)
-    _require(isinstance(obj.get("id"), str), 'missing or non-string "id"', path, line)
-    _require(isinstance(obj.get("text"), str), 'missing or non-string "text"', path, line)
-    _require(isinstance(obj.get("sentences"), list), 'missing or non-list "sentences"', path, line)
-    sentences = []
-    for sobj in obj["sentences"]:
-        _require(isinstance(sobj, dict), "sentence must be a JSON object", path, line)
-        _require_known_keys(sobj, _SENTENCE_KEYS, "sentence", path, line)
-        words = sobj.get("words")
-        _require(
-            isinstance(words, list) and all(isinstance(w, str) for w in words),
-            'sentence "words" must be a list of strings',
-            path,
-            line,
-        )
-        _require(
-            type(sobj.get("char_start")) is int and type(sobj.get("char_end")) is int,
-            "sentence char offsets must be integers",
-            path,
-            line,
-        )
-        _require(isinstance(sobj.get("mentions", []), list), 'sentence "mentions" must be a list', path, line)
-        mentions = []
-        for mobj in sobj.get("mentions", []):
-            _require(isinstance(mobj, dict), "mention must be a JSON object", path, line)
-            _require_known_keys(mobj, _MENTION_KEYS, "mention", path, line)
-            _require(
-                type(mobj.get("start_word")) is int
-                and type(mobj.get("end_word")) is int
-                and isinstance(mobj.get("label"), str),
-                "mention needs integer start_word/end_word and string label",
-                path,
-                line,
-            )
-            span = (mobj["start_word"], mobj["end_word"], mobj["label"])
-            if predicted:
-                score = mobj.get("score", 0.0)
-                _require(_is_finite_number(score), 'mention "score" must be a finite number', path, line)
-                mentions.append(ScoredMention(*span, score=float(score)))
-            else:
-                mentions.append(Mention(*span))
-        sentences.append(
-            Sentence(
-                words=list(words),
-                char_start=sobj["char_start"],
-                char_end=sobj["char_end"],
-                mentions=mentions,
-            )
-        )
-    return Document(id=obj["id"], text=obj["text"], sentences=sentences)
 
 
 def mentions_overlap(a: Mention, b: Mention) -> bool:
@@ -391,10 +378,11 @@ def _load(path: str | Path, *, predicted: bool) -> list[Document]:
                 if not raw:
                     continue
                 try:
-                    obj = json.loads(raw)
+                    doc = dataclass_from_dict(Document, json.loads(raw), "document", scores=predicted)
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-                doc = _parse_document(obj, path, lineno, predicted)
+                except FormatError as exc:
+                    raise FormatError(str(exc), path=path, line=lineno) from exc
                 validate_document(doc, allow_overlap=predicted)
                 docs.append(doc)
     except (OSError, UnicodeDecodeError, RecursionError) as exc:

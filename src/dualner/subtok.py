@@ -81,7 +81,7 @@ class BpeVocab:
         return ranks
 
     @cached_property
-    def _word_cache(self) -> dict[str, tuple[str, ...]]:
+    def _word_cache(self) -> dict[str, tuple[tuple[str, ...], tuple[int, ...]]]:
         return {}
 
     def id_of(self, symbol: str) -> int:
@@ -89,11 +89,15 @@ class BpeVocab:
 
     def encode_word(self, word: str) -> tuple[str, ...]:
         """Segment one word by repeatedly applying the lowest-ranked merge."""
-        if not word:
-            raise ValueError("cannot sub-tokenize an empty word")
+        return self._encode(word)[0]
+
+    def _encode(self, word: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """``word``'s pieces and their ids, cached per word."""
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
+        if not word:
+            raise ValueError("cannot sub-tokenize an empty word")
         pieces = list(word)
         ranks = self._ranks
         while len(pieces) > 1:
@@ -106,8 +110,7 @@ class BpeVocab:
             if best_pair is None:
                 break
             pieces = _merge_once(pieces, best_pair)
-        out = tuple(pieces)
-        self._word_cache[word] = out
+        out = self._word_cache[word] = (tuple(pieces), tuple(map(self.id_of, pieces)))
         return out
 
     def to_json(self) -> dict:
@@ -280,10 +283,11 @@ class SubTokenization:
     sub_token_ids: tuple[int, ...]
     pieces: tuple[str, ...]
     word_spans: tuple[tuple[int, int], ...]
+    first_subtoken_index: tuple[int, ...] | None = None  # None: taken from word_spans
 
-    @property
-    def first_subtoken_index(self) -> tuple[int, ...]:
-        return tuple(span[0] for span in self.word_spans)
+    def __post_init__(self) -> None:
+        if self.first_subtoken_index is None:
+            object.__setattr__(self, "first_subtoken_index", tuple(s for s, _ in self.word_spans))
 
     @property
     def n_subtokens(self) -> int:
@@ -301,14 +305,16 @@ def subtokenize(words: Sequence[str], vocab: BpeVocab) -> SubTokenization:
     ids: list[int] = []
     pieces: list[str] = []
     spans: list[tuple[int, int]] = []
+    firsts: list[int] = []
     for word in words:
-        ps = vocab.encode_word(word)
+        word_pieces, word_ids = vocab._encode(word)
         start = len(ids)
-        ids.extend(vocab.id_of(p) for p in ps)
-        pieces.extend(ps)
+        ids += word_ids
+        pieces += word_pieces
         spans.append((start, len(ids)))
+        firsts.append(start)
     return SubTokenization(
-        sub_token_ids=tuple(ids), pieces=tuple(pieces), word_spans=tuple(spans)
+        sub_token_ids=tuple(ids), pieces=tuple(pieces), word_spans=tuple(spans), first_subtoken_index=tuple(firsts)
     )
 
 

@@ -12,7 +12,7 @@ import copy
 import io
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualner.cli import main
-from dualner.corpus import LabelInventory, save_corpus
+from dualner.corpus import Document, LabelInventory, ScoredMention, Sentence, save_corpus
 from dualner.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from dualner.heads import HeadConfig
 from dualner.model import init_model, save_model
@@ -142,6 +142,43 @@ def test_bad_record_exits_two(tmp_path, fault, role):
     code, err = _run(["evaluate", "--gold", gold, "--pred", pred])
     _assert_data_error(code, err)
     assert f"{bad}:1:" in err
+
+
+RECORDS = {
+    Document: (lambda d: d, "document"),
+    Sentence: (_sentence, "document.sentences[0]"),
+    ScoredMention: (_mention, "document.sentences[0].mentions[0]"),
+}
+
+
+@pytest.mark.parametrize("value", [True, {}], ids=["bool", "object"])
+@pytest.mark.parametrize("role", ["gold", "pred"])
+@pytest.mark.parametrize(
+    "record, name", [(cls, f.name) for cls in RECORDS for f in fields(cls)], ids=lambda x: getattr(x, "__name__", x)
+)
+def test_every_record_field_rejects_a_wrong_type(tmp_path, record, name, role, value):
+    """Cases come from the record fields, so a field added later is covered:
+    a value of a type no field takes exits 2 naming the file, line, record
+    path and field, in a gold file and in a prediction file."""
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    _write_json(good, DOC)
+    doc = copy.deepcopy(DOC)
+    of, path = RECORDS[record]
+    of(doc)[name] = value
+    _write_json(bad, doc)
+    gold, pred = (bad, good) if role == "gold" else (good, bad)
+    code, err = _run(["evaluate", "--gold", gold, "--pred", pred])
+    _assert_data_error(code, err)
+    assert f"{bad}:1: invalid {path}: {name} must be " in err
+
+
+def test_integer_score_is_read_as_a_float(tmp_path):
+    pred, out = tmp_path / "pred.jsonl", tmp_path / "out.jsonl"
+    doc = copy.deepcopy(DOC)
+    _mention(doc)["score"] = 1
+    _write_json(pred, doc)
+    assert _run(["postprocess", "--input", pred, "--strategy", "none", "--output", out])[0] == 0
+    assert '"score":1.0}' in out.read_text(encoding="utf-8")
 
 
 VOCAB_FAULTS = {
