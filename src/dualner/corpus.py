@@ -9,9 +9,11 @@ contain nested mentions (the span classifier produces them before
 post-processing).
 
 Records are written from the dataclass fields and read back by
-``dataclass_from_dict``, the reader of the config sections too, which
-checks each JSON value against its field's annotation and names the record
-path of a bad one (``document.sentences[0].mentions[0]``).
+``_record_reader``, the reader behind ``dataclass_from_dict`` and so of the
+config sections too, which checks each JSON value against its field's
+annotation and names the record path of a bad one
+(``document.sentences[0].mentions[0]``).  A document line must carry
+"sentences", though the field defaults to an empty list.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _record_reader(cls, scores: bool):
     return read
 
 
-def dataclass_from_dict(cls, obj, where: str, *, scores: bool = True):
+def dataclass_from_dict(cls, obj, where: str):
     """Build dataclass ``cls`` from a JSON object: a config section, or a
     document of a corpus or prediction file with its sentences and mentions.
 
@@ -230,9 +232,8 @@ def dataclass_from_dict(cls, obj, where: str, *, scores: bool = True):
     annotation are FormatErrors naming the record path from ``where``; a
     field typed as a dataclass, or a list of them, is built from its nested
     objects likewise, and a JSON integer given for a float is held as a float.
-    Gold corpora pass ``scores=False`` (see ``_record_reader``).
     """
-    return _record_reader(cls, scores)(obj, where)
+    return _record_reader(cls, True)(obj, where)
 
 
 def read_json(path: str | Path):
@@ -370,6 +371,7 @@ def validate_document(doc: Document, *, allow_overlap: bool = False) -> None:
 
 def _load(path: str | Path, *, predicted: bool) -> list[Document]:
     path = str(path)
+    read = _record_reader(Document, predicted)
     docs = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -378,7 +380,10 @@ def _load(path: str | Path, *, predicted: bool) -> list[Document]:
                 if not raw:
                     continue
                 try:
-                    doc = dataclass_from_dict(Document, json.loads(raw), "document", scores=predicted)
+                    obj = json.loads(raw)
+                    if type(obj) is dict and "sentences" not in obj:  # the default [] serves code, not files
+                        raise FormatError("invalid document: missing field 'sentences'")
+                    doc = read(obj, "document")
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
                 except FormatError as exc:

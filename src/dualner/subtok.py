@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -283,11 +283,10 @@ class SubTokenization:
     sub_token_ids: tuple[int, ...]
     pieces: tuple[str, ...]
     word_spans: tuple[tuple[int, int], ...]
-    first_subtoken_index: tuple[int, ...] | None = None  # None: taken from word_spans
+    first_subtoken_index: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.first_subtoken_index is None:
-            object.__setattr__(self, "first_subtoken_index", tuple(s for s, _ in self.word_spans))
+        object.__setattr__(self, "first_subtoken_index", tuple(next(zip(*self.word_spans), ())))
 
     @property
     def n_subtokens(self) -> int:
@@ -305,17 +304,13 @@ def subtokenize(words: Sequence[str], vocab: BpeVocab) -> SubTokenization:
     ids: list[int] = []
     pieces: list[str] = []
     spans: list[tuple[int, int]] = []
-    firsts: list[int] = []
     for word in words:
         word_pieces, word_ids = vocab._encode(word)
         start = len(ids)
         ids += word_ids
         pieces += word_pieces
         spans.append((start, len(ids)))
-        firsts.append(start)
-    return SubTokenization(
-        sub_token_ids=tuple(ids), pieces=tuple(pieces), word_spans=tuple(spans), first_subtoken_index=tuple(firsts)
-    )
+    return SubTokenization(sub_token_ids=tuple(ids), pieces=tuple(pieces), word_spans=tuple(spans))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,30 @@ def test_every_record_field_rejects_a_wrong_type(tmp_path, record, name, role, v
     assert f"{bad}:1: invalid {path}: {name} must be " in err
 
 
+@pytest.mark.parametrize("role", ["gold", "pred"])
+@pytest.mark.parametrize(
+    "record, name",
+    [(cls, f.name) for cls in RECORDS for f in fields(cls) if f.name not in ("mentions", "score")],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_record_without_a_field_it_must_carry_exits_two(tmp_path, record, name, role):
+    """Only "mentions" and "score" may be left out of a record: a document
+    without "sentences" is refused, not read as one awaiting segmentation.
+    ``segment`` and ``postprocess`` would run on such a document."""
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+    doc = copy.deepcopy(DOC)
+    of, path = RECORDS[record]
+    del of(doc)[name]
+    _write_json(bad, doc)
+    if role == "gold":
+        code, err = _run(["segment", "--input", bad, "--output", out])
+    else:
+        code, err = _run(["postprocess", "--input", bad, "--strategy", "none", "--output", out])
+    _assert_data_error(code, err)
+    assert f"{bad}:1: invalid {path}: " in err and f"'{name}'" in err
+    assert not out.exists()
+
+
 def test_integer_score_is_read_as_a_float(tmp_path):
     pred, out = tmp_path / "pred.jsonl", tmp_path / "out.jsonl"
     doc = copy.deepcopy(DOC)
