@@ -343,7 +343,7 @@ def validate_document(doc: Document, *, allow_overlap: bool = False) -> None:
     prev_end = -1
     for si, sent in enumerate(doc.sentences):
         where = f"document {doc.id!r}, sentence {si}"
-        if not sent.words or any(w == "" for w in sent.words):
+        if not sent.words or "" in sent.words:
             raise ValidationError(f"{where}: empty word list or empty word")
         if not (0 <= sent.char_start <= sent.char_end <= len(doc.text)):
             raise ValidationError(f"{where}: character range outside document text")

@@ -116,7 +116,7 @@ class Workspace:
 
 
 # Two buffers for arrays the size of a parameter tensor: the optimizer's
-# temporaries, and before it runs the MLM step's logits.
+# temporaries, and between its runs the MLM logits, of steps and probes.
 PARAM_SCRATCH = ("param.a", "param.b")
 
 

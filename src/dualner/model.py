@@ -194,16 +194,19 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return ce, dlogits
 
 
-def _target_log_probs(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log_softmax(z) at the targets, without a log-probability array:
-    ``z`` is left holding exp(z - max), and its ``[rows, 1]`` sums are
-    returned too."""
+def _target_log_probs(vecs: np.ndarray, emb: np.ndarray, targets: np.ndarray, workspace: Workspace | None):
+    """log_softmax of the tied projection's ``[P, V]`` logits ``vecs @ emb.T``
+    at the targets, without a log-probability array.  The logits are
+    computed in buffer ``PARAM_SCRATCH[0]`` of ``workspace``, left holding
+    exp(z - max), and returned with the picked values and the ``[P, 1]``
+    sums."""
+    z = np.matmul(vecs, emb.T, out=scratch(workspace, PARAM_SCRATCH[0], (vecs.shape[0], emb.shape[0])))
     z -= z.max(axis=-1, keepdims=True)
     picked = z[np.arange(targets.size), targets]
     np.exp(z, out=z)
     total = z.sum(axis=-1, keepdims=True)
     picked -= np.log(total[:, 0])
-    return picked, total
+    return z, picked, total
 
 
 # An eval pack holds at most this many sub-tokens (always at least one
@@ -347,23 +350,25 @@ def mlm_batch_loss_and_grads(
     With gradients, each sentence draws its ``mlm_mask`` and then, in train
     mode, its ``dropout_masks`` from ``mask_rng``, in sentence order, as
     when each sentence was encoded alone.  The sentences that masked a
-    position are then encoded, in batch order, as one pack
-    (``encode_with_cache`` with ``lengths``) and backpropagated by one
-    ``encode_backward``; the tied projection is one ``[P, V]`` product at
-    the P masked rows, and its gradient one ``[V, P] @ [P, d]`` product.
-    Sums over all rows at once round differently from accumulating sentence
-    by sentence, so the loss and gradients differ from that only at
-    rounding level.  With a ``workspace``, the returned gradients are its
-    ``grad.*`` buffers (valid until the next call with it), and the logits
-    and the attention backward's temporaries come from it too; the bits are
-    the same without.
+    position are then encoded, in batch order, as one pack at their masked
+    rows (``encode_with_cache`` with ``rows`` and ``lengths``) and
+    backpropagated from those P rows by one ``encode_backward``; the tied
+    projection is one ``[P, V]`` product, and its gradient one
+    ``[V, P] @ [P, d]`` product.  Sums over all rows at once round
+    differently from accumulating sentence by sentence, so the loss and
+    gradients differ from that only at rounding level.  With a
+    ``workspace``, the returned gradients are its ``grad.*`` buffers (valid
+    until the next call with it), and the logits and the attention
+    backward's temporaries come from it too; the bits are the same without.
 
     Without gradients (eval mode only) every mask is drawn first, in
     sentence order, and the sentences are encoded at their masked rows and
-    scored in packs (``_eval_packs``); each sentence's CE is summed from its
-    own rows, in sentence order, so the loss has the same bits as scoring
-    one sentence at a time.  There, ``masks`` may give the ``mlm_masks`` of
-    ``batch`` drawn before, and ``mask_rng`` is then not drawn from.
+    scored in packs (``_eval_packs``), each pack's logits in the same buffer
+    as the step's (of ``workspace``, or of one made for the call); each
+    sentence's CE is summed from its own rows, in sentence order, so the
+    loss has the same bits as scoring one sentence at a time.  There,
+    ``masks`` may give the ``mlm_masks`` of ``batch`` drawn before, and
+    ``mask_rng`` is then not drawn from.
     """
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
@@ -374,35 +379,28 @@ def mlm_batch_loss_and_grads(
             masks = mlm_masks(batch, vocab, mask_prob, mask_rng)
         elif len(masks) != len(batch):
             raise ValueError(f"{len(masks)} masks given for {len(batch)} sentences")
-        return _mlm_eval_loss(enc, masks), None
+        return _mlm_eval_loss(enc, masks, workspace), None
     if masks is not None:
         raise ValueError("precomputed masks are scored without gradients only")
     sentences, positions, targets, drops = [], [], [], []
-    offset = 0
     for ids in batch:
         corrupted, masked, target = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
         if masked.size == 0:
             continue
         drops.append(_masks_for(mode, enc.config, corrupted.size, mask_rng))
         sentences.append(corrupted)
-        positions.append(masked + offset)
+        positions.append(masked)
         targets.append(target)
-        offset += corrupted.size
     if not sentences:
         return 0.0, None
-    ctx, cache = encode_with_cache(
-        np.concatenate(sentences), enc, lengths=[c.size for c in sentences],
+    sel, cache = encode_with_cache(
+        np.concatenate(sentences), enc, rows=positions, lengths=[c.size for c in sentences],
         dropout_masks=None if drops[0] is None else [np.concatenate(m) for m in zip(*drops)],
     )
-    positions = np.concatenate(positions)
     emb = enc.tensors["tok_emb"]
-    sel = ctx[positions]
-    # the logits, turned in place into their gradient (softmax minus one-hot)
-    dlogits = np.matmul(
-        sel, emb.T, out=scratch(workspace, PARAM_SCRATCH[0], (positions.size, emb.shape[0]))
-    )
     targets = np.concatenate(targets)
-    picked, total = _target_log_probs(dlogits, targets)
+    # the logits, turned in place into their gradient (softmax minus one-hot)
+    dlogits, picked, total = _target_log_probs(sel, emb, targets, workspace)
     dlogits /= total
     dlogits[np.arange(targets.size), targets] -= 1.0
     grads = {k: scratch(workspace, "grad." + k, v.shape) for k, v in enc.tensors.items()}
@@ -410,12 +408,10 @@ def mlm_batch_loss_and_grads(
         if key != "tok_emb":  # written whole by the projection gradient
             g.fill(0.0)
     np.matmul(dlogits.T, sel, out=grads["tok_emb"])
-    d_ctx = np.zeros_like(ctx)
-    d_ctx[positions] = dlogits @ emb
-    encode_backward(enc, d_ctx, cache, grads, workspace)
+    encode_backward(enc, dlogits @ emb, cache, grads, workspace)
     for v in grads.values():
-        v *= 1.0 / positions.size
-    return -float(picked.sum()) / positions.size, grads
+        v *= 1.0 / targets.size
+    return -float(picked.sum()) / targets.size, grads
 
 
 def mlm_masks(batch: Sequence[np.ndarray], vocab: BpeVocab, mask_prob: float, rng):
@@ -423,21 +419,22 @@ def mlm_masks(batch: Sequence[np.ndarray], vocab: BpeVocab, mask_prob: float, rn
     return [mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, rng) for ids in batch]
 
 
-def _mlm_eval_loss(enc: EncoderParams, masked) -> float:
+def _mlm_eval_loss(enc: EncoderParams, masked, workspace: Workspace | None) -> float:
     """Mean masked-position CE under the ``mlm_masks`` ``masked``, encoded
-    and scored in packs (``_eval_packs``)."""
+    and scored in packs (``_eval_packs``), the logits of every pack in one
+    buffer of ``workspace``, or of a new one."""
     keep = [i for i, (_c, positions, _t) in enumerate(masked) if positions.size]
     if not keep:
         return 0.0
+    if workspace is None:
+        workspace = Workspace()
     emb = enc.tensors["tok_emb"]
     ce = [0.0] * len(masked)
     packs = _eval_packs([masked[i][0] for i in keep], enc, [masked[i][1] for i in keep])
-    workspace = Workspace()  # one logits buffer for every pack
     for pack, sel in packs:
         sentences = [keep[j] for j in pack]
         targets = np.concatenate([masked[i][2] for i in sentences])
-        z = np.matmul(sel, emb.T, out=workspace.take("mlm.logits", (sel.shape[0], emb.shape[0])))
-        picked, _total = _target_log_probs(z, targets)
+        _z, picked, _total = _target_log_probs(sel, emb, targets, workspace)
         start = 0
         for i in sentences:
             stop = start + masked[i][1].size

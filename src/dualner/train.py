@@ -261,6 +261,7 @@ def _run_steps(
     snapshot: Callable[[int], bool],
     metric: str,
     what: str,
+    workspace: Workspace,
 ) -> None:
     """The step loop of both trainings.
 
@@ -268,11 +269,11 @@ def _run_steps(
     ``batches``; its loss is checked and logged as ``metric``, and AdamW
     updates ``tensors`` unless the gradients are ``None``.  ``snapshot(step)``
     runs every ``checkpoint_every`` steps and at a last step off that
-    interval; when it returns True the run ends there.
+    interval; when it returns True the run ends there.  ``workspace`` holds
+    the step buffers of the whole run.
     """
     warmup_steps = int(np.ceil(cfg.warmup_frac * total_steps))
     opt = AdamW(tensors, cfg.learning_rate, cfg.weight_decay, warmup_steps)
-    workspace = Workspace()  # one set of step buffers for the whole run
     # a diverging run overflows before its loss turns non-finite; the loss
     # check below reports it, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -344,7 +345,7 @@ def train_supervised(
     _run_steps(
         train_cfg, model_tensors(model), total_steps, batches,
         lambda batch, ws: batch_loss_and_grads(model, batch, "train", rng, ws),
-        log, snapshot, metric="loss", what="training",
+        log, snapshot, metric="loss", what="training", workspace=Workspace(),
     )
     return best
 
@@ -407,6 +408,7 @@ def pretrain_mlm(
     probe_masks = [mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng) for _, p in probe_sets]
     log: list[LogEntry] = []
     checkpoints: list[tuple[int, EncoderParams]] = []
+    workspace = Workspace()  # lent to the steps and the probes alike
 
     def snapshot(step: int) -> bool:
         checkpoints.append((step, enc.clone()))
@@ -414,7 +416,7 @@ def pretrain_mlm(
             if sentences:
                 loss, _ = mlm_batch_loss_and_grads(
                     enc, sentences, vocab, mlm_cfg.mask_prob, None, mode="eval",
-                    with_grads=False, masks=masks,
+                    with_grads=False, workspace=workspace, masks=masks,
                 )
                 log.append(LogEntry(step, split, "mlm_loss", loss))
         return False
@@ -433,7 +435,7 @@ def pretrain_mlm(
         lambda batch, ws: mlm_batch_loss_and_grads(
             enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", workspace=ws
         ),
-        log, snapshot, metric="mlm_batch_loss", what="MLM",
+        log, snapshot, metric="mlm_batch_loss", what="MLM", workspace=workspace,
     )
     return MlmResult(checkpoints=checkpoints, log=log)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
@@ -465,6 +466,84 @@ def test_mlm_step_matches_per_sentence_reference(length_corpus, dropout_rate):
         rng = np.random.default_rng(5)
         assert mlm_batch_loss_and_grads(enc, batch, vocab, mask_prob, rng, "train") == (0.0, None)
         assert mlm_batch_loss_and_grads_reference(enc, batch, vocab, mask_prob, rng, "train") == (0.0, None)
+
+
+def test_mlm_step_encodes_only_its_masked_rows(monkeypatch, length_corpus):
+    """A train-mode step makes one packed pass at the masked rows of the
+    sentences that masked a position and backpropagates a ``[P, d]``
+    upstream; its loss has the bits of the same step scored from the rows
+    of a full pass."""
+    import dualner.model as model_mod
+
+    docs, vocab = length_corpus
+    enc = _scaled_model("word_tagger", vocab).encoder
+    enc.config = dataclasses.replace(enc.config, dropout_rate=0.2)
+    emb = enc.tensors["tok_emb"]
+    real_encode, real_backward = model_mod.encode_with_cache, model_mod.encode_backward
+    passes, upstreams = [], []
+
+    def encode_spy(ids, params, **kwargs):
+        passes.append(kwargs)
+        return real_encode(ids, params, **kwargs)
+
+    def backward_spy(params, upstream, *args):
+        upstreams.append(upstream.shape)
+        return real_backward(params, upstream, *args)
+
+    monkeypatch.setattr(model_mod, "encode_with_cache", encode_spy)
+    monkeypatch.setattr(model_mod, "encode_backward", backward_spy)
+    for name, batch in _mlm_step_batches(_mlm_pool(docs, vocab)).items():
+        passes.clear()
+        upstreams.clear()
+        loss, _grads = mlm_batch_loss_and_grads(enc, batch, vocab, 0.3, np.random.default_rng(5), "train")
+        # the step's draws replayed: each sentence's mask, then its dropout masks if it masked a position
+        rng = np.random.default_rng(5)
+        kept = []
+        for ids in batch:
+            corrupted, positions, targets = mlm_mask(ids, len(vocab), vocab.mask_id, 0.3, rng)
+            if positions.size:
+                kept.append((corrupted, positions, targets, dropout_masks(enc.config, ids.size, rng)))
+        n_rows = sum(positions.size for _c, positions, _t, _d in kept)
+        assert len(passes) == 1 and upstreams == [(n_rows, enc.config.hidden_dim)], name
+        assert [r.tolist() for r in passes[0]["rows"]] == [k[1].tolist() for k in kept], name
+        full, _cache = real_encode(
+            np.concatenate([k[0] for k in kept]), enc, lengths=[k[0].size for k in kept],
+            dropout_masks=[np.concatenate(m) for m in zip(*(k[3] for k in kept))],
+        )
+        starts = np.cumsum([0] + [k[0].size for k in kept[:-1]])
+        vecs = full[np.concatenate([k[1] + start for k, start in zip(kept, starts)])]
+        _z, picked, _total = model_mod._target_log_probs(vecs, emb, np.concatenate([k[2] for k in kept]), None)
+        assert loss.hex() == (-float(picked.sum()) / n_rows).hex(), name
+
+
+def test_mlm_probe_after_a_step_scores_in_the_step_logits_buffer(length_corpus):
+    """A probe lent the workspace of a step takes its logits from the
+    step's buffer: over the step's sentences, one pack of as many masked
+    rows, it allocates no ``[rows, V]`` array (here over 1 MiB)."""
+    docs, vocab = length_corpus
+    # a tied projection over 4000 rows, as large as a big vocabulary's
+    enc = init_params(EncoderConfig(**{**asdict(ENC), "vocab_size": 4000}))
+    pool, size = [], 0
+    for ids in _mlm_pool(docs, vocab):
+        if size + ids.size > 128:
+            break
+        pool.append(ids)
+        size += ids.size
+    ws = Workspace()
+    mlm_batch_loss_and_grads(enc, pool, vocab, 0.5, np.random.default_rng(0), "train", workspace=ws)
+    masks = mlm_masks(pool, vocab, 0.5, np.random.default_rng(1))
+    logits_bytes = sum(positions.size for _c, positions, _t in masks) * 4000 * 8
+    assert logits_bytes > 1024 * 1024
+    tracemalloc.start()
+    try:
+        loss, _ = mlm_batch_loss_and_grads(
+            enc, pool, vocab, 0.5, None, mode="eval", with_grads=False, workspace=ws, masks=masks
+        )
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss > 0.0
+    assert peak < logits_bytes / 4, peak
 
 
 def test_mlm_step_gradients_match_central_differences(length_corpus):

@@ -76,10 +76,14 @@ def test_bench_trajectory_reads_both_schemas(tmp_path):
 
 def test_call_counts_prints_a_repeatable_count_per_path():
     """Two runs print the same positive call count for the three paths of a
-    supervised workload; an unknown workload is refused."""
-    runs = [_run_script("call_counts.py", "tagger_short").splitlines() for _ in range(2)]
+    supervised workload and of the MLM workload; an unknown workload is
+    refused."""
+    runs = [_run_script("call_counts.py", "tagger_short", "mlm_bigvocab").splitlines() for _ in range(2)]
     assert runs[0] == runs[1]
-    assert [line.rsplit(" ", 1)[0] for line in runs[0]] == ["tagger_short train", "tagger_short predict", "tagger_short read"]
+    assert [line.rsplit(" ", 1)[0] for line in runs[0]] == [
+        "tagger_short train", "tagger_short predict", "tagger_short read",
+        "mlm_bigvocab mlm_eval", "mlm_bigvocab mlm_steps", "mlm_bigvocab read",
+    ]
     assert all(int(line.rsplit(" ", 1)[1]) > 0 for line in runs[0])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "call_counts.py"), "no_such_workload"],
