@@ -99,9 +99,10 @@ class EncoderParams:
 
 class Workspace:
     """Named, grow-only float64 buffers that a training caller owns and
-    passes down, so that the large arrays of one sentence reuse the memory
-    of the last instead of being allocated and freed each time.  A view
-    handed out stays valid until the next ``take`` of the same name."""
+    passes down, so that the large arrays of one sentence or pack reuse
+    the memory of the last instead of being allocated and freed each time.
+    A view handed out stays valid until the next ``take`` of the same
+    name."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
@@ -462,42 +463,46 @@ def _check_input(ids, cfg: EncoderConfig, lengths):
 def _query_layout(rows, runs):
     """Where a ``rows`` pass computes its last layer: (the query ``runs``,
     the flat query rows, and a mask of the query rows that were asked for,
-    None when all were).  ``rows`` holds one index array per sentence.  The
-    b sentences of a run are queried as one ``[b, w]`` block: each
-    sentence's rows are padded to the run's widest, and to at least 2, by
-    repeating its last row (a one-row product takes another BLAS path than
-    the same row of a larger product and can differ in its last bits)."""
+    None when all were).  ``rows`` holds one index array per sentence, and
+    ``runs`` cover the pack from its first row.  The b sentences of a run
+    are queried as one ``[b, w]`` block: each sentence's rows are padded to
+    the run's widest, and to at least 2, by repeating its last row (a
+    one-row product takes another BLAS path than the same row of a larger
+    product and can differ in its last bits)."""
     sents = [np.asarray(r, dtype=np.int64) for r in rows]
-    n_sents = sum(run[2] for run in runs)
-    if len(sents) != n_sents:
-        raise ValueError(f"{len(sents)} row lists given for {n_sents} sentences")
-    qruns, blocks, own = [], [], []  # own: (first query row, row count) per sentence
-    i = qs = asked = 0
+    sizes = [r.size for r in sents]
+    qruns, widths, keys, lengths = [], [], [], []  # per sentence: its block's width, first key row, length
+    i = qs = 0
     for ks, _qs, b, n, _m in runs:
-        w = 2
-        for r in sents[i : i + b]:
-            if r.ndim != 1 or r.size == 0:
-                raise ValueError(f"rows of shape {r.shape} given for a sentence, not a non-empty 1-D array")
-            w = max(w, r.size)
-        block = np.empty((b, w), dtype=np.int64)
-        for j, r in enumerate(sents[i : i + b]):
-            block[j, : r.size] = r
-            block[j, r.size :] = r[-1]
-            own.append((qs + j * w, r.size))
-            asked += r.size
-        if block.min() < 0 or block.max() >= n:
-            raise ValueError(f"row index out of range for a sentence of {n} sub-tokens")
-        block += np.arange(ks, ks + b * n, n)[:, None]
+        w = max([2, *sizes[i : i + b]])
         qruns.append((ks, qs, b, n, w))
-        blocks.append(block.reshape(-1))
+        widths += [w] * b
+        keys += range(ks, ks + b * n, n)
+        lengths += [n] * b
         i += b
         qs += b * w
-    keep = None
-    if asked < qs:
-        keep = np.zeros(qs, dtype=bool)
-        for start, size in own:
-            keep[start : start + size] = True
-    return qruns, np.concatenate(blocks), keep
+    if len(sents) != i:
+        raise ValueError(f"{len(sents)} row lists given for {i} sentences")
+    bad = [r.shape for r in sents if r.ndim != 1 or r.size == 0]
+    if bad:
+        raise ValueError(f"rows of shape {bad[0]} given for a sentence, not a non-empty 1-D array")
+    query = np.concatenate(sents)
+    asked = np.array(sizes)
+    # a negative row reads as a huge unsigned one
+    limit = np.array(lengths, dtype=np.uint64).repeat(asked)
+    out = query.view(np.uint64) >= limit
+    if out.any():
+        raise ValueError(f"row index out of range for a sentence of {limit[out.argmax()]} sub-tokens")
+    query += np.array(keys).repeat(asked)
+    if qs == query.size:
+        return qruns, query, None
+    # each sentence's last row is repeated to fill its block; the first
+    # copy of every row is one that was asked for
+    counts = np.ones(query.size, dtype=np.int64)
+    counts[asked.cumsum() - 1] += np.subtract(widths, asked)
+    keep = np.zeros(qs, dtype=bool)
+    keep[counts.cumsum() - counts] = True
+    return qruns, query.repeat(counts), keep
 
 
 def encode_with_cache(ids, params: EncoderParams, rows=None, lengths=None, dropout_masks=None):

@@ -30,7 +30,6 @@ from .encoder import (
     scratch,
     save_checkpoint,
     softmax,
-    zero_grads,
 )
 from .errors import FormatError, UnusableDataError
 from .heads import (
@@ -209,12 +208,31 @@ def _target_log_probs(vecs: np.ndarray, emb: np.ndarray, targets: np.ndarray, wo
     return z, picked, total
 
 
-# An eval pack holds at most this many sub-tokens (always at least one
-# sentence).  Measured on the MLM scoring pass of a 1883-symbol vocabulary
-# (one BLAS thread, 2-core Xeon), with stacks of equal-length sentences:
-# 64 rows 467 ms, 128 rows 372 ms, 512 rows 358 ms but 18 MiB more peak
-# memory, against 853 ms one sentence at a time.
+# A pack holds at most this many sub-tokens (always at least one sentence).
+# Measured on the MLM scoring pass of a 1883-symbol vocabulary (one BLAS
+# thread, 2-core Xeon), with stacks of equal-length sentences: 64 rows
+# 467 ms, 128 rows 372 ms, 512 rows 358 ms but 18 MiB more peak memory,
+# against 853 ms one sentence at a time.  In training the cap keeps
+# sentences of over 64 sub-tokens one to a pass: a whole batch of 8 such
+# sentences in one pass raised a supervised step's traced peak from 4.45
+# to 23.53 MiB.
 _PACK_ROWS = 128
+
+
+def _packs(sizes: Sequence[int], order) -> list[list[int]]:
+    """The indices ``order`` of sentences of ``sizes`` sub-tokens, grouped
+    in that order into packs of at most ``_PACK_ROWS`` sub-tokens; a longer
+    sentence, and each one-sub-token sentence, is packed alone, so that
+    every sentence gets the bits of its own pass."""
+    packs: list[list[int]] = []
+    size = 0
+    for i in order:
+        if not packs or size + sizes[i] > _PACK_ROWS or 1 in (size, sizes[i]):
+            packs.append([])
+            size = 0
+        packs[-1].append(i)
+        size += sizes[i]
+    return packs
 
 
 def _eval_packs(id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequence[Sequence[int]]):
@@ -223,20 +241,10 @@ def _eval_packs(id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequenc
     Yields ``(indices, vecs)`` per pack, where ``vecs`` holds the vectors
     of ``id_seqs[i]`` at the sub-token positions ``rows[i]`` for each ``i``
     of ``indices``, concatenated in that order.  Sentences are packed
-    shortest first (ties in input order), at most ``_PACK_ROWS`` sub-tokens
-    to a pack; a longer sentence, and each one-sub-token sentence, is
-    packed alone, so that every sentence gets the bits of its own pass.
+    (``_packs``) shortest first, ties in input order.
     """
     sizes = [ids.size for ids in id_seqs]
-    packs: list[list[int]] = []
-    size = 0
-    for i in sorted(range(len(id_seqs)), key=sizes.__getitem__):
-        if not packs or size + sizes[i] > _PACK_ROWS or size == 1:
-            packs.append([])
-            size = 0
-        packs[-1].append(i)
-        size += sizes[i]
-    for pack in packs:
+    for pack in _packs(sizes, sorted(range(len(id_seqs)), key=sizes.__getitem__)):
         # the pass's cache is dropped before the caller reads the vectors
         yield pack, encode_with_cache(
             np.concatenate([id_seqs[i] for i in pack]), enc,
@@ -244,39 +252,87 @@ def _eval_packs(id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequenc
         )[0]
 
 
-def _example_loss(model: Model, ex: Example, mode: str, rng, grads=None, workspace=None):
-    """Summed CE and unit count for one sentence; backward when grads given.
-    The encoder runs its last layer, forward and backward, only at the
-    first sub-tokens of the words, the rows both heads read."""
-    masks = _masks_for(mode, model.encoder.config, ex.ids.size, rng)
-    wv, cache = encode_with_cache(
-        ex.ids, model.encoder, rows=[ex.align.first_subtoken_index], dropout_masks=masks
-    )
+def _grad_buffers(tensors: dict[str, np.ndarray], workspace: Workspace | None, whole=()):
+    """Gradient arrays shaped like ``tensors``: buffers ``grad.<name>`` of
+    ``workspace`` (valid until its next use), or new arrays without one.
+    All are zeroed but those named in ``whole``, which the caller writes
+    whole."""
+    grads = {k: scratch(workspace, "grad." + k, v.shape) for k, v in tensors.items()}
+    for key, g in grads.items():
+        if key not in whole:
+            g.fill(0.0)
+    return grads
+
+
+def _head_loss(model: Model, ex: Example, wv: np.ndarray, grads, workspace):
+    """One sentence's summed CE and unit count from its word vectors
+    ``wv``, and the gradient at ``wv`` (None without ``grads``, into whose
+    ``heads`` the head's gradients accumulate)."""
+    d_wv = None
     if model.method == "word_tagger":
-        logits = tagger_forward(wv, model.heads)
-        ce, dlogits = _softmax_ce(logits, ex.tag_ids)
-        units = len(ex.tag_ids)
+        ce, dlogits = _softmax_ce(tagger_forward(wv, model.heads), ex.tag_ids)
         if grads is not None:
             d_wv = tagger_backward(wv, model.heads, dlogits, grads["heads"])
-    else:
-        logits, span_cache = span_logits_with_cache(wv, ex.spans, model.heads, workspace)
-        ce, dlogits = _softmax_ce(logits, ex.span_classes)
-        units = len(ex.spans)
-        if grads is not None:
-            d_wv = span_backward(wv, model.heads, dlogits, grads["heads"], span_cache, workspace)
+        return ce, len(ex.tag_ids), d_wv
+    logits, span_cache = span_logits_with_cache(wv, ex.spans, model.heads, workspace)
+    ce, dlogits = _softmax_ce(logits, ex.span_classes)
     if grads is not None:
-        encode_backward(model.encoder, d_wv, cache, grads["encoder"], workspace)
-    return ce, units
+        d_wv = span_backward(wv, model.heads, dlogits, grads["heads"], span_cache, workspace)
+    return ce, len(ex.spans), d_wv
+
+
+def _pack_loss(model: Model, sentences: Sequence[Example], mode: str, rng, grads, workspace):
+    """Each sentence's summed CE and unit count, in order, for one pack of
+    ``sentences`` encoded by one pass; backward into ``grads`` when given."""
+    drops = [_masks_for(mode, model.encoder.config, ex.ids.size, rng) for ex in sentences]
+    firsts = [ex.align.first_subtoken_index for ex in sentences]
+    wv, cache = encode_with_cache(
+        np.concatenate([ex.ids for ex in sentences]), model.encoder, rows=firsts,
+        lengths=[ex.ids.size for ex in sentences],
+        dropout_masks=None if drops[0] is None else [np.concatenate(m) for m in zip(*drops)],
+    )
+    upstream = None if grads is None else np.empty_like(wv)
+    losses = []
+    start = 0
+    for ex, first in zip(sentences, firsts):
+        stop = start + len(first)
+        ce, units, d_wv = _head_loss(model, ex, wv[start:stop], grads, workspace)
+        if grads is not None:
+            upstream[start:stop] = d_wv
+        losses.append((ce, units))
+        start = stop
+    if grads is not None:
+        encode_backward(model.encoder, upstream, cache, grads["encoder"], workspace)
+    return losses
+
+
+def _supervised_loss(model: Model, examples: Sequence[Example], mode: str, rng, grads=None, workspace=None):
+    """Summed CE and unit count of ``examples``; backward into ``grads``
+    when given.
+
+    The sentences are encoded in packs taken in batch order (``_packs``),
+    each pass running its last layer, forward and backward, only at the
+    first sub-tokens of the words, the rows both heads read.  In train
+    mode each sentence draws its dropout masks from ``rng`` in batch
+    order, as when encoded alone.  The head runs per sentence on its slice
+    of the pack's word vectors and writes its word-vector gradient into
+    the same slice of the pack's upstream, and the CE is summed sentence
+    by sentence in batch order: the loss has the bits of per-sentence
+    passes, and the gradients differ from theirs only at rounding level.
+    """
+    total_ce = 0.0
+    total_units = 0
+    # a pack's cache is freed when its _pack_loss returns, before the next pass
+    for pack in _packs([ex.ids.size for ex in examples], range(len(examples))):
+        for ce, units in _pack_loss(model, [examples[i] for i in pack], mode, rng, grads, workspace):
+            total_ce += ce
+            total_units += units
+    return total_ce, total_units
 
 
 def batch_loss(model: Model, examples: Sequence[Example]) -> float:
     """Eval-mode mean loss per unit; pure function of the parameters."""
-    total_ce = 0.0
-    total_units = 0
-    for ex in examples:
-        ce, units = _example_loss(model, ex, "eval", None)
-        total_ce += ce
-        total_units += units
+    total_ce, total_units = _supervised_loss(model, examples, "eval", None)
     return total_ce / total_units if total_units else 0.0
 
 
@@ -289,18 +345,18 @@ def batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss and its gradient for every parameter (prefixed flat dict).
 
-    ``workspace`` lends the span head and the attention backward their large
-    temporaries, reused sentence after sentence; without one they are
-    allocated per sentence.  Either way the bits are the same.
+    The batch is encoded in packs of at most ``_PACK_ROWS`` sub-tokens
+    taken in batch order, one ``encode_with_cache`` and one
+    ``encode_backward`` per pack, while each head runs per sentence (see
+    ``_supervised_loss``).  With a ``workspace``, the returned gradients
+    are its ``grad.*`` buffers (valid until the next call with it), and the
+    span head and the attention backward take their large temporaries
+    from it too; without one they are allocated per call.  Either way the
+    bits are the same.
     """
-    grads = {"encoder": zero_grads(model.encoder),
-             "heads": {k: np.zeros_like(v) for k, v in model.heads.tensors.items()}}
-    total_ce = 0.0
-    total_units = 0
-    for ex in examples:
-        ce, units = _example_loss(model, ex, mode, rng, grads, workspace)
-        total_ce += ce
-        total_units += units
+    grads = {"encoder": _grad_buffers(model.encoder.tensors, workspace),
+             "heads": _grad_buffers(model.heads.tensors, workspace)}
+    total_ce, total_units = _supervised_loss(model, examples, mode, rng, grads, workspace)
     flat = {f"encoder.{k}": v for k, v in grads["encoder"].items()}
     flat.update({f"heads.{k}": v for k, v in grads["heads"].items()})
     if total_units:
@@ -403,10 +459,8 @@ def mlm_batch_loss_and_grads(
     dlogits, picked, total = _target_log_probs(sel, emb, targets, workspace)
     dlogits /= total
     dlogits[np.arange(targets.size), targets] -= 1.0
-    grads = {k: scratch(workspace, "grad." + k, v.shape) for k, v in enc.tensors.items()}
-    for key, g in grads.items():
-        if key != "tok_emb":  # written whole by the projection gradient
-            g.fill(0.0)
+    # tok_emb's gradient is written whole by the projection gradient
+    grads = _grad_buffers(enc.tensors, workspace, whole=("tok_emb",))
     np.matmul(dlogits.T, sel, out=grads["tok_emb"])
     encode_backward(enc, dlogits @ emb, cache, grads, workspace)
     for v in grads.values():

@@ -230,6 +230,78 @@ def test_batch_loss_and_grads_match_full_encoder_pass(length_corpus, method, dro
             np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=floor, err_msg=key)
 
 
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
+def test_training_step_encodes_and_backpropagates_once_per_pack(monkeypatch, length_corpus, method):
+    """A training step encodes its batch in packs taken in batch order, one
+    ``encode_with_cache`` and one ``encode_backward`` (of that pass's cache,
+    at the pack's words) per pack: fewer packs than sentences, each of at
+    most 128 sub-tokens or one sentence, a one-sub-token sentence alone."""
+    import dualner.model as model_mod
+
+    docs, vocab = length_corpus
+    examples = build_examples(docs + [_one_sub_token_doc()], vocab, INV, HEADS)
+    one = examples[-1]
+    assert one.ids.size == 1
+    short = sorted(examples[:-2], key=lambda ex: ex.ids.size)[:8]
+    batch = short[:4] + [one] + short[4:]
+    real_encode, real_backward = model_mod.encode_with_cache, model_mod.encode_backward
+    passes, backwards = [], []
+
+    def encode_spy(ids, params, **kwargs):
+        out = real_encode(ids, params, **kwargs)
+        passes.append((list(kwargs["lengths"]), out[1]))
+        return out
+
+    def backward_spy(params, upstream, cache, *args):
+        backwards.append((upstream.shape[0], cache))
+        return real_backward(params, upstream, cache, *args)
+
+    monkeypatch.setattr(model_mod, "encode_with_cache", encode_spy)
+    monkeypatch.setattr(model_mod, "encode_backward", backward_spy)
+    model = _scaled_model(method, vocab)
+    model.encoder.config = dataclasses.replace(model.encoder.config, dropout_rate=0.2)
+    batch_loss_and_grads(model, batch, "train", np.random.default_rng(5), Workspace())
+    packs = [lengths for lengths, _cache in passes]
+    assert [n for pack in packs for n in pack] == [ex.ids.size for ex in batch]
+    assert len(packs) < len(batch)
+    assert all(sum(pack) <= 128 or len(pack) == 1 for pack in packs)
+    assert [1] in packs and all(len(pack) == 1 for pack in packs if 1 in pack)
+    assert len(backwards) == len(passes)
+    assert all(cache is pass_cache for (_rows, cache), (_l, pass_cache) in zip(backwards, passes))
+    sizes = iter(len(ex.sentence.words) for ex in batch)
+    assert [rows for rows, _cache in backwards] == [sum(next(sizes) for _ in pack) for pack in packs]
+
+
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
+def test_training_step_holds_one_long_sentence_per_pass(length_corpus, method):
+    """Sentences longer than 64 sub-tokens are encoded one per pass: a
+    step over five of them, with a workspace used before, peaks at most 5%
+    higher than a step over the longest alone.  The gradients it returns are the
+    workspace's: without one, the step peaks higher by at least their
+    size."""
+    docs, vocab = length_corpus
+    words = [w for doc in docs for sent in doc.sentences for w in sent.words]
+    long_doc = Document("long", "", [Sentence(words[i : i + 30], 0, 0) for i in range(0, 150, 30)])
+    batch = build_examples([long_doc], vocab, INV, HEADS)
+    assert min(ex.ids.size for ex in batch) > 64
+    longest = [max(batch, key=lambda ex: ex.ids.size)]
+    model = _scaled_model(method, vocab)
+    ws = Workspace()
+    batch_loss_and_grads(model, batch, "train", None, ws)
+
+    def peak(examples, workspace):
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(model, examples, "train", None, workspace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grad_bytes = sum(v.nbytes for v in model_tensors(model).values())
+    assert peak(batch, ws) <= peak(longest, ws) * 1.05
+    assert peak(batch, None) - peak(batch, ws) >= grad_bytes
+
+
 @pytest.mark.parametrize(
     "method, head",
     [
