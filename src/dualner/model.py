@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -235,21 +236,38 @@ def _packs(sizes: Sequence[int], order) -> list[list[int]]:
     return packs
 
 
+def _encode_pack(
+    id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequence[Sequence[int]], drops=None
+):
+    """One ``encode_with_cache`` pass over the sentences ``id_seqs``, packed
+    in that order, at the sub-token positions ``rows[j]`` of each sentence
+    j, with sentence j's ``dropout_masks`` ``drops[j]`` concatenated (no
+    dropout when ``drops`` is None or holds Nones).
+
+    Returns ``(vecs, cache, slices)``: the pass's vectors and cache, and
+    ``slices[j]``, the slice of ``vecs`` that holds sentence j's rows.
+    """
+    vecs, cache = encode_with_cache(
+        np.concatenate(id_seqs), enc, rows=rows, lengths=[ids.size for ids in id_seqs],
+        dropout_masks=None if drops is None or drops[0] is None else [np.concatenate(m) for m in zip(*drops)],
+    )
+    stops = list(accumulate(map(len, rows)))
+    return vecs, cache, list(map(slice, [0, *stops], stops))
+
+
 def _eval_packs(id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequence[Sequence[int]]):
     """Eval-mode encoding of many sentences at the rows their callers read.
 
-    Yields ``(indices, vecs)`` per pack, where ``vecs`` holds the vectors
-    of ``id_seqs[i]`` at the sub-token positions ``rows[i]`` for each ``i``
-    of ``indices``, concatenated in that order.  Sentences are packed
-    (``_packs``) shortest first, ties in input order.
+    Yields ``(indices, vecs, slices)`` per pack (``_encode_pack``), where
+    ``vecs[slices[j]]`` holds the vectors of ``id_seqs[i]`` at the
+    sub-token positions ``rows[i]`` for the j-th ``i`` of ``indices``.
+    Sentences are packed (``_packs``) shortest first, ties in input order.
     """
     sizes = [ids.size for ids in id_seqs]
     for pack in _packs(sizes, sorted(range(len(id_seqs)), key=sizes.__getitem__)):
-        # the pass's cache is dropped before the caller reads the vectors
-        yield pack, encode_with_cache(
-            np.concatenate([id_seqs[i] for i in pack]), enc,
-            rows=[rows[i] for i in pack], lengths=[sizes[i] for i in pack],
-        )[0]
+        vecs, cache, slices = _encode_pack([id_seqs[i] for i in pack], enc, [rows[i] for i in pack])
+        del cache  # dropped before the caller reads the vectors
+        yield pack, vecs, slices
 
 
 def _grad_buffers(tensors: dict[str, np.ndarray], workspace: Workspace | None, whole=()):
@@ -266,74 +284,35 @@ def _grad_buffers(tensors: dict[str, np.ndarray], workspace: Workspace | None, w
 
 def _head_loss(model: Model, ex: Example, wv: np.ndarray, grads, workspace):
     """One sentence's summed CE and unit count from its word vectors
-    ``wv``, and the gradient at ``wv`` (None without ``grads``, into whose
-    ``heads`` the head's gradients accumulate)."""
-    d_wv = None
+    ``wv``, and the gradient at ``wv``; the head's gradients accumulate
+    into ``grads["heads"]``."""
     if model.method == "word_tagger":
         ce, dlogits = _softmax_ce(tagger_forward(wv, model.heads), ex.tag_ids)
-        if grads is not None:
-            d_wv = tagger_backward(wv, model.heads, dlogits, grads["heads"])
-        return ce, len(ex.tag_ids), d_wv
+        return ce, len(ex.tag_ids), tagger_backward(wv, model.heads, dlogits, grads["heads"])
     logits, span_cache = span_logits_with_cache(wv, ex.spans, model.heads, workspace)
     ce, dlogits = _softmax_ce(logits, ex.span_classes)
-    if grads is not None:
-        d_wv = span_backward(wv, model.heads, dlogits, grads["heads"], span_cache, workspace)
-    return ce, len(ex.spans), d_wv
+    return ce, len(ex.spans), span_backward(wv, model.heads, dlogits, grads["heads"], span_cache, workspace)
 
 
 def _pack_loss(model: Model, sentences: Sequence[Example], mode: str, rng, grads, workspace):
     """Each sentence's summed CE and unit count, in order, for one pack of
-    ``sentences`` encoded by one pass; backward into ``grads`` when given."""
+    ``sentences`` encoded by one pass and backpropagated into ``grads``."""
     drops = [_masks_for(mode, model.encoder.config, ex.ids.size, rng) for ex in sentences]
-    firsts = [ex.align.first_subtoken_index for ex in sentences]
-    wv, cache = encode_with_cache(
-        np.concatenate([ex.ids for ex in sentences]), model.encoder, rows=firsts,
-        lengths=[ex.ids.size for ex in sentences],
-        dropout_masks=None if drops[0] is None else [np.concatenate(m) for m in zip(*drops)],
+    wv, cache, slices = _encode_pack(
+        [ex.ids for ex in sentences], model.encoder, [ex.align.first_subtoken_index for ex in sentences], drops
     )
-    upstream = None if grads is None else np.empty_like(wv)
+    upstream = np.empty_like(wv)
     losses = []
-    start = 0
-    for ex, first in zip(sentences, firsts):
-        stop = start + len(first)
-        ce, units, d_wv = _head_loss(model, ex, wv[start:stop], grads, workspace)
-        if grads is not None:
-            upstream[start:stop] = d_wv
+    for ex, sl in zip(sentences, slices):
+        ce, units, upstream[sl] = _head_loss(model, ex, wv[sl], grads, workspace)
         losses.append((ce, units))
-        start = stop
-    if grads is not None:
-        encode_backward(model.encoder, upstream, cache, grads["encoder"], workspace)
+    encode_backward(model.encoder, upstream, cache, grads["encoder"], workspace)
     return losses
-
-
-def _supervised_loss(model: Model, examples: Sequence[Example], mode: str, rng, grads=None, workspace=None):
-    """Summed CE and unit count of ``examples``; backward into ``grads``
-    when given.
-
-    The sentences are encoded in packs taken in batch order (``_packs``),
-    each pass running its last layer, forward and backward, only at the
-    first sub-tokens of the words, the rows both heads read.  In train
-    mode each sentence draws its dropout masks from ``rng`` in batch
-    order, as when encoded alone.  The head runs per sentence on its slice
-    of the pack's word vectors and writes its word-vector gradient into
-    the same slice of the pack's upstream, and the CE is summed sentence
-    by sentence in batch order: the loss has the bits of per-sentence
-    passes, and the gradients differ from theirs only at rounding level.
-    """
-    total_ce = 0.0
-    total_units = 0
-    # a pack's cache is freed when its _pack_loss returns, before the next pass
-    for pack in _packs([ex.ids.size for ex in examples], range(len(examples))):
-        for ce, units in _pack_loss(model, [examples[i] for i in pack], mode, rng, grads, workspace):
-            total_ce += ce
-            total_units += units
-    return total_ce, total_units
 
 
 def batch_loss(model: Model, examples: Sequence[Example]) -> float:
     """Eval-mode mean loss per unit; pure function of the parameters."""
-    total_ce, total_units = _supervised_loss(model, examples, "eval", None)
-    return total_ce / total_units if total_units else 0.0
+    return batch_loss_and_grads(model, examples, "eval")[0]
 
 
 def batch_loss_and_grads(
@@ -346,17 +325,31 @@ def batch_loss_and_grads(
     """Mean loss and its gradient for every parameter (prefixed flat dict).
 
     The batch is encoded in packs of at most ``_PACK_ROWS`` sub-tokens
-    taken in batch order, one ``encode_with_cache`` and one
-    ``encode_backward`` per pack, while each head runs per sentence (see
-    ``_supervised_loss``).  With a ``workspace``, the returned gradients
-    are its ``grad.*`` buffers (valid until the next call with it), and the
-    span head and the attention backward take their large temporaries
-    from it too; without one they are allocated per call.  Either way the
-    bits are the same.
+    taken in batch order (``_packs``), one ``encode_with_cache`` and one
+    ``encode_backward`` per pack, each pass running its last layer,
+    forward and backward, only at the first sub-tokens of the words, the
+    rows both heads read.  In train mode each sentence draws its dropout
+    masks from ``rng`` in batch order, as when encoded alone.  The head
+    runs per sentence on its slice of the pack's word vectors and writes
+    its word-vector gradient into the same slice of the pack's upstream,
+    and the CE is summed sentence by sentence in batch order: the loss has
+    the bits of per-sentence passes, and the gradients differ from theirs
+    only at rounding level.
+
+    With a ``workspace``, the returned gradients are its ``grad.*``
+    buffers (valid until the next call with it), and the span head and the
+    attention backward take their large temporaries from it too; without
+    one they are allocated per call.  Either way the bits are the same.
     """
     grads = {"encoder": _grad_buffers(model.encoder.tensors, workspace),
              "heads": _grad_buffers(model.heads.tensors, workspace)}
-    total_ce, total_units = _supervised_loss(model, examples, mode, rng, grads, workspace)
+    total_ce = 0.0
+    total_units = 0
+    # a pack's cache is freed when its _pack_loss returns, before the next pass
+    for pack in _packs([ex.ids.size for ex in examples], range(len(examples))):
+        for ce, units in _pack_loss(model, [examples[i] for i in pack], mode, rng, grads, workspace):
+            total_ce += ce
+            total_units += units
     flat = {f"encoder.{k}": v for k, v in grads["encoder"].items()}
     flat.update({f"heads.{k}": v for k, v in grads["heads"].items()})
     if total_units:
@@ -449,10 +442,7 @@ def mlm_batch_loss_and_grads(
         targets.append(target)
     if not sentences:
         return 0.0, None
-    sel, cache = encode_with_cache(
-        np.concatenate(sentences), enc, rows=positions, lengths=[c.size for c in sentences],
-        dropout_masks=None if drops[0] is None else [np.concatenate(m) for m in zip(*drops)],
-    )
+    sel, cache, _slices = _encode_pack(sentences, enc, positions, drops)
     emb = enc.tensors["tok_emb"]
     targets = np.concatenate(targets)
     # the logits, turned in place into their gradient (softmax minus one-hot)
@@ -485,15 +475,12 @@ def _mlm_eval_loss(enc: EncoderParams, masked, workspace: Workspace | None) -> f
     emb = enc.tensors["tok_emb"]
     ce = [0.0] * len(masked)
     packs = _eval_packs([masked[i][0] for i in keep], enc, [masked[i][1] for i in keep])
-    for pack, sel in packs:
+    for pack, sel, slices in packs:
         sentences = [keep[j] for j in pack]
         targets = np.concatenate([masked[i][2] for i in sentences])
         _z, picked, _total = _target_log_probs(sel, emb, targets, workspace)
-        start = 0
-        for i in sentences:
-            stop = start + masked[i][1].size
-            ce[i] = -float(picked[start:stop].sum())
-            start = stop
+        for i, sl in zip(sentences, slices):
+            ce[i] = -float(picked[sl].sum())
     total_ce = 0.0
     for i in keep:  # in sentence order, as when scored one at a time
         total_ce += ce[i]
@@ -543,12 +530,9 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
     check_sentence_lengths(model.encoder.config, docs, ids)
     firsts = [align.first_subtoken_index for align in aligns]
     found: list[list[ScoredMention]] = [[] for _ in aligns]
-    for pack, wv in _eval_packs(ids, model.encoder, firsts):
-        start = 0
-        for i in pack:
-            stop = start + len(firsts[i])
-            found[i] = _decode(model, wv[start:stop])
-            start = stop
+    for pack, wv, slices in _eval_packs(ids, model.encoder, firsts):
+        for i, sl in zip(pack, slices):
+            found[i] = _decode(model, wv[sl])
     found_iter = iter(found)
     return [
         replace(doc, sentences=[replace(sent, mentions=next(found_iter)) for sent in doc.sentences])

@@ -303,8 +303,8 @@ def train_supervised(
     step); the returned model maximizes it, ties resolved to the earliest
     step.  ``init_encoder`` warm-starts the encoder, e.g. from an MLM
     snapshot.  Zero epochs return the initialization with an empty log.
-    A sentence of either split longer than ``max_positions`` is refused
-    before the first step, by name.
+    A split without sentences, and a sentence of either split longer than
+    ``max_positions`` (by name), are refused before the first step.
     """
     if not train_docs or not tune_docs:
         raise ValueError("both the train and tune splits must be non-empty")
@@ -313,6 +313,8 @@ def train_supervised(
     examples = build_examples(train_docs, vocab, labels, head_cfg)
     if not examples:
         raise UnusableDataError("training split contains no sentences; segment it first")
+    if not any(doc.sentences for doc in tune_docs):
+        raise UnusableDataError("tune split contains no sentences; segment it first")
     if len(labels) == 0:
         raise UnusableDataError("the train and tune splits hold no entity mentions")
     check_sentence_lengths(encoder_cfg, train_docs, (ex.ids for ex in examples))

@@ -750,6 +750,8 @@ MISMATCHES = {
                    "--out", p["out"] / "frag.json"], "no words"),
     "train_unsegmented": (
         lambda p: ["train", "--config", p["raw_config"], "--out-dir", p["out"]], "no sentences"),
+    "train_unsegmented_tune": (
+        lambda p: ["train", "--config", p["raw_tune_config"], "--out-dir", p["out"]], "no sentences"),
     "pretrain_unsegmented": (
         lambda p: ["pretrain-mlm", "--corpus", p["raw"], "--vocab", p["vocab"],
                    "--steps", "2", "--checkpoint-every", "1", "--out-dir", p["out"]], "no sentences"),
@@ -760,6 +762,8 @@ MISMATCHES = {
 def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, small_corpus, small_vocab, capsys, case):
     raw = tmp_path / "raw.jsonl"
     save_corpus(strip_segmentation(small_corpus), raw)
+    raw_tune = tmp_path / "raw_tune.jsonl"  # the 4 documents after n_train=16 unsegmented
+    save_corpus(small_corpus[:16] + strip_segmentation(small_corpus[16:]), raw_tune)
     no_mask = small_vocab.to_json()
     no_mask["special"]["mask"] = None
     base = {
@@ -776,10 +780,12 @@ def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, sm
         "corpus": corpus_file, "vocab": vocab_file, "raw": raw, "out": tmp_path / "out",
         "no_mask_vocab": tmp_path / "no_mask.json",
         "sized_config": tmp_path / "sized.json", "raw_config": tmp_path / "raw.json",
+        "raw_tune_config": tmp_path / "raw_tune.json",
     }
     paths["no_mask_vocab"].write_text(json.dumps(no_mask), encoding="utf-8")
     paths["sized_config"].write_text(json.dumps(sized), encoding="utf-8")
     paths["raw_config"].write_text(json.dumps(dict(base, corpus=str(raw))), encoding="utf-8")
+    paths["raw_tune_config"].write_text(json.dumps(dict(base, corpus=str(raw_tune))), encoding="utf-8")
     argv, message = MISMATCHES[case]
     code = main([str(a) for a in argv(paths)])
     err = capsys.readouterr().err

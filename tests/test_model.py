@@ -231,6 +231,25 @@ def test_batch_loss_and_grads_match_full_encoder_pass(length_corpus, method, dro
 
 
 @pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
+def test_batch_loss_equals_eval_mode_loss_of_batch_loss_and_grads(length_corpus, method):
+    """``batch_loss`` has the bits of the loss ``batch_loss_and_grads``
+    returns in eval mode, over a batch of several packs that holds a
+    one-sub-token sentence."""
+    from dualner.model import _packs
+
+    docs, vocab = length_corpus
+    examples = build_examples(docs + [_one_sub_token_doc()], vocab, INV, HEADS)
+    batch = examples[:6] + examples[-1:] + examples[6:12]
+    assert batch[6].ids.size == 1
+    assert len(_packs([ex.ids.size for ex in batch], range(len(batch)))) > 2
+    model = _scaled_model(method, vocab)
+    model.encoder.config = dataclasses.replace(model.encoder.config, dropout_rate=0.2)
+    loss = batch_loss(model, batch)
+    assert loss > 0.0
+    assert loss.hex() == batch_loss_and_grads(model, batch, "eval")[0].hex()
+
+
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
 def test_training_step_encodes_and_backpropagates_once_per_pack(monkeypatch, length_corpus, method):
     """A training step encodes its batch in packs taken in batch order, one
     ``encode_with_cache`` and one ``encode_backward`` (of that pass's cache,
@@ -668,7 +687,8 @@ def test_mlm_step_checks_max_positions_per_sentence(length_corpus):
 
 def test_eval_packs_rows_equal_full_pass_rows(length_corpus):
     """Every sentence is encoded once, and its rows have the bits of its
-    own full pass, one-sub-token sentences included."""
+    own full pass, one-sub-token sentences included; a pack's slices tile
+    its vectors in order, with no gap."""
     from dualner.encoder import encode
     from dualner.model import _eval_packs
 
@@ -683,14 +703,15 @@ def test_eval_packs_rows_equal_full_pass_rows(length_corpus):
             for ids in pool[:30]]
     rows += [np.array([ids.size - 1]) for ids in short]
     seen = []
-    for pack, vecs in _eval_packs(pool, model.encoder, rows):
-        start = 0
-        for i in pack:
-            stop = start + rows[i].size
-            assert np.array_equal(vecs[start:stop], encode(pool[i], model.encoder)[rows[i]]), i
+    for pack, vecs, slices in _eval_packs(pool, model.encoder, rows):
+        assert len(slices) == len(pack)
+        stop = 0
+        for i, sl in zip(pack, slices):
+            assert (sl.start, sl.stop, sl.step) == (stop, stop + rows[i].size, None), i
+            assert np.array_equal(vecs[sl], encode(pool[i], model.encoder)[rows[i]]), i
             seen.append(i)
-            start = stop
-        assert start == len(vecs)
+            stop = sl.stop
+        assert stop == len(vecs)
     assert sorted(seen) == list(range(len(pool)))
 
 

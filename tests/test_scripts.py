@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,8 +79,7 @@ def test_bench_trajectory_reads_both_schemas(tmp_path):
 
 def test_call_counts_prints_a_repeatable_count_per_path():
     """Two runs print the same positive call count for the three paths of a
-    supervised workload and of the MLM workload; an unknown workload is
-    refused."""
+    supervised workload and of the MLM workload."""
     runs = [_run_script("call_counts.py", "tagger_short", "mlm_bigvocab").splitlines() for _ in range(2)]
     assert runs[0] == runs[1]
     assert [line.rsplit(" ", 1)[0] for line in runs[0]] == [
@@ -85,7 +87,25 @@ def test_call_counts_prints_a_repeatable_count_per_path():
         "mlm_bigvocab mlm_eval", "mlm_bigvocab mlm_steps", "mlm_bigvocab read",
     ]
     assert all(int(line.rsplit(" ", 1)[1]) > 0 for line in runs[0])
+
+
+def test_bit_fingerprint_prints_a_repeatable_line():
+    """Two runs print the same line for a workload: its final loss as hex
+    and a sha256 of its log, final weights and scoring output."""
+    runs = [_run_script("bit_fingerprint.py", "tagger_short") for _ in range(2)]
+    assert runs[0] == runs[1]
+    (line,) = runs[0].splitlines()
+    name, *fields = line.split(" ")
+    assert name == "tagger_short"
+    values = dict(field.split("=", 1) for field in fields)
+    assert list(values) == ["final_loss", "log", "weights", "scores"]
+    assert float.fromhex(values["final_loss"]) > 0.0
+    assert all(re.fullmatch("[0-9a-f]{64}", values[key]) for key in ("log", "weights", "scores"))
+
+
+@pytest.mark.parametrize("script", ["call_counts.py", "bit_fingerprint.py"])
+def test_benchmark_scripts_refuse_an_unknown_workload(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "call_counts.py"), "no_such_workload"],
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "no_such_workload"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 1 and "unknown workload" in done.stderr
