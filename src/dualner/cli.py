@@ -30,10 +30,10 @@ from .corpus import (
 from .encoder import EncoderConfig, EncoderParams, check_vocab_size, load_encoder_snapshot, save_checkpoint
 from .errors import DataError, FormatError, TrainingError
 from .evaluate import evaluate_predictions
-from .model import load_model, predict_documents, save_model
-from .postprocess import resolve_documents
+from .model import METHODS, load_model, predict_documents, save_model
+from .postprocess import STRATEGIES, resolve_documents
 from .segment import SegmenterConfig, segment_document
-from .subtok import BpeVocab, fragmentation_ratio, train_bpe
+from .subtok import SCOPES, BpeVocab, fragmentation_ratio, train_bpe
 from .train import (
     ExperimentConfig,
     MlmConfig,
@@ -60,18 +60,25 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_experiment(args) -> ExperimentConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    if not path:
+def _load_experiment(args, *, required: bool = True) -> ExperimentConfig | None:
+    """The config named by ``--config``, else by ``$DUALNER_CONFIG``; None
+    when neither is set, which is a usage error if the config is ``required``."""
+    path = args.config or os.environ.get(CONFIG_ENV)
+    if not path and required:
         raise UsageError(f"--config is required (or set ${CONFIG_ENV})")
-    return ExperimentConfig.load(path)
+    return ExperimentConfig.load(path) if path else None
 
 
-def _resolve_vocab(cfg: ExperimentConfig, docs) -> BpeVocab:
-    """The config's vocabulary, or one trained on ``docs`` (not yet saved)."""
-    if cfg.vocab:
-        return BpeVocab.load(cfg.vocab)
-    return train_bpe(docs, cfg.vocab_size)
+def _with_flags(section, **flags):
+    """``section`` with the flags that were given (not None) replaced; its
+    dataclass checks the result and holds the default of every other field."""
+    return dataclasses.replace(section, **{name: v for name, v in flags.items() if v is not None})
+
+
+def _write_table(path: Path, table: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(table + "\n")
+    print(table)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +88,9 @@ def _resolve_vocab(cfg: ExperimentConfig, docs) -> BpeVocab:
 
 def cmd_generate(args) -> None:
     inventory = LabelInventory.from_types([t for t in args.types.split(",") if t])
-    profile = SyntheticProfile(
-        sentences_per_doc=tuple(args.sentences_per_doc),
-        words_per_sentence=tuple(args.words_per_sentence),
-        oov_fraction=args.oov_fraction,
+    profile = _with_flags(
+        SyntheticProfile(), sentences_per_doc=args.sentences_per_doc,
+        words_per_sentence=args.words_per_sentence, oov_fraction=args.oov_fraction,
     )
     docs = generate_synthetic(args.seed, args.docs, inventory, profile)
     save_corpus(docs, args.out)
@@ -92,7 +98,7 @@ def cmd_generate(args) -> None:
 
 
 def cmd_segment(args) -> None:
-    cfg = SegmenterConfig(min_words=args.min_words, terminator=args.terminator)
+    cfg = _with_flags(SegmenterConfig(), min_words=args.min_words, terminator=args.terminator)
     docs = load_corpus(args.input)
     fresh = sum(1 for d in docs if not d.sentences)
     docs = [segment_document(d, cfg) for d in docs]
@@ -107,23 +113,14 @@ def cmd_build_vocab(args) -> None:
     _info(f"trained vocabulary: {len(vocab)} symbols, {len(vocab.merges)} merges -> {args.out}")
 
 
-def _apply_train_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.method:
-        updates["methods"] = [args.method]
-    if args.seeds is not None:
-        updates["seeds"] = args.seeds
-    if args.epochs is not None:
-        updates["train"] = dataclasses.replace(cfg.train, epochs=args.epochs)
-    return dataclasses.replace(cfg, **updates)
-
-
 def cmd_train(args) -> None:
-    cfg = _apply_train_overrides(_load_experiment(args), args)
+    cfg = _load_experiment(args)
+    train_cfg = _with_flags(cfg.train, epochs=args.epochs)
+    cfg = _with_flags(cfg, methods=[args.method] if args.method else None, seeds=args.seeds, train=train_cfg)
     out_dir = Path(args.out_dir)
     docs = load_corpus(cfg.corpus)
     train_docs, tune_docs = split_train_tune(docs, cfg.n_train)
-    vocab = _resolve_vocab(cfg, train_docs)
+    vocab = BpeVocab.load(cfg.vocab) if cfg.vocab else train_bpe(train_docs, cfg.vocab_size)
     if len(cfg.seeds) >= 2:
         _train_protocol(cfg, train_docs, tune_docs, vocab, out_dir)
     else:
@@ -141,9 +138,7 @@ def _train_protocol(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir
         cfg.methods, cfg.seeds, cfg.encoder, cfg.heads, cfg.train,
     )
     write_json(out_dir / "report.json", report.to_dict())
-    with atomic_write(out_dir / "report.txt") as fh:
-        fh.write(report.render_table() + "\n")
-    print(report.render_table())
+    _write_table(out_dir / "report.txt", report.render_table())
 
 
 def _train_single_seed(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir: Path) -> None:
@@ -178,30 +173,15 @@ def _train_single_seed(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_
         )
 
 
-def _mlm_overrides(cfg: MlmConfig, args) -> MlmConfig:
-    updates = {}
-    if args.steps is not None:
-        updates["total_steps"] = args.steps
-    if args.checkpoint_every is not None:
-        updates["checkpoint_every"] = args.checkpoint_every
-    if args.mask_prob is not None:
-        updates["mask_prob"] = args.mask_prob
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def cmd_pretrain(args) -> None:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    if path:
-        exp = ExperimentConfig.load(path)
-        mlm_cfg, enc_cfg = exp.mlm, exp.encoder
-    else:
-        mlm_cfg, enc_cfg = MlmConfig(), EncoderConfig()
-    mlm_cfg = _mlm_overrides(mlm_cfg, args)
+    exp = _load_experiment(args, required=False)
+    mlm_cfg = _with_flags(
+        exp.mlm if exp else MlmConfig(), total_steps=args.steps,
+        checkpoint_every=args.checkpoint_every, mask_prob=args.mask_prob, seed=args.seed,
+    )
     docs = load_corpus(args.corpus)
     vocab = BpeVocab.load(args.vocab)
-    result = pretrain_mlm(docs, vocab, enc_cfg, mlm_cfg)
+    result = pretrain_mlm(docs, vocab, exp.encoder if exp else EncoderConfig(), mlm_cfg)
     out_dir = Path(args.out_dir)
     written = set()
     for step, enc in result.checkpoints:
@@ -266,10 +246,7 @@ def cmd_sweep(args) -> None:
     write_json(out_dir / "sweep.json", {"points": [dataclasses.asdict(p) for p in points]})
     lines = [f"{'pretrain step':>13} {'tune F1':>9}", "-" * 23]
     lines += [f"{p.step:>13} {p.f1:>9.4f}" for p in points]
-    table = "\n".join(lines)
-    with atomic_write(out_dir / "sweep.txt") as fh:
-        fh.write(table + "\n")
-    print(table)
+    _write_table(out_dir / "sweep.txt", "\n".join(lines))
 
 
 def cmd_predict(args) -> None:
@@ -298,9 +275,10 @@ def cmd_evaluate(args) -> None:
     out = {"overall": report.to_dict()}
     print(report.render_table())
     if args.nesting_table:
-        rows = {}
-        for name, strategy in (("Orig", "none"), ("keep_inner", "keep_inner"), ("keep_outer", "keep_outer")):
-            rows[name] = evaluate_predictions(gold, resolve_documents(pred, strategy)).f1
+        rows = {
+            "Orig" if s == "none" else s: evaluate_predictions(gold, resolve_documents(pred, s)).f1
+            for s in STRATEGIES
+        }
         out["nesting_table"] = rows
         print()
         print(f"{'post-processing':<16} {'F1':>8}")
@@ -338,28 +316,28 @@ def build_parser() -> _Parser:
     p.add_argument("--docs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--types", default="Facility,Instrument,SkyObject", help="comma-separated entity types")
-    p.add_argument("--oov-fraction", type=float, default=0.2)
-    p.add_argument("--sentences-per-doc", type=int, nargs=2, default=[2, 4], metavar=("LO", "HI"))
-    p.add_argument("--words-per-sentence", type=int, nargs=2, default=[11, 16], metavar=("LO", "HI"))
+    p.add_argument("--oov-fraction", type=float)
+    p.add_argument("--sentences-per-doc", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--words-per-sentence", type=int, nargs=2, metavar=("LO", "HI"))
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("segment", help="split unsegmented documents into sentences")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--min-words", type=int, default=10)
-    p.add_argument("--terminator", default=".")
+    p.add_argument("--min-words", type=int)
+    p.add_argument("--terminator")
     p.set_defaults(handler=cmd_segment)
 
     p = sub.add_parser("build-vocab", help="train a BPE vocabulary on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--vocab-size", type=int, default=200)
+    p.add_argument("--vocab-size", type=int, default=ExperimentConfig.vocab_size)
     p.set_defaults(handler=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train heads per the experiment config (multi-seed runs emit a protocol report)")
     p.add_argument("--config", help=f"experiment JSON (default ${CONFIG_ENV})")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--method", choices=["word_tagger", "span_classifier"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--epochs", type=int)
     p.set_defaults(handler=cmd_train)
@@ -380,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", help="overrides the config's corpus path")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoints", required=True, help="directory with mlm_step_*.npz")
-    p.add_argument("--method", choices=["word_tagger", "span_classifier"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=cmd_sweep)
 
@@ -393,7 +371,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("postprocess", help="resolve nested predictions")
     p.add_argument("--input", required=True)
-    p.add_argument("--strategy", required=True, choices=["none", "keep-inner", "keep-outer"])
+    p.add_argument("--strategy", required=True, choices=[s.replace("_", "-") for s in STRATEGIES])
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_postprocess)
 
@@ -409,7 +387,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze-fragmentation", help="sub-token fragmentation ratio and histogram")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--scope", choices=["all_words", "mention_words"], default="all_words")
+    p.add_argument("--scope", choices=SCOPES, default=SCOPES[0])
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(handler=cmd_analyze)
 

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, UnusableDataError, ValidationError
 
 __all__ = [
     "Mention",
@@ -42,8 +42,10 @@ __all__ = [
     "Document",
     "LabelInventory",
     "SyntheticProfile",
+    "TERMINATOR",
     "load_corpus",
     "load_predictions",
+    "require_sentences",
     "save_corpus",
     "split_train_tune",
     "generate_synthetic",
@@ -369,6 +371,15 @@ def validate_document(doc: Document, *, allow_overlap: bool = False) -> None:
                     )
 
 
+def require_sentences(docs: Sequence[Document], what: str) -> None:
+    """Refuse ``docs`` unless one of them holds a sentence: a corpus that is
+    not segmented yet would train, predict and score on nothing."""
+    for doc in docs:
+        if doc.sentences:
+            return
+    raise UnusableDataError(f"{what} contains no sentences; segment it first")
+
+
 def _load(path: str | Path, *, predicted: bool) -> list[Document]:
     path = str(path)
     read = _record_reader(Document, predicted)
@@ -434,9 +445,18 @@ def split_train_tune(docs: Sequence[Document], n_train: int) -> tuple[list[Docum
 # ---------------------------------------------------------------------------
 
 
+# The generator's fixed shape.  ``TERMINATOR`` is also ``SegmenterConfig``'s
+# default, so the splitter finds the generated sentences again.
+TERMINATOR = "."
+_MENTION_LEN = (1, 3)
+_COMMON_POOL_SIZE = 60
+_TYPE_POOL_SIZE = 16
+_OOV_POOL_SIZE = 400
+
+
 @dataclass(frozen=True)
 class SyntheticProfile:
-    """Knobs for the synthetic corpus generator.
+    """Knobs for the synthetic corpus generator; ranges are held as tuples.
 
     ``oov_fraction`` is the probability that a mention word is drawn from a
     large pool of rare words instead of its type's small pool; rare words
@@ -447,24 +467,18 @@ class SyntheticProfile:
     sentences_per_doc: tuple[int, int] = (2, 4)
     words_per_sentence: tuple[int, int] = (11, 16)
     mentions_per_sentence: tuple[int, int] = (0, 2)
-    mention_len: tuple[int, int] = (1, 3)
-    common_pool_size: int = 60
-    type_pool_size: int = 16
-    oov_pool_size: int = 400
     oov_fraction: float = 0.2
-    terminator: str = "."
 
     def __post_init__(self) -> None:
-        for name in ("sentences_per_doc", "words_per_sentence", "mentions_per_sentence", "mention_len"):
+        for name in ("sentences_per_doc", "words_per_sentence", "mentions_per_sentence"):
             lo, hi = getattr(self, name)
             if not (0 <= lo <= hi):
                 raise ValueError(f"{name} must be an ordered non-negative range, got ({lo},{hi})")
+            object.__setattr__(self, name, (lo, hi))
         if self.words_per_sentence[0] < 3:
             raise ValueError("sentences need at least 3 words to place mentions away from the terminator")
         if not 0.0 <= self.oov_fraction <= 1.0:
             raise ValueError(f"oov_fraction must be in [0,1], got {self.oov_fraction}")
-        if min(self.common_pool_size, self.type_pool_size, self.oov_pool_size) < 1:
-            raise ValueError("all word pools must be non-empty")
 
 
 def _random_word(rng: np.random.Generator, lo: int, hi: int) -> str:
@@ -484,18 +498,19 @@ def _fill_pool(rng: np.random.Generator, size: int, lo: int, hi: int, taken: set
 
 
 def synthetic_pools(
-    seed: int, inventory: LabelInventory, profile: SyntheticProfile
+    seed: int, inventory: LabelInventory, profile: SyntheticProfile | None = None
 ) -> tuple[list[str], dict[str, list[str]], list[str]]:
     """The exact word pools ``generate_synthetic`` uses for this seed.
 
     Returns (common, per-type, oov) pools; all pairwise disjoint.  Exposed so
     tests can count how many generated mention words came from the oov pool.
+    The pools are the same under every ``profile``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     taken: set[str] = set()
-    common = _fill_pool(rng, profile.common_pool_size, 3, 7, taken)
-    type_pools = {t: _fill_pool(rng, profile.type_pool_size, 4, 8, taken) for t in inventory.types}
-    oov = _fill_pool(rng, profile.oov_pool_size, 6, 12, taken)
+    common = _fill_pool(rng, _COMMON_POOL_SIZE, 3, 7, taken)
+    type_pools = {t: _fill_pool(rng, _TYPE_POOL_SIZE, 4, 8, taken) for t in inventory.types}
+    oov = _fill_pool(rng, _OOV_POOL_SIZE, 6, 12, taken)
     return common, type_pools, oov
 
 
@@ -507,7 +522,7 @@ def _place_mentions(
     placed: list[tuple[int, int]] = []
     out = []
     for _ in range(want):
-        length = int(rng.integers(profile.mention_len[0], profile.mention_len[1] + 1))
+        length = int(rng.integers(_MENTION_LEN[0], _MENTION_LEN[1] + 1))
         # last word carries the terminator; keep mentions off it
         limit = n_words - 1 - length
         if limit < 0:
@@ -533,7 +548,7 @@ def generate_synthetic(
 ) -> list[Document]:
     """Generate a deterministic, fully segmented synthetic corpus.
 
-    Every sentence ends with a terminator attached to its final word and has
+    Every sentence ends with ``TERMINATOR`` attached to its final word and has
     at least ``words_per_sentence[0]`` words, so the shipped sentence
     splitter (default threshold 10) reproduces the generated boundaries
     exactly when ``words_per_sentence[0] >= 11``.
@@ -544,7 +559,7 @@ def generate_synthetic(
         raise ValueError("inventory must contain at least one type")
     profile = profile or SyntheticProfile()
 
-    common, type_pools, oov = synthetic_pools(seed, inventory, profile)
+    common, type_pools, oov = synthetic_pools(seed, inventory)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
     docs = []
@@ -566,7 +581,7 @@ def generate_synthetic(
                         pool = type_pools[label]
                         words[w] = pool[int(rng.integers(0, len(pool)))]
                 mentions.append(Mention(start_word=start, end_word=end, label=label))
-            words[-1] = words[-1] + profile.terminator
+            words[-1] = words[-1] + TERMINATOR
             sent_text = " ".join(words)
             if parts:
                 cursor += 1  # single joining space

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Mention, mentions_overlap, select_by_score
+from .corpus import Document, Mention, mentions_overlap, require_sentences, select_by_score
 from .errors import ValidationError
 from .heads import mentions_to_tags
 from .subtok import BUCKETS, BpeVocab, SubTokenization, bucket_of, subtokenize
@@ -285,8 +285,10 @@ def evaluate_predictions(
 
     ``with_mcc`` adds word-level multiclass MCC (nested predictions are
     first projected to a non-overlapping set so each word has one tag);
-    ``vocab`` adds the sub-token-grouped word F1 analysis.
+    ``vocab`` adds the sub-token-grouped word F1 analysis.  A gold corpus
+    without a sentence is refused, since every score would read perfect.
     """
+    require_sentences(gold_docs, "gold corpus")
     gold_sents = []
     pred_sents = []
     gold_tags = []

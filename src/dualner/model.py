@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, ScoredMention, Sentence, dataclass_from_dict
+from .corpus import Document, LabelInventory, ScoredMention, Sentence, dataclass_from_dict, require_sentences
 from .encoder import (
     PARAM_SCRATCH,
     EncoderConfig,
@@ -523,8 +523,10 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
 
     Every sentence is decoded as by ``predict_sentence``, but sentences are
     encoded in packs (``_eval_packs``).  Every sentence's length is checked
-    before the first pass (``check_sentence_lengths``).
+    before the first pass (``check_sentence_lengths``), and a corpus without
+    one is refused (``require_sentences``).
     """
+    require_sentences(docs, "corpus")
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
     ids = [np.asarray(align.sub_token_ids, dtype=np.int64) for align in aligns]
     check_sentence_lengths(model.encoder.config, docs, ids)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .corpus import Document, Sentence
+from .corpus import TERMINATOR, Document, Sentence
 
 __all__ = ["SegmenterConfig", "split_sentences", "segment_document"]
 
@@ -23,7 +23,7 @@ _WORD = re.compile(r"\S+")
 @dataclass(frozen=True)
 class SegmenterConfig:
     min_words: int = 10
-    terminator: str = "."
+    terminator: str = TERMINATOR  # the synthetic generator's, so it re-finds its sentences
 
     def __post_init__(self) -> None:
         if self.min_words < 0:

@@ -28,6 +28,7 @@ __all__ = [
     "SubTokenization",
     "train_bpe",
     "subtokenize",
+    "SCOPES",
     "FragmentationReport",
     "fragmentation_ratio",
 ]
@@ -318,6 +319,7 @@ def subtokenize(words: Sequence[str], vocab: BpeVocab) -> SubTokenization:
 # ---------------------------------------------------------------------------
 
 BUCKETS = ("1", "2", "3+")
+SCOPES = ("all_words", "mention_words")  # the words counted; the first is the default
 
 
 def bucket_of(n_subtokens: int) -> str:
@@ -353,15 +355,15 @@ def _mention_word_mask(sent) -> list[bool]:
 
 
 def fragmentation_ratio(
-    docs: Sequence[Document], vocab: BpeVocab, scope: str = "all_words"
+    docs: Sequence[Document], vocab: BpeVocab, scope: str = SCOPES[0]
 ) -> FragmentationReport:
     """Total sub-tokens over total words, plus the {1,2,3+} split-count histogram.
 
     ``scope="mention_words"`` restricts the count to words covered by a gold
     mention.
     """
-    if scope not in ("all_words", "mention_words"):
-        raise ValueError(f"scope must be 'all_words' or 'mention_words', got {scope!r}")
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     hist = {b: 0 for b in BUCKETS}
     total_words = 0
     total_subtokens = 0

@@ -17,7 +17,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelInventory, atomic_write, dataclass_from_dict, read_json, write_json
+from .corpus import (
+    Document,
+    LabelInventory,
+    atomic_write,
+    dataclass_from_dict,
+    read_json,
+    require_sentences,
+    write_json,
+)
 from .encoder import (
     PARAM_SCRATCH,
     EncoderConfig,
@@ -311,10 +319,8 @@ def train_supervised(
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     labels = LabelInventory.from_documents(list(train_docs) + list(tune_docs))
     examples = build_examples(train_docs, vocab, labels, head_cfg)
-    if not examples:
-        raise UnusableDataError("training split contains no sentences; segment it first")
-    if not any(doc.sentences for doc in tune_docs):
-        raise UnusableDataError("tune split contains no sentences; segment it first")
+    require_sentences(train_docs, "training split")
+    require_sentences(tune_docs, "tune split")
     if len(labels) == 0:
         raise UnusableDataError("the train and tune splits hold no entity mentions")
     check_sentence_lengths(encoder_cfg, train_docs, (ex.ids for ex in examples))
@@ -386,13 +392,12 @@ def pretrain_mlm(
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
+    require_sentences(docs, "corpus")
     pool = [
         np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
         for d in docs
         for s in d.sentences
     ]
-    if not pool:
-        raise UnusableDataError("corpus contains no sentences; segment it first")
     check_sentence_lengths(encoder_cfg, docs, pool)
     n_heldout = int(np.ceil(mlm_cfg.heldout_fraction * len(pool)))
     n_heldout = min(n_heldout, len(pool) - 1)

@@ -9,11 +9,15 @@ import pytest
 
 from dualner.cli import main
 from dualner.corpus import (
+    Document,
+    SyntheticProfile,
+    generate_synthetic,
     load_corpus,
     load_predictions,
     save_corpus,
     strip_segmentation,
 )
+from dualner.segment import SegmenterConfig, segment_document
 from dualner.subtok import BpeVocab, subtokenize
 
 
@@ -60,6 +64,56 @@ def test_generate_is_deterministic(tmp_path):
 
 def test_generate_rejects_bad_args(tmp_path, capsys):
     assert main(["generate-synthetic", "--out", str(tmp_path / "x"), "--docs", "0"]) == 1
+
+
+@pytest.mark.parametrize("flags, profile", [
+    ([], SyntheticProfile()),
+    (["--words-per-sentence", "12", "14", "--oov-fraction", "0.5"],
+     SyntheticProfile(words_per_sentence=(12, 14), oov_fraction=0.5)),
+    (["--sentences-per-doc", "1", "1"], SyntheticProfile(sentences_per_doc=(1, 1))),
+], ids=["defaults", "words_and_oov", "sentences"])
+def test_generate_flags_reach_the_profile(tmp_path, inventory, flags, profile):
+    """The written corpus is the library's under the profile the flags
+    describe; a flag not given keeps the profile's default."""
+    out, want = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+    assert main(["generate-synthetic", "--out", str(out), "--docs", "5", "--seed", "3", *flags]) == 0
+    save_corpus(generate_synthetic(3, 5, inventory, profile), want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_segment_flags_reach_the_config(tmp_path, small_corpus):
+    """``segment`` splits as ``segment_document`` does under the config its
+    flags describe; the short sentences of the last document split only
+    with ``--min-words 5``."""
+    short = Document(id="short", text="a b c. d e f g h i. j k l m n o p q r s t u v w x y.")
+    raw = tmp_path / "raw.jsonl"
+    save_corpus(strip_segmentation(small_corpus) + [short], raw)
+    outputs = []
+    for flags, cfg in (([], SegmenterConfig()), (["--min-words", "5"], SegmenterConfig(min_words=5))):
+        out, want = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+        assert main(["segment", "--input", str(raw), "--output", str(out), *flags]) == 0
+        save_corpus([segment_document(d, cfg) for d in load_corpus(raw)], want)
+        assert out.read_bytes() == want.read_bytes()
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate-synthetic", "--sentences-per-doc", "3", "2"], "sentences_per_doc must be an ordered"),
+    (["generate-synthetic", "--oov-fraction", "1.5"], "oov_fraction must be in [0,1]"),
+    (["segment", "--min-words", "-1"], "min_words must be >= 0"),
+    (["segment", "--terminator", ".."], "terminator must be a single character"),
+], ids=["sentences_per_doc", "oov_fraction", "min_words", "terminator"])
+def test_bad_profile_or_segmenter_flag_exits_one(tmp_path, corpus_file, capsys, argv, message):
+    out = tmp_path / "out.jsonl"
+    if argv[0] == "generate-synthetic":
+        files = ["--out", str(out)]
+    else:
+        files = ["--input", str(corpus_file), "--output", str(out)]
+    assert main([*argv, *files]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert not out.exists()
 
 
 def test_segment_roundtrip(tmp_path, small_corpus):
@@ -752,6 +806,12 @@ MISMATCHES = {
         lambda p: ["train", "--config", p["raw_config"], "--out-dir", p["out"]], "no sentences"),
     "train_unsegmented_tune": (
         lambda p: ["train", "--config", p["raw_tune_config"], "--out-dir", p["out"]], "no sentences"),
+    "evaluate_unsegmented": (
+        lambda p: ["evaluate", "--gold", p["raw"], "--pred", p["raw"], "--mcc",
+                   "--out", p["out"] / "report.json"], "gold corpus contains no sentences"),
+    "predict_unsegmented": (
+        lambda p: ["predict", "--corpus", p["raw"], "--vocab", p["vocab"], "--checkpoint", p["model"],
+                   "--out", p["out"] / "pred.jsonl"], "corpus contains no sentences"),
     "pretrain_unsegmented": (
         lambda p: ["pretrain-mlm", "--corpus", p["raw"], "--vocab", p["vocab"],
                    "--steps", "2", "--checkpoint-every", "1", "--out-dir", p["out"]], "no sentences"),
@@ -760,6 +820,11 @@ MISMATCHES = {
 
 @pytest.mark.parametrize("case", sorted(MISMATCHES))
 def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, small_corpus, small_vocab, capsys, case):
+    from dualner.corpus import LabelInventory
+    from dualner.encoder import EncoderConfig
+    from dualner.heads import HeadConfig
+    from dualner.model import init_model, save_model
+
     raw = tmp_path / "raw.jsonl"
     save_corpus(strip_segmentation(small_corpus), raw)
     raw_tune = tmp_path / "raw_tune.jsonl"  # the 4 documents after n_train=16 unsegmented
@@ -780,8 +845,10 @@ def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, sm
         "corpus": corpus_file, "vocab": vocab_file, "raw": raw, "out": tmp_path / "out",
         "no_mask_vocab": tmp_path / "no_mask.json",
         "sized_config": tmp_path / "sized.json", "raw_config": tmp_path / "raw.json",
-        "raw_tune_config": tmp_path / "raw_tune.json",
+        "raw_tune_config": tmp_path / "raw_tune.json", "model": tmp_path / "model.npz",
     }
+    enc_cfg = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
+    save_model(paths["model"], init_model("word_tagger", LabelInventory.from_documents(small_corpus), enc_cfg, HeadConfig()))
     paths["no_mask_vocab"].write_text(json.dumps(no_mask), encoding="utf-8")
     paths["sized_config"].write_text(json.dumps(sized), encoding="utf-8")
     paths["raw_config"].write_text(json.dumps(dict(base, corpus=str(raw))), encoding="utf-8")

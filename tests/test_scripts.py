@@ -89,6 +89,15 @@ def test_call_counts_prints_a_repeatable_count_per_path():
     assert all(int(line.rsplit(" ", 1)[1]) > 0 for line in runs[0])
 
 
+def test_call_counts_read_does_not_depend_on_the_workloads_before_it():
+    """A ``read`` count is that of a first read, whether or not another
+    workload's documents were read earlier in the same process."""
+    alone = _run_script("call_counts.py", "mlm_bigvocab").splitlines()
+    after = _run_script("call_counts.py", "tagger_short", "mlm_bigvocab").splitlines()
+    (want,) = [line for line in alone if line.startswith("mlm_bigvocab read ")]
+    assert want in after
+
+
 def test_bit_fingerprint_prints_a_repeatable_line():
     """Two runs print the same line for a workload: its final loss as hex
     and a sha256 of its log, final weights and scoring output."""
