@@ -7,7 +7,7 @@ Sets up each named workload of ``bench/workloads.py`` (default: all three)
 at seed 1, runs its training call as the benchmark operation does, and
 scores the corpus once with the result.  Prints one line per workload:
 
-    <workload> final_loss=<hex> log=<sha256> weights=<sha256> scores=<sha256>
+    <workload> final_loss=<hex> log=<sha256> weights=<sha256> scores=<sha256> init=<sha256>
 
 - ``final_loss``: the benchmark's ``final_loss``, as ``float.hex``;
 - ``log``: the whole training log, every value as ``float.hex``;
@@ -15,7 +15,11 @@ scores the corpus once with the result.  Prints one line per workload:
   last MLM snapshot, by name, dtype, shape and bytes;
 - ``scores``: the predictions of ``predict_documents`` over the corpus,
   every score as ``float.hex`` (supervised), or the MLM scoring loss
-  (``mlm_bigvocab``).
+  (``mlm_bigvocab``);
+- ``init``: the same scoring, in the format of ``scores``, with the
+  freshly initialized model (supervised) or encoder (``mlm_bigvocab``).
+  A trained model that predicts nothing leaves ``scores`` empty, so this
+  field is the one that covers the decoding bits then.
 
 Two revisions whose lines are equal give the same bits on these paths.
 BLAS runs on one thread, since the bits hold at a fixed thread count.
@@ -48,11 +52,31 @@ def _weights_sha(tensors: dict) -> str:
     return h.hexdigest()
 
 
-def fingerprint(workloads, name: str) -> str:
-    """The fingerprint line of workload ``name``."""
+def _prediction_lines(trained, prep):
+    """One line per mention ``trained`` predicts over the corpus."""
+    from dualner import model
+
+    preds = model.predict_documents(trained, prep.docs, prep.vocab)
+    return (f"{d.id} {si} {m.start_word} {m.end_word} {m.label} {m.score.hex()}"
+            for d in preds for si, s in enumerate(d.sentences) for m in s.mentions)
+
+
+def _mlm_loss_lines(params, prep):
+    """The MLM scoring loss of encoder ``params`` over the corpus."""
     import numpy as np
 
-    from dualner import corpus, model, subtok, train
+    from dualner import model, subtok
+
+    pool = [np.asarray(subtok.subtokenize(s.words, prep.vocab).sub_token_ids, dtype=np.int64)
+            for d in prep.docs for s in d.sentences]
+    loss, _ = model.mlm_batch_loss_and_grads(params, pool, prep.vocab, 0.15, np.random.default_rng(0),
+                                             mode="eval", with_grads=False)
+    return [loss.hex()]
+
+
+def fingerprint(workloads, name: str) -> str:
+    """The fingerprint line of workload ``name``."""
+    from dualner import corpus, encoder, model, train
     from dualner.heads import HeadConfig
 
     w = workloads.WORKLOADS[name]
@@ -62,23 +86,20 @@ def fingerprint(workloads, name: str) -> str:
         cfg = train.TrainConfig(method=w.method, epochs=w.epochs, checkpoint_every=w.checkpoint_every)
         result = train.train_supervised(train_docs, tune_docs, prep.vocab, prep.encoder_cfg, HeadConfig(), cfg)
         weights = model.model_tensors(result.model)
-        preds = model.predict_documents(result.model, prep.docs, prep.vocab)
-        scores = (f"{d.id} {si} {m.start_word} {m.end_word} {m.label} {m.score.hex()}"
-                  for d in preds for si, s in enumerate(d.sentences) for m in s.mentions)
+        scores = _prediction_lines(result.model, prep)
+        labels = corpus.LabelInventory.from_documents(prep.docs)
+        init = _prediction_lines(model.init_model(w.method, labels, prep.encoder_cfg, HeadConfig()), prep)
     else:
         cfg = train.MlmConfig(total_steps=w.mlm_steps, checkpoint_every=w.checkpoint_every)
         result = train.pretrain_mlm(prep.docs, prep.vocab, prep.encoder_cfg, cfg)
         params = result.checkpoints[-1][1]
         weights = params.tensors
-        pool = [np.asarray(subtok.subtokenize(s.words, prep.vocab).sub_token_ids, dtype=np.int64)
-                for d in prep.docs for s in d.sentences]
-        loss, _ = model.mlm_batch_loss_and_grads(params, pool, prep.vocab, 0.15, np.random.default_rng(0),
-                                                 mode="eval", with_grads=False)
-        scores = [loss.hex()]
+        scores = _mlm_loss_lines(params, prep)
+        init = _mlm_loss_lines(encoder.init_params(prep.encoder_cfg), prep)
     final_loss, _first = workloads._losses(w, result, [])
     log = (f"{e.step} {e.split} {e.metric} {e.value.hex()}" for e in result.log)
     return (f"{name} final_loss={final_loss.hex()} log={_sha(log)} "
-            f"weights={_weights_sha(weights)} scores={_sha(scores)}")
+            f"weights={_weights_sha(weights)} scores={_sha(scores)} init={_sha(init)}")
 
 
 def main(argv: list[str]) -> int:

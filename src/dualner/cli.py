@@ -27,7 +27,7 @@ from .corpus import (
     split_train_tune,
     write_json,
 )
-from .encoder import EncoderConfig, EncoderParams, check_vocab_size, load_encoder_snapshot, save_checkpoint
+from .encoder import EncoderConfig, EncoderParams, load_encoder_snapshot, save_checkpoint
 from .errors import DataError, FormatError, TrainingError
 from .evaluate import evaluate_predictions
 from .model import METHODS, load_model, predict_documents, save_model
@@ -236,11 +236,9 @@ def cmd_sweep(args) -> None:
     train_docs, tune_docs = split_train_tune(docs, cfg.n_train)
     vocab = BpeVocab.load(args.vocab)
     checkpoints = _load_encoder_checkpoints(args.checkpoints)
-    enc_cfg = checkpoints[0][1].config
-    check_vocab_size(enc_cfg, len(vocab), "encoder checkpoint")
     train_cfg = dataclasses.replace(cfg.train, method=args.method or cfg.methods[0])
     points = sweep_tapt_checkpoints(
-        checkpoints, train_docs, tune_docs, vocab, enc_cfg, cfg.heads, train_cfg
+        checkpoints, train_docs, tune_docs, vocab, checkpoints[0][1].config, cfg.heads, train_cfg
     )
     out_dir = Path(args.out_dir)
     write_json(out_dir / "sweep.json", {"points": [dataclasses.asdict(p) for p in points]})
@@ -253,7 +251,6 @@ def cmd_predict(args) -> None:
     docs = load_corpus(args.corpus)
     vocab = BpeVocab.load(args.vocab)
     model = load_model(args.checkpoint)
-    check_vocab_size(model.encoder.config, len(vocab), "model")
     preds = predict_documents(model, docs, vocab)
     save_corpus(preds, args.out)
     n = sum(d.n_mentions for d in preds)

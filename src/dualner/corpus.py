@@ -497,14 +497,11 @@ def _fill_pool(rng: np.random.Generator, size: int, lo: int, hi: int, taken: set
     return pool
 
 
-def synthetic_pools(
-    seed: int, inventory: LabelInventory, profile: SyntheticProfile | None = None
-) -> tuple[list[str], dict[str, list[str]], list[str]]:
+def synthetic_pools(seed: int, inventory: LabelInventory) -> tuple[list[str], dict[str, list[str]], list[str]]:
     """The exact word pools ``generate_synthetic`` uses for this seed.
 
     Returns (common, per-type, oov) pools; all pairwise disjoint.  Exposed so
     tests can count how many generated mention words came from the oov pool.
-    The pools are the same under every ``profile``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     taken: set[str] = set()

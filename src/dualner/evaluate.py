@@ -47,7 +47,6 @@ def mention_prf(
     """
     if len(gold) != len(pred):
         raise ValueError(f"gold has {len(gold)} sentences, pred has {len(pred)}")
-    tp = fp = fn = 0
     by_type: dict[str, list[int]] = {}
     for g_list, p_list in zip(gold, pred):
         g_set = {m.key() for m in g_list}
@@ -60,9 +59,7 @@ def mention_prf(
                 counts[1] += 1
             else:
                 counts[2] += 1
-        tp += len(g_set & p_set)
-        fp += len(p_set - g_set)
-        fn += len(g_set - p_set)
+    tp, fp, fn = (sum(c[i] for c in by_type.values()) for i in range(3))
     if tp + fp + fn == 0:
         return EvalReport(precision=1.0, recall=1.0, f1=1.0, tp=0, fp=0, fn=0, per_type={})
     precision = tp / (tp + fp) if (tp + fp) else 0.0

@@ -24,6 +24,7 @@ from .encoder import (
     EncoderParams,
     Workspace,
     check_length,
+    check_vocab_size,
     dropout_masks,
     encode_backward,
     encode_with_cache,
@@ -56,7 +57,7 @@ __all__ = [
     "Example",
     "init_model",
     "build_examples",
-    "check_sentence_lengths",
+    "check_sentences",
     "model_tensors",
     "batch_loss",
     "batch_loss_and_grads",
@@ -166,10 +167,12 @@ def build_examples(
     return examples
 
 
-def check_sentence_lengths(cfg: EncoderConfig, docs: Sequence[Document], id_seqs) -> None:
-    """Every sentence of ``docs``, whose sub-token ids ``id_seqs`` holds in
-    document order, must fit in ``max_positions``; the error names the
-    first that does not as ``doc_id[sentence index]``."""
+def check_sentences(cfg: EncoderConfig, docs: Sequence[Document], id_seqs, what: str) -> None:
+    """``docs`` (``what``) must hold a sentence (``require_sentences``), and
+    every sentence, whose sub-token ids ``id_seqs`` holds in document order,
+    must fit in ``max_positions``; the error names the first that does not
+    as ``doc_id[sentence index]``."""
+    require_sentences(docs, what)
     names = (f"{doc.id}[{si}]" for doc in docs for si in range(len(doc.sentences)))
     for name, ids in zip(names, id_seqs):
         check_length(cfg, len(ids), name)
@@ -512,6 +515,7 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
 
 
 def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
+    check_vocab_size(model.encoder.config, len(vocab), "model")
     align = subtokenize(words, vocab)
     ids = np.asarray(align.sub_token_ids, dtype=np.int64)
     wv, _ = encode_with_cache(ids, model.encoder, rows=[align.first_subtoken_index])
@@ -522,14 +526,14 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
     """Copies of ``docs`` whose mentions are the model's scored predictions.
 
     Every sentence is decoded as by ``predict_sentence``, but sentences are
-    encoded in packs (``_eval_packs``).  Every sentence's length is checked
-    before the first pass (``check_sentence_lengths``), and a corpus without
-    one is refused (``require_sentences``).
+    encoded in packs (``_eval_packs``).  A vocabulary of another size than
+    the model's is refused first, and a corpus without a sentence or with
+    one too long for the encoder before the first pass (``check_sentences``).
     """
-    require_sentences(docs, "corpus")
+    check_vocab_size(model.encoder.config, len(vocab), "model")
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
     ids = [np.asarray(align.sub_token_ids, dtype=np.int64) for align in aligns]
-    check_sentence_lengths(model.encoder.config, docs, ids)
+    check_sentences(model.encoder.config, docs, ids, "corpus")
     firsts = [align.first_subtoken_index for align in aligns]
     found: list[list[ScoredMention]] = [[] for _ in aligns]
     for pack, wv, slices in _eval_packs(ids, model.encoder, firsts):

@@ -23,7 +23,6 @@ from .corpus import (
     atomic_write,
     dataclass_from_dict,
     read_json,
-    require_sentences,
     write_json,
 )
 from .encoder import (
@@ -43,7 +42,7 @@ from .model import (
     Model,
     batch_loss_and_grads,
     build_examples,
-    check_sentence_lengths,
+    check_sentences,
     init_model,
     mlm_batch_loss_and_grads,
     mlm_masks,
@@ -314,18 +313,14 @@ def train_supervised(
     A split without sentences, and a sentence of either split longer than
     ``max_positions`` (by name), are refused before the first step.
     """
-    if not train_docs or not tune_docs:
-        raise ValueError("both the train and tune splits must be non-empty")
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     labels = LabelInventory.from_documents(list(train_docs) + list(tune_docs))
     examples = build_examples(train_docs, vocab, labels, head_cfg)
-    require_sentences(train_docs, "training split")
-    require_sentences(tune_docs, "tune split")
+    check_sentences(encoder_cfg, train_docs, (ex.ids for ex in examples), "training split")
+    check_sentences(encoder_cfg, tune_docs, (subtokenize(s.words, vocab).sub_token_ids
+                                             for d in tune_docs for s in d.sentences), "tune split")
     if len(labels) == 0:
         raise UnusableDataError("the train and tune splits hold no entity mentions")
-    check_sentence_lengths(encoder_cfg, train_docs, (ex.ids for ex in examples))
-    check_sentence_lengths(encoder_cfg, tune_docs, (subtokenize(s.words, vocab).sub_token_ids
-                                                    for d in tune_docs for s in d.sentences))
     model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg)
     if init_encoder is not None:
         if init_encoder.config != encoder_cfg:
@@ -392,13 +387,12 @@ def pretrain_mlm(
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
-    require_sentences(docs, "corpus")
     pool = [
         np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
         for d in docs
         for s in d.sentences
     ]
-    check_sentence_lengths(encoder_cfg, docs, pool)
+    check_sentences(encoder_cfg, docs, pool, "corpus")
     n_heldout = int(np.ceil(mlm_cfg.heldout_fraction * len(pool)))
     n_heldout = min(n_heldout, len(pool) - 1)
     train_pool = pool[: len(pool) - n_heldout] if n_heldout else pool
@@ -539,41 +533,43 @@ def run_protocol(
     carries mean and sample standard deviation per metric.  A run that
     fails with a ``TrainingError`` is collected, and the protocol then
     fails with the full failure list; any other error propagates at once.
+    Every run's configs are built, and so checked, before the first run.
     """
     if len(seeds) < 2:
         raise ValueError("the protocol needs at least 2 seeds to report a standard deviation")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
     if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
         raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
     if not eval_sets:  # every run would train only to report nothing
         raise ValueError("the protocol needs at least one eval split")
+    runs = [
+        (method, seed, replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed))
+        for method in methods
+        for seed in seeds
+    ]
     encoder = "desk"  # the report's name for the one from-scratch encoder
     metrics = ["f1", "precision", "recall", "mcc"]
     values: dict[tuple[str, str, str], dict[str, list[float]]] = {}
     failures: list[tuple[str, int, str]] = []
-    for method in methods:
-        for seed in seeds:
-            try:
-                result = train_supervised(
-                    train_docs,
-                    tune_docs,
-                    vocab,
-                    replace(encoder_cfg, init_seed=seed),
-                    head_cfg,
-                    replace(train_cfg, method=method, seed=seed),
-                )
-                for split, docs in eval_sets.items():
-                    preds = predict_documents(result.model, docs, vocab)
-                    report = evaluate_predictions(docs, preds, with_mcc=True)
-                    row = values.setdefault((method, encoder, split), {m: [] for m in metrics})
-                    row["f1"].append(report.f1)
-                    row["precision"].append(report.precision)
-                    row["recall"].append(report.recall)
-                    row["mcc"].append(report.mcc)
-            except TrainingError as exc:
-                failures.append((f"{method}/{encoder}", seed, str(exc)))
+    for method, seed, run_encoder_cfg, run_train_cfg in runs:
+        try:
+            result = train_supervised(
+                train_docs,
+                tune_docs,
+                vocab,
+                run_encoder_cfg,
+                head_cfg,
+                run_train_cfg,
+            )
+            for split, docs in eval_sets.items():
+                preds = predict_documents(result.model, docs, vocab)
+                report = evaluate_predictions(docs, preds, with_mcc=True)
+                row = values.setdefault((method, encoder, split), {m: [] for m in metrics})
+                row["f1"].append(report.f1)
+                row["precision"].append(report.precision)
+                row["recall"].append(report.recall)
+                row["mcc"].append(report.mcc)
+        except TrainingError as exc:
+            failures.append((f"{method}/{encoder}", seed, str(exc)))
     if failures:
         failed = ", ".join(f"{name} seed {seed}" for name, seed, _ in failures)
         raise ProtocolError(f"protocol runs failed: {failed}", failures=failures)

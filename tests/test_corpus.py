@@ -205,7 +205,7 @@ def test_generate_labels_from_inventory(inventory):
 def test_generate_oov_fraction_calibrated(inventory):
     profile = SyntheticProfile(oov_fraction=0.25)
     docs = generate_synthetic(13, 1000, inventory, profile)
-    _common, _type_pools, oov = synthetic_pools(13, inventory, profile)
+    _common, _type_pools, oov = synthetic_pools(13, inventory)
     oov_set = set(oov)
     total = hit = 0
     for doc in docs:

@@ -10,7 +10,7 @@ import pytest
 
 from dualner.corpus import Document, LabelInventory, Mention, Sentence, generate_synthetic
 from dualner.encoder import EncoderConfig, Workspace, dropout_masks, init_params, load_checkpoint
-from dualner.errors import FormatError, SentenceTooLongError
+from dualner.errors import FormatError, SentenceTooLongError, UnusableDataError
 from dualner.heads import HeadConfig
 from dualner.model import (
     batch_loss,
@@ -417,6 +417,19 @@ def test_predict_documents_structure(tiny_setup):
                 assert 0.0 <= m.score <= 1.0
     # gold docs untouched
     assert all(m.label in INV.types for d in docs for s in d.sentences for m in s.mentions)
+
+
+@pytest.mark.parametrize("predict", [
+    predict_documents, lambda model, docs, vocab: predict_sentence(model, docs[0].sentences[0].words, vocab),
+], ids=["documents", "sentence"])
+def test_prediction_refuses_a_vocabulary_of_another_size(tiny_setup, predict):
+    """The vocabulary's ids all fit a larger model's embedding table, so only
+    the size check stops it from predicting with the wrong symbols."""
+    docs, vocab = tiny_setup
+    size = len(vocab) + 20
+    model = init_model("span_classifier", INV, EncoderConfig(**{**asdict(ENC), "vocab_size": size}), HEADS)
+    with pytest.raises(UnusableDataError, match=f"vocabulary has {len(vocab)} symbols .* vocab_size={size}"):
+        predict(model, docs, vocab)
 
 
 @pytest.fixture(scope="module")

@@ -521,6 +521,23 @@ def test_protocol_refuses_repeated_methods_and_seeds(mini, monkeypatch):
     assert runs == []
 
 
+@pytest.mark.parametrize("methods, seeds, message", [
+    (["word_tagger"], [0, -1], "init_seed must be >= 0"),
+    (["word_tagger", "viterbi"], [0, 1], "viterbi"),
+])
+def test_protocol_checks_every_run_config_before_the_first_run(mini, monkeypatch, methods, seeds, message):
+    """A bad seed or method of a later run is refused before any run trains."""
+    train_docs, tune_docs, vocab = mini
+    runs = []
+    monkeypatch.setattr(train_module, "train_supervised", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_protocol(
+            train_docs, tune_docs, {"tune": tune_docs}, vocab,
+            methods, seeds, ENC, HEADS, TrainConfig(epochs=1),
+        )
+    assert runs == []
+
+
 def test_protocol_refuses_empty_eval_sets(mini, monkeypatch):
     """Without an eval split every run would train only to report nothing."""
     train_docs, tune_docs, vocab = mini
