@@ -38,9 +38,9 @@ from .train import (
     ExperimentConfig,
     MlmConfig,
     pretrain_mlm,
-    run_protocol,
+    protocol_report,
     sweep_tapt_checkpoints,
-    train_supervised,
+    train_runs,
     write_log,
 )
 
@@ -121,38 +121,11 @@ def cmd_train(args) -> None:
     docs = load_corpus(cfg.corpus)
     train_docs, tune_docs = split_train_tune(docs, cfg.n_train)
     vocab = BpeVocab.load(cfg.vocab) if cfg.vocab else train_bpe(train_docs, cfg.vocab_size)
-    if len(cfg.seeds) >= 2:
-        _train_protocol(cfg, train_docs, tune_docs, vocab, out_dir)
-    else:
-        _train_single_seed(cfg, train_docs, tune_docs, vocab, out_dir)
-    # saved only once training succeeded, so a failed run leaves no vocab.json
-    if not cfg.vocab:
-        vocab.save(out_dir / "vocab.json")
-        _info(f"trained vocabulary of {len(vocab)} symbols -> {out_dir / 'vocab.json'}")
-
-
-def _train_protocol(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir: Path) -> None:
+    results = train_runs(train_docs, tune_docs, vocab, cfg.methods, cfg.seeds, cfg.encoder, cfg.heads, cfg.train)
     eval_sets = {split: train_docs if split == "train" else tune_docs for split in cfg.eval_splits}
-    report = run_protocol(
-        train_docs, tune_docs, eval_sets, vocab,
-        cfg.methods, cfg.seeds, cfg.encoder, cfg.heads, cfg.train,
-    )
-    write_json(out_dir / "report.json", report.to_dict())
-    _write_table(out_dir / "report.txt", report.render_table())
-
-
-def _train_single_seed(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_dir: Path) -> None:
-    seed = cfg.seeds[0]
-    enc_cfg = dataclasses.replace(cfg.encoder, init_seed=seed)
-    # every method trains before anything is written, so a failed run leaves no partial files
-    results = {
-        method: train_supervised(
-            train_docs, tune_docs, vocab, enc_cfg, cfg.heads,
-            dataclasses.replace(cfg.train, method=method, seed=seed),
-        )
-        for method in cfg.methods
-    }
-    for method, result in results.items():
+    report = protocol_report(results, eval_sets, vocab) if len(cfg.seeds) >= 2 else None
+    # every run trains, and the report is scored, before any write: a failure leaves no files
+    for (method, seed), result in results.items():
         ckpt = out_dir / f"{method}_seed{seed}.npz"
         save_model(ckpt, result.model)
         write_log(out_dir / f"{method}_seed{seed}_log.jsonl", result.log)
@@ -171,6 +144,13 @@ def _train_single_seed(cfg: ExperimentConfig, train_docs, tune_docs, vocab, out_
             f"{'n/a' if result.best_tune_f1 is None else f'{result.best_tune_f1:.4f}'} "
             f"at step {result.best_step} -> {ckpt}"
         )
+    if report is not None:
+        write_json(out_dir / "report.json", report.to_dict())
+        _write_table(out_dir / "report.txt", report.render_table())
+    # saved only once training succeeded, so a failed run leaves no vocab.json
+    if not cfg.vocab:
+        vocab.save(out_dir / "vocab.json")
+        _info(f"trained vocabulary of {len(vocab)} symbols -> {out_dir / 'vocab.json'}")
 
 
 def cmd_pretrain(args) -> None:

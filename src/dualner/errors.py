@@ -52,7 +52,7 @@ class TrainingError(DualnerError):
 
 
 class ProtocolError(TrainingError):
-    """One or more runs of a multi-seed protocol failed."""
+    """Runs of a method x seed grid failed; ``failures`` holds ``(method, seed, cause)``."""
 
     def __init__(self, message: str, failures: list[tuple[str, int, str]] | None = None):
         super().__init__(message)

@@ -64,6 +64,8 @@ __all__ = [
     "train_supervised",
     "pretrain_mlm",
     "sweep_tapt_checkpoints",
+    "train_runs",
+    "protocol_report",
     "run_protocol",
     "write_log",
 ]
@@ -515,6 +517,79 @@ class ProtocolReport:
         return "\n".join(lines)
 
 
+def train_runs(
+    train_docs: Sequence[Document],
+    tune_docs: Sequence[Document],
+    vocab: BpeVocab,
+    methods: Sequence[str],
+    seeds: Sequence[int],
+    encoder_cfg: EncoderConfig,
+    head_cfg: HeadConfig,
+    train_cfg: TrainConfig,
+) -> dict[tuple[str, int], TrainResult]:
+    """Train every method once per seed and return ``{(method, seed): result}``.
+
+    Runs go method-major, and each seeds both the initialization and the
+    data order.  Every run's configs are built, and so checked, before the
+    first run.  A run that fails with a ``TrainingError`` is collected, and
+    after the last run one ``ProtocolError`` names each failed run and its
+    cause; any other error propagates at once.
+    """
+    if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
+        raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
+    runs = {
+        (method, seed): (replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed))
+        for method in methods
+        for seed in seeds
+    }
+    results: dict[tuple[str, int], TrainResult] = {}
+    failures: list[tuple[str, int, str]] = []
+    for (method, seed), (run_encoder_cfg, run_train_cfg) in runs.items():
+        try:
+            results[method, seed] = train_supervised(
+                train_docs, tune_docs, vocab, run_encoder_cfg, head_cfg, run_train_cfg
+            )
+        except TrainingError as exc:
+            failures.append((method, seed, str(exc)))
+    if failures:
+        causes = "; ".join(f"{cause} ({method} seed {seed})" for method, seed, cause in failures)
+        raise ProtocolError(causes, failures=failures)
+    return results
+
+
+def protocol_report(
+    results: dict[tuple[str, int], TrainResult],
+    eval_sets: dict[str, Sequence[Document]],
+    vocab: BpeVocab,
+) -> ProtocolReport:
+    """Evaluate every run's best checkpoint on every split in ``eval_sets``
+    and report mean and sample standard deviation per method, split and metric."""
+    encoder = "desk"  # the report's name for the one from-scratch encoder
+    metrics = ["f1", "precision", "recall", "mcc"]
+    values: dict[tuple[str, str, str], dict[str, list[float]]] = {}
+    for (method, _seed), result in results.items():
+        for split, docs in eval_sets.items():
+            report = evaluate_predictions(docs, predict_documents(result.model, docs, vocab), with_mcc=True)
+            row = values.setdefault((method, encoder, split), {m: [] for m in metrics})
+            for metric in metrics:
+                row[metric].append(getattr(report, metric))
+    rows = {
+        key: {
+            metric: dict(zip(("mean", "std"), mean_std(vals))) | {"values": vals}
+            for metric, vals in per_metric.items()
+        }
+        for key, per_metric in values.items()
+    }
+    return ProtocolReport(
+        methods=list(dict.fromkeys(method for method, _ in results)),
+        encoders=[encoder],
+        splits=list(eval_sets),
+        seeds=list(dict.fromkeys(seed for _, seed in results)),
+        metrics=metrics,
+        rows=rows,
+    )
+
+
 def run_protocol(
     train_docs: Sequence[Document],
     tune_docs: Sequence[Document],
@@ -526,68 +601,14 @@ def run_protocol(
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
 ) -> ProtocolReport:
-    """Repeat every method's experiment once per seed and aggregate.
-
-    Each run seeds both the initialization and the data order, the best
-    checkpoint is evaluated on every split in ``eval_sets``, and the report
-    carries mean and sample standard deviation per metric.  A run that
-    fails with a ``TrainingError`` is collected, and the protocol then
-    fails with the full failure list; any other error propagates at once.
-    Every run's configs are built, and so checked, before the first run.
-    """
+    """``train_runs``, then ``protocol_report``; fewer than 2 seeds and an
+    empty ``eval_sets`` are refused before any run trains."""
     if len(seeds) < 2:
         raise ValueError("the protocol needs at least 2 seeds to report a standard deviation")
-    if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
-        raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
     if not eval_sets:  # every run would train only to report nothing
         raise ValueError("the protocol needs at least one eval split")
-    runs = [
-        (method, seed, replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed))
-        for method in methods
-        for seed in seeds
-    ]
-    encoder = "desk"  # the report's name for the one from-scratch encoder
-    metrics = ["f1", "precision", "recall", "mcc"]
-    values: dict[tuple[str, str, str], dict[str, list[float]]] = {}
-    failures: list[tuple[str, int, str]] = []
-    for method, seed, run_encoder_cfg, run_train_cfg in runs:
-        try:
-            result = train_supervised(
-                train_docs,
-                tune_docs,
-                vocab,
-                run_encoder_cfg,
-                head_cfg,
-                run_train_cfg,
-            )
-            for split, docs in eval_sets.items():
-                preds = predict_documents(result.model, docs, vocab)
-                report = evaluate_predictions(docs, preds, with_mcc=True)
-                row = values.setdefault((method, encoder, split), {m: [] for m in metrics})
-                row["f1"].append(report.f1)
-                row["precision"].append(report.precision)
-                row["recall"].append(report.recall)
-                row["mcc"].append(report.mcc)
-        except TrainingError as exc:
-            failures.append((f"{method}/{encoder}", seed, str(exc)))
-    if failures:
-        failed = ", ".join(f"{name} seed {seed}" for name, seed, _ in failures)
-        raise ProtocolError(f"protocol runs failed: {failed}", failures=failures)
-    rows = {
-        key: {
-            metric: dict(zip(("mean", "std"), mean_std(vals))) | {"values": vals}
-            for metric, vals in per_metric.items()
-        }
-        for key, per_metric in values.items()
-    }
-    return ProtocolReport(
-        methods=list(methods),
-        encoders=[encoder],
-        splits=list(eval_sets),
-        seeds=list(seeds),
-        metrics=metrics,
-        rows=rows,
-    )
+    results = train_runs(train_docs, tune_docs, vocab, methods, seeds, encoder_cfg, head_cfg, train_cfg)
+    return protocol_report(results, eval_sets, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +646,8 @@ class ExperimentConfig:
             raise ValueError("methods, seeds and eval_splits must be non-empty")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be >= 0")
-        for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        for method in self.methods:  # TrainConfig checks the method
+            replace(self.train, method=method)
         for split in self.eval_splits:
             if split not in ("train", "tune"):
                 raise ValueError(f"eval split must be 'train' or 'tune', got {split!r}")

@@ -306,26 +306,29 @@ def test_train_divergence_exits_three(tmp_path, corpus_file, capsys):
 @pytest.mark.parametrize("command", ["train", "pretrain-mlm"])
 def test_divergence_prints_one_line(tmp_path, corpus_file, vocab_file, capsys, command):
     """A diverging run exits 3 with the training error alone: numpy's
-    overflow warnings do not come first, and no output is written."""
+    overflow warnings do not come first, and no output is written.  With
+    two seeds, the one line gives each failed run's cause."""
     diverge = {"learning_rate": 1e160, "grad_clip": 0.0, "warmup_frac": 0.0}
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({
-        "corpus": str(corpus_file), "n_train": 16, "vocab": str(vocab_file),
-        "methods": ["word_tagger"], "seeds": [0],
-        "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
-        "train": {"epochs": 2, **diverge},
-        "mlm": {"total_steps": 4, "checkpoint_every": 2, **diverge},
-    }), encoding="utf-8")
-    out_dir = tmp_path / "out"
-    argv = [command, "--config", str(cfg_path), "--out-dir", str(out_dir)]
-    if command == "pretrain-mlm":
-        argv += ["--corpus", str(corpus_file), "--vocab", str(vocab_file)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning would print lines of its own
-        code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 3 and err.startswith("training error: non-finite") and err.count("\n") == 1, err
-    assert not out_dir.exists()  # only a run that succeeds makes its --out-dir
+    for seeds in ([0], [0, 1]) if command == "train" else ([0],):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "corpus": str(corpus_file), "n_train": 16, "vocab": str(vocab_file),
+            "methods": ["word_tagger"], "seeds": seeds,
+            "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+            "train": {"epochs": 2, **diverge},
+            "mlm": {"total_steps": 4, "checkpoint_every": 2, **diverge},
+        }), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--out-dir", str(out_dir)]
+        if command == "pretrain-mlm":
+            argv += ["--corpus", str(corpus_file), "--vocab", str(vocab_file)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print lines of its own
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("training error: non-finite") and err.count("\n") == 1, err
+        assert err.count("non-finite") == len(seeds), err
+        assert not out_dir.exists()  # only a run that succeeds makes its --out-dir
 
 
 @pytest.mark.parametrize("command", ["train", "pretrain-mlm"])
@@ -738,9 +741,9 @@ def test_train_repeated_seeds_exit_before_any_work(tmp_path, corpus_file, capsys
 def test_train_empty_eval_splits_exit_before_any_work(tmp_path, corpus_file, capsys, monkeypatch):
     """A multi-seed run without an eval split would train every run only to
     write an empty table: the config file is a data error (2)."""
-    import dualner.cli as cli_mod
+    import dualner.train as train_mod
 
-    monkeypatch.setattr(cli_mod, "train_supervised", lambda *args, **kwargs: pytest.fail("trained"))
+    monkeypatch.setattr(train_mod, "train_supervised", lambda *args, **kwargs: pytest.fail("trained"))
     config = {"corpus": str(corpus_file), "n_train": 16, "seeds": [0, 1], "eval_splits": []}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -753,10 +756,10 @@ def test_train_empty_eval_splits_exit_before_any_work(tmp_path, corpus_file, cap
 
 
 def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, capsys, monkeypatch):
-    import dualner.cli as cli_mod
+    import dualner.train as train_mod
     from dualner.errors import TrainingError
 
-    real = cli_mod.train_supervised
+    real = train_mod.train_supervised
     methods = []
 
     def second_fails(*args, **kwargs):
@@ -766,7 +769,7 @@ def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, caps
             raise TrainingError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "train_supervised", second_fails)
+    monkeypatch.setattr(train_mod, "train_supervised", second_fails)
     config = {
         "corpus": str(corpus_file),
         "n_train": 16,
@@ -785,6 +788,66 @@ def test_train_failing_second_method_leaves_no_files(tmp_path, corpus_file, caps
     assert "injected failure" in captured.err
     assert methods == ["word_tagger", "span_classifier"]
     assert not run_dir.exists()
+
+
+BOTH_METHODS = ("word_tagger", "span_classifier")
+RUN_FILES = (".npz", "_log.jsonl", "_summary.json")
+
+
+def _train_grid(tmp_path, corpus_file, vocab_file, seeds):
+    """Run ``train`` over both methods and ``seeds``; return its --out-dir."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(corpus_file), "n_train": 16, "vocab": str(vocab_file),
+        "methods": list(BOTH_METHODS), "seeds": seeds, "eval_splits": ["train", "tune"],
+        "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "train": {"epochs": 2, "checkpoint_every": 2},
+    }), encoding="utf-8")
+    out_dir = tmp_path / f"seeds_{'_'.join(map(str, seeds))}"
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
+def test_train_writes_every_runs_files_with_several_seeds(tmp_path, corpus_file, vocab_file):
+    """A multi-seed run keeps each run's checkpoint, log and summary beside the report."""
+    out_dir = _train_grid(tmp_path, corpus_file, vocab_file, [0, 1])
+    runs = [(method, seed) for method in BOTH_METHODS for seed in (0, 1)]
+    want = {f"{method}_seed{seed}{suffix}" for method, seed in runs for suffix in RUN_FILES}
+    assert {p.name for p in out_dir.iterdir()} == want | {"report.json", "report.txt"}
+    for method, seed in runs:
+        summary = json.loads((out_dir / f"{method}_seed{seed}_summary.json").read_text())
+        assert (summary["method"], summary["seed"], summary["checkpoint"]) == (method, seed, f"{method}_seed{seed}.npz")
+
+
+def test_train_seed_zero_files_do_not_depend_on_the_other_seeds(tmp_path, corpus_file, vocab_file):
+    """Seed 0's run writes the same log and summary bytes, and the same
+    tensor bits, alone or beside seed 1 (npz zip headers carry timestamps)."""
+    alone = _train_grid(tmp_path, corpus_file, vocab_file, [0])
+    grid = _train_grid(tmp_path, corpus_file, vocab_file, [0, 1])
+    for method in BOTH_METHODS:
+        for suffix in ("_log.jsonl", "_summary.json"):
+            name = f"{method}_seed0{suffix}"
+            assert (alone / name).read_bytes() == (grid / name).read_bytes(), name
+        with np.load(alone / f"{method}_seed0.npz") as a, np.load(grid / f"{method}_seed0.npz") as b:
+            assert a.files == b.files
+            for key in a.files:
+                assert (a[key].dtype, a[key].shape) == (b[key].dtype, b[key].shape), key
+                assert a[key].tobytes() == b[key].tobytes(), key
+
+
+def test_train_report_tune_f1_traces_to_each_run(tmp_path, corpus_file, vocab_file):
+    """Every tune F1 value of the report is its run's best tune F1, in seed order."""
+    out_dir = _train_grid(tmp_path, corpus_file, vocab_file, [0, 1])
+    report = json.loads((out_dir / "report.json").read_text())
+    rows = [row for row in report["rows"] if row["split"] == "tune"]
+    assert [row["method"] for row in rows] == list(BOTH_METHODS)
+    assert any(row["metrics"]["f1"]["values"] != [0.0, 0.0] for row in rows)  # zeros would match trivially
+    for row in rows:
+        best = [
+            json.loads((out_dir / f"{row['method']}_seed{seed}_summary.json").read_text())["best_tune_f1"]
+            for seed in report["seeds"]
+        ]
+        assert row["metrics"]["f1"]["values"] == best, row["method"]
 
 
 # Inputs that parse but do not fit the command; each is a data error.

@@ -538,6 +538,49 @@ def test_protocol_checks_every_run_config_before_the_first_run(mini, monkeypatch
     assert runs == []
 
 
+def test_train_runs_returns_the_grid_in_method_major_order(mini, monkeypatch):
+    """Each run gets its method and seed in both configs; keys run method-major."""
+    train_docs, tune_docs, vocab = mini
+    monkeypatch.setattr(train_module, "train_supervised", lambda *args: (args[3].init_seed, args[5]))
+    results = train_module.train_runs(
+        train_docs, tune_docs, vocab, ["span_classifier", "word_tagger"], [3, 0], ENC, HEADS, TrainConfig(epochs=1),
+    )
+    assert list(results) == [("span_classifier", 3), ("span_classifier", 0), ("word_tagger", 3), ("word_tagger", 0)]
+    for (method, seed), (init_seed, run_cfg) in results.items():
+        assert (init_seed, run_cfg.seed, run_cfg.method) == (seed, seed, method)
+
+
+@pytest.mark.parametrize("methods, seeds, message", [
+    (["word_tagger"], [0, -1], "init_seed must be >= 0"),
+    (["word_tagger", "viterbi"], [0], "viterbi"),
+    (["word_tagger"], [2, 2], "must be distinct"),
+])
+def test_train_runs_checks_every_run_before_the_first(mini, monkeypatch, methods, seeds, message):
+    """A bad seed or method of a later run is refused before any run trains."""
+    train_docs, tune_docs, vocab = mini
+    runs = []
+    monkeypatch.setattr(train_module, "train_supervised", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=message):
+        train_module.train_runs(train_docs, tune_docs, vocab, methods, seeds, ENC, HEADS, TrainConfig(epochs=1))
+    assert runs == []
+
+
+def test_train_runs_names_each_failed_run_after_its_cause(mini, monkeypatch):
+    """Failures are collected into one error: each cause, then its run."""
+    train_docs, tune_docs, vocab = mini
+
+    def seed_one_fails(*args):
+        if args[5].seed == 1:
+            raise TrainingError(f"{args[5].method} diverged")
+        return args[5]
+
+    monkeypatch.setattr(train_module, "train_supervised", seed_one_fails)
+    with pytest.raises(ProtocolError) as err:
+        train_module.train_runs(train_docs, tune_docs, vocab, list(METHODS), [0, 1], ENC, HEADS, TrainConfig(epochs=1))
+    assert str(err.value) == "; ".join(f"{m} diverged ({m} seed 1)" for m in METHODS)
+    assert err.value.failures == [(m, 1, f"{m} diverged") for m in METHODS]
+
+
 def test_protocol_refuses_empty_eval_sets(mini, monkeypatch):
     """Without an eval split every run would train only to report nothing."""
     train_docs, tune_docs, vocab = mini
