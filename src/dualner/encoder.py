@@ -37,7 +37,6 @@ __all__ = [
     "EncoderConfig",
     "EncoderParams",
     "Workspace",
-    "PARAM_SCRATCH",
     "scratch",
     "param_shapes",
     "draw_tensors",
@@ -114,11 +113,6 @@ class Workspace:
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
-
-
-# Two buffers for arrays the size of a parameter tensor: the optimizer's
-# temporaries, and between its runs the MLM logits, of steps and probes.
-PARAM_SCRATCH = ("param.a", "param.b")
 
 
 def scratch(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .corpus import Document, LabelInventory, ScoredMention, Sentence, dataclass_from_dict, require_sentences
 from .encoder import (
-    PARAM_SCRATCH,
     EncoderConfig,
     EncoderParams,
     Workspace,
@@ -200,10 +199,10 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
 def _target_log_probs(vecs: np.ndarray, emb: np.ndarray, targets: np.ndarray, workspace: Workspace | None):
     """log_softmax of the tied projection's ``[P, V]`` logits ``vecs @ emb.T``
     at the targets, without a log-probability array.  The logits are
-    computed in buffer ``PARAM_SCRATCH[0]`` of ``workspace``, left holding
+    computed in buffer ``mlm.logits`` of ``workspace``, left holding
     exp(z - max), and returned with the picked values and the ``[P, 1]``
     sums."""
-    z = np.matmul(vecs, emb.T, out=scratch(workspace, PARAM_SCRATCH[0], (vecs.shape[0], emb.shape[0])))
+    z = np.matmul(vecs, emb.T, out=scratch(workspace, "mlm.logits", (vecs.shape[0], emb.shape[0])))
     z -= z.max(axis=-1, keepdims=True)
     picked = z[np.arange(targets.size), targets]
     np.exp(z, out=z)

@@ -25,15 +25,7 @@ from .corpus import (
     read_json,
     write_json,
 )
-from .encoder import (
-    PARAM_SCRATCH,
-    EncoderConfig,
-    EncoderParams,
-    Workspace,
-    check_vocab_size,
-    init_params,
-    scratch,
-)
+from .encoder import EncoderConfig, EncoderParams, Workspace, check_vocab_size, init_params
 from .errors import ProtocolError, TrainingError, UnusableDataError
 from .evaluate import evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
@@ -155,8 +147,10 @@ class AdamW:
     """Deterministic AdamW over a flat tensor dict; decay skips 1-D tensors.
 
     The learning rate warms up linearly over ``warmup_steps`` updates and
-    stays constant afterwards.  Keys are visited in sorted order so update
-    arithmetic is order-fixed across runs.
+    stays constant afterwards; a ``grad_clip`` of None or 0 turns clipping
+    off.  Keys are visited in sorted order so update arithmetic is
+    order-fixed across runs.  Each step's temporaries live in the heads of
+    two buffers as large as the largest tensor, allocated here once.
     """
 
     beta1 = 0.9
@@ -169,38 +163,38 @@ class AdamW:
         learning_rate: float,
         weight_decay: float = 0.0,
         warmup_steps: int = 0,
+        grad_clip: float | None = None,
     ):
+        self.tensors = tensors
         self.keys = sorted(tensors)
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
+        self.grad_clip = grad_clip
         self.m = {k: np.zeros_like(tensors[k]) for k in self.keys}
         self.v = {k: np.zeros_like(tensors[k]) for k in self.keys}
         self.t = 0
+        n = max(t.size for t in tensors.values())
+        self._flat = (np.empty(n), np.empty(n))
 
     def _lr(self) -> float:
         if self.warmup_steps and self.t <= self.warmup_steps:
             return self.lr * self.t / self.warmup_steps
         return self.lr
 
-    def step(
-        self, tensors, grads, grad_clip: float | None = None, workspace: Workspace | None = None
-    ) -> None:
-        """One update.  Its temporaries are the two ``PARAM_SCRATCH``
-        buffers of ``workspace``, or fresh arrays without one."""
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update of the tensors from ``grads``, which are left as they are."""
         self.t += 1
-        # each tensor works in the heads of two buffers as large as the largest
-        n = max(grads[k].size for k in self.keys)
-        flat_a, flat_b = (scratch(workspace, name, (n,)) for name in PARAM_SCRATCH)
+        flat_a, flat_b = self._flat
         scale = 1.0
-        if grad_clip:
+        if self.grad_clip:
             sq = 0
             for k in self.keys:
                 g = grads[k]
                 sq += float(np.multiply(g, g, out=flat_a[: g.size].reshape(g.shape)).sum())
             norm = np.sqrt(sq)
-            if norm > grad_clip:
-                scale = grad_clip / norm
+            if norm > self.grad_clip:
+                scale = self.grad_clip / norm
         lr = self._lr()
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
@@ -209,7 +203,7 @@ class AdamW:
         #   p -= lr (m / c1 / (sqrt(v / c2) + eps) + wd p)
         # so the arithmetic keeps its bits.
         for k in self.keys:
-            g = grads[k]
+            g, p = grads[k], self.tensors[k]
             a = flat_a[: g.size].reshape(g.shape)
             b = flat_b[: g.size].reshape(g.shape)
             if scale != 1.0:
@@ -226,11 +220,11 @@ class AdamW:
             np.sqrt(a, out=a)
             a += self.eps
             update /= a
-            if self.weight_decay and tensors[k].ndim >= 2:
-                np.multiply(tensors[k], self.weight_decay, out=a)
+            if self.weight_decay and p.ndim >= 2:
+                np.multiply(p, self.weight_decay, out=a)
                 update += a
             update *= lr
-            tensors[k] -= update
+            p -= update
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +264,26 @@ def _run_steps(
     snapshot: Callable[[int], bool],
     metric: str,
     what: str,
-    workspace: Workspace,
 ) -> None:
     """The step loop of both trainings.
 
-    ``loss_and_grads(batch, workspace)`` runs on each batch drawn from
+    ``loss_and_grads(batch)`` runs on each batch drawn from
     ``batches``; its loss is checked and logged as ``metric``, and AdamW
     updates ``tensors`` unless the gradients are ``None``.  ``snapshot(step)``
     runs every ``checkpoint_every`` steps and at a last step off that
-    interval; when it returns True the run ends there.  ``workspace`` holds
-    the step buffers of the whole run.
+    interval; when it returns True the run ends there.
     """
     warmup_steps = int(np.ceil(cfg.warmup_frac * total_steps))
-    opt = AdamW(tensors, cfg.learning_rate, cfg.weight_decay, warmup_steps)
+    opt = AdamW(tensors, cfg.learning_rate, cfg.weight_decay, warmup_steps, cfg.grad_clip)
     # a diverging run overflows before its loss turns non-finite; the loss
     # check below reports it, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for step, batch in enumerate(batches, start=1):
-            loss, grads = loss_and_grads(batch, workspace)
+            loss, grads = loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite {what} loss at step {step}")
             if grads is not None:
-                opt.step(tensors, grads, cfg.grad_clip, workspace)
+                opt.step(grads)
             log.append(LogEntry(step, "train", metric, loss))
             if (step % cfg.checkpoint_every == 0 or step == total_steps) and snapshot(step):
                 break
@@ -347,10 +339,11 @@ def train_supervised(
         return train_cfg.early_stop_f1 is not None and f1 >= train_cfg.early_stop_f1
 
     total_steps = train_cfg.epochs * -(-len(examples) // size)
+    workspace = Workspace()  # the step buffers of the whole run
     _run_steps(
         train_cfg, model_tensors(model), total_steps, batches,
-        lambda batch, ws: batch_loss_and_grads(model, batch, "train", rng, ws),
-        log, snapshot, metric="loss", what="training", workspace=Workspace(),
+        lambda batch: batch_loss_and_grads(model, batch, "train", rng, workspace),
+        log, snapshot, metric="loss", what="training",
     )
     return best
 
@@ -435,10 +428,10 @@ def pretrain_mlm(
     snapshot(0)
     _run_steps(
         mlm_cfg, enc.tensors, mlm_cfg.total_steps, batches(),
-        lambda batch, ws: mlm_batch_loss_and_grads(
-            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", workspace=ws
+        lambda batch: mlm_batch_loss_and_grads(
+            enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", workspace=workspace
         ),
-        log, snapshot, metric="mlm_batch_loss", what="MLM", workspace=workspace,
+        log, snapshot, metric="mlm_batch_loss", what="MLM",
     )
     return MlmResult(checkpoints=checkpoints, log=log)
 
@@ -517,6 +510,20 @@ class ProtocolReport:
         return "\n".join(lines)
 
 
+def _run_configs(
+    methods: Sequence[str], seeds: Sequence[int], encoder_cfg: EncoderConfig, train_cfg: TrainConfig
+) -> dict[tuple[str, int], tuple[EncoderConfig, TrainConfig]]:
+    """``{(method, seed): (encoder config, train config)}`` of every run,
+    method-major; building them checks every method and seed."""
+    if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
+        raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
+    return {
+        (method, seed): (replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed))
+        for method in methods
+        for seed in seeds
+    }
+
+
 def train_runs(
     train_docs: Sequence[Document],
     tune_docs: Sequence[Document],
@@ -535,13 +542,7 @@ def train_runs(
     after the last run one ``ProtocolError`` names each failed run and its
     cause; any other error propagates at once.
     """
-    if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
-        raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
-    runs = {
-        (method, seed): (replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed))
-        for method in methods
-        for seed in seeds
-    }
+    runs = _run_configs(methods, seeds, encoder_cfg, train_cfg)
     results: dict[tuple[str, int], TrainResult] = {}
     failures: list[tuple[str, int, str]] = []
     for (method, seed), (run_encoder_cfg, run_train_cfg) in runs.items():
@@ -634,20 +635,17 @@ class ExperimentConfig:
     mlm: MlmConfig = field(default_factory=MlmConfig)
 
     def __post_init__(self) -> None:
-        """Sections check themselves when built; this checks the rest."""
+        """Sections check themselves when built, and the run grid as
+        ``train_runs`` builds it; this checks the rest."""
         for name in ("methods", "seeds", "eval_splits"):
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
-            if len(set(values)) < len(values):  # a repeated run would count twice
-                raise ValueError(f"{name} must be distinct, got {list(values)}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if not self.methods or not self.seeds or not self.eval_splits:
             raise ValueError("methods, seeds and eval_splits must be non-empty")
-        if min(self.seeds) < 0:
-            raise ValueError("seeds must be >= 0")
-        for method in self.methods:  # TrainConfig checks the method
-            replace(self.train, method=method)
+        _run_configs(self.methods, self.seeds, self.encoder, self.train)
+        if len(set(self.eval_splits)) < len(self.eval_splits):
+            raise ValueError(f"eval_splits must be distinct, got {list(self.eval_splits)}")
         for split in self.eval_splits:
             if split not in ("train", "tune"):
                 raise ValueError(f"eval split must be 'train' or 'tune', got {split!r}")

@@ -550,6 +550,7 @@ def train_supervised_reference(train_docs, tune_docs, vocab, encoder_cfg, head_c
         learning_rate=train_cfg.learning_rate,
         weight_decay=train_cfg.weight_decay,
         warmup_steps=int(np.ceil(train_cfg.warmup_frac * total_steps)),
+        grad_clip=train_cfg.grad_clip,
     )
     log = []
     workspace = Workspace()
@@ -573,7 +574,7 @@ def train_supervised_reference(train_docs, tune_docs, vocab, encoder_cfg, head_c
         for i in range(0, order.size, train_cfg.batch_size):
             batch = [examples[j] for j in order[i : i + train_cfg.batch_size]]
             loss, grads = batch_loss_and_grads(model, batch, "train", rng, workspace)
-            opt.step(tensors, grads, train_cfg.grad_clip, workspace)
+            opt.step(grads)
             step += 1
             log.append(LogEntry(step, "train", "loss", loss))
             if step % train_cfg.checkpoint_every == 0:
@@ -626,6 +627,7 @@ def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
         learning_rate=mlm_cfg.learning_rate,
         weight_decay=mlm_cfg.weight_decay,
         warmup_steps=int(np.ceil(mlm_cfg.warmup_frac * mlm_cfg.total_steps)),
+        grad_clip=mlm_cfg.grad_clip,
     )
     order = []
     workspace = Workspace()
@@ -638,7 +640,7 @@ def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
             enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", workspace=workspace,
         )
         if grads is not None:
-            opt.step(enc.tensors, grads, mlm_cfg.grad_clip, workspace)
+            opt.step(grads)
         log.append(LogEntry(step, "train", "mlm_batch_loss", loss))
         if step % mlm_cfg.checkpoint_every == 0:
             checkpoints.append((step, enc.clone()))

@@ -733,8 +733,8 @@ def test_train_repeated_seeds_exit_before_any_work(tmp_path, corpus_file, capsys
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["train", "--config", str(cfg_path), "--seeds", "0", "0", "--out-dir", str(run_dir)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("data error:") and "seeds must be distinct, got [1, 1]" in err[0]
-    assert err[1] == "error: seeds must be distinct, got [0, 0]"
+    assert err[0].startswith("data error:") and "methods and seeds must be distinct, got ['word_tagger'] and [1, 1]" in err[0]
+    assert err[1] == "error: methods and seeds must be distinct, got ['word_tagger'] and [0, 0]"
     assert not run_dir.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from dualner import train as train_module
 from dualner.corpus import Document, LabelInventory, Sentence, generate_synthetic, split_train_tune
-from dualner.encoder import EncoderConfig, Workspace, init_params
+from dualner.encoder import EncoderConfig, init_params
 from dualner.errors import FormatError, ProtocolError, SentenceTooLongError, TrainingError
 from dualner.heads import HeadConfig
 from dualner.model import METHODS, init_model, mlm_batch_loss_and_grads, model_tensors, predict_documents
@@ -212,50 +212,47 @@ def test_adamw_skips_decay_on_vectors():
     tensors = {"w": np.ones((2, 2)), "b": np.ones(2)}
     grads = {"w": np.zeros((2, 2)), "b": np.zeros(2)}
     opt = AdamW(tensors, learning_rate=0.1, weight_decay=0.5)
-    opt.step(tensors, grads)
+    opt.step(grads)
     assert np.all(tensors["b"] == 1.0)  # no decay, zero grad
     assert np.all(tensors["w"] < 1.0)  # decayed
 
 
 @pytest.mark.parametrize("grad_clip", [None, 0.05, 1e9], ids=["no_clip", "clipping", "clip_inactive"])
 def test_adamw_matches_allocating_reference(grad_clip):
-    """With one workspace, lent to a larger tensor set and then to a smaller
-    one, and without a workspace, every step equals the allocating reference."""
+    """Every step, over tensors of three sizes that share the optimizer's
+    buffers, equals the allocating reference and leaves the gradients as
+    they are."""
     rng = np.random.default_rng(3)
-    workspace = Workspace()
+    shapes = {"w": (12, 10), "b": (10,), "emb": (30, 8)}
+    start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    ours, ref = ({k: v.copy() for k, v in start.items()} for _ in range(2))
     settings = dict(learning_rate=0.05, weight_decay=0.1, warmup_steps=5)
-    for shapes in ({"w": (12, 10), "b": (10,), "emb": (30, 8)}, {"w": (6, 5), "b": (5,), "emb": (9, 4)}):
-        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        runs = [{k: v.copy() for k, v in start.items()} for _ in range(3)]
-        opts = [AdamW(tensors, **settings) for tensors in runs]
-        for _step in range(20):
-            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-            kept = {k: v.copy() for k, v in grads.items()}
-            opts[0].step(runs[0], grads, grad_clip, workspace)
-            opts[1].step(runs[1], grads, grad_clip)
-            adamw_step_reference(opts[2], runs[2], grads, grad_clip)
-            assert all(np.array_equal(grads[k], kept[k]) for k in grads)
-        assert [opt.t for opt in opts] == [20, 20, 20]
-        for k in shapes:
-            for tensors, opt in zip(runs[:2], opts[:2]):
-                assert np.array_equal(tensors[k], runs[2][k])
-                assert np.array_equal(opt.m[k], opts[2].m[k])
-                assert np.array_equal(opt.v[k], opts[2].v[k])
+    opt, ref_opt = AdamW(ours, **settings, grad_clip=grad_clip), AdamW(ref, **settings)
+    for _step in range(20):
+        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        kept = {k: v.copy() for k, v in grads.items()}
+        opt.step(grads)
+        assert all(np.array_equal(grads[k], kept[k]) for k in grads)
+        adamw_step_reference(ref_opt, ref, grads, grad_clip)
+    assert (opt.t, ref_opt.t) == (20, 20)
+    for k in shapes:
+        assert np.array_equal(ours[k], ref[k])
+        assert np.array_equal(opt.m[k], ref_opt.m[k])
+        assert np.array_equal(opt.v[k], ref_opt.v[k])
 
 
 def test_adamw_step_with_workspace_allocates_no_tensor_sized_arrays():
-    """After one warm-up step, steps over a 1883 x 64 ``tok_emb`` take every
-    temporary from the workspace (a ``tok_emb``-sized array is 941 KiB)."""
+    """Steps over a 1883 x 64 ``tok_emb``, the first included, take every
+    temporary from the optimizer's own workspace, the two buffers built
+    with it (a ``tok_emb``-sized array is 941 KiB)."""
     enc = init_params(EncoderConfig(vocab_size=1883, hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128))
     rng = np.random.default_rng(0)
     grads = {k: rng.normal(size=v.shape) for k, v in enc.tensors.items()}
-    opt = AdamW(enc.tensors, learning_rate=1e-3, weight_decay=0.01, warmup_steps=2)
-    workspace = Workspace()
-    opt.step(enc.tensors, grads, 1.0, workspace)  # grows the buffers
+    opt = AdamW(enc.tensors, learning_rate=1e-3, weight_decay=0.01, warmup_steps=2, grad_clip=1.0)
     tracemalloc.start()
     try:
         for _step in range(3):
-            opt.step(enc.tensors, grads, 1.0, workspace)
+            opt.step(grads)
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -353,8 +350,8 @@ def test_pretrain_matches_reference_optimizer_and_probe_scoring(mini, monkeypatc
         return mlm_eval_loss_reference(enc, batch, vocab, mask_prob, probe_calls[-1])
 
     monkeypatch.setattr(train_module, "mlm_batch_loss_and_grads", reference)
-    monkeypatch.setattr(AdamW, "step", lambda self, tensors, grads, grad_clip=None, workspace=None:
-                        adamw_step_reference(self, tensors, grads, grad_clip))
+    monkeypatch.setattr(AdamW, "step", lambda self, grads:
+                        adamw_step_reference(self, self.tensors, grads, self.grad_clip))
     ref = pretrain_mlm(train_docs, vocab, ENC, cfg)
     assert len(probe_calls) == 2 * len(ref.checkpoints)  # the held-out pool is probed too
     assert ours.log == ref.log
@@ -701,11 +698,12 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
         ("train", {"weight_decay": -0.01}, "weight_decay and grad_clip"),
         ("mlm", {"weight_decay": -0.01}, "weight_decay and grad_clip"),
         ("encoder", {"init_seed": -1}, "init_seed must be >= 0"),
-        (None, {"seeds": [0, -1]}, "seeds must be >= 0"),
+        (None, {"seeds": [0, -1]}, "init_seed must be >= 0"),
         ("train", {"seed": -1}, "seed >= 0"),
         ("mlm", {"seed": -1}, "mlm seed must be >= 0"),
-        (None, {"seeds": [1, 1]}, r"seeds must be distinct, got \[1, 1\]"),
-        (None, {"methods": ["word_tagger", "word_tagger"]}, "methods must be distinct"),
+        (None, {"seeds": [1, 1]}, r"methods and seeds must be distinct, got \[.*\] and \[1, 1\]"),
+        (None, {"methods": ["word_tagger", "word_tagger"]},
+         r"methods and seeds must be distinct, got \['word_tagger', 'word_tagger'\]"),
         (None, {"eval_splits": ["tune", "tune"]}, "eval_splits must be distinct"),
         (None, {"eval_splits": []}, "eval_splits must be non-empty"),
     ],
