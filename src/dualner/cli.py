@@ -217,9 +217,7 @@ def cmd_sweep(args) -> None:
     vocab = BpeVocab.load(args.vocab)
     checkpoints = _load_encoder_checkpoints(args.checkpoints)
     train_cfg = dataclasses.replace(cfg.train, method=args.method or cfg.methods[0])
-    points = sweep_tapt_checkpoints(
-        checkpoints, train_docs, tune_docs, vocab, checkpoints[0][1].config, cfg.heads, train_cfg
-    )
+    points = sweep_tapt_checkpoints(checkpoints, train_docs, tune_docs, vocab, cfg.heads, train_cfg)
     out_dir = Path(args.out_dir)
     write_json(out_dir / "sweep.json", {"points": [dataclasses.asdict(p) for p in points]})
     lines = [f"{'pretrain step':>13} {'tune F1':>9}", "-" * 23]

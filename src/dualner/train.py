@@ -58,7 +58,6 @@ __all__ = [
     "sweep_tapt_checkpoints",
     "train_runs",
     "protocol_report",
-    "run_protocol",
     "write_log",
 ]
 
@@ -453,19 +452,20 @@ def sweep_tapt_checkpoints(
     train_docs: Sequence[Document],
     tune_docs: Sequence[Document],
     vocab: BpeVocab,
-    encoder_cfg: EncoderConfig,
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
 ) -> list[SweepPoint]:
     """Fine-tune from every MLM snapshot and report tune F1 per step.
 
-    The curve is reported as-is; adapted snapshots are not required (or
-    expected) to improve monotonically over the step-0 baseline.
+    Every run uses the first snapshot's encoder config, so a later snapshot
+    with another config is refused by ``train_supervised``.  The curve is
+    reported as-is; adapted snapshots are not required (or expected) to
+    improve monotonically over the step-0 baseline.
     """
     points = []
     for step, enc in checkpoints:
         result = train_supervised(
-            train_docs, tune_docs, vocab, encoder_cfg, head_cfg, train_cfg, init_encoder=enc
+            train_docs, tune_docs, vocab, checkpoints[0][1].config, head_cfg, train_cfg, init_encoder=enc
         )
         f1 = result.best_tune_f1
         if f1 is None:
@@ -517,11 +517,14 @@ def _run_configs(
     method-major; building them checks every method and seed."""
     if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
         raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
-    return {
-        (method, seed): (replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed))
-        for method in methods
-        for seed in seeds
-    }
+    runs = {}
+    for method in methods:
+        for seed in seeds:
+            try:
+                runs[method, seed] = replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed)
+            except ValueError as exc:  # the config's message names its field, not the run
+                raise ValueError(f"{method} seed {seed}: {exc}") from None
+    return runs
 
 
 def train_runs(
@@ -564,7 +567,14 @@ def protocol_report(
     vocab: BpeVocab,
 ) -> ProtocolReport:
     """Evaluate every run's best checkpoint on every split in ``eval_sets``
-    and report mean and sample standard deviation per method, split and metric."""
+    and report mean and sample standard deviation per method, split and
+    metric; fewer than 2 seeds and an empty ``eval_sets`` are refused before
+    any run is scored."""
+    seeds = list(dict.fromkeys(seed for _, seed in results))
+    if len(seeds) < 2:
+        raise ValueError("the protocol needs at least 2 seeds to report a standard deviation")
+    if not eval_sets:
+        raise ValueError("the protocol needs at least one eval split")
     encoder = "desk"  # the report's name for the one from-scratch encoder
     metrics = ["f1", "precision", "recall", "mcc"]
     values: dict[tuple[str, str, str], dict[str, list[float]]] = {}
@@ -585,31 +595,10 @@ def protocol_report(
         methods=list(dict.fromkeys(method for method, _ in results)),
         encoders=[encoder],
         splits=list(eval_sets),
-        seeds=list(dict.fromkeys(seed for _, seed in results)),
+        seeds=seeds,
         metrics=metrics,
         rows=rows,
     )
-
-
-def run_protocol(
-    train_docs: Sequence[Document],
-    tune_docs: Sequence[Document],
-    eval_sets: dict[str, Sequence[Document]],
-    vocab: BpeVocab,
-    methods: Sequence[str],
-    seeds: Sequence[int],
-    encoder_cfg: EncoderConfig,
-    head_cfg: HeadConfig,
-    train_cfg: TrainConfig,
-) -> ProtocolReport:
-    """``train_runs``, then ``protocol_report``; fewer than 2 seeds and an
-    empty ``eval_sets`` are refused before any run trains."""
-    if len(seeds) < 2:
-        raise ValueError("the protocol needs at least 2 seeds to report a standard deviation")
-    if not eval_sets:  # every run would train only to report nothing
-        raise ValueError("the protocol needs at least one eval split")
-    results = train_runs(train_docs, tune_docs, vocab, methods, seeds, encoder_cfg, head_cfg, train_cfg)
-    return protocol_report(results, eval_sets, vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ from dualner.heads import (
 from dualner.model import batch_loss, batch_loss_and_grads, build_examples, init_model, model_tensors
 from dualner.postprocess import resolve_nesting
 from dualner.subtok import BpeVocab, MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, fragmentation_ratio, train_bpe
-from dualner.train import MlmConfig, TrainConfig, pretrain_mlm, run_protocol, sweep_tapt_checkpoints, train_supervised
+from dualner.train import (
+    MlmConfig, TrainConfig, pretrain_mlm, protocol_report, sweep_tapt_checkpoints, train_runs, train_supervised,
+)
 
 from .oracles import (
     binary_mcc,
@@ -297,10 +299,9 @@ def test_c07_overfit_oracle(desk, overfit_runs):
 def test_c08_protocol_structure(desk):
     _inv, docs, vocab, encoder_cfg, head_cfg = desk
     train_docs, tune_docs = docs[:14], docs[14:]
-    report = run_protocol(
+    results = train_runs(
         train_docs,
         tune_docs,
-        {"train": train_docs, "tune": tune_docs},
         vocab,
         methods=["word_tagger", "span_classifier"],
         seeds=[0, 1, 2],
@@ -308,6 +309,7 @@ def test_c08_protocol_structure(desk):
         head_cfg=head_cfg,
         train_cfg=TrainConfig(epochs=2, checkpoint_every=8),
     )
+    report = protocol_report(results, {"train": train_docs, "tune": tune_docs}, vocab)
     assert set(report.rows) == {
         (m, "desk", s)
         for m in ("word_tagger", "span_classifier")
@@ -368,9 +370,7 @@ def test_c10_tapt_loop():
 
     head_cfg = HeadConfig()
     sweep_cfg = TrainConfig(epochs=6, checkpoint_every=8, seed=0)
-    points = sweep_tapt_checkpoints(
-        result.checkpoints, docs[:10], docs[10:14], vocab, encoder_cfg, head_cfg, sweep_cfg
-    )
+    points = sweep_tapt_checkpoints(result.checkpoints, docs[:10], docs[10:14], vocab, head_cfg, sweep_cfg)
     assert [p.step for p in points] == steps
     assert all(0.0 <= p.f1 <= 1.0 for p in points)
     _ok(

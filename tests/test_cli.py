@@ -722,19 +722,27 @@ def test_train_bad_section_value_exits_two_before_any_work(tmp_path, corpus_file
 
 
 def test_train_repeated_seeds_exit_before_any_work(tmp_path, corpus_file, capsys):
-    """Repeated seeds would run twice and count twice: a config file's are a
-    data error (2), a flag's a usage error (1)."""
+    """Repeated seeds would run twice and count twice, and a negative seed
+    is refused naming its run: a config file's are a data error (2), a
+    flag's a usage error (1)."""
     config = {"corpus": str(corpus_file), "n_train": 16, "methods": ["word_tagger"], "seeds": [1, 1]}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)]) == 2
+    config["seeds"] = [0, -1]
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)]) == 2
     config["seeds"] = [0, 1]
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["train", "--config", str(cfg_path), "--seeds", "0", "0", "--out-dir", str(run_dir)]) == 1
+    assert main(["train", "--config", str(cfg_path), "--seeds", "0", "-1", "--out-dir", str(run_dir)]) == 1
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
     assert err[0].startswith("data error:") and "methods and seeds must be distinct, got ['word_tagger'] and [1, 1]" in err[0]
-    assert err[1] == "error: methods and seeds must be distinct, got ['word_tagger'] and [0, 0]"
+    assert err[1].startswith("data error:") and "word_tagger seed -1: " in err[1]
+    assert err[2] == "error: methods and seeds must be distinct, got ['word_tagger'] and [0, 0]"
+    assert err[3].startswith("error: word_tagger seed -1: ")
     assert not run_dir.exists()
 
 
@@ -841,6 +849,11 @@ def test_train_report_tune_f1_traces_to_each_run(tmp_path, corpus_file, vocab_fi
     report = json.loads((out_dir / "report.json").read_text())
     rows = [row for row in report["rows"] if row["split"] == "tune"]
     assert [row["method"] for row in rows] == list(BOTH_METHODS)
+    assert report["seeds"] == [0, 1]
+    assert {(row["method"], row["split"]) for row in report["rows"]} == {
+        (method, split) for method in BOTH_METHODS for split in ("train", "tune")
+    }
+    assert all(len(row["metrics"][metric]["values"]) == 2 for row in report["rows"] for metric in report["metrics"])
     assert any(row["metrics"]["f1"]["values"] != [0.0, 0.0] for row in rows)  # zeros would match trivially
     for row in rows:
         best = [

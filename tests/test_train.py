@@ -21,8 +21,9 @@ from dualner.train import (
     ProtocolReport,
     TrainConfig,
     pretrain_mlm,
-    run_protocol,
+    protocol_report,
     sweep_tapt_checkpoints,
+    train_runs,
     train_supervised,
     write_log,
 )
@@ -430,9 +431,7 @@ def test_sweep_single_checkpoint_equals_baseline(mini):
     mlm = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=5, checkpoint_every=5, seed=0))
     cfg = TrainConfig(epochs=2, seed=4, checkpoint_every=3)
     baseline = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
-    points = sweep_tapt_checkpoints(
-        mlm.checkpoints[:1], train_docs, tune_docs, vocab, ENC, HEADS, cfg
-    )
+    points = sweep_tapt_checkpoints(mlm.checkpoints[:1], train_docs, tune_docs, vocab, HEADS, cfg)
     assert len(points) == 1
     assert points[0].step == 0
     assert points[0].f1 == baseline.best_tune_f1
@@ -442,9 +441,7 @@ def test_sweep_curve_length(mini):
     train_docs, tune_docs, vocab = mini
     mlm = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=10, checkpoint_every=5, seed=0))
     cfg = TrainConfig(epochs=1, seed=4)
-    points = sweep_tapt_checkpoints(
-        mlm.checkpoints, train_docs, tune_docs, vocab, ENC, HEADS, cfg
-    )
+    points = sweep_tapt_checkpoints(mlm.checkpoints, train_docs, tune_docs, vocab, HEADS, cfg)
     assert [p.step for p in points] == [0, 5, 10]
 
 
@@ -455,10 +452,9 @@ def test_sweep_curve_length(mini):
 
 def test_protocol_structure_and_aggregation(mini):
     train_docs, tune_docs, vocab = mini
-    report = run_protocol(
+    results = train_runs(
         train_docs,
         tune_docs,
-        {"train": train_docs, "tune": tune_docs},
         vocab,
         methods=["word_tagger", "span_classifier"],
         seeds=[0, 1],
@@ -466,6 +462,7 @@ def test_protocol_structure_and_aggregation(mini):
         head_cfg=HEADS,
         train_cfg=TrainConfig(epochs=2, checkpoint_every=4),
     )
+    report = protocol_report(results, {"train": train_docs, "tune": tune_docs}, vocab)
     assert set(report.rows) == {
         (m, "desk", s)
         for m in ("word_tagger", "span_classifier")
@@ -494,13 +491,14 @@ def test_protocol_report_dict_pins_the_format():
     )
 
 
-def test_protocol_requires_two_seeds(mini):
-    train_docs, tune_docs, vocab = mini
-    with pytest.raises(ValueError):
-        run_protocol(
-            train_docs, tune_docs, {"tune": tune_docs}, vocab,
-            ["word_tagger"], [0], ENC, HEADS, TrainConfig(epochs=1),
-        )
+def test_protocol_requires_two_seeds(mini, monkeypatch):
+    """One seed has no standard deviation: refused before any run is scored."""
+    _train_docs, tune_docs, vocab = mini
+    scored = []
+    monkeypatch.setattr(train_module, "predict_documents", lambda *args: scored.append(args))
+    with pytest.raises(ValueError, match="at least 2 seeds"):
+        protocol_report({("word_tagger", 0): None, ("span_classifier", 0): None}, {"tune": tune_docs}, vocab)
+    assert scored == []
 
 
 def test_protocol_refuses_repeated_methods_and_seeds(mini, monkeypatch):
@@ -511,27 +509,7 @@ def test_protocol_refuses_repeated_methods_and_seeds(mini, monkeypatch):
     monkeypatch.setattr(train_module, "train_supervised", lambda *args: runs.append(args))
     for methods, seeds in ((["word_tagger", "word_tagger"], [0, 1]), (["word_tagger"], [0, 0])):
         with pytest.raises(ValueError, match="must be distinct"):
-            run_protocol(
-                train_docs, tune_docs, {"tune": tune_docs}, vocab,
-                methods, seeds, ENC, HEADS, TrainConfig(epochs=1),
-            )
-    assert runs == []
-
-
-@pytest.mark.parametrize("methods, seeds, message", [
-    (["word_tagger"], [0, -1], "init_seed must be >= 0"),
-    (["word_tagger", "viterbi"], [0, 1], "viterbi"),
-])
-def test_protocol_checks_every_run_config_before_the_first_run(mini, monkeypatch, methods, seeds, message):
-    """A bad seed or method of a later run is refused before any run trains."""
-    train_docs, tune_docs, vocab = mini
-    runs = []
-    monkeypatch.setattr(train_module, "train_supervised", lambda *args: runs.append(args))
-    with pytest.raises(ValueError, match=message):
-        run_protocol(
-            train_docs, tune_docs, {"tune": tune_docs}, vocab,
-            methods, seeds, ENC, HEADS, TrainConfig(epochs=1),
-        )
+            train_runs(train_docs, tune_docs, vocab, methods, seeds, ENC, HEADS, TrainConfig(epochs=1))
     assert runs == []
 
 
@@ -579,13 +557,14 @@ def test_train_runs_names_each_failed_run_after_its_cause(mini, monkeypatch):
 
 
 def test_protocol_refuses_empty_eval_sets(mini, monkeypatch):
-    """Without an eval split every run would train only to report nothing."""
-    train_docs, tune_docs, vocab = mini
-    runs = []
-    monkeypatch.setattr(train_module, "train_supervised", lambda *args: runs.append(args))
+    """Without an eval split the report would be an empty table: refused
+    before any run is scored."""
+    _train_docs, _tune_docs, vocab = mini
+    scored = []
+    monkeypatch.setattr(train_module, "predict_documents", lambda *args: scored.append(args))
     with pytest.raises(ValueError, match="at least one eval split"):
-        run_protocol(train_docs, tune_docs, {}, vocab, ["word_tagger"], [0, 1], ENC, HEADS, TrainConfig(epochs=1))
-    assert runs == []
+        protocol_report({("word_tagger", 0): None, ("word_tagger", 1): None}, {}, vocab)
+    assert scored == []
 
 
 def test_protocol_zero_std_for_identical_metrics():
@@ -596,43 +575,35 @@ def test_protocol_zero_std_for_identical_metrics():
 
 
 def test_protocol_reports_failed_seeds(mini, monkeypatch):
+    """A failure after a run that really trained is still collected."""
     train_docs, tune_docs, vocab = mini
-    import dualner.train as train_mod
-
-    real = train_mod.train_supervised
+    real = train_module.train_supervised
 
     def flaky(*args, **kwargs):
-        cfg = args[5]
-        if cfg.seed == 1:
+        if args[5].seed == 1:
             raise TrainingError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(train_mod, "train_supervised", flaky)
+    monkeypatch.setattr(train_module, "train_supervised", flaky)
     with pytest.raises(ProtocolError) as err:
-        train_mod.run_protocol(
-            train_docs, tune_docs, {"tune": tune_docs}, vocab,
-            ["word_tagger"], [0, 1], ENC, HEADS, TrainConfig(epochs=1),
-        )
-    assert any(seed == 1 for _name, seed, _msg in err.value.failures)
+        train_runs(train_docs, tune_docs, vocab, ["word_tagger"], [0, 1], ENC, HEADS, TrainConfig(epochs=1))
+    assert err.value.failures == [("word_tagger", 1, "injected failure")]
     assert "seed 1" in str(err.value)
 
 
 def test_protocol_propagates_other_errors_at_once(mini, monkeypatch):
+    """Only a ``TrainingError`` is collected: any other error stops the grid
+    at the run that raised it."""
     train_docs, tune_docs, vocab = mini
-    import dualner.train as train_mod
-
     calls = []
 
     def broken(*args, **kwargs):
         calls.append(args[5].seed)
         raise KeyError("not a training failure")
 
-    monkeypatch.setattr(train_mod, "train_supervised", broken)
+    monkeypatch.setattr(train_module, "train_supervised", broken)
     with pytest.raises(KeyError, match="not a training failure"):
-        train_mod.run_protocol(
-            train_docs, tune_docs, {"tune": tune_docs}, vocab,
-            ["word_tagger"], [0, 1], ENC, HEADS, TrainConfig(epochs=1),
-        )
+        train_runs(train_docs, tune_docs, vocab, ["word_tagger"], [0, 1], ENC, HEADS, TrainConfig(epochs=1))
     assert calls == [0]
 
 
@@ -706,6 +677,7 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
          r"methods and seeds must be distinct, got \['word_tagger', 'word_tagger'\]"),
         (None, {"eval_splits": ["tune", "tune"]}, "eval_splits must be distinct"),
         (None, {"eval_splits": []}, "eval_splits must be non-empty"),
+        (None, {"seeds": [0, -1]}, "word_tagger seed -1: "),
     ],
 )
 def test_experiment_config_checks_every_section(tmp_path, section, fault, message):
