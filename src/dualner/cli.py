@@ -98,7 +98,7 @@ def cmd_generate(args) -> None:
 
 
 def cmd_segment(args) -> None:
-    cfg = _with_flags(SegmenterConfig(), min_words=args.min_words, terminator=args.terminator)
+    cfg = _with_flags(SegmenterConfig(), min_words=args.min_words)
     docs = load_corpus(args.input)
     fresh = sum(1 for d in docs if not d.sentences)
     docs = [segment_document(d, cfg) for d in docs]
@@ -300,7 +300,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--min-words", type=int)
-    p.add_argument("--terminator")
     p.set_defaults(handler=cmd_segment)
 
     p = sub.add_parser("build-vocab", help="train a BPE vocabulary on a corpus")

@@ -213,7 +213,7 @@ def _record_reader(cls, scores: bool):
         kwargs = {}
         for name, value in obj.items():
             if name not in spec:
-                raise FormatError(f"unknown keys in {where}: {sorted(obj.keys() - spec.keys())}")
+                refuse_unknown_keys(obj, spec.keys(), where)
             types, finish = spec[name]
             if type(value) not in types:
                 raise _mismatch(where, name, hints[name], value)
@@ -236,6 +236,12 @@ def dataclass_from_dict(cls, obj, where: str):
     objects likewise, and a JSON integer given for a float is held as a float.
     """
     return _record_reader(cls, True)(obj, where)
+
+
+def refuse_unknown_keys(obj: dict, keys, where: str, path: str | None = None) -> None:
+    """Refuse the keys of JSON object ``obj`` (``where``) outside ``keys``, by name."""
+    if obj.keys() - keys:
+        raise FormatError(f"unknown keys in {where}: {sorted(obj.keys() - keys)}", path=path)
 
 
 def read_json(path: str | Path):
@@ -445,8 +451,8 @@ def split_train_tune(docs: Sequence[Document], n_train: int) -> tuple[list[Docum
 # ---------------------------------------------------------------------------
 
 
-# The generator's fixed shape.  ``TERMINATOR`` is also ``SegmenterConfig``'s
-# default, so the splitter finds the generated sentences again.
+# The generator's fixed shape.  ``TERMINATOR`` is also the one the splitter
+# ends sentences at, so it finds the generated sentences again.
 TERMINATOR = "."
 _MENTION_LEN = (1, 3)
 _COMMON_POOL_SIZE = 60

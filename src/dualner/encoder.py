@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .corpus import atomic_write, dataclass_from_dict
+from .corpus import atomic_write, dataclass_from_dict, refuse_unknown_keys
 from .errors import FormatError, SentenceTooLongError, UnusableDataError
 
 __all__ = [
@@ -638,24 +638,30 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, tensors
 
 
+# The config keys of each kind of checkpoint: an MLM snapshot, a model.
+_CONFIG_KEYS = {"encoder": {"kind", "step", "encoder"}, "model": {"kind", "method", "labels", "encoder", "heads"}}
+
+
 def load_encoder_snapshot(
     path: str | Path, kind: str, prefix: str = "", other_shapes=None
 ) -> tuple[dict, EncoderParams, dict[str, np.ndarray]]:
     """The checkpoint at ``path``, whose config must be of ``kind``, as
     (config, encoder, every tensor of the file).
 
-    The encoder is built from the config's ``encoder`` section and the
-    tensors named ``prefix`` plus its ``param_shapes`` names.
-    ``other_shapes(config, encoder_cfg)`` names the shapes of the file's
-    other tensors; a ``ValueError`` it raises is a bad config.  The file must
-    hold exactly these tensors, each finite float64, checked before anything
-    is allocated, so a small file claiming a huge model costs nothing.  A
-    checkpoint written while the encoder had a key bias holds
-    ``layers.{i}.attn.bk`` and is refused here as an unexpected tensor.
+    The config may hold only its kind's keys.  The encoder is built from the
+    config's ``encoder`` section and the tensors named ``prefix`` plus its
+    ``param_shapes`` names.  ``other_shapes(config, encoder_cfg)`` names the
+    shapes of the file's other tensors; a ``ValueError`` it raises is a bad
+    config.  The file must hold exactly these tensors, each finite float64,
+    checked before anything is allocated, so a small file claiming a huge
+    model costs nothing.  A checkpoint written while the encoder had a key
+    bias holds ``layers.{i}.attn.bk`` and is refused here as an unexpected
+    tensor.
     """
     config, tensors = load_checkpoint(path)
     if config.get("kind") != kind:
         raise FormatError(f'checkpoint "kind" is {config.get("kind")!r}, expected {kind!r}', path=str(path))
+    refuse_unknown_keys(config, _CONFIG_KEYS[kind], "checkpoint config", path=str(path))
     cfg = dataclass_from_dict(EncoderConfig, config.get("encoder"), f"{path} encoder config")
     try:
         # a layer count the file cannot hold is refused before its names are listed

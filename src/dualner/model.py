@@ -74,7 +74,7 @@ _HEAD_PREFIX = {"word_tagger": "tagger.", "span_classifier": "span."}
 METHODS = tuple(_HEAD_PREFIX)
 
 
-def _head_prefix(method: str) -> str:
+def head_prefix(method: str) -> str:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     return _HEAD_PREFIX[method]
@@ -97,7 +97,7 @@ def init_model(
     encoder_cfg: EncoderConfig,
     head_cfg: HeadConfig,
 ) -> Model:
-    prefix = _head_prefix(method)
+    prefix = head_prefix(method)
     from .encoder import init_params
 
     enc = init_params(encoder_cfg)
@@ -366,13 +366,14 @@ def batch_loss_and_grads(
 
 
 def mlm_mask(ids: np.ndarray, vocab_size: int, mask_id: int, mask_prob: float, rng):
-    """Corrupt ceil(mask_prob * n) positions: 80% mask, 10% random, 10% kept."""
+    """Corrupt ceil(mask_prob * n) >= 1 of n > 0 positions: 80% mask, 10% random, 10% kept."""
+    if not 0.0 < mask_prob <= 1.0:
+        raise ValueError(f"mask_prob must be in (0, 1], got {mask_prob}")
     ids = np.asarray(ids, dtype=np.int64)
     n = ids.size
-    k = int(np.ceil(mask_prob * n)) if mask_prob > 0 else 0
-    k = min(k, n)
-    if k == 0:
-        return ids.copy(), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if n == 0:
+        raise ValueError("cannot mask an empty sentence")
+    k = int(np.ceil(mask_prob * n))
     positions = np.sort(rng.choice(n, size=k, replace=False))
     corrupted = ids.copy()
     rolls = rng.random(k)
@@ -395,19 +396,17 @@ def mlm_batch_loss_and_grads(
     workspace: Workspace | None = None,
     masks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ):
-    """Mean masked-position CE and encoder gradients (None when no position
-    was masked, in which case parameters must not be updated).
+    """Mean masked-position CE and encoder gradients of a non-empty batch.
 
     With gradients, each sentence draws its ``mlm_mask`` and then, in train
     mode, its ``dropout_masks`` from ``mask_rng``, in sentence order, as
-    when each sentence was encoded alone.  The sentences that masked a
-    position are then encoded, in batch order, as one pack at their masked
-    rows (``encode_with_cache`` with ``rows`` and ``lengths``) and
-    backpropagated from those P rows by one ``encode_backward``; the tied
-    projection is one ``[P, V]`` product, and its gradient one
-    ``[V, P] @ [P, d]`` product.  Sums over all rows at once round
-    differently from accumulating sentence by sentence, so the loss and
-    gradients differ from that only at rounding level.  With a
+    when each sentence was encoded alone.  The sentences are then encoded,
+    in batch order, as one pack at their masked rows (``encode_with_cache``
+    with ``rows`` and ``lengths``) and backpropagated from those P rows by
+    one ``encode_backward``; the tied projection is one ``[P, V]`` product,
+    and its gradient one ``[V, P] @ [P, d]`` product.  Sums over all rows
+    at once round differently from accumulating sentence by sentence, so
+    the loss and gradients differ from that only at rounding level.  With a
     ``workspace``, the returned gradients are its ``grad.*`` buffers (valid
     until the next call with it), and the logits and the attention
     backward's temporaries come from it too; the bits are the same without.
@@ -423,6 +422,8 @@ def mlm_batch_loss_and_grads(
     """
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
+    if len(batch) == 0:
+        raise ValueError("an MLM batch needs at least one sentence")
     if not with_grads:
         if mode != "eval":
             raise ValueError("an MLM loss without gradients is computed in eval mode only")
@@ -433,17 +434,11 @@ def mlm_batch_loss_and_grads(
         return _mlm_eval_loss(enc, masks, workspace), None
     if masks is not None:
         raise ValueError("precomputed masks are scored without gradients only")
-    sentences, positions, targets, drops = [], [], [], []
+    masks, drops = [], []
     for ids in batch:
-        corrupted, masked, target = mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng)
-        if masked.size == 0:
-            continue
-        drops.append(_masks_for(mode, enc.config, corrupted.size, mask_rng))
-        sentences.append(corrupted)
-        positions.append(masked)
-        targets.append(target)
-    if not sentences:
-        return 0.0, None
+        masks.append(mlm_mask(ids, len(vocab), vocab.mask_id, mask_prob, mask_rng))
+        drops.append(_masks_for(mode, enc.config, masks[-1][0].size, mask_rng))
+    sentences, positions, targets = zip(*masks)
     sel, cache, _slices = _encode_pack(sentences, enc, positions, drops)
     emb = enc.tensors["tok_emb"]
     targets = np.concatenate(targets)
@@ -469,24 +464,19 @@ def _mlm_eval_loss(enc: EncoderParams, masked, workspace: Workspace | None) -> f
     """Mean masked-position CE under the ``mlm_masks`` ``masked``, encoded
     and scored in packs (``_eval_packs``), the logits of every pack in one
     buffer of ``workspace``, or of a new one."""
-    keep = [i for i, (_c, positions, _t) in enumerate(masked) if positions.size]
-    if not keep:
-        return 0.0
     if workspace is None:
         workspace = Workspace()
     emb = enc.tensors["tok_emb"]
     ce = [0.0] * len(masked)
-    packs = _eval_packs([masked[i][0] for i in keep], enc, [masked[i][1] for i in keep])
-    for pack, sel, slices in packs:
-        sentences = [keep[j] for j in pack]
-        targets = np.concatenate([masked[i][2] for i in sentences])
+    for pack, sel, slices in _eval_packs([m[0] for m in masked], enc, [m[1] for m in masked]):
+        targets = np.concatenate([masked[i][2] for i in pack])
         _z, picked, _total = _target_log_probs(sel, emb, targets, workspace)
-        for i, sl in zip(sentences, slices):
+        for i, sl in zip(pack, slices):
             ce[i] = -float(picked[sl].sum())
     total_ce = 0.0
-    for i in keep:  # in sentence order, as when scored one at a time
-        total_ce += ce[i]
-    return total_ce / sum(masked[i][1].size for i in keep)
+    for sentence_ce in ce:  # in sentence order, as when scored one at a time
+        total_ce += sentence_ce
+    return total_ce / sum(m[1].size for m in masked)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +561,7 @@ def load_model(path: str | Path) -> Model:
             raise FormatError('"labels" must be a list of strings', path=str(path))
         labels = LabelInventory.from_types(types)
         head_cfg = dataclass_from_dict(HeadConfig, config.get("heads"), f"{path} heads config")
-        prefix = _head_prefix(config.get("method"))
+        prefix = head_prefix(config.get("method"))
         both = head_shapes(enc_cfg.hidden_dim, head_cfg, len(labels))
         return {f"heads.{k}": s for k, s in both.items() if k.startswith(prefix)}
 

@@ -23,19 +23,17 @@ _WORD = re.compile(r"\S+")
 @dataclass(frozen=True)
 class SegmenterConfig:
     min_words: int = 10
-    terminator: str = TERMINATOR  # the synthetic generator's, so it re-finds its sentences
 
     def __post_init__(self) -> None:
         if self.min_words < 0:
             raise ValueError(f"min_words must be >= 0, got {self.min_words}")
-        if len(self.terminator) != 1:
-            raise ValueError(f"terminator must be a single character, got {self.terminator!r}")
 
 
 def split_sentences(text: str, cfg: SegmenterConfig | None = None) -> list[Sentence]:
     """Split raw text into sentences with word lists and character offsets.
 
-    A boundary is emitted after a word ending in the terminator when the
+    A boundary is emitted after a word ending in ``TERMINATOR`` (the
+    synthetic generator's, so the splitter re-finds its sentences) when the
     current sentence already holds strictly more than ``cfg.min_words``
     words (the terminator word included).  The trailing partial sentence is
     emitted even without a terminator.
@@ -49,7 +47,7 @@ def split_sentences(text: str, cfg: SegmenterConfig | None = None) -> list[Sente
             start = match.start()
         words.append(match.group())
         end = match.end()
-        if match.group().endswith(cfg.terminator) and len(words) > cfg.min_words:
+        if match.group().endswith(TERMINATOR) and len(words) > cfg.min_words:
             sentences.append(Sentence(words=words, char_start=start, char_end=end))
             words = []
     if words:

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Document, atomic_write, read_json
+from .corpus import Document, atomic_write, read_json, refuse_unknown_keys
 from .errors import FormatError, UnusableDataError
 
 __all__ = [
@@ -124,11 +124,13 @@ class BpeVocab:
     @classmethod
     def from_json(cls, obj: dict, path: str | None = None) -> "BpeVocab":
         try:
+            refuse_unknown_keys(obj, {"symbols", "merges", "special"}, "vocabulary")
             symbols, merges, special = obj["symbols"], obj["merges"], obj["special"]
             if not (isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
                 raise FormatError('"symbols" must be a list of strings')
             if not (isinstance(merges, list) and all(_is_str_pair(m) for m in merges)):
                 raise FormatError('"merges" must be a list of [left, right] string pairs')
+            refuse_unknown_keys(special, {"pad", "unk", "mask"}, '"special"')
             pad, unk, mask = special["pad"], special["unk"], special.get("mask")
             if not (type(pad) is type(unk) is int and (mask is None or type(mask) is int)):
                 raise FormatError("special ids must be integers")
@@ -139,7 +141,7 @@ class BpeVocab:
                 unk_id=unk,
                 mask_id=mask,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not an object
             raise FormatError(f"malformed vocabulary file: {exc}", path=path) from exc
         except FormatError as exc:
             raise FormatError(str(exc), path=path) from exc

@@ -35,6 +35,7 @@ from .model import (
     batch_loss_and_grads,
     build_examples,
     check_sentences,
+    head_prefix,
     init_model,
     mlm_batch_loss_and_grads,
     mlm_masks,
@@ -86,8 +87,7 @@ class TrainConfig:
     early_stop_f1: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        head_prefix(self.method)  # refuses an unknown method
         _check_optimizer(self)
         if self.batch_size < 1 or self.checkpoint_every < 1 or self.epochs < 0 or self.seed < 0:
             raise ValueError("batch_size and checkpoint_every must be >= 1, epochs and seed >= 0")
@@ -116,8 +116,8 @@ class MlmConfig:
             raise ValueError(
                 f"checkpoint_every={self.checkpoint_every} must divide total_steps={self.total_steps}"
             )
-        if not 0.0 <= self.mask_prob <= 1.0:
-            raise ValueError("mask_prob must be in [0, 1]")
+        if not 0.0 < self.mask_prob <= 1.0:
+            raise ValueError("mask_prob must be in (0, 1]")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise ValueError("heldout_fraction must be in [0, 1)")
 
@@ -268,9 +268,9 @@ def _run_steps(
 
     ``loss_and_grads(batch)`` runs on each batch drawn from
     ``batches``; its loss is checked and logged as ``metric``, and AdamW
-    updates ``tensors`` unless the gradients are ``None``.  ``snapshot(step)``
-    runs every ``checkpoint_every`` steps and at a last step off that
-    interval; when it returns True the run ends there.
+    updates ``tensors`` from its gradients.  ``snapshot(step)`` runs every
+    ``checkpoint_every`` steps and at a last step off that interval; when it
+    returns True the run ends there.
     """
     warmup_steps = int(np.ceil(cfg.warmup_frac * total_steps))
     opt = AdamW(tensors, cfg.learning_rate, cfg.weight_decay, warmup_steps, cfg.grad_clip)
@@ -281,8 +281,7 @@ def _run_steps(
             loss, grads = loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite {what} loss at step {step}")
-            if grads is not None:
-                opt.step(grads)
+            opt.step(grads)
             log.append(LogEntry(step, "train", metric, loss))
             if (step % cfg.checkpoint_every == 0 or step == total_steps) and snapshot(step):
                 break
@@ -387,10 +386,8 @@ def pretrain_mlm(
         for s in d.sentences
     ]
     check_sentences(encoder_cfg, docs, pool, "corpus")
-    n_heldout = int(np.ceil(mlm_cfg.heldout_fraction * len(pool)))
-    n_heldout = min(n_heldout, len(pool) - 1)
-    train_pool = pool[: len(pool) - n_heldout] if n_heldout else pool
-    heldout_pool = pool[len(pool) - n_heldout :] if n_heldout else []
+    n_train = max(len(pool) - int(np.ceil(mlm_cfg.heldout_fraction * len(pool))), 1)  # one at least
+    train_pool, heldout_pool = pool[:n_train], pool[n_train:]
 
     enc = init_params(encoder_cfg)
     # Training draws from child (0,) of the seed and the probe masks from

@@ -212,6 +212,8 @@ VOCAB_FAULTS = {
     "pad_string": (lambda obj: obj["special"].update(pad="0"), "special ids must be integers"),
     "symbols_object": (lambda obj: obj.update(symbols=dict.fromkeys(obj["symbols"], 0)), '"symbols" must be'),
     "merge_string": (lambda obj: obj["merges"].__setitem__(0, "".join(obj["merges"][0])), '"merges" must be'),
+    "unknown_key": (lambda obj: obj.update(symbol=obj["symbols"]), "unknown keys in vocabulary: ['symbol']"),
+    "unknown_special": (lambda obj: obj["special"].update(sep=3), """unknown keys in "special": ['sep']"""),
 }
 
 

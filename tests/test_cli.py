@@ -102,8 +102,7 @@ def test_segment_flags_reach_the_config(tmp_path, small_corpus):
     (["generate-synthetic", "--sentences-per-doc", "3", "2"], "sentences_per_doc must be an ordered"),
     (["generate-synthetic", "--oov-fraction", "1.5"], "oov_fraction must be in [0,1]"),
     (["segment", "--min-words", "-1"], "min_words must be >= 0"),
-    (["segment", "--terminator", ".."], "terminator must be a single character"),
-], ids=["sentences_per_doc", "oov_fraction", "min_words", "terminator"])
+], ids=["sentences_per_doc", "oov_fraction", "min_words"])
 def test_bad_profile_or_segmenter_flag_exits_one(tmp_path, corpus_file, capsys, argv, message):
     out = tmp_path / "out.jsonl"
     if argv[0] == "generate-synthetic":
@@ -356,6 +355,18 @@ def test_unallocatable_model_exits_two(tmp_path, corpus_file, vocab_file, capsys
     assert not out_dir.exists()
 
 
+def test_pretrain_mask_prob_zero_exits_one(tmp_path, corpus_file, vocab_file, capsys):
+    """A rate of 0 would mask, and so train, nothing: a usage error of one line."""
+    out_dir = tmp_path / "mlm"
+    code = main([
+        "pretrain-mlm", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+        "--mask-prob", "0", "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and err == "error: mask_prob must be in (0, 1]\n", err
+    assert not out_dir.exists()
+
+
 def test_train_missing_config_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("DUALNER_CONFIG", raising=False)
     assert main(["train", "--out-dir", str(tmp_path / "run")]) == 1
@@ -403,6 +414,7 @@ MODEL_CONFIG_FAULTS = {
     "missing_method": lambda c, t: c.pop("method"),
     "unknown_method": lambda c, t: c.update(method="crf"),
     "both_heads": _two_heads,
+    "unknown_config_key": lambda c, t: c.update(foo=1, step="x"),
     # written while the encoder had a key bias
     "key_bias": lambda c, t: t.update({"encoder.layers.0.attn.bk": np.zeros(16)}),
     # compared with the tensors before anything is allocated
@@ -435,6 +447,8 @@ def test_predict_bad_checkpoint_exits_two(tmp_path, corpus_file, vocab_file, sma
         assert "unexpected ['heads.span.b1', 'heads.span.b2', 'heads.span.len_emb'" in err
     if fault == "key_bias":
         assert "unexpected ['encoder.layers.0.attn.bk']" in err
+    if fault == "unknown_config_key":
+        assert "unknown keys in checkpoint config: ['foo', 'step']" in err
 
 
 def test_predict_tagger_ignores_span_head_config(tmp_path, corpus_file, vocab_file, small_vocab):
@@ -466,6 +480,7 @@ ENCODER_CHECKPOINT_FAULTS = {
     "bad_shape": lambda c, t: t.update({"layers.0.ffn.w1": t["layers.0.ffn.w1"][:, :-1]}),
     "huge_vocab_size": lambda c, t: c["encoder"].update(vocab_size=2**40),
     "key_bias": lambda c, t: t.update({"layers.0.attn.bk": np.zeros(16)}),
+    "unknown_config_key": lambda c, t: c.update(bogus=1, method="word_tagger"),
 }
 
 
@@ -488,6 +503,8 @@ def test_sweep_bad_encoder_checkpoint_exits_two(tmp_path, corpus_file, vocab_fil
     assert err.startswith("data error:") and err.count("\n") == 1, err
     if fault == "key_bias":
         assert "unexpected ['layers.0.attn.bk']" in err
+    if fault == "unknown_config_key":
+        assert "unknown keys in checkpoint config: ['bogus', 'method']" in err
 
 
 def test_predict_wrong_size_vocab_exits_two(tmp_path, corpus_file, vocab_file, small_vocab, capsys):

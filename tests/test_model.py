@@ -354,14 +354,15 @@ def test_mlm_mask_counts_and_actions():
 
 
 def test_mlm_mask_zero_prob():
+    """A rate of 0 and an empty sentence would mask nothing: both are refused."""
     rng = np.random.default_rng(3)
-    ids = np.arange(5)
-    corrupted, positions, targets = mlm_mask(ids, 50, 2, 0.0, rng)
-    assert positions.size == 0 and targets.size == 0
-    assert np.array_equal(corrupted, ids)
+    with pytest.raises(ValueError, match=r"mask_prob must be in \(0, 1\], got 0.0"):
+        mlm_mask(np.arange(5), 50, 2, 0.0, rng)
+    with pytest.raises(ValueError, match="empty sentence"):
+        mlm_mask(np.empty(0, dtype=np.int64), 50, 2, 0.15, rng)
 
 
-@pytest.mark.parametrize("mask_prob", [0.0, 0.15, 0.5, 1.0])
+@pytest.mark.parametrize("mask_prob", [0.15, 0.5, 1.0])
 def test_mlm_mask_matches_per_position_reference(mask_prob):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     for n in (1, 2, 7, 40, 200):
@@ -383,13 +384,16 @@ def test_mlm_mask_action_shares():
 
 
 def test_mlm_zero_prob_no_loss_no_update(tiny_setup):
+    """A rate of 0 and an empty batch are refused in both modes."""
     docs, vocab = tiny_setup
     model = _scaled_model("word_tagger", vocab)
     ids = [ex.ids for ex in build_examples(docs, vocab, INV, HEADS)[:2]]
-    loss, grads = mlm_batch_loss_and_grads(
-        model.encoder, ids, vocab, 0.0, np.random.default_rng(0), mode="eval"
-    )
-    assert loss == 0.0 and grads is None
+    for mode, with_grads in (("train", True), ("eval", True), ("eval", False)):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"mask_prob must be in \(0, 1\]"):
+            mlm_batch_loss_and_grads(model.encoder, ids, vocab, 0.0, rng, mode, with_grads)
+        with pytest.raises(ValueError, match="at least one sentence"):
+            mlm_batch_loss_and_grads(model.encoder, [], vocab, 0.15, rng, mode, with_grads)
 
 
 def test_mlm_requires_mask_token(tiny_setup):
@@ -473,9 +477,7 @@ def _mlm_pool(docs, vocab):
 def test_mlm_eval_loss_matches_per_sentence_reference(length_corpus, mask_prob):
     docs, vocab = length_corpus
     model = _scaled_model("word_tagger", vocab)
-    empty = np.empty(0, dtype=np.int64)  # masks no position, so it is never encoded
     pool = _mlm_pool(docs, vocab)
-    pool = [empty] + pool[:20] + [empty] + pool[20:]
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     loss, grads = mlm_batch_loss_and_grads(
         model.encoder, pool, vocab, mask_prob, rng, mode="eval", with_grads=False
@@ -511,14 +513,21 @@ def test_mlm_eval_loss_scores_masks_drawn_before(length_corpus):
 
 
 def test_mlm_eval_loss_without_masked_positions(length_corpus):
+    """An empty sentence, which has no position to mask, is refused in
+    either mode; a loss without gradients is computed in eval mode only."""
     docs, vocab = length_corpus
     model = _scaled_model("word_tagger", vocab)
     pool = _mlm_pool(docs, vocab)[:5]
-    args = (model.encoder, pool, vocab, 0.0, np.random.default_rng(0))
-    assert mlm_batch_loss_and_grads(*args, mode="eval", with_grads=False) == (0.0, None)
-    assert mlm_eval_loss_reference(*args) == (0.0, None)
+    with_empty = pool[:2] + [np.empty(0, dtype=np.int64)] + pool[2:]
+    for mode, with_grads in (("train", True), ("eval", False)):
+        with pytest.raises(ValueError, match="empty sentence"):
+            mlm_batch_loss_and_grads(
+                model.encoder, with_empty, vocab, 0.15, np.random.default_rng(0), mode, with_grads
+            )
     with pytest.raises(ValueError, match="eval mode"):
-        mlm_batch_loss_and_grads(*args, mode="train", with_grads=False)
+        mlm_batch_loss_and_grads(
+            model.encoder, pool, vocab, 0.15, np.random.default_rng(0), mode="train", with_grads=False
+        )
 
 
 def _by_length(pool) -> dict[int, list]:
@@ -529,15 +538,13 @@ def _by_length(pool) -> dict[int, list]:
 
 
 def _mlm_step_batches(pool):
-    """Equal lengths, distinct lengths (one a single sub-token), one
-    sentence, and an empty sentence, which masks no position, between two."""
+    """Equal lengths, distinct lengths (one a single sub-token), and one
+    sentence."""
     by_length = _by_length(pool)
-    empty = np.empty(0, dtype=np.int64)
     return {
         "equal": next(group for group in by_length.values() if len(group) >= 3)[:3],
         "distinct": [group[0] for group in by_length.values()][:4] + [np.array([5])],
         "one": pool[:1],
-        "with_empty": [pool[0], empty, pool[1]],
     }
 
 
@@ -565,11 +572,6 @@ def test_mlm_step_matches_per_sentence_reference(length_corpus, dropout_rate):
             np.testing.assert_allclose(
                 grads[key], ref_grads[key], rtol=1e-12, atol=floor, err_msg=f"{name} {key}"
             )
-    empty = np.empty(0, dtype=np.int64)
-    for batch, mask_prob in (([empty, empty], 0.3), (pool[:3], 0.0)):
-        rng = np.random.default_rng(5)
-        assert mlm_batch_loss_and_grads(enc, batch, vocab, mask_prob, rng, "train") == (0.0, None)
-        assert mlm_batch_loss_and_grads_reference(enc, batch, vocab, mask_prob, rng, "train") == (0.0, None)
 
 
 def test_mlm_step_encodes_only_its_masked_rows(monkeypatch, length_corpus):

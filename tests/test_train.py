@@ -12,7 +12,14 @@ from dualner.corpus import Document, LabelInventory, Sentence, generate_syntheti
 from dualner.encoder import EncoderConfig, init_params
 from dualner.errors import FormatError, ProtocolError, SentenceTooLongError, TrainingError
 from dualner.heads import HeadConfig
-from dualner.model import METHODS, init_model, mlm_batch_loss_and_grads, model_tensors, predict_documents
+from dualner.model import (
+    METHODS,
+    init_model,
+    mlm_batch_loss_and_grads,
+    mlm_mask,
+    model_tensors,
+    predict_documents,
+)
 from dualner.subtok import subtokenize, train_bpe
 from dualner.train import (
     AdamW,
@@ -403,15 +410,20 @@ def test_pretrain_seed_children_are_pinned(mini):
     assert [v.hex() for v in logged] == [first.hex()]
 
 
-def test_pretrain_mask_prob_zero_keeps_params(mini):
+def test_pretrain_tiny_mask_prob_masks_one_position_and_trains(mini):
+    """Every sentence masks at least one position, so even a tiny rate
+    trains: the last snapshot's weights differ from step 0's."""
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 40):
+        _corrupted, positions, _targets = mlm_mask(np.arange(n) + 3, 50, 2, 1e-9, rng)
+        assert positions.size == 1, n
     train_docs, _tune, vocab = mini
-    cfg = MlmConfig(total_steps=5, checkpoint_every=5, mask_prob=0.0, seed=0)
+    cfg = MlmConfig(total_steps=5, checkpoint_every=5, mask_prob=1e-9, seed=0)
     result = pretrain_mlm(train_docs, vocab, ENC, cfg)
     first = result.checkpoints[0][1]
     last = result.checkpoints[-1][1]
-    for key in first.tensors:
-        assert np.array_equal(first.tensors[key], last.tensors[key])
-    assert result.probe_loss(0) == 0.0
+    assert all(not np.array_equal(first.tensors[k], last.tensors[k]) for k in first.tensors)
+    assert result.probe_loss(0) > 0.0
 
 
 def test_pretrain_requires_mask_token(mini):
@@ -678,6 +690,7 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
         (None, {"eval_splits": ["tune", "tune"]}, "eval_splits must be distinct"),
         (None, {"eval_splits": []}, "eval_splits must be non-empty"),
         (None, {"seeds": [0, -1]}, "word_tagger seed -1: "),
+        ("mlm", {"mask_prob": 0.0}, "mask_prob must be in"),
     ],
 )
 def test_experiment_config_checks_every_section(tmp_path, section, fault, message):
