@@ -67,8 +67,7 @@ def _mlm_loss_lines(params, prep):
 
     from dualner import model, subtok
 
-    pool = [np.asarray(subtok.subtokenize(s.words, prep.vocab).sub_token_ids, dtype=np.int64)
-            for d in prep.docs for s in d.sentences]
+    pool = [subtok.subtokenize(s.words, prep.vocab).sub_token_ids for d in prep.docs for s in d.sentences]
     loss, _ = model.mlm_batch_loss_and_grads(params, pool, prep.vocab, 0.15, np.random.default_rng(0),
                                              mode="eval", with_grads=False)
     return [loss.hex()]

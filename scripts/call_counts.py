@@ -71,8 +71,7 @@ def paths(workloads, name: str, tmp: str) -> dict:
 
         return {"train": train, "predict": lambda: model.predict_documents(trained, prep.docs, prep.vocab)} | read
     params = encoder.init_params(prep.encoder_cfg)
-    pool = [np.asarray(subtok.subtokenize(s.words, prep.vocab).sub_token_ids, dtype=np.int64)
-            for d in prep.docs for s in d.sentences]
+    pool = [subtok.subtokenize(s.words, prep.vocab).sub_token_ids for d in prep.docs for s in d.sentences]
 
     def mlm_eval():
         model.mlm_batch_loss_and_grads(params, pool, prep.vocab, 0.15, np.random.default_rng(0),

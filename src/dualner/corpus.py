@@ -440,7 +440,7 @@ def split_train_tune(docs: Sequence[Document], n_train: int) -> tuple[list[Docum
     depends on the corpus file itself.
     """
     if not 0 < n_train < len(docs):
-        raise ValueError(
+        raise UnusableDataError(
             f"n_train must satisfy 0 < n_train < {len(docs)} (both splits non-empty), got {n_train}"
         )
     return list(docs[:n_train]), list(docs[n_train:])

@@ -124,17 +124,20 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
 
 @dataclass
 class Example:
-    """One sentence's sub-token ids; each head's gold targets are built when
+    """One sentence's tokenized form; each head's gold targets are built when
     first read, so a run builds only those of the head it trains.  Gold
     mentions wider than ``max_span_width`` have no matching candidate and
     stay unreachable for the span head (permanent fn)."""
 
-    ids: np.ndarray
     align: SubTokenization
     sentence: Sentence
     tag_index: dict[str, int]  # BIO tag -> tagger class, shared by all examples
     type_index: dict[str, int]  # entity type -> span class, shared by all examples
     max_span_width: int
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self.align.sub_token_ids
 
     @cached_property
     def tag_ids(self) -> np.ndarray:
@@ -161,8 +164,7 @@ def build_examples(
     for doc in docs:
         for sent in doc.sentences:
             align = subtokenize(sent.words, vocab)
-            ids = np.asarray(align.sub_token_ids, dtype=np.int64)
-            examples.append(Example(ids, align, sent, tag_index, type_index, head_cfg.max_span_width))
+            examples.append(Example(align, sent, tag_index, type_index, head_cfg.max_span_width))
     return examples
 
 
@@ -506,8 +508,7 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
 def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
     check_vocab_size(model.encoder.config, len(vocab), "model")
     align = subtokenize(words, vocab)
-    ids = np.asarray(align.sub_token_ids, dtype=np.int64)
-    wv, _ = encode_with_cache(ids, model.encoder, rows=[align.first_subtoken_index])
+    wv, _ = encode_with_cache(align.sub_token_ids, model.encoder, rows=[align.first_subtoken_index])
     return _decode(model, wv)
 
 
@@ -521,7 +522,7 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
     """
     check_vocab_size(model.encoder.config, len(vocab), "model")
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
-    ids = [np.asarray(align.sub_token_ids, dtype=np.int64) for align in aligns]
+    ids = [align.sub_token_ids for align in aligns]
     check_sentences(model.encoder.config, docs, ids, "corpus")
     firsts = [align.first_subtoken_index for align in aligns]
     found: list[list[ScoredMention]] = [[] for _ in aligns]
@@ -559,6 +560,8 @@ def load_model(path: str | Path) -> Model:
         types = config.get("labels")
         if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
             raise FormatError('"labels" must be a list of strings', path=str(path))
+        if types != sorted(set(types)):  # class i + 1 is the i-th type of the trained inventory
+            raise FormatError('"labels" must be sorted and distinct', path=str(path))
         labels = LabelInventory.from_types(types)
         head_cfg = dataclass_from_dict(HeadConfig, config.get("heads"), f"{path} heads config")
         prefix = head_prefix(config.get("method"))

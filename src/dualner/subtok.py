@@ -3,8 +3,8 @@
 Merges never cross word boundaries, so each word owns a contiguous,
 non-empty run of sub-token positions; that partition is exactly what
 first-sub-token word representations need.  Unknown characters map to the
-<unk> id (one sub-token each) but keep their original surface so a word's
-pieces always concatenate back to the word.
+<unk> id (one sub-token each) but keep their original surface, so a word's
+pieces (``BpeVocab.encode_word``) always concatenate back to the word.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import Document, atomic_write, read_json, refuse_unknown_keys
 from .errors import FormatError, UnusableDataError
@@ -124,12 +126,16 @@ class BpeVocab:
     @classmethod
     def from_json(cls, obj: dict, path: str | None = None) -> "BpeVocab":
         try:
+            if not isinstance(obj, dict):
+                raise FormatError("vocabulary file must be a JSON object")
             refuse_unknown_keys(obj, {"symbols", "merges", "special"}, "vocabulary")
             symbols, merges, special = obj["symbols"], obj["merges"], obj["special"]
             if not (isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
                 raise FormatError('"symbols" must be a list of strings')
             if not (isinstance(merges, list) and all(_is_str_pair(m) for m in merges)):
                 raise FormatError('"merges" must be a list of [left, right] string pairs')
+            if not isinstance(special, dict):
+                raise FormatError('"special" must be a JSON object')
             refuse_unknown_keys(special, {"pad", "unk", "mask"}, '"special"')
             pad, unk, mask = special["pad"], special["unk"], special.get("mask")
             if not (type(pad) is type(unk) is int and (mask is None or type(mask) is int)):
@@ -141,7 +147,7 @@ class BpeVocab:
                 unk_id=unk,
                 mask_id=mask,
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not an object
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed vocabulary file: {exc}", path=path) from exc
         except FormatError as exc:
             raise FormatError(str(exc), path=path) from exc
@@ -274,46 +280,38 @@ def train_bpe(corpus: Sequence[Document], target_vocab_size: int) -> BpeVocab:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubTokenization:
-    """A sentence's sub-token ids plus the word -> sub-token alignment.
+    """A sentence in the encoder's input form: its sub-token ids (int64
+    ``[n]``) and the position of each word's first sub-token (int64
+    ``[n_words]``), whose vector is the word's vector.
 
-    ``word_spans`` are half-open ranges that partition [0, n) in sentence
-    order; ``pieces`` keep original surfaces, including for unknown
-    characters whose id is <unk>.
+    Words own non-empty runs that partition [0, n) in sentence order, so
+    word w's run ends where word w + 1's begins, and the last at n.
     """
 
-    sub_token_ids: tuple[int, ...]
-    pieces: tuple[str, ...]
-    word_spans: tuple[tuple[int, int], ...]
-    first_subtoken_index: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "first_subtoken_index", tuple(next(zip(*self.word_spans), ())))
+    sub_token_ids: np.ndarray
+    first_subtoken_index: np.ndarray
 
     @property
     def n_subtokens(self) -> int:
-        return len(self.sub_token_ids)
+        return self.sub_token_ids.size
 
     @property
     def n_words(self) -> int:
-        return len(self.word_spans)
+        return self.first_subtoken_index.size
 
-    def subtokens_per_word(self) -> tuple[int, ...]:
-        return tuple(e - s for s, e in self.word_spans)
+    def subtokens_per_word(self) -> np.ndarray:
+        return np.diff(self.first_subtoken_index, append=self.n_subtokens)
 
 
 def subtokenize(words: Sequence[str], vocab: BpeVocab) -> SubTokenization:
     ids: list[int] = []
-    pieces: list[str] = []
-    spans: list[tuple[int, int]] = []
+    first: list[int] = []
     for word in words:
-        word_pieces, word_ids = vocab._encode(word)
-        start = len(ids)
-        ids += word_ids
-        pieces += word_pieces
-        spans.append((start, len(ids)))
-    return SubTokenization(sub_token_ids=tuple(ids), pieces=tuple(pieces), word_spans=tuple(spans))
+        first.append(len(ids))
+        ids += vocab._encode(word)[1]
+    return SubTokenization(np.array(ids, dtype=np.int64), np.array(first, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

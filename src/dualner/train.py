@@ -380,11 +380,7 @@ def pretrain_mlm(
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
         raise UnusableDataError("vocabulary has no mask token; cannot run masked language modeling")
-    pool = [
-        np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
-        for d in docs
-        for s in d.sentences
-    ]
+    pool = [subtokenize(s.words, vocab).sub_token_ids for d in docs for s in d.sentences]
     check_sentences(encoder_cfg, docs, pool, "corpus")
     n_train = max(len(pool) - int(np.ceil(mlm_cfg.heldout_fraction * len(pool))), 1)  # one at least
     train_pool, heldout_pool = pool[:n_train], pool[n_train:]

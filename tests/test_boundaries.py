@@ -214,6 +214,7 @@ VOCAB_FAULTS = {
     "merge_string": (lambda obj: obj["merges"].__setitem__(0, "".join(obj["merges"][0])), '"merges" must be'),
     "unknown_key": (lambda obj: obj.update(symbol=obj["symbols"]), "unknown keys in vocabulary: ['symbol']"),
     "unknown_special": (lambda obj: obj["special"].update(sep=3), """unknown keys in "special": ['sep']"""),
+    "special_list": (lambda obj: obj.update(special=[0, 1, 2]), '"special" must be a JSON object'),
 }
 
 
@@ -227,6 +228,14 @@ def test_bad_vocab_value_exits_two(tmp_path, files, small_vocab, fault):
     code, err = _run(["analyze-fragmentation", "--corpus", files["corpus"], "--vocab", path])
     _assert_data_error(code, err)
     assert message in err
+
+
+def test_vocab_not_an_object_exits_two(tmp_path, files):
+    path = tmp_path / "bad_vocab.json"
+    _write_json(path, [1, 2])
+    code, err = _run(["analyze-fragmentation", "--corpus", files["corpus"], "--vocab", path])
+    _assert_data_error(code, err)
+    assert "vocabulary file must be a JSON object" in err
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,9 @@ MODEL_CONFIG_FAULTS = {
     "unknown_heads_key": lambda c, t: c["heads"].update(bogus=1),
     "missing_labels": lambda c, t: c.pop("labels"),
     "malformed_labels": lambda c, t: c.update(labels=[1, 2, 3]),
+    # the head's class i + 1 is the i-th type of the sorted inventory it was trained with
+    "unsorted_labels": lambda c, t: c.update(labels=["SkyObject", "Instrument", "Facility"]),
+    "duplicate_labels": lambda c, t: c.update(labels=["Facility", "Facility", "Instrument", "SkyObject"]),
     "missing_method": lambda c, t: c.pop("method"),
     "unknown_method": lambda c, t: c.update(method="crf"),
     "both_heads": _two_heads,
@@ -449,6 +452,8 @@ def test_predict_bad_checkpoint_exits_two(tmp_path, corpus_file, vocab_file, sma
         assert "unexpected ['encoder.layers.0.attn.bk']" in err
     if fault == "unknown_config_key":
         assert "unknown keys in checkpoint config: ['foo', 'step']" in err
+    if fault in ("unsorted_labels", "duplicate_labels"):
+        assert '"labels" must be sorted and distinct' in err
 
 
 def test_predict_tagger_ignores_span_head_config(tmp_path, corpus_file, vocab_file, small_vocab):
@@ -908,6 +913,11 @@ MISMATCHES = {
     "pretrain_unsegmented": (
         lambda p: ["pretrain-mlm", "--corpus", p["raw"], "--vocab", p["vocab"],
                    "--steps", "2", "--checkpoint-every", "1", "--out-dir", p["out"]], "no sentences"),
+    "train_no_tune_documents": (
+        lambda p: ["train", "--config", p["all_train_config"], "--out-dir", p["out"]], "n_train must satisfy"),
+    "sweep_no_tune_documents": (
+        lambda p: ["sweep-tapt", "--config", p["all_train_config"], "--vocab", p["vocab"],
+                   "--checkpoints", p["out"] / "mlm", "--out-dir", p["out"]], "n_train must satisfy"),
 }
 
 
@@ -939,6 +949,7 @@ def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, sm
         "no_mask_vocab": tmp_path / "no_mask.json",
         "sized_config": tmp_path / "sized.json", "raw_config": tmp_path / "raw.json",
         "raw_tune_config": tmp_path / "raw_tune.json", "model": tmp_path / "model.npz",
+        "all_train_config": tmp_path / "all_train.json",
     }
     enc_cfg = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
     save_model(paths["model"], init_model("word_tagger", LabelInventory.from_documents(small_corpus), enc_cfg, HeadConfig()))
@@ -946,6 +957,8 @@ def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, sm
     paths["sized_config"].write_text(json.dumps(sized), encoding="utf-8")
     paths["raw_config"].write_text(json.dumps(dict(base, corpus=str(raw))), encoding="utf-8")
     paths["raw_tune_config"].write_text(json.dumps(dict(base, corpus=str(raw_tune))), encoding="utf-8")
+    all_train = dict(base, corpus=str(corpus_file), n_train=len(small_corpus))
+    paths["all_train_config"].write_text(json.dumps(all_train), encoding="utf-8")
     argv, message = MISMATCHES[case]
     code = main([str(a) for a in argv(paths)])
     err = capsys.readouterr().err

@@ -511,10 +511,7 @@ def test_grads_accumulate_in_place():
 
 
 def _align(spans):
-    ids = tuple(range(spans[-1][1]))
-    return SubTokenization(
-        sub_token_ids=ids, pieces=tuple("x" for _ in ids), word_spans=tuple(spans)
-    )
+    return SubTokenization(np.arange(spans[-1][1]), np.array([s for s, _e in spans]))
 
 
 def test_word_vectors_identity_when_unsplit():

@@ -183,13 +183,8 @@ def test_confusion_matrix_layout():
 
 
 def _align_from_counts(counts):
-    spans = []
-    cursor = 0
-    for k in counts:
-        spans.append((cursor, cursor + k))
-        cursor += k
-    ids = tuple(range(cursor))
-    return SubTokenization(sub_token_ids=ids, pieces=tuple("x" * cursor), word_spans=tuple(spans))
+    counts = np.array(counts, dtype=np.int64)
+    return SubTokenization(np.arange(counts.sum()), np.cumsum(counts) - counts)
 
 
 def test_grouped_all_single_subtoken_perfect():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,39 +117,40 @@ def test_bpe_resegments_only_words_holding_the_merged_pair(small_corpus, monkeyp
 def test_whole_word_symbols_one_subtoken_each():
     words = ["sun", "moon", "sun"]
     vocab = train_bpe([_doc_of_words(words)], 60)
+    assert [vocab.encode_word(w) for w in words] == [("sun",), ("moon",), ("sun",)]
     sub = subtokenize(words, vocab)
-    assert sub.subtokens_per_word() == (1, 1, 1)
-    assert sub.first_subtoken_index == (0, 1, 2)
-    assert sub.pieces == ("sun", "moon", "sun")
+    assert sub.sub_token_ids.tolist() == [vocab.id_of(w) for w in words]
+    assert sub.subtokens_per_word().tolist() == [1, 1, 1]
+    assert sub.first_subtoken_index.tolist() == [0, 1, 2]
+    for array in (sub.sub_token_ids, sub.first_subtoken_index, sub.subtokens_per_word()):
+        assert isinstance(array, np.ndarray) and array.dtype == np.int64
 
 
 def test_toy_merge_rules_ab_c():
     vocab = _toy_vocab(["a", "b", "c", "ab"], [("a", "b")])
+    assert vocab.encode_word("abc") == ("ab", "c")
     sub = subtokenize(["abc"], vocab)
-    assert sub.pieces == ("ab", "c")
-    assert sub.word_spans == ((0, 2),)
+    assert sub.sub_token_ids.tolist() == [vocab.id_of("ab"), vocab.id_of("c")]
+    assert sub.first_subtoken_index.tolist() == [0]
 
 
 def test_out_of_vocabulary_term_fragments():
     # a vocabulary that never saw the term as a whole shatters it into the
     # pieces its merges can build, here C/OS/M/OS
     vocab = _toy_vocab(["C", "O", "S", "M", "OS"], [("O", "S")])
-    sub = subtokenize(["COSMOS"], vocab)
-    assert sub.pieces == ("C", "OS", "M", "OS")
-    assert sub.word_spans == ((0, 4),)
+    assert vocab.encode_word("COSMOS") == ("C", "OS", "M", "OS")
+    assert subtokenize(["COSMOS"], vocab).subtokens_per_word().tolist() == [4]
 
 
 def test_unknown_characters_map_to_unk_but_keep_surface():
     vocab = _toy_vocab(["a", "b"], [])
-    sub = subtokenize(["aQb"], vocab)
-    assert sub.pieces == ("a", "Q", "b")
-    assert sub.sub_token_ids[1] == vocab.unk_id
-    assert "".join(sub.pieces) == "aQb"
+    assert vocab.encode_word("aQb") == ("a", "Q", "b")
+    assert subtokenize(["aQb"], vocab).sub_token_ids.tolist() == [vocab.id_of("a"), vocab.unk_id, vocab.id_of("b")]
 
 
 def test_unknown_blocks_merges():
     vocab = _toy_vocab(["a", "b", "ab"], [("a", "b")])
-    assert subtokenize(["aXb"], vocab).pieces == ("a", "X", "b")
+    assert vocab.encode_word("aXb") == ("a", "X", "b")
 
 
 def test_merge_output_may_reuse_existing_symbol():
@@ -185,14 +187,14 @@ def test_empty_word_rejected():
 def test_alignment_invariants(words):
     vocab = train_bpe([_doc_of_words(["abc", "cde", "ab", "de", "eee"])], 30)
     sub = subtokenize(words, vocab)
+    first = sub.first_subtoken_index
     assert sub.n_words == len(words)
-    cursor = 0
-    for (s, e), word in zip(sub.word_spans, words):
-        assert s == cursor and e > s  # in-order partition, non-empty ranges
-        assert "".join(sub.pieces[s:e]) == word
-        cursor = e
-    assert cursor == sub.n_subtokens
-    assert sub.first_subtoken_index == tuple(s for s, _ in sub.word_spans)
+    assert first[0] == 0 and np.all(np.diff(first) > 0)  # rising strictly from 0
+    for s, e, word in zip(first, [*first[1:], sub.n_subtokens], words):
+        pieces = vocab.encode_word(word)
+        assert e > s and "".join(pieces) == word  # a non-empty run; the pieces give back the word
+        assert sub.sub_token_ids[s:e].tolist() == [vocab.id_of(p) for p in pieces]
+    assert sub.subtokens_per_word().sum() == sub.n_subtokens
 
 
 def test_vocab_json_roundtrip(tmp_path, small_vocab):
