@@ -43,7 +43,6 @@ __all__ = [
     "init_params",
     "check_vocab_size",
     "check_length",
-    "encode",
     "encode_with_cache",
     "encode_backward",
     "dropout_masks",
@@ -552,12 +551,6 @@ def encode_with_cache(ids, params: EncoderParams, rows=None, lengths=None, dropo
         x = x[cache["keep"]]
     cache["shape"] = x.shape
     return x, cache
-
-
-def encode(ids, params: EncoderParams) -> np.ndarray:
-    """Contextual vectors without dropout, one row per sub-token ([n, hidden_dim])."""
-    out, _cache = encode_with_cache(ids, params)
-    return out
 
 
 def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:

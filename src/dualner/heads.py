@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    LabelInventory,
     Mention,
     ScoredMention,
     mentions_cross,
@@ -27,7 +26,6 @@ from .encoder import Workspace, draw_tensors, gelu, gelu_grad, scratch, softmax
 
 __all__ = [
     "HeadConfig",
-    "HeadParams",
     "head_shapes",
     "init_head_params",
     "tagger_forward",
@@ -35,6 +33,7 @@ __all__ = [
     "tags_to_mentions",
     "mentions_to_tags",
     "enumerate_spans",
+    "span_logits_with_cache",
     "span_forward",
     "span_backward",
     "span_decode",
@@ -50,19 +49,6 @@ class HeadConfig:
     def __post_init__(self) -> None:
         if min(self.max_span_width, self.span_len_dim, self.span_hidden) < 1:
             raise ValueError("all head dimensions must be positive")
-
-
-@dataclass
-class HeadParams:
-    config: HeadConfig
-    labels: LabelInventory
-    hidden_dim: int
-    tensors: dict[str, np.ndarray]
-
-    def clone(self) -> "HeadParams":
-        return HeadParams(
-            self.config, self.labels, self.hidden_dim, {k: v.copy() for k, v in self.tensors.items()}
-        )
 
 
 def head_shapes(hidden_dim: int, cfg: HeadConfig, n_types: int) -> dict[str, tuple[int, ...]]:
@@ -82,12 +68,14 @@ def head_shapes(hidden_dim: int, cfg: HeadConfig, n_types: int) -> dict[str, tup
     }
 
 
-def init_head_params(
-    hidden_dim: int, cfg: HeadConfig, labels: LabelInventory, seed: int = 0
-) -> HeadParams:
-    shapes = head_shapes(hidden_dim, cfg, len(labels))
-    tensors = draw_tensors(shapes, np.random.default_rng(seed))
-    return HeadParams(config=cfg, labels=labels, hidden_dim=hidden_dim, tensors=tensors)
+def init_head_params(hidden_dim: int, cfg: HeadConfig, n_types: int, seed: int = 0) -> dict[str, np.ndarray]:
+    """Both heads' tensors, drawn from one generator in ``head_shapes`` order."""
+    return draw_tensors(head_shapes(hidden_dim, cfg, n_types), np.random.default_rng(seed))
+
+
+def _check_word_vecs(word_vecs: np.ndarray, hidden_dim: int) -> None:
+    if word_vecs.ndim != 2 or word_vecs.shape[1] != hidden_dim:
+        raise ValueError(f"word vectors must be [n_words, {hidden_dim}], got {word_vecs.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +83,23 @@ def init_head_params(
 # ---------------------------------------------------------------------------
 
 
-def tagger_forward(word_vecs: np.ndarray, params: HeadParams) -> np.ndarray:
-    """[n_words, n_tags] scores over the BIO tag set ``params.labels.tag_set()``."""
-    if word_vecs.ndim != 2 or word_vecs.shape[1] != params.hidden_dim:
-        raise ValueError(
-            f"word vectors must be [n_words, {params.hidden_dim}], got {word_vecs.shape}"
-        )
-    return word_vecs @ params.tensors["tagger.w"] + params.tensors["tagger.b"]
+def tagger_forward(word_vecs: np.ndarray, heads: dict[str, np.ndarray]) -> np.ndarray:
+    """[n_words, n_tags] scores over the BIO tag set of the head's labels."""
+    w = heads["tagger.w"]
+    _check_word_vecs(word_vecs, w.shape[0])
+    return word_vecs @ w + heads["tagger.b"]
 
 
 def tagger_backward(
     word_vecs: np.ndarray,
-    params: HeadParams,
+    heads: dict[str, np.ndarray],
     d_scores: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Accumulate tagger parameter gradients; returns the word-vector gradient."""
     grads["tagger.w"] += word_vecs.T @ d_scores
     grads["tagger.b"] += d_scores.sum(axis=0)
-    return d_scores @ params.tensors["tagger.w"].T
+    return d_scores @ heads["tagger.w"].T
 
 
 def _parse_tag(tag: str) -> tuple[str, str | None]:
@@ -217,7 +203,13 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.take(table, index, axis=0, out=out, mode="clip")
 
 
-def span_logits_with_cache(word_vecs, spans, params: HeadParams, workspace: Workspace | None = None):
+def _span_dims(heads: dict[str, np.ndarray]) -> tuple[int, int]:
+    """(hidden size, width cap) of the span head's tensors."""
+    n_len, len_dim = heads["span.len_emb"].shape
+    return (heads["span.w1"].shape[0] - len_dim) // 2, n_len
+
+
+def span_logits_with_cache(word_vecs, spans, heads: dict[str, np.ndarray], workspace: Workspace | None = None):
     """Logits of the span MLP over [h_start; h_end; len_emb[length-1]].
 
     The first layer is applied per endpoint: each word is projected once by
@@ -226,30 +218,33 @@ def span_logits_with_cache(word_vecs, spans, params: HeadParams, workspace: Work
     ``[n_candidates, span_hidden]`` arrays, the cache's among them, live in
     ``workspace`` when one is given, until its next use.
     """
-    t = params.tensors
-    d = params.hidden_dim
-    starts, ends, lengths = _span_arrays(spans, word_vecs.shape[0], params.config.max_span_width)
-    w1 = t["span.w1"]
+    d, max_width = _span_dims(heads)
+    _check_word_vecs(word_vecs, d)
+    starts, ends, lengths = _span_arrays(spans, word_vecs.shape[0], max_width)
+    w1 = heads["span.w1"]
     shape = (starts.size, w1.shape[1])
     gathered = scratch(workspace, "span.tmp", shape)
     u = _gather(word_vecs @ w1[:d], starts, scratch(workspace, "span.u", shape))
     u += _gather(word_vecs @ w1[d : 2 * d], ends, gathered)
-    u += _gather(t["span.len_emb"] @ w1[2 * d :], lengths - 1, gathered)
-    u += t["span.b1"]
+    u += _gather(heads["span.len_emb"] @ w1[2 * d :], lengths - 1, gathered)
+    u += heads["span.b1"]
     h, cdf = gelu(u, (scratch(workspace, "span.h", shape), scratch(workspace, "span.cdf", shape)))
-    logits = h @ t["span.w2"] + t["span.b2"]
+    logits = h @ heads["span.w2"] + heads["span.b2"]
     return logits, (starts, ends, lengths, u, cdf, h)
 
 
 def span_forward(
-    word_vecs: np.ndarray, candidates: Sequence[tuple[int, int]], params: HeadParams
+    word_vecs: np.ndarray,
+    candidates: Sequence[tuple[int, int]],
+    heads: dict[str, np.ndarray],
+    types: Sequence[str],
 ) -> list[ScoredMention]:
-    """Score candidates over |types|+1 classes (none first); return the typed
-    winners only, in candidate order, each scored by its winning probability."""
-    logits, _ = span_logits_with_cache(word_vecs, candidates, params)
+    """Score candidates over |types|+1 classes (none first, then ``types``);
+    return the typed winners only, in candidate order, each scored by its
+    winning probability."""
+    logits, _ = span_logits_with_cache(word_vecs, candidates, heads)
     probs = softmax(logits)
     picks = probs.argmax(axis=1)
-    types = params.labels.types
     out = []
     for i in np.flatnonzero(picks):
         s, e = candidates[i]
@@ -260,7 +255,7 @@ def span_forward(
 
 def span_backward(
     word_vecs: np.ndarray,
-    params: HeadParams,
+    heads: dict[str, np.ndarray],
     d_logits: np.ndarray,
     grads: dict[str, np.ndarray],
     cache,
@@ -270,21 +265,20 @@ def span_backward(
     ``span_logits_with_cache``, which holds its candidates; returns the
     word-vector gradient.  The large temporaries live in ``workspace``
     when one is given."""
-    t = params.tensors
-    d = params.hidden_dim
+    d, max_width = _span_dims(heads)
     starts, ends, lengths, u, cdf, h = cache
     grads["span.w2"] += h.T @ d_logits
     grads["span.b2"] += d_logits.sum(axis=0)
     grad = gelu_grad(u, cdf, out=(scratch(workspace, "span.gelu_grad", u.shape),
                                   scratch(workspace, "span.tmp", u.shape)))
-    du = np.matmul(d_logits, t["span.w2"].T, out=scratch(workspace, "span.tmp", u.shape))
+    du = np.matmul(d_logits, heads["span.w2"].T, out=scratch(workspace, "span.tmp", u.shape))
     du *= grad
     grads["span.b1"] += du.sum(axis=0)
     n = word_vecs.shape[0]
     du_start = _one_hot_sums(starts, n, du, workspace)
     du_end = _one_hot_sums(ends, n, du, workspace)
-    du_len = _one_hot_sums(lengths - 1, params.config.max_span_width, du, workspace)
-    w1, len_emb = t["span.w1"], t["span.len_emb"]
+    du_len = _one_hot_sums(lengths - 1, max_width, du, workspace)
+    w1, len_emb = heads["span.w1"], heads["span.len_emb"]
     g1 = grads["span.w1"]
     g1[:d] += word_vecs.T @ du_start
     g1[d : 2 * d] += word_vecs.T @ du_end

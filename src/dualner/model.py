@@ -1,7 +1,8 @@
 """Full-model composition: encoder + one head, losses, prediction, checkpoints.
 
-One Model owns the encoder parameters, the parameters of the one head its
-``method`` trains and predicts with, and the label inventory.  All
+One Model owns the encoder parameters, the tensors of the one head its
+``method`` trains and predicts with, the head config and the label
+inventory; the heads read their sizes off their own tensors.  All
 losses are mean cross-entropy per unit (word, candidate span, or masked
 position) over the batch, and every gradient here chains through the exact
 encoder backward, so the whole pipeline is finite-difference checkable.
@@ -27,6 +28,7 @@ from .encoder import (
     dropout_masks,
     encode_backward,
     encode_with_cache,
+    init_params,
     load_encoder_snapshot,
     scratch,
     save_checkpoint,
@@ -35,7 +37,6 @@ from .encoder import (
 from .errors import FormatError, UnusableDataError
 from .heads import (
     HeadConfig,
-    HeadParams,
     enumerate_spans,
     head_shapes,
     init_head_params,
@@ -58,7 +59,6 @@ __all__ = [
     "build_examples",
     "check_sentences",
     "model_tensors",
-    "batch_loss",
     "batch_loss_and_grads",
     "mlm_mask",
     "mlm_masks",
@@ -85,10 +85,12 @@ class Model:
     method: str
     labels: LabelInventory
     encoder: EncoderParams
-    heads: HeadParams
+    head_cfg: HeadConfig
+    heads: dict[str, np.ndarray]  # the method's head tensors, named as in ``head_shapes``
 
     def clone(self) -> "Model":
-        return Model(self.method, self.labels, self.encoder.clone(), self.heads.clone())
+        heads = {k: v.copy() for k, v in self.heads.items()}
+        return Model(self.method, self.labels, self.encoder.clone(), self.head_cfg, heads)
 
 
 def init_model(
@@ -98,22 +100,18 @@ def init_model(
     head_cfg: HeadConfig,
 ) -> Model:
     prefix = head_prefix(method)
-    from .encoder import init_params
-
     enc = init_params(encoder_cfg)
     # Both heads are drawn from one generator, so the kept head's weights do
     # not depend on the method; the other head is dropped.
-    heads = init_head_params(
-        encoder_cfg.hidden_dim, head_cfg, labels, seed=encoder_cfg.init_seed + 1
-    )
-    heads.tensors = {k: v for k, v in heads.tensors.items() if k.startswith(prefix)}
-    return Model(method=method, labels=labels, encoder=enc, heads=heads)
+    both = init_head_params(encoder_cfg.hidden_dim, head_cfg, len(labels), seed=encoder_cfg.init_seed + 1)
+    heads = {k: v for k, v in both.items() if k.startswith(prefix)}
+    return Model(method, labels, enc, head_cfg, heads)
 
 
 def model_tensors(model: Model) -> dict[str, np.ndarray]:
     """Flat name -> array view of all parameters, prefixed by component."""
     out = {f"encoder.{k}": v for k, v in model.encoder.tensors.items()}
-    out.update({f"heads.{k}": v for k, v in model.heads.tensors.items()})
+    out.update({f"heads.{k}": v for k, v in model.heads.items()})
     return out
 
 
@@ -314,11 +312,6 @@ def _pack_loss(model: Model, sentences: Sequence[Example], mode: str, rng, grads
     return losses
 
 
-def batch_loss(model: Model, examples: Sequence[Example]) -> float:
-    """Eval-mode mean loss per unit; pure function of the parameters."""
-    return batch_loss_and_grads(model, examples, "eval")[0]
-
-
 def batch_loss_and_grads(
     model: Model,
     examples: Sequence[Example],
@@ -346,7 +339,7 @@ def batch_loss_and_grads(
     one they are allocated per call.  Either way the bits are the same.
     """
     grads = {"encoder": _grad_buffers(model.encoder.tensors, workspace),
-             "heads": _grad_buffers(model.heads.tensors, workspace)}
+             "heads": _grad_buffers(model.heads, workspace)}
     total_ce = 0.0
     total_units = 0
     # a pack's cache is freed when its _pack_loss returns, before the next pass
@@ -501,8 +494,8 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
             )
             for m in tags_to_mentions([tag_set[i] for i in scores.argmax(axis=1)])
         ]
-    spans = enumerate_spans(wv.shape[0], model.heads.config.max_span_width)
-    return span_decode(span_forward(wv, spans, model.heads))
+    spans = enumerate_spans(wv.shape[0], model.head_cfg.max_span_width)
+    return span_decode(span_forward(wv, spans, model.heads, model.labels.types))
 
 
 def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
@@ -547,7 +540,7 @@ def save_model(path: str | Path, model: Model) -> None:
         "method": model.method,
         "labels": list(model.labels.types),
         "encoder": asdict(model.encoder.config),
-        "heads": asdict(model.heads.config),
+        "heads": asdict(model.head_cfg),
     }
     save_checkpoint(path, config, model_tensors(model))
 
@@ -570,5 +563,4 @@ def load_model(path: str | Path) -> Model:
 
     config, encoder, tensors = load_encoder_snapshot(path, "model", "encoder.", head_tensor_shapes)
     heads = {k.removeprefix("heads."): v for k, v in tensors.items() if k.startswith("heads.")}
-    heads = HeadParams(head_cfg, labels, encoder.config.hidden_dim, heads)
-    return Model(config["method"], labels, encoder, heads)
+    return Model(config["method"], labels, encoder, head_cfg, heads)

@@ -23,7 +23,6 @@ from .corpus import (
     atomic_write,
     dataclass_from_dict,
     read_json,
-    write_json,
 )
 from .encoder import EncoderConfig, EncoderParams, Workspace, check_vocab_size, init_params
 from .errors import ProtocolError, TrainingError, UnusableDataError
@@ -639,6 +638,3 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(read_json(path), where=str(path))
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, asdict(self))

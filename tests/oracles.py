@@ -62,9 +62,9 @@ def gradient_agreement(analytic: float, numeric: float, zero_floor: float = 1e-6
     return abs(analytic - numeric) / m
 
 
-def span_representations(word_vecs: np.ndarray, spans, params) -> np.ndarray:
+def span_representations(word_vecs: np.ndarray, spans, heads) -> np.ndarray:
     """[m, 2d + len_dim]: one concatenated [h_start; h_end; len_emb[length-1]] row per span."""
-    len_emb = params.tensors["span.len_emb"]
+    len_emb = heads["span.len_emb"]
     d = word_vecs.shape[1]
     reps = np.zeros((len(spans), 2 * d + len_emb.shape[1]))
     for j, (s, e) in enumerate(spans):
@@ -72,15 +72,15 @@ def span_representations(word_vecs: np.ndarray, spans, params) -> np.ndarray:
     return reps
 
 
-def span_head_reference(word_vecs: np.ndarray, spans, params, d_logits: np.ndarray):
+def span_head_reference(word_vecs: np.ndarray, spans, heads, d_logits: np.ndarray):
     """The span MLP ``gelu(reps @ w1 + b1) @ w2 + b2`` on concatenated
     representations, with its gradients for upstream ``d_logits``.
 
     Returns (logits, parameter gradients, word-vector gradient); the
     representation gradient is scattered back span by span.
     """
-    t = params.tensors
-    reps = span_representations(word_vecs, spans, params)
+    t = heads
+    reps = span_representations(word_vecs, spans, heads)
     u = reps @ t["span.w1"] + t["span.b1"]
     cdf = 0.5 * (1.0 + erf(u / np.sqrt(2.0)))
     h = u * cdf
@@ -435,7 +435,7 @@ def batch_loss_and_grads_full_pass_reference(model, examples, rng):
     and their gradient is scattered back onto every row before the full
     encoder backward."""
     grads = {"encoder": zero_grads(model.encoder),
-             "heads": {k: np.zeros_like(v) for k, v in model.heads.tensors.items()}}
+             "heads": {k: np.zeros_like(v) for k, v in model.heads.items()}}
     total_ce, total_units = 0.0, 0
     for ex in examples:
         masks = dropout_masks(model.encoder.config, ex.ids.size, rng)
@@ -476,11 +476,11 @@ def layer_norm_backward_reference(dy, cache):
     return inv * (dxhat - m1 - xhat * m2), dg, db
 
 
-def span_logits_allocating_reference(word_vecs, spans, params):
+def span_logits_allocating_reference(word_vecs, spans, heads):
     """The endpoint-factored span head's forward with a fresh array for every
     intermediate; returns the logits and the head's cache tuple."""
-    t = params.tensors
-    d = params.hidden_dim
+    t = heads
+    d = word_vecs.shape[1]
     pairs = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
     starts, ends = pairs[:, 0], pairs[:, 1]
     lengths = ends - starts + 1
@@ -494,11 +494,11 @@ def span_logits_allocating_reference(word_vecs, spans, params):
     return h @ t["span.w2"] + t["span.b2"], (starts, ends, lengths, u, cdf, h)
 
 
-def span_backward_allocating_reference(word_vecs, params, d_logits, grads, cache):
+def span_backward_allocating_reference(word_vecs, heads, d_logits, grads, cache):
     """Backward of ``span_logits_allocating_reference``: parameter gradients
     accumulate into ``grads``; returns the word-vector gradient."""
-    t = params.tensors
-    d = params.hidden_dim
+    t = heads
+    d = word_vecs.shape[1]
     starts, ends, lengths, u, cdf, h = cache
     grads["span.w2"] += h.T @ d_logits
     grads["span.b2"] += d_logits.sum(axis=0)
@@ -512,7 +512,7 @@ def span_backward_allocating_reference(word_vecs, params, d_logits, grads, cache
 
     du_start = one_hot_sums(starts, word_vecs.shape[0])
     du_end = one_hot_sums(ends, word_vecs.shape[0])
-    du_len = one_hot_sums(lengths - 1, params.config.max_span_width)
+    du_len = one_hot_sums(lengths - 1, t["span.len_emb"].shape[0])
     w1 = t["span.w1"]
     grads["span.w1"][:d] += word_vecs.T @ du_start
     grads["span.w1"][d : 2 * d] += word_vecs.T @ du_end

@@ -29,7 +29,7 @@ from dualner.heads import (
     mentions_to_tags,
     tags_to_mentions,
 )
-from dualner.model import batch_loss, batch_loss_and_grads, build_examples, init_model, model_tensors
+from dualner.model import batch_loss_and_grads, build_examples, init_model, model_tensors
 from dualner.postprocess import resolve_nesting
 from dualner.subtok import BpeVocab, MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, fragmentation_ratio, train_bpe
 from dualner.train import (
@@ -237,7 +237,7 @@ def test_c06_gradient_check():
             for _ in range(3):
                 idx = int(rng.integers(0, arr.size))
                 numeric = central_difference(
-                    lambda: batch_loss(model, examples), arr, idx, step=1e-3
+                    lambda: batch_loss_and_grads(model, examples, "eval")[0], arr, idx, step=1e-3
                 )
                 worst = max(
                     worst, gradient_agreement(grads[key].flat[idx], numeric, zero_floor=1e-5)
@@ -265,7 +265,7 @@ def test_c07_overfit_oracle(desk, overfit_runs):
     inventory, docs, vocab, _enc, head_cfg = desk
     span_model = overfit_runs["span_classifier"][0].model
     from dualner.heads import span_forward
-    from dualner.encoder import encode
+    from dualner.encoder import encode_with_cache
 
     from .oracles import word_vectors
     from dualner.subtok import subtokenize
@@ -274,11 +274,11 @@ def test_c07_overfit_oracle(desk, overfit_runs):
     for doc in docs[:5]:
         for sent in doc.sentences:
             align = subtokenize(sent.words, vocab)
-            ctx = encode(np.asarray(align.sub_token_ids), span_model.encoder)
+            ctx = encode_with_cache(np.asarray(align.sub_token_ids), span_model.encoder)[0]
             wv = word_vectors(ctx, align)
             spans = enumerate_spans(len(sent.words), head_cfg.max_span_width)
             by_span = {
-                (c.start_word, c.end_word): c for c in span_forward(wv, spans, span_model.heads)
+                (c.start_word, c.end_word): c for c in span_forward(wv, spans, span_model.heads, span_model.labels.types)
             }
             for m in sent.mentions:
                 cand = by_span[(m.start_word, m.end_word)]

@@ -397,11 +397,10 @@ def _edit(config, tensors, edit):
 
 
 def _two_heads(config, tensors):
-    from dualner.corpus import LabelInventory
     from dualner.heads import HeadConfig, init_head_params
 
-    both = init_head_params(16, HeadConfig(), LabelInventory.from_types(config["labels"]))
-    tensors.update({f"heads.{k}": v for k, v in both.tensors.items()})
+    both = init_head_params(16, HeadConfig(), len(config["labels"]))
+    tensors.update({f"heads.{k}": v for k, v in both.items()})
 
 
 MODEL_CONFIG_FAULTS = {
@@ -1031,9 +1030,10 @@ DEFAULT_CONFIG_TEXT = """\
 
 def test_serialised_files_keep_field_order(tmp_path, corpus_file, vocab_file, small_vocab):
     from dualner.encoder import EncoderConfig, init_params, save_checkpoint
+    from dualner.corpus import write_json
     from dualner.train import ExperimentConfig, LogEntry, write_log
 
-    ExperimentConfig(corpus="c", n_train=2).save(tmp_path / "exp.json")
+    write_json(tmp_path / "exp.json", asdict(ExperimentConfig(corpus="c", n_train=2)))
     assert (tmp_path / "exp.json").read_text() == DEFAULT_CONFIG_TEXT
 
     write_log(tmp_path / "log.jsonl", [LogEntry(3, "train", "loss", 0.5)])

@@ -11,7 +11,6 @@ from dualner.encoder import (
     EncoderConfig,
     Workspace,
     dropout_masks,
-    encode,
     encode_backward,
     encode_with_cache,
     gelu,
@@ -91,21 +90,21 @@ def test_init_trunc_normal_bounded():
 
 def test_encode_shapes_and_determinism():
     params = init_params(TINY)
-    out = encode(np.array([4]), params)
+    out = encode_with_cache(np.array([4]), params)[0]
     assert out.shape == (1, 8)
     ids = np.array([1, 2, 3, 2])
-    again = encode(ids, params)
-    assert np.array_equal(encode(ids, params), again)
+    again = encode_with_cache(ids, params)[0]
+    assert np.array_equal(encode_with_cache(ids, params)[0], again)
 
 
 def test_encode_rejects_bad_input():
     params = init_params(TINY)
     with pytest.raises(SentenceTooLongError, match="17 sub-tokens exceeds max_positions=16$"):
-        encode(np.arange(17) % 4, params)
+        encode_with_cache(np.arange(17) % 4, params)
     with pytest.raises(ValueError):
-        encode(np.array([31]), params)
+        encode_with_cache(np.array([31]), params)
     with pytest.raises(ValueError):
-        encode(np.array([], dtype=int), params)
+        encode_with_cache(np.array([], dtype=int), params)
 
 
 STACKED = dataclasses.replace(TINY, n_layers=2)
@@ -124,9 +123,9 @@ def test_stacked_encode_equals_per_sentence(batch, n):
     assert packed.shape == (batch * n, STACKED.hidden_dim)
     for row_ids, rows in zip(ids, packed.reshape(batch, n, -1)):
         if n >= 2 or batch == 1:
-            assert np.array_equal(rows, encode(row_ids, params))
+            assert np.array_equal(rows, encode_with_cache(row_ids, params)[0])
         else:
-            np.testing.assert_allclose(rows, encode(row_ids, params), rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(rows, encode_with_cache(row_ids, params)[0], rtol=1e-12, atol=1e-14)
 
 
 def test_stacked_encode_rejects_bad_input():
@@ -154,7 +153,7 @@ def test_rows_equal_full_pass_rows():
         params = _scaled_params(dataclasses.replace(STACKED, n_layers=n_layers))
         for n in (1, 2, 5, STACKED.max_positions):
             ids = rng.integers(0, STACKED.vocab_size, size=n)
-            full = encode(ids, params)
+            full = encode_with_cache(ids, params)[0]
             for rows in _row_choices(n, rng):
                 out = encode_with_cache(ids, params, rows=[rows])[0]
                 assert out.shape == (rows.size, STACKED.hidden_dim)
@@ -206,7 +205,7 @@ def test_rows_keep_the_dropout_stream():
         masks = dropout_masks(cfg, n, np.random.default_rng(3))
         full, full_cache = encode_with_cache(ids, params, dropout_masks=masks)
         out, cache = encode_with_cache(ids, params, rows=[rows], dropout_masks=masks)
-        assert not np.array_equal(full, encode(ids, params))
+        assert not np.array_equal(full, encode_with_cache(ids, params)[0])
         assert np.array_equal(out, full[rows])
         upstream = rng.normal(size=out.shape)
         scattered = np.zeros_like(full)
@@ -237,7 +236,7 @@ def test_stacked_rows_equal_full_pass_rows():
         for lengths, rows in _packed_rows_cases(rng):
             sentences = [rng.integers(0, STACKED.vocab_size, size=n) for n in lengths]
             out = encode_with_cache(np.concatenate(sentences), params, rows=rows, lengths=lengths)[0]
-            want = np.concatenate([encode(ids, params)[r] for ids, r in zip(sentences, rows)])
+            want = np.concatenate([encode_with_cache(ids, params)[0][r] for ids, r in zip(sentences, rows)])
             assert out.shape == want.shape
             assert np.array_equal(out, want), (n_layers, lengths)
 
@@ -414,8 +413,8 @@ def test_permutation_equivariance_without_positions():
     params = _scaled_params(TINY)
     params.tensors["pos_emb"][...] = 0.0
     a, b = 5, 9
-    out = encode(np.array([a, b]), params)
-    swapped = encode(np.array([b, a]), params)
+    out = encode_with_cache(np.array([a, b]), params)[0]
+    swapped = encode_with_cache(np.array([b, a]), params)[0]
     assert np.allclose(out, swapped[::-1], atol=1e-12)
 
 
@@ -425,7 +424,7 @@ def test_dropout_train_vs_eval():
     )
     params = _scaled_params(cfg)
     ids = np.array([1, 2, 3])
-    eval_out = encode(ids, params)
+    eval_out = encode_with_cache(ids, params)[0]
 
     def train_pass(rng):
         return encode_with_cache(ids, params, dropout_masks=dropout_masks(cfg, ids.size, rng))[0]
@@ -471,7 +470,7 @@ def test_gradients_match_central_differences():
     upstream = rng.normal(size=(5, TINY.hidden_dim))
 
     def loss():
-        return float((encode(ids, params) * upstream).sum())
+        return float((encode_with_cache(ids, params)[0] * upstream).sum())
 
     grads = encode_backward(params, upstream, encode_with_cache(ids, params)[1])
     worst = 0.0

@@ -38,10 +38,10 @@ CFG = HeadConfig(max_span_width=4, span_len_dim=6, span_hidden=10)
 
 
 def _params(hidden_dim=8, cfg=CFG, seed=1, scale=None):
-    params = init_head_params(hidden_dim, cfg, INV, seed=seed)
+    params = init_head_params(hidden_dim, cfg, len(INV), seed=seed)
     if scale is not None:
         rng = np.random.default_rng(seed + 100)
-        for arr in params.tensors.values():
+        for arr in params.values():
             if arr.ndim >= 2:
                 arr[...] = rng.normal(0.0, scale, size=arr.shape)
     return params
@@ -69,7 +69,7 @@ def test_tag_set_order():
 
 def test_tagger_zero_weights_tie_break_to_O():
     params = _params()
-    for arr in params.tensors.values():
+    for arr in params.values():
         arr[...] = 0.0
     scores = tagger_forward(np.random.default_rng(0).normal(size=(5, 8)), params)
     assert _tags(scores) == ["O"] * 5
@@ -86,12 +86,28 @@ def test_tagger_deterministic_and_shape_checked():
         tagger_forward(np.zeros((4, 7)), params)
 
 
+WIDTH_CHECKED_HEADS = {
+    "tagger": tagger_forward,
+    "span": lambda vecs, params: span_forward(vecs, enumerate_spans(vecs.shape[0], 3), params, TYPES),
+}
+
+
+@pytest.mark.parametrize("head", sorted(WIDTH_CHECKED_HEADS))
+@pytest.mark.parametrize("shape", [(4, 7), (4, 9)])
+def test_heads_refuse_word_vectors_of_the_wrong_width(head, shape):
+    """Each head reads the hidden size off its own tensors and names it."""
+    params = _params(hidden_dim=8)
+    with pytest.raises(ValueError) as err:
+        WIDTH_CHECKED_HEADS[head](np.zeros(shape), params)
+    assert str(err.value) == f"word vectors must be [n_words, 8], got {shape}"
+
+
 def test_tagger_argmax_prefers_highest_scoring_tag():
     # steer one word's score towards B-ComputingFacility via a crafted weight
     params = _params()
-    for arr in params.tensors.values():
+    for arr in params.values():
         arr[...] = 0.0
-    params.tensors["tagger.w"][2, 1] = 5.0  # feature 2 -> tag index 1 (B-ComputingFacility)
+    params["tagger.w"][2, 1] = 5.0  # feature 2 -> tag index 1 (B-ComputingFacility)
     vecs = np.zeros((3, 8))
     vecs[1, 2] = 1.0  # the "COSMOS" word carries feature 2
     assert _tags(tagger_forward(vecs, params)) == ["O", "B-ComputingFacility", "O"]
@@ -101,7 +117,7 @@ def test_tagger_argmax_invariant_under_constant_shift():
     params = _params(scale=0.4)
     vecs = np.random.default_rng(3).normal(size=(6, 8))
     base = _tags(tagger_forward(vecs, params))
-    params.tensors["tagger.b"][...] += 7.5
+    params["tagger.b"][...] += 7.5
     assert _tags(tagger_forward(vecs, params)) == base
 
 
@@ -121,12 +137,12 @@ def test_tagger_gradients():
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     dscores = probs.copy()
     dscores[np.arange(5), targets] -= 1.0
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     d_vecs = tagger_backward(vecs, params, dscores, grads)
     rng = np.random.default_rng(5)
     worst = 0.0
     for key in ("tagger.w", "tagger.b"):
-        arr = params.tensors[key]
+        arr = params[key]
         for _ in range(6):
             idx = int(rng.integers(0, arr.size))
             numeric = central_difference(loss, arr, idx, step=1e-6)
@@ -231,7 +247,7 @@ def test_span_representation_contents():
     assert rep.shape == (2 * 8 + CFG.span_len_dim,)
     assert np.array_equal(rep[:8], vecs[1])
     assert np.array_equal(rep[8:16], vecs[3])
-    assert np.array_equal(rep[16:], params.tensors["span.len_emb"][2])  # length 3
+    assert np.array_equal(rep[16:], params["span.len_emb"][2])  # length 3
 
 
 def test_span_representation_single_word_duplicates_boundary():
@@ -239,11 +255,11 @@ def test_span_representation_single_word_duplicates_boundary():
     vecs = np.random.default_rng(8).normal(size=(3, 8))
     rep = span_representations(vecs, [(2, 2)], params)[0]
     assert np.array_equal(rep[:8], rep[8:16])
-    assert np.array_equal(rep[16:], params.tensors["span.len_emb"][0])
+    assert np.array_equal(rep[16:], params["span.len_emb"][0])
 
 
 def test_span_representation_output_length_desk_dims():
-    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), INV)
+    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), len(INV))
     vecs = np.zeros((6, 64))
     assert span_representations(vecs, [(0, 5)], params)[0].shape == (144,)
 
@@ -262,9 +278,9 @@ def test_span_representation_rejects_wide_or_oob_spans():
 @pytest.mark.parametrize("kind", ["enumerated", "shuffled_with_duplicates"])
 def test_span_head_matches_concatenated_reference(kind):
     """The endpoint-factored head computes gelu([h_s; h_e; len] @ w1 + b1) @ w2 + b2."""
-    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), INV, seed=4)
+    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), len(INV), seed=4)
     rng = np.random.default_rng(22)
-    for arr in params.tensors.values():
+    for arr in params.values():
         arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
     vecs = rng.normal(size=(48, 64))
     spans = enumerate_spans(48, 12)
@@ -273,7 +289,7 @@ def test_span_head_matches_concatenated_reference(kind):
     d_logits = rng.normal(size=(len(spans), len(TYPES) + 1))
     ref_logits, ref_grads, ref_d_vecs = span_head_reference(vecs, spans, params, d_logits)
     logits, cache = span_logits_with_cache(vecs, spans, params)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     d_vecs = span_backward(vecs, params, d_logits, grads, cache=cache)
     pairs = [("logits", logits, ref_logits), ("word vectors", d_vecs, ref_d_vecs)]
     pairs += [(k, grads[k], ref_grads[k]) for k in sorted(ref_grads)]
@@ -285,9 +301,9 @@ def test_span_head_matches_concatenated_reference(kind):
 def test_span_head_workspace_matches_fresh_and_allocating_reference():
     """One workspace reused over long, short, long sentences gives the bits
     of fresh arrays and of the allocating kernels, and reuses its memory."""
-    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), INV, seed=4)
+    params = init_head_params(64, HeadConfig(max_span_width=12, span_len_dim=16), len(INV), seed=4)
     rng = np.random.default_rng(23)
-    for arr in params.tensors.values():
+    for arr in params.values():
         arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
     ws = Workspace()
     caches = []
@@ -297,7 +313,7 @@ def test_span_head_workspace_matches_fresh_and_allocating_reference():
         d_logits = rng.normal(size=(len(spans), len(TYPES) + 1))
         results = []
         for run in ("workspace", "fresh", "reference"):
-            grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+            grads = {k: np.zeros_like(v) for k, v in params.items()}
             if run == "reference":
                 logits, cache = span_logits_allocating_reference(vecs, spans, params)
                 d_vecs = span_backward_allocating_reference(vecs, params, d_logits, grads, cache)
@@ -325,11 +341,11 @@ def test_span_head_workspace_matches_fresh_and_allocating_reference():
 
 def test_span_forward_zero_weights_predicts_none():
     params = _params()
-    for arr in params.tensors.values():
+    for arr in params.values():
         arr[...] = 0.0
     vecs = np.random.default_rng(9).normal(size=(4, 8))
     spans = enumerate_spans(4, 3)
-    assert span_forward(vecs, spans, params) == []
+    assert span_forward(vecs, spans, params, TYPES) == []
     logits, _ = span_logits_with_cache(vecs, spans, params)
     assert logits.shape == (len(spans), 3)
     assert np.array_equal(softmax(logits), np.full((len(spans), 3), 1.0 / 3.0))
@@ -343,7 +359,7 @@ def test_span_forward_returns_typed_argmax_winners():
     probs = softmax(logits)
     winners = [i for i in range(len(spans)) if probs[i].argmax() != 0]
     assert 0 < len(winners) < len(spans)
-    got = span_forward(vecs, spans, params)
+    got = span_forward(vecs, spans, params, TYPES)
     assert [(c.start_word, c.end_word) for c in got] == [spans[i] for i in winners]
     for c, i in zip(got, winners):
         assert c.label == TYPES[probs[i].argmax() - 1]
@@ -354,8 +370,8 @@ def test_span_forward_deterministic():
     params = _params(scale=0.4)
     vecs = np.random.default_rng(10).normal(size=(5, 8))
     spans = enumerate_spans(5, 4)
-    a = span_forward(vecs, spans, params)
-    b = span_forward(vecs, spans, params)
+    a = span_forward(vecs, spans, params, TYPES)
+    b = span_forward(vecs, spans, params, TYPES)
     assert [(c.start_word, c.end_word, c.label, c.score) for c in a] == [
         (c.start_word, c.end_word, c.label, c.score) for c in b
     ]
@@ -365,9 +381,9 @@ def test_span_forward_argmax_shift_invariant():
     params = _params(scale=0.4)
     vecs = np.random.default_rng(11).normal(size=(5, 8))
     spans = enumerate_spans(5, 4)
-    base = [c.label for c in span_forward(vecs, spans, params)]
-    params.tensors["span.b2"][...] += 3.25
-    assert [c.label for c in span_forward(vecs, spans, params)] == base
+    base = [c.label for c in span_forward(vecs, spans, params, TYPES)]
+    params["span.b2"][...] += 3.25
+    assert [c.label for c in span_forward(vecs, spans, params, TYPES)] == base
 
 
 def test_span_gradients():
@@ -387,12 +403,12 @@ def test_span_gradients():
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     dlogits = probs.copy()
     dlogits[np.arange(len(spans)), targets] -= 1.0
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     d_vecs = span_backward(vecs, params, dlogits, grads, cache=cache)
     rng = np.random.default_rng(14)
     worst = 0.0
     for key in sorted(grads):
-        arr = params.tensors[key]
+        arr = params[key]
         for _ in range(5):
             idx = int(rng.integers(0, arr.size))
             numeric = central_difference(loss, arr, idx, step=1e-6)

@@ -13,7 +13,6 @@ from dualner.encoder import EncoderConfig, Workspace, dropout_masks, init_params
 from dualner.errors import FormatError, SentenceTooLongError, UnusableDataError
 from dualner.heads import HeadConfig
 from dualner.model import (
-    batch_loss,
     batch_loss_and_grads,
     build_examples,
     init_model,
@@ -163,7 +162,7 @@ def test_full_pipeline_gradients_both_heads(tiny_setup):
             for _ in range(2):
                 idx = int(rng.integers(0, arr.size))
                 numeric = central_difference(
-                    lambda: batch_loss(model, examples), arr, idx, step=1e-5
+                    lambda: batch_loss_and_grads(model, examples, "eval")[0], arr, idx, step=1e-5
                 )
                 worst = max(worst, gradient_agreement(grads[key].flat[idx], numeric))
         assert worst < 1e-5, f"{method}: {worst}"
@@ -231,10 +230,11 @@ def test_batch_loss_and_grads_match_full_encoder_pass(length_corpus, method, dro
 
 
 @pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
-def test_batch_loss_equals_eval_mode_loss_of_batch_loss_and_grads(length_corpus, method):
-    """``batch_loss`` has the bits of the loss ``batch_loss_and_grads``
-    returns in eval mode, over a batch of several packs that holds a
-    one-sub-token sentence."""
+def test_eval_mode_loss_ignores_dropout_and_rng(length_corpus, method):
+    """The eval-mode loss of ``batch_loss_and_grads`` is a pure function of
+    the parameters: with dropout configured it draws nothing from a given
+    ``rng`` and has the bits of a call without one, over a batch of
+    several packs that holds a one-sub-token sentence."""
     from dualner.model import _packs
 
     docs, vocab = length_corpus
@@ -244,8 +244,11 @@ def test_batch_loss_equals_eval_mode_loss_of_batch_loss_and_grads(length_corpus,
     assert len(_packs([ex.ids.size for ex in batch], range(len(batch)))) > 2
     model = _scaled_model(method, vocab)
     model.encoder.config = dataclasses.replace(model.encoder.config, dropout_rate=0.2)
-    loss = batch_loss(model, batch)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    loss = batch_loss_and_grads(model, batch, "eval", rng)[0]
     assert loss > 0.0
+    assert rng.bit_generator.state == state
     assert loss.hex() == batch_loss_and_grads(model, batch, "eval")[0].hex()
 
 
@@ -704,7 +707,7 @@ def test_eval_packs_rows_equal_full_pass_rows(length_corpus):
     """Every sentence is encoded once, and its rows have the bits of its
     own full pass, one-sub-token sentences included; a pack's slices tile
     its vectors in order, with no gap."""
-    from dualner.encoder import encode
+    from dualner.encoder import encode_with_cache
     from dualner.model import _eval_packs
 
     docs, vocab = length_corpus
@@ -723,7 +726,7 @@ def test_eval_packs_rows_equal_full_pass_rows(length_corpus):
         stop = 0
         for i, sl in zip(pack, slices):
             assert (sl.start, sl.stop, sl.step) == (stop, stop + rows[i].size, None), i
-            assert np.array_equal(vecs[sl], encode(pool[i], model.encoder)[rows[i]]), i
+            assert np.array_equal(vecs[sl], encode_with_cache(pool[i], model.encoder)[0][rows[i]]), i
             seen.append(i)
             stop = sl.stop
         assert stop == len(vecs)
@@ -765,14 +768,32 @@ def test_eval_packs_hold_at_most_128_subtokens(monkeypatch, length_corpus):
     assert packs == [[1], [1], [5] * 25, [5] * 15 + [7, 7], [200], [200]]
 
 
-def test_model_checkpoint_roundtrip(tmp_path, tiny_setup):
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
+def test_model_clone_shares_no_memory(tiny_setup, method):
+    """Best-snapshot selection keeps a clone while training goes on, so no
+    tensor of the clone may be a view of the model's."""
+    _docs, vocab = tiny_setup
+    model = _scaled_model(method, vocab)
+    clone = model.clone()
+    assert (clone.method, clone.labels, clone.head_cfg) == (model.method, model.labels, model.head_cfg)
+    ours, theirs = model_tensors(model), model_tensors(clone)
+    assert list(ours) == list(theirs)
+    for key, arr in ours.items():
+        assert np.array_equal(arr, theirs[key]), key
+        assert not np.shares_memory(arr, theirs[key]), key
+
+
+@pytest.mark.parametrize("method", ["word_tagger", "span_classifier"])
+def test_model_checkpoint_roundtrip(tmp_path, tiny_setup, method):
     docs, vocab = tiny_setup
-    model = _scaled_model("word_tagger", vocab)
+    model = _scaled_model(method, vocab)
     path = tmp_path / "model.npz"
     save_model(path, model)
     loaded = load_model(path)
     assert loaded.method == model.method
     assert loaded.labels == model.labels
+    assert loaded.head_cfg == model.head_cfg
+    assert list(model_tensors(loaded)) == list(model_tensors(model))
     for key, arr in model_tensors(model).items():
         assert np.array_equal(arr, model_tensors(loaded)[key])
     preds_a = predict_documents(model, docs[:2], vocab)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualner import train as train_module
-from dualner.corpus import Document, LabelInventory, Sentence, generate_synthetic, split_train_tune
+from dualner.corpus import Document, LabelInventory, Sentence, generate_synthetic, split_train_tune, write_json
 from dualner.encoder import EncoderConfig, init_params
 from dualner.errors import FormatError, ProtocolError, SentenceTooLongError, TrainingError
 from dualner.heads import HeadConfig
@@ -635,7 +635,7 @@ def test_experiment_config_roundtrip(tmp_path):
         mlm=MlmConfig(total_steps=30, checkpoint_every=10),
     )
     path = tmp_path / "exp.json"
-    cfg.save(path)
+    write_json(path, dataclasses.asdict(cfg))
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
 
@@ -647,7 +647,7 @@ def test_experiment_config_is_immutable(tmp_path):
     with pytest.raises(AttributeError):
         cfg.seeds.append(-1)
     assert (cfg.methods, cfg.seeds, cfg.eval_splits) == (METHODS, (0, 1), ("tune",))
-    cfg.save(tmp_path / "exp.json")
+    write_json(tmp_path / "exp.json", dataclasses.asdict(cfg))
     saved = json.loads((tmp_path / "exp.json").read_text(encoding="utf-8"))
     assert (saved["methods"], saved["seeds"], saved["eval_splits"]) == (list(METHODS), [0, 1], ["tune"])
 
