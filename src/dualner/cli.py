@@ -177,12 +177,13 @@ def cmd_pretrain(args) -> None:
     for stale in out_dir.glob("mlm_step_*.npz"):
         if stale.name not in written:
             stale.unlink()
-    first = result.probe_loss(0)
-    last = result.probe_loss(result.checkpoints[-1][0])
-    _info(
-        f"saved {len(result.checkpoints)} encoder checkpoints -> {out_dir} "
-        f"(train probe loss {first:.4f} -> {last:.4f})"
-    )
+    last = result.checkpoints[-1][0]
+    probes = (f"train probe loss over the first {result.train_probe_sentences} sentences "
+              f"{result.probe_loss(0):.4f} -> {result.probe_loss(last):.4f}")
+    if any(entry.split == "heldout" for entry in result.log):
+        probes += (f", held-out probe loss {result.probe_loss(0, 'heldout'):.4f} -> "
+                   f"{result.probe_loss(last, 'heldout'):.4f}")
+    _info(f"saved {len(result.checkpoints)} encoder checkpoints -> {out_dir} ({probes})")
 
 
 def _load_encoder_checkpoints(directory: str) -> list[tuple[int, EncoderParams]]:

@@ -354,8 +354,13 @@ def train_supervised(
 class MlmResult:
     checkpoints: list[tuple[int, EncoderParams]]
     log: list[LogEntry]
+    train_probe_sentences: int  # the training probe's k: it scores the pool's first k sentences
 
     def probe_loss(self, step: int, split: str = "train") -> float:
+        """The ``mlm_loss`` probed at snapshot ``step`` on ``split``:
+        ``"train"`` (the training pool's first ``train_probe_sentences``
+        sentences) or ``"heldout"`` (the whole held-out tail, logged only
+        when there is one)."""
         for entry in self.log:
             if entry.step == step and entry.split == split and entry.metric == "mlm_loss":
                 return entry.value
@@ -372,9 +377,12 @@ def pretrain_mlm(
 
     Labels on ``docs`` are ignored.  Encoder snapshots are taken at step 0
     (the untouched initialization) and every ``checkpoint_every`` steps; at
-    each snapshot an eval-mode loss is probed on the training pool and on a
-    held-out tail of sentences, under masks drawn once per run, so the
-    series is comparable.
+    each snapshot an eval-mode loss is probed on the held-out tail of the
+    sentences and on the training pool's first k, under masks drawn once
+    per run, so the series is comparable.  k is the tail's size, or the
+    whole pool's when the tail is empty or larger than the pool: the step
+    losses already trace the training curve.  The whole pool's probe masks
+    are drawn before the tail's, so the held-out probe does not depend on k.
     """
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
@@ -383,6 +391,7 @@ def pretrain_mlm(
     check_sentences(encoder_cfg, docs, pool, "corpus")
     n_train = max(len(pool) - int(np.ceil(mlm_cfg.heldout_fraction * len(pool))), 1)  # one at least
     train_pool, heldout_pool = pool[:n_train], pool[n_train:]
+    k = len(heldout_pool) if 0 < len(heldout_pool) <= n_train else n_train
 
     enc = init_params(encoder_cfg)
     # Training draws from child (0,) of the seed and the probe masks from
@@ -390,16 +399,17 @@ def pretrain_mlm(
     # time.  Every logged loss depends on these keys.
     rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(0,)))
     probe_rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(3,)))
-    # the training pool's probe masks are drawn first
-    probe_sets = [("train", train_pool), ("heldout", heldout_pool)]
-    probe_masks = [mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng) for _, p in probe_sets]
+    # the whole training pool's probe masks are drawn first, scored or not
+    train_masks, heldout_masks = [mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng)
+                                  for p in (train_pool, heldout_pool)]
+    probes = [("train", train_pool[:k], train_masks[:k]), ("heldout", heldout_pool, heldout_masks)]
     log: list[LogEntry] = []
     checkpoints: list[tuple[int, EncoderParams]] = []
     workspace = Workspace()  # lent to the steps and the probes alike
 
     def snapshot(step: int) -> bool:
         checkpoints.append((step, enc.clone()))
-        for (split, sentences), masks in zip(probe_sets, probe_masks):
+        for split, sentences, masks in probes:
             if sentences:
                 loss, _ = mlm_batch_loss_and_grads(
                     enc, sentences, vocab, mlm_cfg.mask_prob, None, mode="eval",
@@ -424,7 +434,7 @@ def pretrain_mlm(
         ),
         log, snapshot, metric="mlm_batch_loss", what="MLM",
     )
-    return MlmResult(checkpoints=checkpoints, log=log)
+    return MlmResult(checkpoints=checkpoints, log=log, train_probe_sentences=k)
 
 
 # ---------------------------------------------------------------------------

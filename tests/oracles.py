@@ -288,6 +288,19 @@ def mlm_eval_loss_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_
     return total_ce / total_pos, None
 
 
+def mlm_probe_losses_reference(enc, train_pool, heldout_pool, k: int, vocab: BpeVocab, mask_prob: float,
+                               probe_rng) -> tuple[float, float | None]:
+    """The (train, held-out) probe losses of ``enc`` one sentence at a time:
+    the whole training pool's masks are drawn from ``probe_rng`` and its
+    first ``k`` sentences scored, then the held-out tail's masks are drawn
+    and scored (``None`` for an empty tail)."""
+    train_loss, _ = mlm_eval_loss_reference(enc, train_pool[:k], vocab, mask_prob, probe_rng)
+    mlm_masks(train_pool[k:], vocab, mask_prob, probe_rng)  # drawn, never scored
+    if not heldout_pool:
+        return train_loss, None
+    return train_loss, mlm_eval_loss_reference(enc, heldout_pool, vocab, mask_prob, probe_rng)[0]
+
+
 def mlm_batch_loss_and_grads_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_rng,
                                        mode: str = "train"):
     """The masked-LM training step one sentence at a time: mask, encode
@@ -589,30 +602,41 @@ def train_supervised_reference(train_docs, tune_docs, vocab, encoder_cfg, head_c
     return best_model, log, best_step, best_f1
 
 
-def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
-    """``pretrain_mlm`` as one loop of its own over the steps, drawing each
-    batch from a running order of pool permutations.  Returns
-    (checkpoints, log)."""
-    encoder_cfg = replace(encoder_cfg, vocab_size=len(vocab))
+def mlm_pools(docs, vocab: BpeVocab, heldout_fraction: float = 0.1):
+    """The MLM sentence pools of ``docs``: (training pool, held-out tail, k).
+    The tail is the last ``ceil(heldout_fraction * n)`` sentences, leaving
+    one to train on at least; the training probe scores the pool's first
+    ``k`` sentences, as many as the tail holds, or the whole pool when the
+    tail is empty or larger than the pool."""
     pool = [
         np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
         for d in docs
         for s in d.sentences
     ]
-    n_heldout = min(int(np.ceil(mlm_cfg.heldout_fraction * len(pool))), len(pool) - 1)
-    train_pool = pool[: len(pool) - n_heldout] if n_heldout else pool
-    heldout_pool = pool[len(pool) - n_heldout :] if n_heldout else []
+    n_heldout = min(int(np.ceil(heldout_fraction * len(pool))), len(pool) - 1)
+    train_pool, heldout_pool = pool[: len(pool) - n_heldout], pool[len(pool) - n_heldout :]
+    k = len(train_pool) if not heldout_pool or len(heldout_pool) > len(train_pool) else len(heldout_pool)
+    return train_pool, heldout_pool, k
+
+
+def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
+    """``pretrain_mlm`` as one loop of its own over the steps, drawing each
+    batch from a running order of pool permutations.  Returns
+    (checkpoints, log)."""
+    encoder_cfg = replace(encoder_cfg, vocab_size=len(vocab))
+    train_pool, heldout_pool, k = mlm_pools(docs, vocab, mlm_cfg.heldout_fraction)
 
     enc = init_params(encoder_cfg)
     rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(0,)))
     probe_rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(3,)))
-    probe_sets = [("train", train_pool), ("heldout", heldout_pool)]
-    probe_masks = [mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng) for _, p in probe_sets]
+    train_masks = mlm_masks(train_pool, vocab, mlm_cfg.mask_prob, probe_rng)  # all drawn, k scored
+    heldout_masks = mlm_masks(heldout_pool, vocab, mlm_cfg.mask_prob, probe_rng)
+    probe_sets = [("train", train_pool[:k], train_masks[:k]), ("heldout", heldout_pool, heldout_masks)]
     log = []
     checkpoints = []
 
     def probe(at_step: int) -> None:
-        for (split, sentences), masks in zip(probe_sets, probe_masks):
+        for split, sentences, masks in probe_sets:
             if sentences:
                 loss, _ = mlm_batch_loss_and_grads(
                     enc, sentences, vocab, mlm_cfg.mask_prob, None, mode="eval",

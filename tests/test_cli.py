@@ -20,6 +20,8 @@ from dualner.corpus import (
 from dualner.segment import SegmenterConfig, segment_document
 from dualner.subtok import BpeVocab, subtokenize
 
+from .oracles import mlm_pools
+
 
 @pytest.fixture()
 def corpus_file(tmp_path, small_corpus):
@@ -633,6 +635,33 @@ def test_pretrain_removes_snapshots_of_an_earlier_run(tmp_path, corpus_file, voc
     ]) == 0
     points = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["points"]
     assert [p["step"] for p in points] == [0, 5, 10]
+
+
+@pytest.mark.parametrize("heldout_fraction", [0.1, 0.0], ids=["with_tail", "no_tail"])
+def test_pretrain_closing_line_reports_both_probes(tmp_path, corpus_file, vocab_file, small_corpus,
+                                                   small_vocab, capsys, heldout_fraction):
+    """The closing line says how many sentences the training probe scores
+    and gives each probe's first -> last loss, the held-out one only when
+    there is a tail."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(corpus_file), "n_train": 16,
+        "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "mlm": {"total_steps": 4, "checkpoint_every": 2, "heldout_fraction": heldout_fraction},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "mlm"
+    assert main([
+        "pretrain-mlm", "--config", str(cfg_path), "--corpus", str(corpus_file),
+        "--vocab", str(vocab_file), "--out-dir", str(out_dir),
+    ]) == 0
+    _train, tail, k = mlm_pools(small_corpus, small_vocab, heldout_fraction)
+    assert bool(tail) == (heldout_fraction > 0)
+    log = [json.loads(line) for line in (out_dir / "mlm_log.jsonl").read_text().splitlines()]
+    loss = {(e["split"], e["step"]): e["value"] for e in log if e["metric"] == "mlm_loss"}
+    probes = f"train probe loss over the first {k} sentences {loss['train', 0]:.4f} -> {loss['train', 4]:.4f}"
+    if tail:
+        probes += f", held-out probe loss {loss['heldout', 0]:.4f} -> {loss['heldout', 4]:.4f}"
+    assert capsys.readouterr().err == f"saved 3 encoder checkpoints -> {out_dir} ({probes})\n"
 
 
 def test_analyze_fragmentation_bad_special_ids_exits_two(tmp_path, corpus_file, small_vocab, capsys):

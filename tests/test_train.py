@@ -37,7 +37,8 @@ from dualner.train import (
 
 from .oracles import (
     adamw_step_reference,
-    mlm_eval_loss_reference,
+    mlm_pools,
+    mlm_probe_losses_reference,
     pretrain_mlm_reference,
     train_supervised_reference,
 )
@@ -329,20 +330,15 @@ def _seed_children(seed: int):
     return train_seed, probe_seed
 
 
-def _mlm_pools(docs, vocab, heldout_fraction: float = 0.1):
-    pool = [np.asarray(subtokenize(s.words, vocab).sub_token_ids, dtype=np.int64)
-            for d in docs for s in d.sentences]
-    n_heldout = min(int(np.ceil(heldout_fraction * len(pool))), len(pool) - 1)
-    return pool[: len(pool) - n_heldout], pool[len(pool) - n_heldout :]
-
-
 def test_pretrain_matches_reference_optimizer_and_probe_scoring(mini, monkeypatch):
     """The run equals one with the allocating optimizer, no workspace, and
     every probe scored one sentence at a time from a fresh probe generator
-    (training pool first, then the held-out pool)."""
+    (the whole training pool's masks first, then the held-out pool's; the
+    first k training sentences scored)."""
     train_docs, _tune, vocab = mini
     cfg = MlmConfig(total_steps=10, checkpoint_every=5, seed=3, grad_clip=0.05)
     ours = pretrain_mlm(train_docs, vocab, ENC, cfg)
+    train_pool, heldout_pool, k = mlm_pools(train_docs, vocab)
 
     real = train_module.mlm_batch_loss_and_grads
     probe_calls = []
@@ -351,11 +347,14 @@ def test_pretrain_matches_reference_optimizer_and_probe_scoring(mini, monkeypatc
                   workspace=None, masks=None):
         if with_grads:
             return real(enc, batch, vocab, mask_prob, mask_rng, mode)
-        if len(probe_calls) % 2 == 0:
-            probe_calls.append(np.random.default_rng(_seed_children(cfg.seed)[1]))
-        else:
-            probe_calls.append(probe_calls[-1])
-        return mlm_eval_loss_reference(enc, batch, vocab, mask_prob, probe_calls[-1])
+        if len(probe_calls) % 2 == 0:  # the training probe comes first
+            probe_calls.append(mlm_probe_losses_reference(
+                enc, train_pool, heldout_pool, k, vocab, mask_prob,
+                np.random.default_rng(_seed_children(cfg.seed)[1]),
+            ))
+            return probe_calls[-1][0], None
+        probe_calls.append(probe_calls[-1])
+        return probe_calls[-1][1], None
 
     monkeypatch.setattr(train_module, "mlm_batch_loss_and_grads", reference)
     monkeypatch.setattr(AdamW, "step", lambda self, grads:
@@ -375,7 +374,7 @@ def test_pretrain_matches_reference_loop(mini):
     train_docs, _tune, vocab = mini
     enc = dataclasses.replace(ENC, dropout_rate=0.1)
     cfg = MlmConfig(total_steps=8, checkpoint_every=4, seed=2, batch_size=5)
-    train_pool, _heldout = _mlm_pools(train_docs, vocab)
+    train_pool, _heldout, _k = mlm_pools(train_docs, vocab)
     assert len(train_pool) % cfg.batch_size != 0
     ours = pretrain_mlm(train_docs, vocab, enc, cfg)
     checkpoints, log = pretrain_mlm_reference(train_docs, vocab, enc, cfg)
@@ -394,12 +393,12 @@ def test_pretrain_seed_children_are_pinned(mini):
     result = pretrain_mlm(train_docs, vocab, ENC, cfg)
     train_seed, probe_seed = _seed_children(cfg.seed)
     assert (train_seed.spawn_key, probe_seed.spawn_key) == ((0,), (3,))
-    train_pool, heldout_pool = _mlm_pools(train_docs, vocab)
+    train_pool, heldout_pool, k = mlm_pools(train_docs, vocab)
     init = result.checkpoints[0][1]
 
-    probe_rng = np.random.default_rng(probe_seed)
-    train_probe, _ = mlm_eval_loss_reference(init, train_pool, vocab, cfg.mask_prob, probe_rng)
-    held_probe, _ = mlm_eval_loss_reference(init, heldout_pool, vocab, cfg.mask_prob, probe_rng)
+    train_probe, held_probe = mlm_probe_losses_reference(
+        init, train_pool, heldout_pool, k, vocab, cfg.mask_prob, np.random.default_rng(probe_seed)
+    )
     assert result.probe_loss(0).hex() == train_probe.hex()
     assert result.probe_loss(0, "heldout").hex() == held_probe.hex()
 
@@ -408,6 +407,37 @@ def test_pretrain_seed_children_are_pinned(mini):
     first, _ = mlm_batch_loss_and_grads(init, batch, vocab, cfg.mask_prob, rng, "train")
     logged = [e.value for e in result.log if e.step == 1 and e.metric == "mlm_batch_loss"]
     assert [v.hex() for v in logged] == [first.hex()]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.1, 0.9], ids=["no_tail", "default", "tail_larger_than_pool"])
+def test_pretrain_probes_score_k_training_sentences_and_the_whole_tail(mini, fraction):
+    """The training probe scores the pool's first k sentences, k the tail's
+    size, or the whole pool's without a tail or with a larger one.  At every
+    snapshot the held-out probe equals the reference over the tail whose
+    masks follow the whole training pool's, so k leaves it untouched."""
+    train_docs, _tune, vocab = mini
+    cfg = MlmConfig(total_steps=4, checkpoint_every=2, seed=4, heldout_fraction=fraction)
+    train_pool, heldout_pool, k = mlm_pools(train_docs, vocab, fraction)
+    n_train, n_tail = len(train_pool), len(heldout_pool)
+    if fraction == MlmConfig().heldout_fraction:
+        assert 0 < n_tail < n_train and k == n_tail
+    else:  # no tail, or one larger than the pool
+        assert (n_tail == 0 or n_tail > n_train) and k == n_train
+    result = pretrain_mlm(train_docs, vocab, ENC, cfg)
+    assert result.train_probe_sentences == k
+    probe_seed = _seed_children(cfg.seed)[1]
+    for step, enc in result.checkpoints:
+        train_probe, held_probe = mlm_probe_losses_reference(
+            enc, train_pool, heldout_pool, k, vocab, cfg.mask_prob, np.random.default_rng(probe_seed)
+        )
+        assert result.probe_loss(step).hex() == train_probe.hex()
+        if heldout_pool:
+            assert result.probe_loss(step, "heldout").hex() == held_probe.hex()
+        else:
+            with pytest.raises(KeyError):
+                result.probe_loss(step, "heldout")
+    assert [e.split for e in result.log if e.metric == "mlm_loss"] == (
+        ["train", "heldout"] if heldout_pool else ["train"]) * len(result.checkpoints)
 
 
 def test_pretrain_tiny_mask_prob_masks_one_position_and_trains(mini):
