@@ -11,7 +11,6 @@ so all-zero weights predict O / none everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -162,19 +161,23 @@ def mentions_to_tags(mentions: Sequence[Mention], n_words: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_spans(n_words: int, max_span_width: int) -> list[tuple[int, int]]:
-    """All (start, end) with end inclusive and width <= max_span_width, sorted."""
+def enumerate_spans(n_words: int, max_span_width: int) -> np.ndarray:
+    """[m, 2] int64 rows (start, end), end inclusive and width <=
+    max_span_width, sorted: the candidates of every head call."""
     if n_words < 1 or max_span_width < 1:
         raise ValueError("n_words and max_span_width must be positive")
-    return [
-        (s, e) for s in range(n_words) for e in range(s, min(n_words, s + max_span_width))
-    ]
+    width = np.arange(n_words) - np.arange(n_words)[:, None]  # [start, end] -> end - start
+    return np.argwhere((width >= 0) & (width < max_span_width))
 
 
-def _span_arrays(spans: Sequence[tuple[int, int]], n_words: int, max_width: int):
-    """(starts, ends, lengths) index arrays; rejects out-of-bounds or too wide spans."""
-    flat = np.fromiter(chain.from_iterable(spans), dtype=np.int64, count=2 * len(spans))
-    starts, ends = flat[0::2], flat[1::2]
+def _span_arrays(spans: np.ndarray, n_words: int, max_width: int):
+    """(starts, ends, lengths) index arrays; rejects anything but an [m, 2]
+    signed integer array, and out-of-bounds or too wide spans."""
+    if not (isinstance(spans, np.ndarray) and spans.ndim == 2 and spans.shape[1] == 2
+            and spans.dtype.kind == "i"):
+        got = f"{spans.dtype} {spans.shape}" if isinstance(spans, np.ndarray) else type(spans).__name__
+        raise ValueError(f"spans must be an [m, 2] signed integer array, got {got}")
+    starts, ends = spans[:, 0], spans[:, 1]
     lengths = ends - starts + 1
     out = (starts < 0) | (lengths < 1) | (ends >= n_words)
     bad = np.flatnonzero(out | (lengths > max_width))
@@ -210,7 +213,8 @@ def _span_dims(heads: dict[str, np.ndarray]) -> tuple[int, int]:
 
 
 def span_logits_with_cache(word_vecs, spans, heads: dict[str, np.ndarray], workspace: Workspace | None = None):
-    """Logits of the span MLP over [h_start; h_end; len_emb[length-1]].
+    """Logits of the span MLP over [h_start; h_end; len_emb[length-1]] for
+    each (start, end) row of the [m, 2] integer array ``spans``.
 
     The first layer is applied per endpoint: each word is projected once by
     the start and end blocks of ``span.w1`` and each length once by its
@@ -235,22 +239,20 @@ def span_logits_with_cache(word_vecs, spans, heads: dict[str, np.ndarray], works
 
 def span_forward(
     word_vecs: np.ndarray,
-    candidates: Sequence[tuple[int, int]],
+    candidates: np.ndarray,
     heads: dict[str, np.ndarray],
     types: Sequence[str],
 ) -> list[ScoredMention]:
-    """Score candidates over |types|+1 classes (none first, then ``types``);
-    return the typed winners only, in candidate order, each scored by its
-    winning probability."""
+    """Score the [m, 2] candidates over |types|+1 classes (none first, then
+    ``types``); return the typed winners only, in candidate order, each
+    scored by its winning probability."""
     logits, _ = span_logits_with_cache(word_vecs, candidates, heads)
     probs = softmax(logits)
     picks = probs.argmax(axis=1)
-    out = []
-    for i in np.flatnonzero(picks):
-        s, e = candidates[i]
-        k = picks[i]
-        out.append(ScoredMention(start_word=s, end_word=e, label=types[k - 1], score=float(probs[i, k])))
-    return out
+    won = np.flatnonzero(picks)
+    k = picks[won]
+    return [ScoredMention(start_word=s, end_word=e, label=types[c - 1], score=p)
+            for (s, e), c, p in zip(candidates[won].tolist(), k.tolist(), probs[won, k].tolist())]
 
 
 def span_backward(

@@ -143,13 +143,15 @@ class Example:
         return np.fromiter((self.tag_index[t] for t in tags), dtype=np.int64, count=len(tags))
 
     @cached_property
-    def spans(self) -> list[tuple[int, int]]:
+    def spans(self) -> np.ndarray:
         return enumerate_spans(len(self.sentence.words), self.max_span_width)
 
     @cached_property
     def span_classes(self) -> np.ndarray:
-        gold = {(m.start_word, m.end_word): self.type_index[m.label] for m in self.sentence.mentions}
-        return np.fromiter((gold.get(span, 0) for span in self.spans), dtype=np.int64, count=len(self.spans))
+        gold = np.zeros((len(self.sentence.words),) * 2, dtype=np.int64)  # [start, end] -> class
+        for m in self.sentence.mentions:
+            gold[m.start_word, m.end_word] = self.type_index[m.label]
+        return gold[self.spans[:, 0], self.spans[:, 1]]
 
 
 def build_examples(

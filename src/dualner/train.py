@@ -145,10 +145,10 @@ class AdamW:
     """Deterministic AdamW over a flat tensor dict; decay skips 1-D tensors.
 
     The learning rate warms up linearly over ``warmup_steps`` updates and
-    stays constant afterwards; a ``grad_clip`` of None or 0 turns clipping
-    off.  Keys are visited in sorted order so update arithmetic is
-    order-fixed across runs.  Each step's temporaries live in the heads of
-    two buffers as large as the largest tensor, allocated here once.
+    stays constant afterwards; a ``grad_clip`` of 0 turns clipping off.
+    Keys are visited in sorted order so update arithmetic is order-fixed
+    across runs.  Each step's temporaries live in the heads of two buffers
+    as large as the largest tensor, allocated here once.
     """
 
     beta1 = 0.9
@@ -161,7 +161,7 @@ class AdamW:
         learning_rate: float,
         weight_decay: float = 0.0,
         warmup_steps: int = 0,
-        grad_clip: float | None = None,
+        grad_clip: float = 0.0,
     ):
         self.tensors = tensors
         self.keys = sorted(tensors)
@@ -381,8 +381,8 @@ def pretrain_mlm(
     sentences and on the training pool's first k, under masks drawn once
     per run, so the series is comparable.  k is the tail's size, or the
     whole pool's when the tail is empty or larger than the pool: the step
-    losses already trace the training curve.  The whole pool's probe masks
-    are drawn before the tail's, so the held-out probe does not depend on k.
+    losses already trace the training curve.  Masks are drawn for the
+    scored sentences only, the first k before the tail.
     """
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
@@ -399,10 +399,8 @@ def pretrain_mlm(
     # time.  Every logged loss depends on these keys.
     rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(0,)))
     probe_rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(3,)))
-    # the whole training pool's probe masks are drawn first, scored or not
-    train_masks, heldout_masks = [mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng)
-                                  for p in (train_pool, heldout_pool)]
-    probes = [("train", train_pool[:k], train_masks[:k]), ("heldout", heldout_pool, heldout_masks)]
+    probes = [(split, p, mlm_masks(p, vocab, mlm_cfg.mask_prob, probe_rng))
+              for split, p in (("train", train_pool[:k]), ("heldout", heldout_pool))]
     log: list[LogEntry] = []
     checkpoints: list[tuple[int, EncoderParams]] = []
     workspace = Workspace()  # lent to the steps and the probes alike

@@ -62,6 +62,12 @@ def gradient_agreement(analytic: float, numeric: float, zero_floor: float = 1e-6
     return abs(analytic - numeric) / m
 
 
+def enumerate_spans_reference(n_words: int, max_span_width: int) -> list[tuple[int, int]]:
+    """Every (start, end), end inclusive and width <= max_span_width, one
+    tuple each, sorted: ``enumerate_spans``'s rows as a Python listing."""
+    return [(s, e) for s in range(n_words) for e in range(s, min(n_words, s + max_span_width))]
+
+
 def span_representations(word_vecs: np.ndarray, spans, heads) -> np.ndarray:
     """[m, 2d + len_dim]: one concatenated [h_start; h_end; len_emb[length-1]] row per span."""
     len_emb = heads["span.len_emb"]
@@ -291,11 +297,9 @@ def mlm_eval_loss_reference(enc, batch, vocab: BpeVocab, mask_prob: float, mask_
 def mlm_probe_losses_reference(enc, train_pool, heldout_pool, k: int, vocab: BpeVocab, mask_prob: float,
                                probe_rng) -> tuple[float, float | None]:
     """The (train, held-out) probe losses of ``enc`` one sentence at a time:
-    the whole training pool's masks are drawn from ``probe_rng`` and its
-    first ``k`` sentences scored, then the held-out tail's masks are drawn
-    and scored (``None`` for an empty tail)."""
+    the training pool's first ``k`` sentences are masked from ``probe_rng``
+    and scored, then the held-out tail's (``None`` for an empty tail)."""
     train_loss, _ = mlm_eval_loss_reference(enc, train_pool[:k], vocab, mask_prob, probe_rng)
-    mlm_masks(train_pool[k:], vocab, mask_prob, probe_rng)  # drawn, never scored
     if not heldout_pool:
         return train_loss, None
     return train_loss, mlm_eval_loss_reference(enc, heldout_pool, vocab, mask_prob, probe_rng)[0]
@@ -331,7 +335,7 @@ def mlm_batch_loss_and_grads_reference(enc, batch, vocab: BpeVocab, mask_prob: f
     return total_ce / total_pos, {k: v / total_pos for k, v in grads.items()}
 
 
-def adamw_step_reference(opt, tensors, grads, grad_clip: float | None = None) -> None:
+def adamw_step_reference(opt, tensors, grads, grad_clip: float = 0.0) -> None:
     """One AdamW step on ``opt``'s state, allocating fresh moments and update
     arrays instead of updating in place."""
     opt.t += 1
@@ -629,9 +633,9 @@ def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
     enc = init_params(encoder_cfg)
     rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(0,)))
     probe_rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(3,)))
-    train_masks = mlm_masks(train_pool, vocab, mlm_cfg.mask_prob, probe_rng)  # all drawn, k scored
+    train_masks = mlm_masks(train_pool[:k], vocab, mlm_cfg.mask_prob, probe_rng)
     heldout_masks = mlm_masks(heldout_pool, vocab, mlm_cfg.mask_prob, probe_rng)
-    probe_sets = [("train", train_pool[:k], train_masks[:k]), ("heldout", heldout_pool, heldout_masks)]
+    probe_sets = [("train", train_pool[:k], train_masks), ("heldout", heldout_pool, heldout_masks)]
     log = []
     checkpoints = []
 

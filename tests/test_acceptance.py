@@ -143,7 +143,7 @@ def test_c03_span_enumeration():
     for n in range(1, 11):
         for w in range(1, 11):
             listing = {(s, e) for s in range(n) for e in range(n) if s <= e and e - s + 1 <= w}
-            assert set(enumerate_spans(n, w)) == listing
+            assert set(map(tuple, enumerate_spans(n, w).tolist())) == listing
     _ok("C3 span enumeration", "all 1<=n,w<=50 plus explicit listing to n=10")
 
 

@@ -24,6 +24,7 @@ from dualner.heads import (
 
 from .oracles import (
     central_difference,
+    enumerate_spans_reference,
     gradient_agreement,
     random_flat_mentions,
     span_backward_allocating_reference,
@@ -216,7 +217,16 @@ def test_bio_decode_total_and_fixpoint(tags):
 
 
 def test_enumerate_single_word():
-    assert enumerate_spans(1, 5) == [(0, 0)]
+    assert enumerate_spans(1, 5).tolist() == [[0, 0]]
+
+
+def test_enumerate_matches_reference_listing():
+    """Width caps both below and above the sentence length."""
+    for n in range(1, 61):
+        for w in range(1, 16):
+            spans, listing = enumerate_spans(n, w), enumerate_spans_reference(n, w)
+            assert spans.dtype == np.int64 and spans.shape == (len(listing), 2), (n, w)
+            assert list(map(tuple, spans.tolist())) == listing, (n, w)
 
 
 def test_enumerate_counts():
@@ -225,7 +235,7 @@ def test_enumerate_counts():
 
 
 def test_enumerate_sorted_and_capped():
-    spans = enumerate_spans(4, 2)
+    spans = enumerate_spans(4, 2).tolist()
     assert spans == sorted(spans)
     assert max(e - s + 1 for s, e in spans) == 2
 
@@ -268,11 +278,21 @@ def test_span_representation_rejects_wide_or_oob_spans():
     params = _params()
     vecs = np.zeros((8, 8))
     with pytest.raises(ValueError, match=r"span \(0,4\) wider than max_span_width=4"):
-        span_logits_with_cache(vecs, [(1, 2), (0, 4)], params)  # width 5 > 4
+        span_logits_with_cache(vecs, np.array([(1, 2), (0, 4)]), params)  # width 5 > 4
     with pytest.raises(ValueError, match=r"span \(5,9\) out of bounds for 8 words"):
-        span_logits_with_cache(vecs, [(5, 9)], params)
+        span_logits_with_cache(vecs, np.array([(5, 9)]), params)
     with pytest.raises(ValueError, match=r"span \(3,2\) out of bounds"):
-        span_logits_with_cache(vecs, [(0, 1), (3, 2), (0, 7)], params)  # first offender named
+        span_logits_with_cache(vecs, np.array([(0, 1), (3, 2), (0, 7)]), params)  # first offender named
+    malformed = [
+        (np.array([(0.0, 1.0)]), r"got float64 \(1, 2\)"),
+        (np.array([0, 1]), r"got int64 \(2,\)"),
+        (np.array([(0, 1, 2)]), r"got int64 \(1, 3\)"),
+        (np.array([(0, 1)], dtype=np.uint8), r"got uint8 \(1, 2\)"),
+        ([(0, 1)], r"got list"),
+    ]
+    for spans, got in malformed:
+        with pytest.raises(ValueError, match=r"spans must be an \[m, 2\] signed integer array, " + got):
+            span_logits_with_cache(vecs, spans, params)
 
 
 @pytest.mark.parametrize("kind", ["enumerated", "shuffled_with_duplicates"])
@@ -285,7 +305,7 @@ def test_span_head_matches_concatenated_reference(kind):
     vecs = rng.normal(size=(48, 64))
     spans = enumerate_spans(48, 12)
     if kind == "shuffled_with_duplicates":
-        spans = [spans[i] for i in rng.integers(0, len(spans), size=700)]
+        spans = spans[rng.integers(0, len(spans), size=700)]
     d_logits = rng.normal(size=(len(spans), len(TYPES) + 1))
     ref_logits, ref_grads, ref_d_vecs = span_head_reference(vecs, spans, params, d_logits)
     logits, cache = span_logits_with_cache(vecs, spans, params)
@@ -360,8 +380,9 @@ def test_span_forward_returns_typed_argmax_winners():
     winners = [i for i in range(len(spans)) if probs[i].argmax() != 0]
     assert 0 < len(winners) < len(spans)
     got = span_forward(vecs, spans, params, TYPES)
-    assert [(c.start_word, c.end_word) for c in got] == [spans[i] for i in winners]
+    assert [[c.start_word, c.end_word] for c in got] == spans[winners].tolist()
     for c, i in zip(got, winners):
+        assert type(c.start_word) is int and type(c.end_word) is int
         assert c.label == TYPES[probs[i].argmax() - 1]
         assert isinstance(c, ScoredMention) and c.score == probs[i].max()
 

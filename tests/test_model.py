@@ -8,7 +8,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dualner.corpus import Document, LabelInventory, Mention, Sentence, generate_synthetic
+from dualner.corpus import (
+    Document,
+    LabelInventory,
+    Mention,
+    Sentence,
+    generate_synthetic,
+    load_predictions,
+    save_corpus,
+)
 from dualner.encoder import EncoderConfig, Workspace, dropout_masks, init_params, load_checkpoint
 from dualner.errors import FormatError, SentenceTooLongError, UnusableDataError
 from dualner.heads import HeadConfig
@@ -424,6 +432,17 @@ def test_predict_documents_structure(tiny_setup):
                 assert 0.0 <= m.score <= 1.0
     # gold docs untouched
     assert all(m.label in INV.types for d in docs for s in d.sentences for m in s.mentions)
+
+
+def test_span_predictions_survive_a_file_round_trip(tiny_setup, tmp_path):
+    """A span model's predictions hold plain ``int`` word indices, so
+    ``save_corpus`` writes them and ``load_predictions`` reads them back equal."""
+    docs, vocab = tiny_setup
+    preds = predict_documents(_scaled_model("span_classifier", vocab), docs, vocab)
+    mentions = [m for d in preds for s in d.sentences for m in s.mentions]
+    assert mentions and all(type(m.start_word) is int and type(m.end_word) is int for m in mentions)
+    save_corpus(preds, tmp_path / "pred.jsonl")
+    assert load_predictions(tmp_path / "pred.jsonl") == preds
 
 
 @pytest.mark.parametrize("predict", [

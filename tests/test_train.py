@@ -226,7 +226,7 @@ def test_adamw_skips_decay_on_vectors():
     assert np.all(tensors["w"] < 1.0)  # decayed
 
 
-@pytest.mark.parametrize("grad_clip", [None, 0.05, 1e9], ids=["no_clip", "clipping", "clip_inactive"])
+@pytest.mark.parametrize("grad_clip", [0.0, 0.05, 1e9], ids=["no_clip", "clipping", "clip_inactive"])
 def test_adamw_matches_allocating_reference(grad_clip):
     """Every step, over tensors of three sizes that share the optimizer's
     buffers, equals the allocating reference and leaves the gradients as
@@ -333,8 +333,8 @@ def _seed_children(seed: int):
 def test_pretrain_matches_reference_optimizer_and_probe_scoring(mini, monkeypatch):
     """The run equals one with the allocating optimizer, no workspace, and
     every probe scored one sentence at a time from a fresh probe generator
-    (the whole training pool's masks first, then the held-out pool's; the
-    first k training sentences scored)."""
+    (the first k training sentences' masks, then the held-out pool's, each
+    scored)."""
     train_docs, _tune, vocab = mini
     cfg = MlmConfig(total_steps=10, checkpoint_every=5, seed=3, grad_clip=0.05)
     ours = pretrain_mlm(train_docs, vocab, ENC, cfg)
@@ -413,8 +413,9 @@ def test_pretrain_seed_children_are_pinned(mini):
 def test_pretrain_probes_score_k_training_sentences_and_the_whole_tail(mini, fraction):
     """The training probe scores the pool's first k sentences, k the tail's
     size, or the whole pool's without a tail or with a larger one.  At every
-    snapshot the held-out probe equals the reference over the tail whose
-    masks follow the whole training pool's, so k leaves it untouched."""
+    snapshot the held-out probe equals the reference over the tail, whose
+    masks follow the k training sentences' draws; k is a pure function of
+    the pool sizes, so the held-out probe still depends on nothing else."""
     train_docs, _tune, vocab = mini
     cfg = MlmConfig(total_steps=4, checkpoint_every=2, seed=4, heldout_fraction=fraction)
     train_pool, heldout_pool, k = mlm_pools(train_docs, vocab, fraction)
