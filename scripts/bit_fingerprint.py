@@ -7,7 +7,7 @@ Sets up each named workload of ``bench/workloads.py`` (default: all three)
 at seed 1, runs its training call as the benchmark operation does, and
 scores the corpus once with the result.  Prints one line per workload:
 
-    <workload> final_loss=<hex> log=<sha256> weights=<sha256> scores=<sha256> init=<sha256>
+    <workload> final_loss=<hex> log=<sha256> weights=<sha256> scores=<sha256> init=<sha256> eval=<sha256>
 
 - ``final_loss``: the benchmark's ``final_loss``, as ``float.hex``;
 - ``log``: the whole training log, every value as ``float.hex``;
@@ -19,7 +19,11 @@ scores the corpus once with the result.  Prints one line per workload:
 - ``init``: the same scoring, in the format of ``scores``, with the
   freshly initialized model (supervised) or encoder (``mlm_bigvocab``).
   A trained model that predicts nothing leaves ``scores`` empty, so this
-  field is the one that covers the decoding bits then.
+  field is the one that covers the decoding bits then;
+- ``eval`` (supervised): the report of ``evaluate_predictions`` of the
+  fresh model's predictions against the corpus, with MCC and the
+  sub-token buckets, every float as ``float.hex``; ``none`` for
+  ``mlm_bigvocab``.
 
 Two revisions whose lines are equal give the same bits on these paths.
 BLAS runs on one thread, since the bits hold at a fixed thread count.
@@ -28,6 +32,7 @@ BLAS runs on one thread, since the bits hold at a fixed thread count.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -53,12 +58,31 @@ def _weights_sha(tensors: dict) -> str:
 
 
 def _prediction_lines(trained, prep):
-    """One line per mention ``trained`` predicts over the corpus."""
+    """One line per mention ``trained`` predicts over the corpus, and the predictions."""
     from dualner import model
 
     preds = model.predict_documents(trained, prep.docs, prep.vocab)
-    return (f"{d.id} {si} {m.start_word} {m.end_word} {m.label} {m.score.hex()}"
-            for d in preds for si, s in enumerate(d.sentences) for m in s.mentions)
+    return [f"{d.id} {si} {m.start_word} {m.end_word} {m.label} {m.score.hex()}"
+            for d in preds for si, s in enumerate(d.sentences) for m in s.mentions], preds
+
+
+def _hex_floats(obj):
+    """``obj`` with every float, at any depth, as ``float.hex``."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hex_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_hex_floats(v) for v in obj]
+    return obj
+
+
+def _eval_sha(preds, prep) -> str:
+    """The sha256 of the full evaluation report of ``preds`` against the corpus."""
+    from dualner import evaluate
+
+    report = evaluate.evaluate_predictions(prep.docs, preds, with_mcc=True, vocab=prep.vocab)
+    return _sha([json.dumps(_hex_floats(report.to_dict()), sort_keys=True)])
 
 
 def _mlm_loss_lines(params, prep):
@@ -85,9 +109,10 @@ def fingerprint(workloads, name: str) -> str:
         cfg = train.TrainConfig(method=w.method, epochs=w.epochs, checkpoint_every=w.checkpoint_every)
         result = train.train_supervised(train_docs, tune_docs, prep.vocab, prep.encoder_cfg, HeadConfig(), cfg)
         weights = model.model_tensors(result.model)
-        scores = _prediction_lines(result.model, prep)
+        scores, _preds = _prediction_lines(result.model, prep)
         labels = corpus.LabelInventory.from_documents(prep.docs)
-        init = _prediction_lines(model.init_model(w.method, labels, prep.encoder_cfg, HeadConfig()), prep)
+        init, init_preds = _prediction_lines(model.init_model(w.method, labels, prep.encoder_cfg, HeadConfig()), prep)
+        evaluated = _eval_sha(init_preds, prep)
     else:
         cfg = train.MlmConfig(total_steps=w.mlm_steps, checkpoint_every=w.checkpoint_every)
         result = train.pretrain_mlm(prep.docs, prep.vocab, prep.encoder_cfg, cfg)
@@ -95,10 +120,11 @@ def fingerprint(workloads, name: str) -> str:
         weights = params.tensors
         scores = _mlm_loss_lines(params, prep)
         init = _mlm_loss_lines(encoder.init_params(prep.encoder_cfg), prep)
+        evaluated = "none"
     final_loss, _first = workloads._losses(w, result, [])
     log = (f"{e.step} {e.split} {e.metric} {e.value.hex()}" for e in result.log)
     return (f"{name} final_loss={final_loss.hex()} log={_sha(log)} "
-            f"weights={_weights_sha(weights)} scores={_sha(scores)} init={_sha(init)}")
+            f"weights={_weights_sha(weights)} scores={_sha(scores)} init={_sha(init)} eval={evaluated}")
 
 
 def main(argv: list[str]) -> int:

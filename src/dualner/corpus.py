@@ -100,11 +100,11 @@ class Document:
 
 @dataclass(frozen=True)
 class LabelInventory:
-    """The corpus's entity types plus the BIO tag set derived from them.
+    """The corpus's entity types, from which the tagger's BIO tag ids derive.
 
     Types are kept sorted so that inventories inferred from data are
-    reproducible; the tag set places O first (index 0 wins argmax ties)
-    followed by a B-/I- pair per type.
+    reproducible; tag id 0 is O (it wins argmax ties), followed by a B-/I-
+    pair per type (``heads.tags_to_mentions``).
     """
 
     types: tuple[str, ...]
@@ -124,12 +124,6 @@ class LabelInventory:
                 for m in sent.mentions:
                     seen.add(m.label)
         return cls.from_types(sorted(seen))
-
-    def tag_set(self) -> tuple[str, ...]:
-        tags = ["O"]
-        for t in self.types:
-            tags.extend((f"B-{t}", f"I-{t}"))
-        return tuple(tags)
 
     def __len__(self) -> int:
         return len(self.types)

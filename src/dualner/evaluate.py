@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Mention, mentions_overlap, require_sentences, select_by_score
+from .corpus import Document, LabelInventory, Mention, mentions_overlap, require_sentences, select_by_score
 from .errors import ValidationError
 from .heads import mentions_to_tags
-from .subtok import BUCKETS, BpeVocab, SubTokenization, bucket_of, subtokenize
+from .subtok import BUCKETS, BpeVocab, SubTokenization, subtokenize
 
 __all__ = [
     "BucketScore",
@@ -108,31 +108,19 @@ def mcc_from_confusion(confusion: np.ndarray) -> float:
     return numerator / np.sqrt(float(denom_pred) * float(denom_gold))
 
 
-def confusion_matrix(
-    gold: Sequence[str], pred: Sequence[str], classes: Sequence[str]
-) -> np.ndarray:
-    index = {cls: i for i, cls in enumerate(classes)}
-    c = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        c[index[g], index[p]] += 1
-    return c
-
-
-def multiclass_mcc(
-    gold_tags: Sequence[Sequence[str]], pred_tags: Sequence[Sequence[str]]
-) -> float:
-    """Word-level multiclass MCC over flattened BIO tag assignments."""
+def multiclass_mcc(gold_tags: Sequence[Sequence], pred_tags: Sequence[Sequence]) -> float:
+    """Word-level multiclass MCC over flattened tag assignments: tag ids,
+    or any labels numpy can sort, such as BIO tag strings."""
     if len(gold_tags) != len(pred_tags):
         raise ValueError(f"gold has {len(gold_tags)} sentences, pred has {len(pred_tags)}")
-    flat_gold: list[str] = []
-    flat_pred: list[str] = []
     for si, (g, p) in enumerate(zip(gold_tags, pred_tags)):
         if len(g) != len(p):
             raise ValueError(f"sentence {si}: gold has {len(g)} tags, pred has {len(p)}")
-        flat_gold.extend(g)
-        flat_pred.extend(p)
-    classes = sorted(set(flat_gold) | set(flat_pred))
-    return mcc_from_confusion(confusion_matrix(flat_gold, flat_pred, classes))
+    flat = np.concatenate([*gold_tags, *pred_tags]) if gold_tags else np.zeros(0, dtype=np.int64)
+    classes, index = np.unique(flat, return_inverse=True)
+    k, n = classes.size, flat.size // 2  # gold first, then the predictions
+    confusion = np.bincount(index[:n] * k + index[n:], minlength=k * k).reshape(k, k)
+    return mcc_from_confusion(confusion)
 
 
 # ---------------------------------------------------------------------------
@@ -150,40 +138,35 @@ class BucketScore:
 
 
 def subtoken_grouped_f1(
-    gold_tags: Sequence[Sequence[str]],
-    pred_tags: Sequence[Sequence[str]],
+    gold_tags: Sequence[np.ndarray],
+    pred_tags: Sequence[np.ndarray],
     aligns: Sequence[SubTokenization],
 ) -> dict[str, BucketScore]:
     """Word-level F1 on entity-name words, bucketed by how far each word split.
 
+    Tags are per-sentence tag id arrays, 0 for O (``heads.tags_to_mentions``).
     Only words whose gold tag is not O take part.  A word counts as a true
     positive when its predicted BIO tag equals gold; a wrong entity tag is
     one fp and one fn, a predicted O is one fn.
     """
     if not (len(gold_tags) == len(pred_tags) == len(aligns)):
         raise ValueError("gold tags, predicted tags, and alignments must align per sentence")
-    counts = {b: [0, 0, 0, 0] for b in BUCKETS}  # words, tp, fp, fn
     for si, (g, p, a) in enumerate(zip(gold_tags, pred_tags, aligns)):
         if a is None or a.n_words != len(g) or len(g) != len(p):
             raise ValueError(f"sentence {si}: missing or misaligned sub-tokenization")
-        per_word = a.subtokens_per_word()
-        for gt, pt, k in zip(g, p, per_word):
-            if gt == "O":
-                continue
-            c = counts[bucket_of(k)]
-            c[0] += 1
-            if pt == gt:
-                c[1] += 1
-            else:
-                c[3] += 1
-                if pt != "O":
-                    c[2] += 1
+    empty = np.zeros(0, dtype=np.int64)  # keeps a corpus without sentences total
+    gold = np.concatenate([empty, *gold_tags])
+    pred = np.concatenate([empty, *pred_tags])
+    # each word's index in BUCKETS, as bucket_of gives it: 1, 2, 3 or more sub-tokens
+    per_word = np.concatenate([empty, *(a.subtokens_per_word() for a in aligns)])
+    bucket = np.clip(per_word, 1, len(BUCKETS)) - 1
+    entity = gold != 0
+    words = np.bincount(bucket[entity], minlength=len(BUCKETS))
+    tp = np.bincount(bucket[entity & (pred == gold)], minlength=len(BUCKETS))
+    fp = np.bincount(bucket[entity & (pred != gold) & (pred != 0)], minlength=len(BUCKETS))
     out = {}
-    for b in BUCKETS:
-        words, tp, fp, fn = counts[b]
-        out[b] = BucketScore(
-            word_count=words, tp=tp, fp=fp, fn=fn, f1=_f1(tp, fp, fn) if words else None
-        )
+    for b, w, t, f in zip(BUCKETS, words.tolist(), tp.tolist(), fp.tolist()):
+        out[b] = BucketScore(word_count=w, tp=t, fp=f, fn=w - t, f1=_f1(t, f, w - t) if w else None)
     return out
 
 
@@ -286,20 +269,16 @@ def evaluate_predictions(
     without a sentence is refused, since every score would read perfect.
     """
     require_sentences(gold_docs, "gold corpus")
-    gold_sents = []
-    pred_sents = []
-    gold_tags = []
-    pred_tags = []
-    aligns = []
-    for g_sent, p_sent in _sentence_pairs(gold_docs, pred_docs):
-        gold_sents.append(g_sent.mentions)
-        pred_sents.append(p_sent.mentions)
-        if with_mcc or vocab is not None:
-            n = len(g_sent.words)
-            gold_tags.append(mentions_to_tags(g_sent.mentions, n))
-            pred_tags.append(mentions_to_tags(project_non_overlapping(p_sent.mentions), n))
-            aligns.append(subtokenize(g_sent.words, vocab) if vocab is not None else None)
-    prf = mention_prf(gold_sents, pred_sents)
-    mcc = multiclass_mcc(gold_tags, pred_tags) if with_mcc else None
-    grouped = subtoken_grouped_f1(gold_tags, pred_tags, aligns) if vocab is not None else None
+    pairs = list(_sentence_pairs(gold_docs, pred_docs))
+    prf = mention_prf([g.mentions for g, _ in pairs], [p.mentions for _, p in pairs])
+    mcc = grouped = None
+    if with_mcc or vocab is not None:
+        types = LabelInventory.from_documents([*gold_docs, *pred_docs]).types
+        gold_tags = [mentions_to_tags(g.mentions, len(g.words), types) for g, _ in pairs]
+        pred_tags = [mentions_to_tags(project_non_overlapping(p.mentions), len(g.words), types)
+                     for g, p in pairs]
+        if with_mcc:
+            mcc = multiclass_mcc(gold_tags, pred_tags)
+        if vocab is not None:
+            grouped = subtoken_grouped_f1(gold_tags, pred_tags, [subtokenize(g.words, vocab) for g, _ in pairs])
     return replace(prf, mcc=mcc, subtoken_grouped=grouped)

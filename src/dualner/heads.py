@@ -83,7 +83,7 @@ def _check_word_vecs(word_vecs: np.ndarray, hidden_dim: int) -> None:
 
 
 def tagger_forward(word_vecs: np.ndarray, heads: dict[str, np.ndarray]) -> np.ndarray:
-    """[n_words, n_tags] scores over the BIO tag set of the head's labels."""
+    """[n_words, n_tags] scores over the BIO tag ids of the head's types (``tags_to_mentions``)."""
     w = heads["tagger.w"]
     _check_word_vecs(word_vecs, w.shape[0])
     return word_vecs @ w + heads["tagger.b"]
@@ -101,45 +101,37 @@ def tagger_backward(
     return d_scores @ heads["tagger.w"].T
 
 
-def _parse_tag(tag: str) -> tuple[str, str | None]:
-    if tag == "O":
-        return "O", None
-    if tag.startswith("B-") or tag.startswith("I-"):
-        return tag[0], tag[2:]
-    raise ValueError(f"not a BIO tag: {tag!r}")
+def tags_to_mentions(tags: np.ndarray, types: Sequence[str]) -> list[Mention]:
+    """Decode a sentence's BIO tag ids into mentions; total on illegal sequences.
 
-
-def tags_to_mentions(tags: Sequence[str]) -> list[Mention]:
-    """Decode BIO tags into mentions; total on illegal sequences.
-
-    Repair policy: an I-X with no open mention of type X acts as B-X, and an
-    I-Y directly after a mention of a different type starts a new mention of
-    type Y.  The output is always non-overlapping and in sentence order.
+    Tag 0 is O, and ``types[k]`` has B- = 2k+1 and I- = 2k+2: the tagger's
+    classes.  Repair policy: an I-X with no open mention of type X acts as
+    B-X, and an I-Y directly after a mention of a different type starts a
+    new mention of type Y.  The output is always non-overlapping and in
+    sentence order.  An id outside the tag set is refused, by value.
     """
+    n_tags = 1 + 2 * len(types)
     mentions: list[Mention] = []
-    start: int | None = None
-    label: str | None = None
-
-    def close(end: int) -> None:
-        nonlocal start, label
-        if start is not None:
-            mentions.append(Mention(start_word=start, end_word=end, label=label))
-        start, label = None, None
-
+    start, open_type = 0, -1  # the open mention's first word and type index; -1 when none is open
+    tags = tags.tolist()
     for i, tag in enumerate(tags):
-        prefix, tag_label = _parse_tag(tag)
-        if prefix == "O":
-            close(i - 1)
-        elif prefix == "B" or tag_label != label:
-            close(i - 1)
-            start, label = i, tag_label
-    close(len(tags) - 1)
+        if not 0 <= tag < n_tags:
+            raise ValueError(f"tag id {tag} outside the {n_tags} tags of {len(types)} types")
+        k = (tag - 1) >> 1  # the tag's type index, -1 for O
+        if tag % 2 or k != open_type:  # a B-, an O ending a mention, or an I- of another type
+            if open_type >= 0:
+                mentions.append(Mention(start_word=start, end_word=i - 1, label=types[open_type]))
+            start, open_type = i, k
+    if open_type >= 0:
+        mentions.append(Mention(start_word=start, end_word=len(tags) - 1, label=types[open_type]))
     return mentions
 
 
-def mentions_to_tags(mentions: Sequence[Mention], n_words: int) -> list[str]:
-    """Exact BIO encoding; rejects out-of-bounds or overlapping mentions."""
-    tags = ["O"] * n_words
+def mentions_to_tags(mentions: Sequence[Mention], n_words: int, types: Sequence[str]) -> np.ndarray:
+    """Exact BIO encoding as ``n_words`` int64 tag ids (``tags_to_mentions``'s);
+    rejects out-of-bounds or overlapping mentions and a label not in ``types``."""
+    b_tag = {t: 2 * k + 1 for k, t in enumerate(types)}
+    tags = np.zeros(n_words, dtype=np.int64)
     ordered = sorted(mentions, key=lambda m: (m.start_word, m.end_word))
     prev_end = -1
     for m in ordered:
@@ -149,10 +141,11 @@ def mentions_to_tags(mentions: Sequence[Mention], n_words: int) -> list[str]:
             )
         if m.start_word <= prev_end:
             raise ValueError("overlapping mentions cannot be BIO-encoded")
+        if m.label not in b_tag:
+            raise ValueError(f"mention label {m.label!r} is not one of the types {list(types)}")
         prev_end = m.end_word
-        tags[m.start_word] = f"B-{m.label}"
-        for w in range(m.start_word + 1, m.end_word + 1):
-            tags[w] = f"I-{m.label}"
+        tags[m.start_word] = b_tag[m.label]
+        tags[m.start_word + 1 : m.end_word + 1] = b_tag[m.label] + 1
     return tags
 
 

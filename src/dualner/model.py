@@ -129,8 +129,7 @@ class Example:
 
     align: SubTokenization
     sentence: Sentence
-    tag_index: dict[str, int]  # BIO tag -> tagger class, shared by all examples
-    type_index: dict[str, int]  # entity type -> span class, shared by all examples
+    types: tuple[str, ...]  # the label inventory's types, shared by all examples
     max_span_width: int
 
     @property
@@ -139,8 +138,7 @@ class Example:
 
     @cached_property
     def tag_ids(self) -> np.ndarray:
-        tags = mentions_to_tags(self.sentence.mentions, len(self.sentence.words))
-        return np.fromiter((self.tag_index[t] for t in tags), dtype=np.int64, count=len(tags))
+        return mentions_to_tags(self.sentence.mentions, len(self.sentence.words), self.types)
 
     @cached_property
     def spans(self) -> np.ndarray:
@@ -150,7 +148,7 @@ class Example:
     def span_classes(self) -> np.ndarray:
         gold = np.zeros((len(self.sentence.words),) * 2, dtype=np.int64)  # [start, end] -> class
         for m in self.sentence.mentions:
-            gold[m.start_word, m.end_word] = self.type_index[m.label]
+            gold[m.start_word, m.end_word] = self.types.index(m.label) + 1
         return gold[self.spans[:, 0], self.spans[:, 1]]
 
 
@@ -158,14 +156,8 @@ def build_examples(
     docs: Sequence[Document], vocab: BpeVocab, labels: LabelInventory, head_cfg: HeadConfig
 ) -> list[Example]:
     """Pre-tokenized training units, one per sentence."""
-    tag_index = {t: i for i, t in enumerate(labels.tag_set())}
-    type_index = {t: i + 1 for i, t in enumerate(labels.types)}
-    examples = []
-    for doc in docs:
-        for sent in doc.sentences:
-            align = subtokenize(sent.words, vocab)
-            examples.append(Example(align, sent, tag_index, type_index, head_cfg.max_span_width))
-    return examples
+    return [Example(subtokenize(sent.words, vocab), sent, labels.types, head_cfg.max_span_width)
+            for doc in docs for sent in doc.sentences]
 
 
 def check_sentences(cfg: EncoderConfig, docs: Sequence[Document], id_seqs, what: str) -> None:
@@ -486,7 +478,6 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
     if model.method == "word_tagger":
         scores = tagger_forward(wv, model.heads)
         win = softmax(scores).max(axis=1)
-        tag_set = model.labels.tag_set()
         return [
             ScoredMention(
                 start_word=m.start_word,
@@ -494,7 +485,7 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
                 label=m.label,
                 score=float(win[m.start_word : m.end_word + 1].mean()),
             )
-            for m in tags_to_mentions([tag_set[i] for i in scores.argmax(axis=1)])
+            for m in tags_to_mentions(scores.argmax(axis=1), model.labels.types)
         ]
     spans = enumerate_spans(wv.shape[0], model.head_cfg.max_span_width)
     return span_decode(span_forward(wv, spans, model.heads, model.labels.types))

@@ -26,7 +26,7 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, EncoderParams, Workspace, check_vocab_size, init_params
 from .errors import ProtocolError, TrainingError, UnusableDataError
-from .evaluate import evaluate_predictions, mean_std, mention_prf
+from .evaluate import EvalReport, evaluate_predictions, mean_std, mention_prf
 from .heads import HeadConfig
 from .model import (
     METHODS,
@@ -245,11 +245,11 @@ def _resolve_encoder_cfg(encoder_cfg: EncoderConfig, vocab: BpeVocab) -> Encoder
     return encoder_cfg
 
 
-def _tune_f1(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> float:
+def _tune_prf(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> EvalReport:
     preds = predict_documents(model, docs, vocab)
     gold = [s.mentions for d in docs for s in d.sentences]
     pred = [s.mentions for d in preds for s in d.sentences]
-    return mention_prf(gold, pred).f1
+    return mention_prf(gold, pred)
 
 
 def _run_steps(
@@ -301,8 +301,11 @@ def train_supervised(
     step); the returned model maximizes it, ties resolved to the earliest
     step.  ``init_encoder`` warm-starts the encoder, e.g. from an MLM
     snapshot.  Zero epochs return the initialization with an empty log.
-    A split without sentences, and a sentence of either split longer than
-    ``max_positions`` (by name), are refused before the first step.
+    A split without sentences, a sentence of either split longer than
+    ``max_positions`` (by name), and a tune split without a gold mention,
+    whose F1 would read 1.0 for a model that predicts nothing, are refused
+    before the first step.  Each snapshot logs the tune split's
+    ``micro_f1``, ``precision``, ``recall`` and ``pred_mentions``.
     """
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     labels = LabelInventory.from_documents(list(train_docs) + list(tune_docs))
@@ -310,8 +313,9 @@ def train_supervised(
     check_sentences(encoder_cfg, train_docs, (ex.ids for ex in examples), "training split")
     check_sentences(encoder_cfg, tune_docs, (subtokenize(s.words, vocab).sub_token_ids
                                              for d in tune_docs for s in d.sentences), "tune split")
-    if len(labels) == 0:
-        raise UnusableDataError("the train and tune splits hold no entity mentions")
+    if not any(s.mentions for d in tune_docs for s in d.sentences):
+        raise UnusableDataError("the tune split holds no entity mention: its F1 would read 1.0 "
+                                "for a model that predicts nothing")
     model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg)
     if init_encoder is not None:
         if init_encoder.config != encoder_cfg:
@@ -329,8 +333,11 @@ def train_supervised(
     best = TrainResult(model.clone(), log, best_step=0, best_tune_f1=None)
 
     def snapshot(step: int) -> bool:
-        f1 = _tune_f1(model, tune_docs, vocab)
-        log.append(LogEntry(step, "tune", "micro_f1", f1))
+        prf = _tune_prf(model, tune_docs, vocab)
+        f1 = prf.f1
+        for metric, value in (("micro_f1", f1), ("precision", prf.precision), ("recall", prf.recall),
+                              ("pred_mentions", float(prf.tp + prf.fp))):
+            log.append(LogEntry(step, "tune", metric, value))
         if best.best_tune_f1 is None or f1 > best.best_tune_f1:
             best.model, best.best_step, best.best_tune_f1 = model.clone(), step, f1
         return train_cfg.early_stop_f1 is not None and f1 >= train_cfg.early_stop_f1
@@ -469,7 +476,7 @@ def sweep_tapt_checkpoints(
         )
         f1 = result.best_tune_f1
         if f1 is None:
-            f1 = _tune_f1(result.model, tune_docs, vocab)
+            f1 = _tune_prf(result.model, tune_docs, vocab).f1
         points.append(SweepPoint(step=step, f1=f1, best_step=result.best_step))
     return points
 

@@ -148,6 +148,45 @@ def binary_mcc(tp: int, fp: int, fn: int, tn: int) -> float:
     return (tp * tn - fp * fn) / np.sqrt(float(denom))
 
 
+def tag_strings(types) -> tuple[str, ...]:
+    """The BIO tag of each tag id as a string: O, then B-/I- per type."""
+    return ("O", *(f"{p}-{t}" for t in types for p in "BI"))
+
+
+def tags_to_mentions_reference(tags) -> list[Mention]:
+    """BIO tag strings decoded into mentions under ``tags_to_mentions``'s
+    repair policy, each tag parsed from its string."""
+    mentions: list[Mention] = []
+    start = label = None
+
+    def close(end: int) -> None:
+        nonlocal start, label
+        if start is not None:
+            mentions.append(Mention(start_word=start, end_word=end, label=label))
+        start, label = None, None
+
+    for i, tag in enumerate(tags):
+        if tag != "O" and not tag.startswith(("B-", "I-")):
+            raise ValueError(f"not a BIO tag: {tag!r}")
+        if tag == "O":
+            close(i - 1)
+        elif tag[0] == "B" or tag[2:] != label:
+            close(i - 1)
+            start, label = i, tag[2:]
+    close(len(tags) - 1)
+    return mentions
+
+
+def mentions_to_tags_reference(mentions, n_words: int) -> list[str]:
+    """Flat mentions encoded as BIO tag strings, one per word."""
+    tags = ["O"] * n_words
+    for m in mentions:
+        tags[m.start_word] = f"B-{m.label}"
+        for w in range(m.start_word + 1, m.end_word + 1):
+            tags[w] = f"I-{m.label}"
+    return tags
+
+
 def random_flat_mentions(
     rng: np.random.Generator, n_words: int, types: tuple[str, ...], max_len: int = 4
 ) -> list[Mention]:
@@ -580,8 +619,12 @@ def train_supervised_reference(train_docs, tune_docs, vocab, encoder_cfg, head_c
         preds = predict_documents(model, tune_docs, vocab)
         gold = [s.mentions for d in tune_docs for s in d.sentences]
         pred = [s.mentions for d in preds for s in d.sentences]
-        f1 = mention_prf(gold, pred).f1
+        prf = mention_prf(gold, pred)
+        f1 = prf.f1
         log.append(LogEntry(at_step, "tune", "micro_f1", f1))
+        log.append(LogEntry(at_step, "tune", "precision", prf.precision))
+        log.append(LogEntry(at_step, "tune", "recall", prf.recall))
+        log.append(LogEntry(at_step, "tune", "pred_mentions", float(prf.tp + prf.fp)))
         if best_f1 is None or f1 > best_f1:
             best_f1, best_step, best_model = f1, at_step, model.clone()
         return f1

@@ -100,7 +100,7 @@ def test_c01_bio_round_trip():
     for _ in range(1000):
         n_words = int(rng.integers(1, 41))
         mentions = random_flat_mentions(rng, n_words, FIVE_TYPES)
-        assert tags_to_mentions(mentions_to_tags(mentions, n_words)) == mentions
+        assert tags_to_mentions(mentions_to_tags(mentions, n_words, FIVE_TYPES), FIVE_TYPES) == mentions
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     _ok("C1 BIO round-trip", f"1000 sets in {elapsed:.2f}s")
@@ -112,20 +112,18 @@ def test_c01_bio_round_trip():
 
 
 def test_c02_bio_repair_totality():
-    tag_alphabet = ["O"]
-    for t in FIVE_TYPES:
-        tag_alphabet += [f"B-{t}", f"I-{t}"]
+    n_tags = 1 + 2 * len(FIVE_TYPES)  # O, then B-/I- per type
     rng = np.random.default_rng(202)
     for _ in range(1000):
         n = int(rng.integers(1, 41))
-        tags = [tag_alphabet[i] for i in rng.integers(0, len(tag_alphabet), size=n)]
-        mentions = tags_to_mentions(tags)
+        tags = rng.integers(0, n_tags, size=n)
+        mentions = tags_to_mentions(tags, FIVE_TYPES)
         for m in mentions:
             assert 0 <= m.start_word <= m.end_word < n
         for a, b in zip(mentions, mentions[1:]):
             assert a.end_word < b.start_word  # valid: non-overlapping, nest-free
-        reencoded = mentions_to_tags(mentions, n)
-        assert tags_to_mentions(reencoded) == mentions  # fixpoint
+        reencoded = mentions_to_tags(mentions, n, FIVE_TYPES)
+        assert tags_to_mentions(reencoded, FIVE_TYPES) == mentions  # fixpoint
     _ok("C2 BIO repair totality", "1000 random tag sequences")
 
 

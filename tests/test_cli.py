@@ -996,6 +996,36 @@ def test_input_that_does_not_fit_exits_two(tmp_path, corpus_file, vocab_file, sm
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep-tapt"])
+def test_tune_split_without_a_mention_exits_two(tmp_path, small_corpus, vocab_file, capsys, command):
+    """A tune split whose sentences hold no gold mention is refused before
+    any training, and no output is written: its F1 would read 1.0 for a
+    model that predicts nothing."""
+    corpus = tmp_path / "corpus.jsonl"
+    unlabeled = [replace(d, sentences=[replace(s, mentions=[]) for s in d.sentences]) for d in small_corpus[16:]]
+    save_corpus(small_corpus[:16] + unlabeled, corpus)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(corpus), "n_train": 16, "vocab": str(vocab_file), "methods": ["word_tagger"],
+        "seeds": [0], "encoder": {"hidden_dim": 16, "n_layers": 1, "n_heads": 2, "ffn_dim": 24},
+        "train": {"epochs": 1, "early_stop_f1": 0.99},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = ["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]
+    if command == "sweep-tapt":
+        assert main(["pretrain-mlm", "--config", str(cfg_path), "--corpus", str(corpus), "--vocab", str(vocab_file),
+                     "--out-dir", str(tmp_path / "mlm"), "--steps", "2", "--checkpoint-every", "1"]) == 0
+        capsys.readouterr()
+        argv = ["sweep-tapt", "--config", str(cfg_path), "--vocab", str(vocab_file),
+                "--checkpoints", str(tmp_path / "mlm"), "--out-dir", str(out_dir)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert "the tune split holds no entity mention" in err
+    assert not out_dir.exists()
+
+
 DEFAULT_CONFIG_TEXT = """\
 {
  "corpus": "c",

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dualner.corpus import Mention, ScoredMention
 from dualner.evaluate import (
     BucketScore,
-    confusion_matrix,
     mcc_from_confusion,
     mean_std,
     mention_prf,
@@ -21,7 +20,7 @@ from dualner.evaluate import (
 )
 from dualner.subtok import SubTokenization
 
-from .oracles import binary_mcc, mcc_one_hot_covariance
+from .oracles import binary_mcc, mcc_one_hot_covariance, tag_strings
 
 
 def M(s, e, t):
@@ -172,9 +171,23 @@ def test_mcc_rejects_misaligned_input():
         multiclass_mcc([["O"]], [["O"], ["O"]])
 
 
-def test_confusion_matrix_layout():
-    c = confusion_matrix(["a", "a", "b"], ["a", "b", "b"], ["a", "b"])
-    assert c.tolist() == [[1, 1], [0, 1]]
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_mcc_on_tag_ids_equals_mcc_on_the_same_tag_strings(seed):
+    """The MCC of id arrays has the bits of the MCC of their BIO strings,
+    whose sorted order differs from the ids' (``B-Y`` before ``O``)."""
+    rng = np.random.default_rng(seed)
+    names = tag_strings(("X", "Y", "Z"))
+    sizes = rng.integers(0, 12, size=int(rng.integers(1, 6)))
+    gold = [rng.integers(0, len(names), size=n) for n in sizes]
+    pred = [rng.integers(0, len(names), size=n) for n in sizes]
+    as_strings = [[[names[t] for t in sent] for sent in tags] for tags in (gold, pred)]
+    assert multiclass_mcc(gold, pred) == multiclass_mcc(*as_strings)
+
+
+def test_mcc_of_a_corpus_without_words_is_zero():
+    assert multiclass_mcc([], []) == 0.0
+    assert multiclass_mcc([np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +200,13 @@ def _align_from_counts(counts):
     return SubTokenization(np.arange(counts.sum()), np.cumsum(counts) - counts)
 
 
+def _ids(*tags):
+    """Tag ids of types X (B- 1, I- 2) and Y (B- 3, I- 4), 0 for O."""
+    return np.array(tags, dtype=np.int64)
+
+
 def test_grouped_all_single_subtoken_perfect():
-    gold = [["B-X", "I-X", "O"]]
+    gold = [_ids(1, 2, 0)]  # B-X I-X O
     got = subtoken_grouped_f1(gold, gold, [_align_from_counts([1, 1, 1])])
     assert got["1"].f1 == 1.0 and got["1"].word_count == 2
     assert got["2"].word_count == 0 and got["2"].f1 is None
@@ -196,7 +214,7 @@ def test_grouped_all_single_subtoken_perfect():
 
 
 def test_grouped_perfect_mixed_fragmentation():
-    gold = [["B-X", "I-X", "B-Y", "O"]]
+    gold = [_ids(1, 2, 3, 0)]  # B-X I-X B-Y O
     align = _align_from_counts([1, 2, 3, 1])
     got = subtoken_grouped_f1(gold, gold, [align])
     assert got["1"].f1 == 1.0 and got["2"].f1 == 1.0 and got["3+"].f1 == 1.0
@@ -206,8 +224,8 @@ def test_grouped_perfect_mixed_fragmentation():
 def test_grouped_hand_counted_case():
     # six words; gold marks words 0-1 (X) and 3-5 (Y); word 4 splits into 3
     # pieces and is tagged wrong (predicted O): bucket 3+ has tp=1,fp=0,fn=1
-    gold = [["B-X", "I-X", "O", "B-Y", "I-Y", "I-Y"]]
-    pred = [["B-X", "I-X", "O", "B-Y", "O", "I-Y"]]
+    gold = [_ids(1, 2, 0, 3, 4, 4)]  # B-X I-X O B-Y I-Y I-Y
+    pred = [_ids(1, 2, 0, 3, 0, 4)]  # B-X I-X O B-Y O I-Y
     align = _align_from_counts([1, 1, 1, 2, 3, 3])
     got = subtoken_grouped_f1(gold, pred, [align])
     assert (got["3+"].tp, got["3+"].fp, got["3+"].fn) == (1, 0, 1)
@@ -216,8 +234,8 @@ def test_grouped_hand_counted_case():
 
 
 def test_grouped_wrong_entity_tag_counts_fp_and_fn():
-    gold = [["B-X"]]
-    pred = [["B-Y"]]
+    gold = [_ids(1)]  # B-X
+    pred = [_ids(3)]  # B-Y
     got = subtoken_grouped_f1(gold, pred, [_align_from_counts([1])])
     assert (got["1"].tp, got["1"].fp, got["1"].fn) == (0, 1, 1)
     assert got["1"].f1 == 0.0
@@ -225,9 +243,9 @@ def test_grouped_wrong_entity_tag_counts_fp_and_fn():
 
 def test_grouped_requires_alignment():
     with pytest.raises(ValueError):
-        subtoken_grouped_f1([["O"]], [["O"]], [None])
+        subtoken_grouped_f1([_ids(0)], [_ids(0)], [None])
     with pytest.raises(ValueError):
-        subtoken_grouped_f1([["O", "O"]], [["O", "O"]], [_align_from_counts([1])])
+        subtoken_grouped_f1([_ids(0, 0)], [_ids(0, 0)], [_align_from_counts([1])])
 
 
 # ---------------------------------------------------------------------------

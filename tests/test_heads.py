@@ -26,11 +26,14 @@ from .oracles import (
     central_difference,
     enumerate_spans_reference,
     gradient_agreement,
+    mentions_to_tags_reference,
     random_flat_mentions,
     span_backward_allocating_reference,
     span_head_reference,
     span_logits_allocating_reference,
     span_representations,
+    tag_strings,
+    tags_to_mentions_reference,
 )
 
 INV = LabelInventory.from_types(["ComputingFacility", "Instrument"])
@@ -49,8 +52,8 @@ def _params(hidden_dim=8, cfg=CFG, seed=1, scale=None):
 
 
 def _tags(scores):
-    """Argmax tags of tagger scores; ties go to the lowest tag index."""
-    return [INV.tag_set()[i] for i in scores.argmax(axis=1)]
+    """Argmax tags of tagger scores, as strings; ties go to the lowest tag id."""
+    return [tag_strings(TYPES)[i] for i in scores.argmax(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +62,10 @@ def _tags(scores):
 
 
 def test_tag_set_order():
-    assert INV.tag_set() == (
+    """Tag id 0 is O, then a B-/I- pair per sorted type: the tagger's classes."""
+    mentions = [Mention(0, 1, "ComputingFacility"), Mention(2, 3, "Instrument")]
+    assert mentions_to_tags(mentions, 5, TYPES).tolist() == [1, 2, 3, 4, 0]
+    assert tag_strings(TYPES) == (
         "O",
         "B-ComputingFacility",
         "I-ComputingFacility",
@@ -82,7 +88,7 @@ def test_tagger_deterministic_and_shape_checked():
     vecs = np.random.default_rng(1).normal(size=(4, 8))
     a = tagger_forward(vecs, params)
     b = tagger_forward(vecs, params)
-    assert a.shape == (4, len(INV.tag_set())) and np.array_equal(a, b)
+    assert a.shape == (4, 1 + 2 * len(TYPES)) and np.array_equal(a, b)
     with pytest.raises(ValueError):
         tagger_forward(np.zeros((4, 7)), params)
 
@@ -160,31 +166,43 @@ def test_tagger_gradients():
 # ---------------------------------------------------------------------------
 
 
+XY = ("X", "Y")  # X: B- 1, I- 2; Y: B- 3, I- 4
+
+
 def test_tags_to_mentions_basic():
-    assert tags_to_mentions(["B-X", "I-X", "O"]) == [Mention(0, 1, "X")]
-    assert tags_to_mentions(["O", "O", "O"]) == []
+    assert tags_to_mentions(np.array([1, 2, 0]), XY) == [Mention(0, 1, "X")]
+    assert tags_to_mentions(np.array([0, 0, 0]), XY) == []
+    assert tags_to_mentions(np.zeros(0, dtype=np.int64), XY) == []
 
 
 def test_tags_to_mentions_repair_policy():
-    got = tags_to_mentions(["I-X", "I-X", "B-Y", "I-X"])
+    got = tags_to_mentions(np.array([2, 2, 3, 2]), XY)  # I-X I-X B-Y I-X
     assert got == [Mention(0, 1, "X"), Mention(2, 2, "Y"), Mention(3, 3, "X")]
 
 
-def test_tags_to_mentions_rejects_garbage_strings():
-    with pytest.raises(ValueError):
-        tags_to_mentions(["B-X", "Z-X"])
+def test_tags_to_mentions_rejects_out_of_range_ids():
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match=f"tag id {bad} "):
+            tags_to_mentions(np.array([1, bad]), XY)
 
 
 def test_mentions_to_tags_basic():
-    assert mentions_to_tags([], 3) == ["O", "O", "O"]
-    assert mentions_to_tags([Mention(1, 2, "X")], 4) == ["O", "B-X", "I-X", "O"]
+    tags = mentions_to_tags([], 3, XY)
+    assert tags.dtype == np.int64 and tags.tolist() == [0, 0, 0]
+    assert mentions_to_tags([Mention(1, 2, "X")], 4, XY).tolist() == [0, 1, 2, 0]
+    assert mentions_to_tags([Mention(0, 0, "Y"), Mention(2, 3, "Y")], 4, XY).tolist() == [3, 0, 3, 4]
 
 
 def test_mentions_to_tags_rejects_overlap_and_bounds():
     with pytest.raises(ValueError):
-        mentions_to_tags([Mention(0, 1, "X"), Mention(1, 2, "X")], 4)
+        mentions_to_tags([Mention(0, 1, "X"), Mention(1, 2, "X")], 4, XY)
     with pytest.raises(ValueError):
-        mentions_to_tags([Mention(2, 5, "X")], 4)
+        mentions_to_tags([Mention(2, 5, "X")], 4, XY)
+
+
+def test_mentions_to_tags_rejects_an_unknown_label():
+    with pytest.raises(ValueError, match="'Ghost'"):
+        mentions_to_tags([Mention(0, 1, "X"), Mention(2, 2, "Ghost")], 4, XY)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -193,22 +211,38 @@ def test_bio_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
     n_words = int(rng.integers(1, 41))
     mentions = random_flat_mentions(rng, n_words, TYPES)
-    assert tags_to_mentions(mentions_to_tags(mentions, n_words)) == mentions
+    assert tags_to_mentions(mentions_to_tags(mentions, n_words, TYPES), TYPES) == mentions
 
 
-TAG_ALPHABET = list(INV.tag_set()) + ["I-Ghost", "B-Ghost"]
+GHOST_TYPES = (*TYPES, "Ghost")
 
 
-@given(st.lists(st.sampled_from(TAG_ALPHABET), min_size=1, max_size=30))
+@given(st.lists(st.integers(0, 2 * len(GHOST_TYPES)), min_size=1, max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_bio_decode_total_and_fixpoint(tags):
-    mentions = tags_to_mentions(tags)
+    mentions = tags_to_mentions(np.array(tags), GHOST_TYPES)
     starts = [m.start_word for m in mentions]
     assert starts == sorted(starts)
     for a, b in zip(mentions, mentions[1:]):
         assert a.end_word < b.start_word  # non-overlapping, nest-free
-    reencoded = mentions_to_tags(mentions, len(tags))
-    assert tags_to_mentions(reencoded) == mentions
+    reencoded = mentions_to_tags(mentions, len(tags), GHOST_TYPES)
+    assert tags_to_mentions(reencoded, GHOST_TYPES) == mentions
+
+
+def test_bio_codec_matches_the_string_codec():
+    """On random id sequences, empty ones included, decoding equals the
+    string codec's decoding of the same tags, encoding its mentions back
+    gives the string codec's tags, and the round trip holds."""
+    rng = np.random.default_rng(7)
+    names = tag_strings(GHOST_TYPES)
+    for _ in range(2000):
+        n = int(rng.integers(0, 25))
+        tags = rng.integers(0, len(names), size=n)
+        mentions = tags_to_mentions(tags, GHOST_TYPES)
+        assert mentions == tags_to_mentions_reference([names[t] for t in tags])
+        reencoded = mentions_to_tags(mentions, n, GHOST_TYPES)
+        assert [names[t] for t in reencoded] == mentions_to_tags_reference(mentions, n)
+        assert tags_to_mentions(reencoded, GHOST_TYPES) == mentions
 
 
 # ---------------------------------------------------------------------------

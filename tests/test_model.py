@@ -42,6 +42,7 @@ from .oracles import (
     mlm_batch_loss_and_grads_reference,
     mlm_eval_loss_reference,
     mlm_mask_reference,
+    tag_strings,
 )
 
 INV = LabelInventory.from_types(["Alpha", "Beta"])
@@ -78,9 +79,9 @@ def test_build_examples_targets(tiny_setup):
     examples = build_examples(docs, vocab, INV, HEADS)
     assert len(examples) == sum(len(d.sentences) for d in docs)
     sentences = [sent for doc in docs for sent in doc.sentences]
-    tag_set = INV.tag_set()
+    tag_set = tag_strings(INV.types)
     for ex, sent in zip(examples, sentences):
-        assert len(ex.tag_ids) == len(sent.words)
+        assert len(ex.tag_ids) == len(sent.words) and ex.tag_ids.dtype == np.int64
         assert len(ex.span_classes) == len(ex.spans)
         gold = {(m.start_word, m.end_word): m.label for m in sent.mentions}
         for (s, e), cls in zip(ex.spans, ex.span_classes):

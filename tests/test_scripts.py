@@ -79,17 +79,18 @@ def test_call_counts_read_does_not_depend_on_the_workloads_before_it():
 
 def test_bit_fingerprint_prints_a_repeatable_line():
     """Two runs print the same line for a workload: its final loss as hex
-    and a sha256 of its log, final weights, scoring output and the scoring
-    output of the untrained model."""
+    and a sha256 of its log, final weights, scoring output, the scoring
+    output of the untrained model and the evaluation report of that
+    model's predictions."""
     runs = [_run_script("bit_fingerprint.py", "tagger_short") for _ in range(2)]
     assert runs[0] == runs[1]
     (line,) = runs[0].splitlines()
     name, *fields = line.split(" ")
     assert name == "tagger_short"
     values = dict(field.split("=", 1) for field in fields)
-    assert list(values) == ["final_loss", "log", "weights", "scores", "init"]
+    assert list(values) == ["final_loss", "log", "weights", "scores", "init", "eval"]
     assert float.fromhex(values["final_loss"]) > 0.0
-    assert all(re.fullmatch("[0-9a-f]{64}", values[key]) for key in ("log", "weights", "scores", "init"))
+    assert all(re.fullmatch("[0-9a-f]{64}", values[key]) for key in ("log", "weights", "scores", "init", "eval"))
 
 
 @pytest.mark.parametrize("script", ["call_counts.py", "bit_fingerprint.py"])

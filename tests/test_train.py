@@ -10,7 +10,7 @@ import pytest
 from dualner import train as train_module
 from dualner.corpus import Document, LabelInventory, Sentence, generate_synthetic, split_train_tune, write_json
 from dualner.encoder import EncoderConfig, init_params
-from dualner.errors import FormatError, ProtocolError, SentenceTooLongError, TrainingError
+from dualner.errors import FormatError, ProtocolError, SentenceTooLongError, TrainingError, UnusableDataError
 from dualner.heads import HeadConfig
 from dualner.model import (
     METHODS,
@@ -111,7 +111,7 @@ def test_checkpoint_selection_argmax_ties_earliest(mini):
     train_docs, tune_docs, vocab = mini
     cfg = TrainConfig(epochs=4, seed=2, checkpoint_every=1)
     result = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
-    series = [(e.step, e.value) for e in result.log if e.split == "tune"]
+    series = [(e.step, e.value) for e in result.log if e.split == "tune" and e.metric == "micro_f1"]
     best = max(v for _s, v in series)
     first_best = min(s for s, v in series if v == best)
     assert result.best_step == first_best
@@ -122,8 +122,44 @@ def test_final_partial_interval_still_evaluated(mini):
     train_docs, tune_docs, vocab = mini
     cfg = TrainConfig(epochs=1, seed=0, checkpoint_every=1000)
     result = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
-    tune_entries = [e for e in result.log if e.split == "tune"]
+    tune_entries = [e for e in result.log if e.split == "tune" and e.metric == "micro_f1"]
     assert len(tune_entries) == 1
+
+
+def test_each_tune_snapshot_logs_precision_recall_and_predicted_mentions(mini):
+    """A snapshot logs micro F1, precision, recall and the predicted mention
+    count (tp + fp) of one report; the count makes a model that predicts
+    nothing visible in the log."""
+    train_docs, tune_docs, vocab = mini
+    cfg = TrainConfig(method="span_classifier", epochs=2, seed=0, checkpoint_every=1)
+    result = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
+    tune = [e for e in result.log if e.split == "tune"]
+    steps = sorted({e.step for e in tune})
+    assert len(steps) == 4
+    metrics = ["micro_f1", "precision", "recall", "pred_mentions"]
+    assert [(e.step, e.metric) for e in tune] == [(step, m) for step in steps for m in metrics]
+    n_gold = sum(len(s.mentions) for d in tune_docs for s in d.sentences)
+    for step in steps:
+        f1, precision, recall, pred = (e.value for e in tune if e.step == step)
+        assert pred == int(pred) >= 0
+        tp = round(recall * n_gold)
+        assert precision == (tp / pred if pred else 0.0) and f1 == (2 * tp / (pred + n_gold))
+
+
+def test_tune_split_without_a_mention_is_refused_before_the_first_step(mini, monkeypatch):
+    """Its tune F1 would read 1.0 for a model that predicts nothing, so an
+    early stop at 0.99 would keep an untrained model."""
+    train_docs, tune_docs, vocab = mini
+    unlabeled = [dataclasses.replace(d, sentences=[dataclasses.replace(s, mentions=[]) for s in d.sentences])
+                 for d in tune_docs]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(train_module, "batch_loss_and_grads", no_step)
+    cfg = TrainConfig(epochs=2, seed=0, early_stop_f1=0.99)
+    with pytest.raises(UnusableDataError, match="^the tune split holds no entity mention"):
+        train_supervised(train_docs, unlabeled, vocab, ENC, HEADS, cfg)
 
 
 def test_divergence_raises_training_error(mini):
