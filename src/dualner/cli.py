@@ -272,8 +272,8 @@ def cmd_analyze(args) -> None:
     print(f"fragmentation ratio ({report.scope}): {report.ratio:.4f}")
     print(f"{'sub-tokens':<12} {'words':>8} {'share':>8}")
     print("-" * 30)
-    for bucket, count in report.histogram.items():
-        print(f"{bucket:<12} {count:>8} {count / report.total_words:>8.1%}")
+    for bucket, share in report.shares().items():
+        print(f"{bucket:<12} {report.histogram[bucket]:>8} {share:>8.1%}")
     if args.out:
         write_json(args.out, report.to_dict())
 

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Document, LabelInventory, Mention, mentions_overlap, require_sentences, select_by_score
 from .errors import ValidationError
 from .heads import mentions_to_tags
-from .subtok import BUCKETS, BpeVocab, SubTokenization, subtokenize
+from .subtok import BUCKETS, BpeVocab, SubTokenization, bucket_index, subtokenize
 
 __all__ = [
     "BucketScore",
@@ -157,9 +157,7 @@ def subtoken_grouped_f1(
     empty = np.zeros(0, dtype=np.int64)  # keeps a corpus without sentences total
     gold = np.concatenate([empty, *gold_tags])
     pred = np.concatenate([empty, *pred_tags])
-    # each word's index in BUCKETS, as bucket_of gives it: 1, 2, 3 or more sub-tokens
-    per_word = np.concatenate([empty, *(a.subtokens_per_word() for a in aligns)])
-    bucket = np.clip(per_word, 1, len(BUCKETS)) - 1
+    bucket = bucket_index(np.concatenate([empty, *(a.subtokens_per_word() for a in aligns)]))
     entity = gold != 0
     words = np.bincount(bucket[entity], minlength=len(BUCKETS))
     tp = np.bincount(bucket[entity & (pred == gold)], minlength=len(BUCKETS))

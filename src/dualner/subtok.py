@@ -14,6 +14,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -52,7 +53,7 @@ class BpeVocab:
     mask_id: int | None = 2
 
     def __post_init__(self):
-        table = {s: i for i, s in enumerate(self.symbols)}
+        table = self._table
         if len(table) != len(self.symbols):
             raise FormatError("duplicate symbol strings in vocabulary")
         for left, right in self.merges:
@@ -322,12 +323,9 @@ BUCKETS = ("1", "2", "3+")
 SCOPES = ("all_words", "mention_words")  # the words counted; the first is the default
 
 
-def bucket_of(n_subtokens: int) -> str:
-    if n_subtokens <= 1:
-        return "1"
-    if n_subtokens == 2:
-        return "2"
-    return "3+"
+def bucket_index(subtokens_per_word: np.ndarray) -> np.ndarray:
+    """Each word's index in ``BUCKETS``: 1, 2, or 3 or more sub-tokens."""
+    return np.clip(subtokens_per_word, 1, len(BUCKETS)) - 1
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -346,43 +344,34 @@ class FragmentationReport:
         return asdict(self) | {"shares": self.shares()}
 
 
-def _mention_word_mask(sent) -> list[bool]:
-    mask = [False] * len(sent.words)
-    for m in sent.mentions:
-        for w in range(m.start_word, m.end_word + 1):
-            mask[w] = True
-    return mask
-
-
 def fragmentation_ratio(
     docs: Sequence[Document], vocab: BpeVocab, scope: str = SCOPES[0]
 ) -> FragmentationReport:
     """Total sub-tokens over total words, plus the {1,2,3+} split-count histogram.
 
     ``scope="mention_words"`` restricts the count to words covered by a gold
-    mention.
+    mention; a word covered by several mentions counts once.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    hist = {b: 0 for b in BUCKETS}
-    total_words = 0
-    total_subtokens = 0
-    for doc in docs:
-        for sent in doc.sentences:
-            mask = _mention_word_mask(sent) if scope == "mention_words" else None
-            for wi, word in enumerate(sent.words):
-                if mask is not None and not mask[wi]:
-                    continue
-                k = len(vocab.encode_word(word))
-                hist[bucket_of(k)] += 1
-                total_words += 1
-                total_subtokens += k
-    if total_words == 0:
+    sentences = [sent for doc in docs for sent in doc.sentences]
+    words = [w for sent in sentences for w in sent.words]
+    if scope == "mention_words":
+        covered = np.zeros(len(words), dtype=bool)
+        offset = 0
+        for sent in sentences:
+            for m in sent.mentions:
+                covered[offset + m.start_word : offset + m.end_word + 1] = True
+            offset += len(sent.words)
+        words = list(compress(words, covered.tolist()))
+    if not words:
         raise UnusableDataError(f"no words in scope {scope!r}; is the corpus segmented (and annotated)?")
+    sub = subtokenize(words, vocab)
+    hist = np.bincount(bucket_index(sub.subtokens_per_word()), minlength=len(BUCKETS))
     return FragmentationReport(
-        ratio=total_subtokens / total_words,
-        histogram=hist,
-        total_words=total_words,
-        total_subtokens=total_subtokens,
+        ratio=sub.n_subtokens / sub.n_words,
+        histogram=dict(zip(BUCKETS, hist.tolist())),
+        total_words=sub.n_words,
+        total_subtokens=sub.n_subtokens,
         scope=scope,
     )

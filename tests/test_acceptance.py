@@ -7,9 +7,11 @@ lines; the whole suite is CPU-only and finishes in a few minutes.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from .oracles import (
     random_nested_mentions,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 FIVE_TYPES = ("T1", "T2", "T3", "T4", "T5")
 
 
@@ -383,8 +386,10 @@ def test_c10_tapt_loop():
 
 
 def _run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "dualner", *args], capture_output=True, text=True
+        [sys.executable, "-m", "dualner", *args], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, f"dualner {' '.join(args)}\n{proc.stderr}"
     return proc

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dualner.corpus import Mention, ScoredMention
 from dualner.evaluate import (
     BucketScore,
+    evaluate_predictions,
     mcc_from_confusion,
     mean_std,
     mention_prf,
@@ -18,7 +19,7 @@ from dualner.evaluate import (
     project_non_overlapping,
     subtoken_grouped_f1,
 )
-from dualner.subtok import SubTokenization
+from dualner.subtok import SubTokenization, fragmentation_ratio, train_bpe
 
 from .oracles import binary_mcc, mcc_one_hot_covariance, tag_strings
 
@@ -246,6 +247,16 @@ def test_grouped_requires_alignment():
         subtoken_grouped_f1([_ids(0)], [_ids(0)], [None])
     with pytest.raises(ValueError):
         subtoken_grouped_f1([_ids(0, 0)], [_ids(0, 0)], [_align_from_counts([1])])
+
+
+@pytest.mark.parametrize("vocab_size", [200, 400])
+def test_grouped_word_counts_equal_mention_word_histogram(small_corpus, vocab_size):
+    # the words gold tags as entity words are the words gold mentions cover,
+    # and both analyses bucket them by the same rule
+    vocab = train_bpe(small_corpus, vocab_size)
+    grouped = evaluate_predictions(small_corpus, small_corpus, vocab=vocab).subtoken_grouped
+    histogram = fragmentation_ratio(small_corpus, vocab, "mention_words").histogram
+    assert {b: score.word_count for b, score in grouped.items()} == histogram
 
 
 # ---------------------------------------------------------------------------

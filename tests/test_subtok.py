@@ -290,16 +290,33 @@ def test_fragmentation_rejects_empty_scope():
         fragmentation_ratio([_doc_of_words(["a"])], vocab, scope="bogus")
 
 
+def test_fragmentation_counts_a_word_under_two_mentions_once():
+    vocab = _toy_vocab(["x", "q", "z"], [])
+    docs = [_doc_of_words(["xx", "q", "zzz"], [Mention(0, 2, "T"), Mention(1, 2, "U"), Mention(2, 2, "V")])]
+    report = fragmentation_ratio(docs, vocab, scope="mention_words")
+    assert (report.total_words, report.total_subtokens) == (3, 6)
+    assert report.histogram == {"1": 1, "2": 1, "3+": 1}
+
+
 def test_fragmentation_matches_independent_fold(small_corpus, small_vocab):
-    report = fragmentation_ratio(small_corpus, small_vocab)
-    total_sub = total_words = 0
-    for doc in small_corpus:
-        for sent in doc.sentences:
-            sub = subtokenize(sent.words, small_vocab)
-            total_sub += sub.n_subtokens
-            total_words += sub.n_words
-    assert report.ratio == total_sub / total_words
-    assert sum(report.histogram.values()) == total_words
+    # 200 symbols split every mention word into 3 or more; 400 fill all buckets
+    for vocab in (small_vocab, train_bpe(small_corpus, 400)):
+        for scope in ("all_words", "mention_words"):
+            hist = {"1": 0, "2": 0, "3+": 0}
+            total_sub = 0
+            for doc in small_corpus:
+                for sent in doc.sentences:
+                    covered = {w for m in sent.mentions for w in range(m.start_word, m.end_word + 1)}
+                    for wi, word in enumerate(sent.words):
+                        if scope == "all_words" or wi in covered:
+                            k = len(vocab.encode_word(word))
+                            hist["1" if k == 1 else "2" if k == 2 else "3+"] += 1
+                            total_sub += k
+            total_words = sum(hist.values())
+            report = fragmentation_ratio(small_corpus, vocab, scope)
+            assert report.histogram == hist, scope
+            assert (report.total_words, report.total_subtokens) == (total_words, total_sub)
+            assert report.ratio == total_sub / total_words
 
 
 def test_extending_merges_never_increases_ratio(small_corpus):
