@@ -69,15 +69,14 @@ class EncoderConfig:
     n_heads: int = 4
     ffn_dim: int = 128
     dropout_rate: float = 0.0
-    init_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.vocab_size < 0:
             raise ValueError("vocab_size must be >= 0 (0 is filled in from the vocabulary)")
         if min(self.max_positions, self.hidden_dim) < 1:
             raise ValueError("max_positions and hidden_dim must be positive")
-        if self.n_layers < 0 or self.init_seed < 0 or self.n_heads < 1 or self.ffn_dim < 1:
-            raise ValueError("n_layers and init_seed must be >= 0; n_heads and ffn_dim positive")
+        if self.n_layers < 0 or self.n_heads < 1 or self.ffn_dim < 1:
+            raise ValueError("n_layers must be >= 0; n_heads and ffn_dim positive")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError(
                 f"hidden_dim={self.hidden_dim} not divisible by n_heads={self.n_heads}"
@@ -186,10 +185,10 @@ def draw_tensors(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -
     return out
 
 
-def init_params(cfg: EncoderConfig) -> EncoderParams:
-    """Random initialization: trunc-normal(0.02) weights, unit/zero layer norms."""
-    shapes = param_shapes(cfg)
-    return EncoderParams(config=cfg, tensors=draw_tensors(shapes, np.random.default_rng(cfg.init_seed)))
+def init_params(cfg: EncoderConfig, seed: int = 0) -> EncoderParams:
+    """Random initialization drawn from ``seed``: trunc-normal(0.02)
+    weights, unit/zero layer norms."""
+    return EncoderParams(config=cfg, tensors=draw_tensors(param_shapes(cfg), np.random.default_rng(seed)))
 
 
 def check_vocab_size(cfg: EncoderConfig, n_symbols: int, what: str) -> None:

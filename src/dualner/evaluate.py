@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Document, LabelInventory, Mention, mentions_overlap, require_sentences, select_by_score
 from .errors import ValidationError
 from .heads import mentions_to_tags
-from .subtok import BUCKETS, BpeVocab, SubTokenization, bucket_index, subtokenize
+from .subtok import BUCKETS, BpeVocab, bucket_index, subtokenize
 
 __all__ = [
     "BucketScore",
@@ -140,24 +140,24 @@ class BucketScore:
 def subtoken_grouped_f1(
     gold_tags: Sequence[np.ndarray],
     pred_tags: Sequence[np.ndarray],
-    aligns: Sequence[SubTokenization],
+    subtokens_per_word: np.ndarray,
 ) -> dict[str, BucketScore]:
     """Word-level F1 on entity-name words, bucketed by how far each word split.
 
     Tags are per-sentence tag id arrays, 0 for O (``heads.tags_to_mentions``).
-    Only words whose gold tag is not O take part.  A word counts as a true
-    positive when its predicted BIO tag equals gold; a wrong entity tag is
-    one fp and one fn, a predicted O is one fn.
+    ``subtokens_per_word`` holds every word's sub-token count, the words of
+    all sentences in order.  Only words whose gold tag is not O take part.
+    A word counts as a true positive when its predicted BIO tag equals
+    gold; a wrong entity tag is one fp and one fn, a predicted O is one fn.
     """
-    if not (len(gold_tags) == len(pred_tags) == len(aligns)):
-        raise ValueError("gold tags, predicted tags, and alignments must align per sentence")
-    for si, (g, p, a) in enumerate(zip(gold_tags, pred_tags, aligns)):
-        if a is None or a.n_words != len(g) or len(g) != len(p):
-            raise ValueError(f"sentence {si}: missing or misaligned sub-tokenization")
+    if len(gold_tags) != len(pred_tags) or any(len(g) != len(p) for g, p in zip(gold_tags, pred_tags)):
+        raise ValueError("gold and predicted tags must align per sentence")
     empty = np.zeros(0, dtype=np.int64)  # keeps a corpus without sentences total
     gold = np.concatenate([empty, *gold_tags])
     pred = np.concatenate([empty, *pred_tags])
-    bucket = bucket_index(np.concatenate([empty, *(a.subtokens_per_word() for a in aligns)]))
+    if len(subtokens_per_word) != gold.size:
+        raise ValueError(f"{len(subtokens_per_word)} sub-token counts given for {gold.size} words")
+    bucket = bucket_index(subtokens_per_word)
     entity = gold != 0
     words = np.bincount(bucket[entity], minlength=len(BUCKETS))
     tp = np.bincount(bucket[entity & (pred == gold)], minlength=len(BUCKETS))
@@ -278,5 +278,6 @@ def evaluate_predictions(
         if with_mcc:
             mcc = multiclass_mcc(gold_tags, pred_tags)
         if vocab is not None:
-            grouped = subtoken_grouped_f1(gold_tags, pred_tags, [subtokenize(g.words, vocab) for g, _ in pairs])
+            words = [w for g, _ in pairs for w in g.words]
+            grouped = subtoken_grouped_f1(gold_tags, pred_tags, subtokenize(words, vocab).subtokens_per_word())
     return replace(prf, mcc=mcc, subtoken_grouped=grouped)

@@ -63,7 +63,6 @@ __all__ = [
     "mlm_mask",
     "mlm_masks",
     "mlm_batch_loss_and_grads",
-    "predict_sentence",
     "predict_documents",
     "save_model",
     "load_model",
@@ -98,12 +97,14 @@ def init_model(
     labels: LabelInventory,
     encoder_cfg: EncoderConfig,
     head_cfg: HeadConfig,
+    seed: int = 0,
 ) -> Model:
+    """A fresh model whose encoder is drawn from ``seed`` and head from ``seed + 1``."""
     prefix = head_prefix(method)
-    enc = init_params(encoder_cfg)
+    enc = init_params(encoder_cfg, seed)
     # Both heads are drawn from one generator, so the kept head's weights do
     # not depend on the method; the other head is dropped.
-    both = init_head_params(encoder_cfg.hidden_dim, head_cfg, len(labels), seed=encoder_cfg.init_seed + 1)
+    both = init_head_params(encoder_cfg.hidden_dim, head_cfg, len(labels), seed=seed + 1)
     heads = {k: v for k, v in both.items() if k.startswith(prefix)}
     return Model(method, labels, enc, head_cfg, heads)
 
@@ -491,20 +492,14 @@ def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
     return span_decode(span_forward(wv, spans, model.heads, model.labels.types))
 
 
-def predict_sentence(model: Model, words: Sequence[str], vocab: BpeVocab) -> list[ScoredMention]:
-    check_vocab_size(model.encoder.config, len(vocab), "model")
-    align = subtokenize(words, vocab)
-    wv, _ = encode_with_cache(align.sub_token_ids, model.encoder, rows=[align.first_subtoken_index])
-    return _decode(model, wv)
-
-
 def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> list[Document]:
     """Copies of ``docs`` whose mentions are the model's scored predictions.
 
-    Every sentence is decoded as by ``predict_sentence``, but sentences are
-    encoded in packs (``_eval_packs``).  A vocabulary of another size than
-    the model's is refused first, and a corpus without a sentence or with
-    one too long for the encoder before the first pass (``check_sentences``).
+    Sentences are encoded in packs (``_eval_packs``), each with the bits
+    of a pass of its own, and decoded one by one.  A vocabulary of another
+    size than the model's is refused first, and a corpus without a sentence
+    or with one too long for the encoder before the first pass
+    (``check_sentences``).
     """
     check_vocab_size(model.encoder.config, len(vocab), "model")
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]

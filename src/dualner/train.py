@@ -4,8 +4,8 @@ Supervised training is epoch-based with periodic tune-split evaluation and
 keeps the snapshot with the best tune F1 (ties to the earliest step); MLM
 pre-training is step-based and snapshots the encoder on a fixed interval,
 step 0 (the untouched initialization) included.  Every source of
-randomness, shuffling, dropout, and masking, flows from the configured
-seeds, so equal configs reproduce logs and parameters bit for bit.
+randomness, initialization, shuffling, dropout and masking, flows from the
+run's seed, so equal configs reproduce logs and parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -299,8 +299,9 @@ def train_supervised(
 
     Tune F1 is recorded every ``checkpoint_every`` steps (and at the final
     step); the returned model maximizes it, ties resolved to the earliest
-    step.  ``init_encoder`` warm-starts the encoder, e.g. from an MLM
-    snapshot.  Zero epochs return the initialization with an empty log.
+    step.  ``train_cfg.seed`` draws the encoder, which ``init_encoder`` of
+    the same config (e.g. an MLM snapshot) replaces, and ``seed + 1`` the
+    head.  Zero epochs return the initialization with an empty log.
     A split without sentences, a sentence of either split longer than
     ``max_positions`` (by name), and a tune split without a gold mention,
     whose F1 would read 1.0 for a model that predicts nothing, are refused
@@ -316,7 +317,7 @@ def train_supervised(
     if not any(s.mentions for d in tune_docs for s in d.sentences):
         raise UnusableDataError("the tune split holds no entity mention: its F1 would read 1.0 "
                                 "for a model that predicts nothing")
-    model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg)
+    model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg, train_cfg.seed)
     if init_encoder is not None:
         if init_encoder.config != encoder_cfg:
             raise ValueError("init_encoder configuration does not match encoder_cfg")
@@ -389,7 +390,8 @@ def pretrain_mlm(
     per run, so the series is comparable.  k is the tail's size, or the
     whole pool's when the tail is empty or larger than the pool: the step
     losses already trace the training curve.  Masks are drawn for the
-    scored sentences only, the first k before the tail.
+    scored sentences only, the first k before the tail.  The initial
+    encoder is drawn from ``mlm_cfg.seed``.
     """
     encoder_cfg = _resolve_encoder_cfg(encoder_cfg, vocab)
     if vocab.mask_id is None:
@@ -400,7 +402,7 @@ def pretrain_mlm(
     train_pool, heldout_pool = pool[:n_train], pool[n_train:]
     k = len(heldout_pool) if 0 < len(heldout_pool) <= n_train else n_train
 
-    enc = init_params(encoder_cfg)
+    enc = init_params(encoder_cfg, mlm_cfg.seed)
     # Training draws from child (0,) of the seed and the probe masks from
     # child (3,), as when the seed was spawned twice, two children each
     # time.  Every logged loss depends on these keys.
@@ -465,7 +467,8 @@ def sweep_tapt_checkpoints(
     """Fine-tune from every MLM snapshot and report tune F1 per step.
 
     Every run uses the first snapshot's encoder config, so a later snapshot
-    with another config is refused by ``train_supervised``.  The curve is
+    with another config is refused by ``train_supervised``; each run's
+    head, batch order and dropout follow ``train_cfg.seed``.  The curve is
     reported as-is; adapted snapshots are not required (or expected) to
     improve monotonically over the step-0 baseline.
     """
@@ -518,17 +521,17 @@ class ProtocolReport:
 
 
 def _run_configs(
-    methods: Sequence[str], seeds: Sequence[int], encoder_cfg: EncoderConfig, train_cfg: TrainConfig
-) -> dict[tuple[str, int], tuple[EncoderConfig, TrainConfig]]:
-    """``{(method, seed): (encoder config, train config)}`` of every run,
-    method-major; building them checks every method and seed."""
+    methods: Sequence[str], seeds: Sequence[int], train_cfg: TrainConfig
+) -> dict[tuple[str, int], TrainConfig]:
+    """``{(method, seed): train_cfg with that method and seed}`` of every
+    run, method-major; building them checks every method and seed."""
     if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):  # would run and count twice
         raise ValueError(f"methods and seeds must be distinct, got {list(methods)} and {list(seeds)}")
     runs = {}
     for method in methods:
         for seed in seeds:
             try:
-                runs[method, seed] = replace(encoder_cfg, init_seed=seed), replace(train_cfg, method=method, seed=seed)
+                runs[method, seed] = replace(train_cfg, method=method, seed=seed)
             except ValueError as exc:  # the config's message names its field, not the run
                 raise ValueError(f"{method} seed {seed}: {exc}") from None
     return runs
@@ -546,20 +549,19 @@ def train_runs(
 ) -> dict[tuple[str, int], TrainResult]:
     """Train every method once per seed and return ``{(method, seed): result}``.
 
-    Runs go method-major, and each seeds both the initialization and the
-    data order.  Every run's configs are built, and so checked, before the
-    first run.  A run that fails with a ``TrainingError`` is collected, and
-    after the last run one ``ProtocolError`` names each failed run and its
-    cause; any other error propagates at once.
+    Runs go method-major.  Every run shares ``encoder_cfg``, and its own
+    seed draws its encoder, head and data order (``train_supervised``).
+    Every run's config is built, and so checked, before the first run.  A
+    run that fails with a ``TrainingError`` is collected, and after the
+    last run one ``ProtocolError`` names each failed run and its cause; any
+    other error propagates at once.
     """
-    runs = _run_configs(methods, seeds, encoder_cfg, train_cfg)
+    runs = _run_configs(methods, seeds, train_cfg)
     results: dict[tuple[str, int], TrainResult] = {}
     failures: list[tuple[str, int, str]] = []
-    for (method, seed), (run_encoder_cfg, run_train_cfg) in runs.items():
+    for (method, seed), run_cfg in runs.items():
         try:
-            results[method, seed] = train_supervised(
-                train_docs, tune_docs, vocab, run_encoder_cfg, head_cfg, run_train_cfg
-            )
+            results[method, seed] = train_supervised(train_docs, tune_docs, vocab, encoder_cfg, head_cfg, run_cfg)
         except TrainingError as exc:
             failures.append((method, seed, str(exc)))
     if failures:
@@ -639,7 +641,7 @@ class ExperimentConfig:
             raise ValueError("n_train must be >= 1")
         if not self.methods or not self.seeds or not self.eval_splits:
             raise ValueError("methods, seeds and eval_splits must be non-empty")
-        _run_configs(self.methods, self.seeds, self.encoder, self.train)
+        _run_configs(self.methods, self.seeds, self.train)
         if len(set(self.eval_splits)) < len(self.eval_splits):
             raise ValueError(f"eval_splits must be distinct, got {list(self.eval_splits)}")
         for split in self.eval_splits:

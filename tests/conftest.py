@@ -25,7 +25,7 @@ def small_vocab(small_corpus):
 
 @pytest.fixture(scope="session")
 def desk_encoder_cfg():
-    return EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128, init_seed=0)
+    return EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128)
 
 
 @pytest.fixture(scope="session")

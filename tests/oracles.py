@@ -27,6 +27,7 @@ from dualner.encoder import (
 from dualner.heads import span_backward, span_logits_with_cache, tagger_backward, tagger_forward
 from dualner.evaluate import mention_prf
 from dualner.model import (
+    _decode,
     _softmax_ce,
     batch_loss_and_grads,
     build_examples,
@@ -513,6 +514,14 @@ def batch_loss_and_grads_full_pass_reference(model, examples, rng):
     return total_ce / total_units, flat
 
 
+def predict_sentence_reference(model, words, vocab: BpeVocab):
+    """One sentence's scored mentions from an encoder pass over that
+    sentence alone, where ``predict_documents`` packs sentences."""
+    align = subtokenize(words, vocab)
+    wv, _ = encode_with_cache(align.sub_token_ids, model.encoder, rows=[align.first_subtoken_index])
+    return _decode(model, wv)
+
+
 def layer_norm_forward_reference(x, g, b, eps: float = 1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -595,7 +604,7 @@ def train_supervised_reference(train_docs, tune_docs, vocab, encoder_cfg, head_c
     encoder_cfg = replace(encoder_cfg, vocab_size=len(vocab))
     labels = LabelInventory.from_documents(list(train_docs) + list(tune_docs))
     examples = build_examples(train_docs, vocab, labels, head_cfg)
-    model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg)
+    model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg, train_cfg.seed)
 
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = -(-len(examples) // train_cfg.batch_size)
@@ -673,7 +682,7 @@ def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
     encoder_cfg = replace(encoder_cfg, vocab_size=len(vocab))
     train_pool, heldout_pool, k = mlm_pools(docs, vocab, mlm_cfg.heldout_fraction)
 
-    enc = init_params(encoder_cfg)
+    enc = init_params(encoder_cfg, mlm_cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(0,)))
     probe_rng = np.random.default_rng(np.random.SeedSequence(mlm_cfg.seed, spawn_key=(3,)))
     train_masks = mlm_masks(train_pool[:k], vocab, mlm_cfg.mask_prob, probe_rng)

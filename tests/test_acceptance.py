@@ -66,7 +66,7 @@ def desk():
     inventory = LabelInventory.from_types(["Facility", "Instrument", "SkyObject"])
     docs = generate_synthetic(7, 20, inventory)
     vocab = train_bpe(docs, 200)
-    encoder_cfg = EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128, init_seed=0)
+    encoder_cfg = EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128)
     head_cfg = HeadConfig()
     return inventory, docs, vocab, encoder_cfg, head_cfg
 
@@ -216,7 +216,7 @@ def test_c06_gradient_check():
     docs = generate_synthetic(5, 4, inventory)
     vocab = train_bpe(docs, 140)
     encoder_cfg = EncoderConfig(
-        vocab_size=len(vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=32, init_seed=1
+        vocab_size=len(vocab), hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=32
     )
     head_cfg = HeadConfig(max_span_width=6, span_len_dim=8, span_hidden=16)
     start = time.monotonic()
@@ -362,7 +362,7 @@ def test_c10_tapt_loop():
     n_sentences = sum(len(d.sentences) for d in docs)
     assert n_sentences >= 200
     vocab = train_bpe(docs, 220)
-    encoder_cfg = EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128, init_seed=0)
+    encoder_cfg = EncoderConfig(hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128)
     mlm_cfg = MlmConfig(total_steps=300, checkpoint_every=60, seed=0)
     result = pretrain_mlm(docs, vocab, encoder_cfg, mlm_cfg)
     steps = [s for s, _ in result.checkpoints]

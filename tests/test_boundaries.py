@@ -253,6 +253,7 @@ CONFIG_FAULTS = {
     "learning_rate_nan": ("train", {"learning_rate": float("nan")}),
     "early_stop_f1_string": ("train", {"early_stop_f1": "x"}),
     "select_metric": ("train", {"select_metric": "micro_f1"}),
+    "init_seed": ("encoder", {"init_seed": 0}),
     "seeds_float": (None, {"seeds": [1.5]}),
     "seeds_string": (None, {"seeds": ["a"]}),
     "seeds_bool": (None, {"seeds": [True]}),
@@ -281,6 +282,8 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, files, fault):
     code, err = _run(["train", "--config", cfg_path, "--out-dir", run_dir])
     _assert_data_error(code, err)
     assert next(iter(values)) in err
+    if fault == "init_seed":
+        assert f"unknown keys in {cfg_path}.encoder: ['init_seed']" in err
     assert not run_dir.exists()
 
 

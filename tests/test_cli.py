@@ -421,6 +421,8 @@ MODEL_CONFIG_FAULTS = {
     "unknown_config_key": lambda c, t: c.update(foo=1, step="x"),
     # written while the encoder had a key bias
     "key_bias": lambda c, t: t.update({"encoder.layers.0.attn.bk": np.zeros(16)}),
+    # written while the encoder config held a seed
+    "init_seed": lambda c, t: c["encoder"].update(init_seed=0),
     # compared with the tensors before anything is allocated
     "huge_vocab_size": lambda c, t: c["encoder"].update(vocab_size=2**40),
 }
@@ -451,6 +453,8 @@ def test_predict_bad_checkpoint_exits_two(tmp_path, corpus_file, vocab_file, sma
         assert "unexpected ['heads.span.b1', 'heads.span.b2', 'heads.span.len_emb'" in err
     if fault == "key_bias":
         assert "unexpected ['encoder.layers.0.attn.bk']" in err
+    if fault == "init_seed":
+        assert f"unknown keys in {ckpt} encoder config: ['init_seed']" in err
     if fault == "unknown_config_key":
         assert "unknown keys in checkpoint config: ['foo', 'step']" in err
     if fault in ("unsorted_labels", "duplicate_labels"):
@@ -486,6 +490,7 @@ ENCODER_CHECKPOINT_FAULTS = {
     "bad_shape": lambda c, t: t.update({"layers.0.ffn.w1": t["layers.0.ffn.w1"][:, :-1]}),
     "huge_vocab_size": lambda c, t: c["encoder"].update(vocab_size=2**40),
     "key_bias": lambda c, t: t.update({"layers.0.attn.bk": np.zeros(16)}),
+    "init_seed": lambda c, t: c["encoder"].update(init_seed=0),
     "unknown_config_key": lambda c, t: c.update(bogus=1, method="word_tagger"),
 }
 
@@ -509,6 +514,8 @@ def test_sweep_bad_encoder_checkpoint_exits_two(tmp_path, corpus_file, vocab_fil
     assert err.startswith("data error:") and err.count("\n") == 1, err
     if fault == "key_bias":
         assert "unexpected ['layers.0.attn.bk']" in err
+    if fault == "init_seed":
+        assert "encoder config: ['init_seed']" in err
     if fault == "unknown_config_key":
         assert "unknown keys in checkpoint config: ['bogus', 'method']" in err
 
@@ -1051,8 +1058,7 @@ DEFAULT_CONFIG_TEXT = """\
   "n_layers": 2,
   "n_heads": 4,
   "ffn_dim": 128,
-  "dropout_rate": 0.0,
-  "init_seed": 0
+  "dropout_rate": 0.0
  },
  "heads": {
   "max_span_width": 12,

@@ -19,7 +19,7 @@ from dualner.evaluate import (
     project_non_overlapping,
     subtoken_grouped_f1,
 )
-from dualner.subtok import SubTokenization, fragmentation_ratio, train_bpe
+from dualner.subtok import fragmentation_ratio, train_bpe
 
 from .oracles import binary_mcc, mcc_one_hot_covariance, tag_strings
 
@@ -196,19 +196,18 @@ def test_mcc_of_a_corpus_without_words_is_zero():
 # ---------------------------------------------------------------------------
 
 
-def _align_from_counts(counts):
-    counts = np.array(counts, dtype=np.int64)
-    return SubTokenization(np.arange(counts.sum()), np.cumsum(counts) - counts)
-
-
 def _ids(*tags):
     """Tag ids of types X (B- 1, I- 2) and Y (B- 3, I- 4), 0 for O."""
     return np.array(tags, dtype=np.int64)
 
 
+def _counts(*subtokens_per_word):
+    return np.array(subtokens_per_word, dtype=np.int64)
+
+
 def test_grouped_all_single_subtoken_perfect():
     gold = [_ids(1, 2, 0)]  # B-X I-X O
-    got = subtoken_grouped_f1(gold, gold, [_align_from_counts([1, 1, 1])])
+    got = subtoken_grouped_f1(gold, gold, _counts(1, 1, 1))
     assert got["1"].f1 == 1.0 and got["1"].word_count == 2
     assert got["2"].word_count == 0 and got["2"].f1 is None
     assert got["3+"].word_count == 0 and got["3+"].f1 is None
@@ -216,8 +215,7 @@ def test_grouped_all_single_subtoken_perfect():
 
 def test_grouped_perfect_mixed_fragmentation():
     gold = [_ids(1, 2, 3, 0)]  # B-X I-X B-Y O
-    align = _align_from_counts([1, 2, 3, 1])
-    got = subtoken_grouped_f1(gold, gold, [align])
+    got = subtoken_grouped_f1(gold, gold, _counts(1, 2, 3, 1))
     assert got["1"].f1 == 1.0 and got["2"].f1 == 1.0 and got["3+"].f1 == 1.0
     assert (got["1"].word_count, got["2"].word_count, got["3+"].word_count) == (1, 1, 1)
 
@@ -227,8 +225,7 @@ def test_grouped_hand_counted_case():
     # pieces and is tagged wrong (predicted O): bucket 3+ has tp=1,fp=0,fn=1
     gold = [_ids(1, 2, 0, 3, 4, 4)]  # B-X I-X O B-Y I-Y I-Y
     pred = [_ids(1, 2, 0, 3, 0, 4)]  # B-X I-X O B-Y O I-Y
-    align = _align_from_counts([1, 1, 1, 2, 3, 3])
-    got = subtoken_grouped_f1(gold, pred, [align])
+    got = subtoken_grouped_f1(gold, pred, _counts(1, 1, 1, 2, 3, 3))
     assert (got["3+"].tp, got["3+"].fp, got["3+"].fn) == (1, 0, 1)
     assert got["3+"].f1 == pytest.approx(2 * 1 / (2 * 1 + 0 + 1))
     assert got["1"].f1 == 1.0 and got["2"].f1 == 1.0
@@ -237,16 +234,19 @@ def test_grouped_hand_counted_case():
 def test_grouped_wrong_entity_tag_counts_fp_and_fn():
     gold = [_ids(1)]  # B-X
     pred = [_ids(3)]  # B-Y
-    got = subtoken_grouped_f1(gold, pred, [_align_from_counts([1])])
+    got = subtoken_grouped_f1(gold, pred, _counts(1))
     assert (got["1"].tp, got["1"].fp, got["1"].fn) == (0, 1, 1)
     assert got["1"].f1 == 0.0
 
 
 def test_grouped_requires_alignment():
-    with pytest.raises(ValueError):
-        subtoken_grouped_f1([_ids(0)], [_ids(0)], [None])
-    with pytest.raises(ValueError):
-        subtoken_grouped_f1([_ids(0, 0)], [_ids(0, 0)], [_align_from_counts([1])])
+    with pytest.raises(ValueError, match="0 sub-token counts given for 1 words"):
+        subtoken_grouped_f1([_ids(0)], [_ids(0)], _counts())
+    with pytest.raises(ValueError, match="1 sub-token counts given for 2 words"):
+        subtoken_grouped_f1([_ids(0, 0)], [_ids(0, 0)], _counts(1))
+    for pred in ([_ids(0)], [_ids(0, 0), _ids(0)]):  # a sentence too short, one sentence too many
+        with pytest.raises(ValueError, match="must align per sentence"):
+            subtoken_grouped_f1([_ids(0, 0)], pred, _counts(1, 1))
 
 
 @pytest.mark.parametrize("vocab_size", [200, 400])

@@ -30,7 +30,6 @@ from dualner.model import (
     mlm_masks,
     model_tensors,
     predict_documents,
-    predict_sentence,
     save_model,
 )
 from dualner.subtok import subtokenize, train_bpe
@@ -42,11 +41,12 @@ from .oracles import (
     mlm_batch_loss_and_grads_reference,
     mlm_eval_loss_reference,
     mlm_mask_reference,
+    predict_sentence_reference,
     tag_strings,
 )
 
 INV = LabelInventory.from_types(["Alpha", "Beta"])
-ENC = EncoderConfig(hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24, init_seed=1)
+ENC = EncoderConfig(hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=24)
 HEADS = HeadConfig(max_span_width=6, span_len_dim=8, span_hidden=16)
 
 
@@ -446,17 +446,14 @@ def test_span_predictions_survive_a_file_round_trip(tiny_setup, tmp_path):
     assert load_predictions(tmp_path / "pred.jsonl") == preds
 
 
-@pytest.mark.parametrize("predict", [
-    predict_documents, lambda model, docs, vocab: predict_sentence(model, docs[0].sentences[0].words, vocab),
-], ids=["documents", "sentence"])
-def test_prediction_refuses_a_vocabulary_of_another_size(tiny_setup, predict):
+def test_prediction_refuses_a_vocabulary_of_another_size(tiny_setup):
     """The vocabulary's ids all fit a larger model's embedding table, so only
     the size check stops it from predicting with the wrong symbols."""
     docs, vocab = tiny_setup
     size = len(vocab) + 20
     model = init_model("span_classifier", INV, EncoderConfig(**{**asdict(ENC), "vocab_size": size}), HEADS)
     with pytest.raises(UnusableDataError, match=f"vocabulary has {len(vocab)} symbols .* vocab_size={size}"):
-        predict(model, docs, vocab)
+        predict_documents(model, docs, vocab)
 
 
 @pytest.fixture(scope="module")
@@ -484,7 +481,7 @@ def test_predict_documents_equals_predict_sentence(length_corpus, method):
     for doc, pred_doc in zip(docs, preds):
         assert len(pred_doc.sentences) == len(doc.sentences)
         for sent, pred_sent in zip(doc.sentences, pred_doc.sentences):
-            expected = predict_sentence(model, sent.words, vocab)
+            expected = predict_sentence_reference(model, sent.words, vocab)
             assert pred_sent.words == sent.words
             assert pred_sent.mentions == expected
             n_found += len(expected)

@@ -44,7 +44,7 @@ from .oracles import (
 )
 
 INV = LabelInventory.from_types(["Alpha", "Beta"])
-ENC = EncoderConfig(hidden_dim=32, n_layers=1, n_heads=2, ffn_dim=48, init_seed=0)
+ENC = EncoderConfig(hidden_dim=32, n_layers=1, n_heads=2, ffn_dim=48)
 HEADS = HeadConfig(max_span_width=8, span_len_dim=8, span_hidden=24)
 
 
@@ -73,7 +73,7 @@ def test_zero_epochs_returns_initialization(mini):
     assert result.log == []
     assert result.best_step == 0 and result.best_tune_f1 is None
     fresh = init_model(
-        "word_tagger", INV, dataclasses.replace(ENC, vocab_size=len(vocab)), HEADS
+        "word_tagger", INV, dataclasses.replace(ENC, vocab_size=len(vocab)), HEADS, seed=cfg.seed
     )
     for key, arr in model_tensors(result.model).items():
         assert np.array_equal(arr, model_tensors(fresh)[key])
@@ -329,7 +329,7 @@ def test_pretrain_checkpoint_structure(mini):
     assert [s for s, _ in result.checkpoints] == [0, 5, 10, 15, 20]
     assert len(result.checkpoints) == cfg.total_steps // cfg.checkpoint_every + 1
     init = init_model(
-        "word_tagger", INV, dataclasses.replace(ENC, vocab_size=len(vocab)), HEADS
+        "word_tagger", INV, dataclasses.replace(ENC, vocab_size=len(vocab)), HEADS, seed=cfg.seed
     )
     step0 = result.checkpoints[0][1]
     for key, arr in step0.tensors.items():
@@ -506,14 +506,39 @@ def test_pretrain_requires_mask_token(mini):
 
 
 def test_sweep_single_checkpoint_equals_baseline(mini):
+    """An MLM run at seed s draws its step-0 snapshot as a fresh supervised
+    run at seed s draws its encoder, so fine-tuning from that snapshot at
+    seed s is the fresh run."""
     train_docs, tune_docs, vocab = mini
-    mlm = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=5, checkpoint_every=5, seed=0))
-    cfg = TrainConfig(epochs=2, seed=4, checkpoint_every=3)
+    seed = 4
+    mlm = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=5, checkpoint_every=5, seed=seed))
+    cfg = TrainConfig(epochs=2, seed=seed, checkpoint_every=3)
     baseline = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
+    warm = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg, init_encoder=mlm.checkpoints[0][1])
+    assert warm.log == baseline.log
+    theirs = model_tensors(baseline.model)
+    assert all(np.array_equal(a, theirs[k]) for k, a in model_tensors(warm.model).items())
     points = sweep_tapt_checkpoints(mlm.checkpoints[:1], train_docs, tune_docs, vocab, HEADS, cfg)
     assert len(points) == 1
     assert points[0].step == 0
-    assert points[0].f1 == baseline.best_tune_f1
+    assert (points[0].f1, points[0].best_step) == (baseline.best_tune_f1, baseline.best_step)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_warm_start_keeps_the_snapshot_and_draws_the_head_from_the_run_seed(mini, method):
+    """Runs of two seeds from one snapshot start from the same encoder
+    tensors, and each draws its head from its own seed."""
+    train_docs, tune_docs, vocab = mini
+    snap = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=5, checkpoint_every=5, seed=2)).checkpoints[-1][1]
+    models = [
+        train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, TrainConfig(method=method, epochs=0, seed=seed),
+                         init_encoder=snap).model
+        for seed in (0, 1)
+    ]
+    for model in models:
+        assert all(np.array_equal(a, snap.tensors[k]) for k, a in model.encoder.tensors.items())
+    drawn = [k for k, a in models[0].heads.items() if a.ndim >= 2]  # biases start at zero
+    assert drawn and all(not np.array_equal(models[0].heads[k], models[1].heads[k]) for k in drawn)
 
 
 def test_sweep_curve_length(mini):
@@ -593,19 +618,20 @@ def test_protocol_refuses_repeated_methods_and_seeds(mini, monkeypatch):
 
 
 def test_train_runs_returns_the_grid_in_method_major_order(mini, monkeypatch):
-    """Each run gets its method and seed in both configs; keys run method-major."""
+    """Each run gets its method and seed in its train config and shares the
+    encoder config; keys run method-major."""
     train_docs, tune_docs, vocab = mini
-    monkeypatch.setattr(train_module, "train_supervised", lambda *args: (args[3].init_seed, args[5]))
+    monkeypatch.setattr(train_module, "train_supervised", lambda *args: (args[3], args[5]))
     results = train_module.train_runs(
         train_docs, tune_docs, vocab, ["span_classifier", "word_tagger"], [3, 0], ENC, HEADS, TrainConfig(epochs=1),
     )
     assert list(results) == [("span_classifier", 3), ("span_classifier", 0), ("word_tagger", 3), ("word_tagger", 0)]
-    for (method, seed), (init_seed, run_cfg) in results.items():
-        assert (init_seed, run_cfg.seed, run_cfg.method) == (seed, seed, method)
+    for (method, seed), (encoder_cfg, run_cfg) in results.items():
+        assert (encoder_cfg, run_cfg.seed, run_cfg.method) == (ENC, seed, method)
 
 
 @pytest.mark.parametrize("methods, seeds, message", [
-    (["word_tagger"], [0, -1], "init_seed must be >= 0"),
+    (["word_tagger"], [0, -1], "seed >= 0"),
     (["word_tagger", "viterbi"], [0], "viterbi"),
     (["word_tagger"], [2, 2], "must be distinct"),
 ])
@@ -747,8 +773,9 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
         ("mlm", {"grad_clip": -1.0}, "grad_clip must be >= 0"),
         ("train", {"weight_decay": -0.01}, "weight_decay and grad_clip"),
         ("mlm", {"weight_decay": -0.01}, "weight_decay and grad_clip"),
-        ("encoder", {"init_seed": -1}, "init_seed must be >= 0"),
-        (None, {"seeds": [0, -1]}, "init_seed must be >= 0"),
+        # written while the encoder config held a seed
+        ("encoder", {"init_seed": 0}, "unknown.*'init_seed'"),
+        (None, {"seeds": [0, -1]}, "seed >= 0"),
         ("train", {"seed": -1}, "seed >= 0"),
         ("mlm", {"seed": -1}, "mlm seed must be >= 0"),
         (None, {"seeds": [1, 1]}, r"methods and seeds must be distinct, got \[.*\] and \[1, 1\]"),
