@@ -10,6 +10,7 @@ encoder backward, so the whole pipeline is finite-difference checkable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -59,6 +60,8 @@ __all__ = [
     "build_examples",
     "check_sentences",
     "model_tensors",
+    "flat_offsets",
+    "flat_views",
     "batch_loss_and_grads",
     "mlm_mask",
     "mlm_masks",
@@ -98,10 +101,19 @@ def init_model(
     encoder_cfg: EncoderConfig,
     head_cfg: HeadConfig,
     seed: int = 0,
+    encoder: EncoderParams | None = None,
 ) -> Model:
-    """A fresh model whose encoder is drawn from ``seed`` and head from ``seed + 1``."""
+    """A fresh model whose encoder is drawn from ``seed`` and head from
+    ``seed + 1``.  Given an ``encoder`` of ``encoder_cfg``, no encoder is
+    drawn: the model's encoder holds that one's arrays in a dict of its own,
+    so rebinding its entries leaves ``encoder`` as it is."""
     prefix = head_prefix(method)
-    enc = init_params(encoder_cfg, seed)
+    if encoder is None:
+        enc = init_params(encoder_cfg, seed)
+    elif encoder.config != encoder_cfg:
+        raise ValueError("the encoder's configuration does not match encoder_cfg")
+    else:
+        enc = EncoderParams(encoder.config, dict(encoder.tensors))
     # Both heads are drawn from one generator, so the kept head's weights do
     # not depend on the method; the other head is dropped.
     both = init_head_params(encoder_cfg.hidden_dim, head_cfg, len(labels), seed=seed + 1)
@@ -114,6 +126,21 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
     out = {f"encoder.{k}": v for k, v in model.encoder.tensors.items()}
     out.update({f"heads.{k}": v for k, v in model.heads.items()})
     return out
+
+
+def flat_offsets(shapes: dict) -> dict:
+    """Where each tensor of ``shapes`` starts in the flat layout of
+    training, in elements, in layout order: tensors of two or more
+    dimensions first (the ones AdamW decays), then the rest, each group in
+    the order of ``shapes``, one right after the other."""
+    order = [k for k, s in shapes.items() if len(s) >= 2] + [k for k, s in shapes.items() if len(s) < 2]
+    return dict(zip(order, accumulate((math.prod(shapes[k]) for k in order[:-1]), initial=0)))
+
+
+def flat_views(flat: np.ndarray, shapes: dict) -> dict:
+    """Views of the 1-D ``flat`` shaped as ``shapes`` gives, at their
+    ``flat_offsets``, in layout order."""
+    return {k: flat[o : o + math.prod(shapes[k])].reshape(shapes[k]) for k, o in flat_offsets(shapes).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +294,19 @@ def _eval_packs(id_seqs: Sequence[np.ndarray], enc: EncoderParams, rows: Sequenc
         yield pack, vecs, slices
 
 
-def _grad_buffers(tensors: dict[str, np.ndarray], workspace: Workspace | None, whole=()):
-    """Gradient arrays shaped like ``tensors``: buffers ``grad.<name>`` of
-    ``workspace`` (valid until its next use), or new arrays without one.
-    All are zeroed but those named in ``whole``, which the caller writes
-    whole."""
-    grads = {k: scratch(workspace, "grad." + k, v.shape) for k, v in tensors.items()}
-    for key, g in grads.items():
-        if key not in whole:
-            g.fill(0.0)
-    return grads
+def _grad_buffers(tensors: dict[str, np.ndarray], workspace: Workspace | None, whole: str | None = None):
+    """``(flat, grads)``: gradient views shaped like ``tensors``, in their
+    ``flat_views`` layout, of one flat array, buffer ``grad`` of
+    ``workspace`` (valid until its next use) or a new array without one.
+    One fill zeroes all of them but ``whole``, which must come first in the
+    layout and which the caller writes whole."""
+    shapes = {k: v.shape for k, v in tensors.items()}
+    flat = scratch(workspace, "grad", (sum(v.size for v in tensors.values()),))
+    grads = flat_views(flat, shapes)
+    if whole is not None and next(iter(grads)) != whole:
+        raise ValueError(f"{whole!r} is not first in the gradient layout")
+    flat[0 if whole is None else grads[whole].size :].fill(0.0)
+    return flat, grads
 
 
 def _head_loss(model: Model, ex: Example, wv: np.ndarray, grads, workspace):
@@ -328,26 +358,27 @@ def batch_loss_and_grads(
     the bits of per-sentence passes, and the gradients differ from theirs
     only at rounding level.
 
-    With a ``workspace``, the returned gradients are its ``grad.*``
-    buffers (valid until the next call with it), and the span head and the
-    attention backward take their large temporaries from it too; without
-    one they are allocated per call.  Either way the bits are the same.
+    The returned gradients are views of one flat array in the layout of
+    ``flat_views``: with a ``workspace``, its ``grad`` buffer (valid until
+    the next call with it), and the span head and the attention backward
+    take their large temporaries from it too; without one they are
+    allocated per call.  Either way the bits are the same.
     """
-    grads = {"encoder": _grad_buffers(model.encoder.tensors, workspace),
-             "heads": _grad_buffers(model.heads, workspace)}
+    flat, grads = _grad_buffers(model_tensors(model), workspace)
+    parts: dict[str, dict[str, np.ndarray]] = {"encoder": {}, "heads": {}}
+    for name, g in grads.items():
+        part, _, key = name.partition(".")
+        parts[part][key] = g
     total_ce = 0.0
     total_units = 0
     # a pack's cache is freed when its _pack_loss returns, before the next pass
     for pack in _packs([ex.ids.size for ex in examples], range(len(examples))):
-        for ce, units in _pack_loss(model, [examples[i] for i in pack], mode, rng, grads, workspace):
+        for ce, units in _pack_loss(model, [examples[i] for i in pack], mode, rng, parts, workspace):
             total_ce += ce
             total_units += units
-    flat = {f"encoder.{k}": v for k, v in grads["encoder"].items()}
-    flat.update({f"heads.{k}": v for k, v in grads["heads"].items()})
     if total_units:
-        for v in flat.values():
-            v *= 1.0 / total_units
-    return (total_ce / total_units if total_units else 0.0), flat
+        flat *= 1.0 / total_units
+    return (total_ce / total_units if total_units else 0.0), grads
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +427,11 @@ def mlm_batch_loss_and_grads(
     one ``encode_backward``; the tied projection is one ``[P, V]`` product,
     and its gradient one ``[V, P] @ [P, d]`` product.  Sums over all rows
     at once round differently from accumulating sentence by sentence, so
-    the loss and gradients differ from that only at rounding level.  With a
-    ``workspace``, the returned gradients are its ``grad.*`` buffers (valid
-    until the next call with it), and the logits and the attention
-    backward's temporaries come from it too; the bits are the same without.
+    the loss and gradients differ from that only at rounding level.  The
+    returned gradients are views of one flat array in the layout of
+    ``flat_views``: with a ``workspace``, its ``grad`` buffer (valid until
+    the next call with it), and the logits and the attention backward's
+    temporaries come from it too; the bits are the same without.
 
     Without gradients (eval mode only) every mask is drawn first, in
     sentence order, and the sentences are encoded at their masked rows and
@@ -437,11 +469,10 @@ def mlm_batch_loss_and_grads(
     dlogits /= total
     dlogits[np.arange(targets.size), targets] -= 1.0
     # tok_emb's gradient is written whole by the projection gradient
-    grads = _grad_buffers(enc.tensors, workspace, whole=("tok_emb",))
+    flat, grads = _grad_buffers(enc.tensors, workspace, whole="tok_emb")
     np.matmul(dlogits.T, sel, out=grads["tok_emb"])
     encode_backward(enc, dlogits @ emb, cache, grads, workspace)
-    for v in grads.values():
-        v *= 1.0 / targets.size
+    flat *= 1.0 / targets.size
     return -float(picked.sum()) / targets.size, grads
 
 
@@ -474,32 +505,49 @@ def _mlm_eval_loss(enc: EncoderParams, masked, workspace: Workspace | None) -> f
 # ---------------------------------------------------------------------------
 
 
-def _decode(model: Model, wv: np.ndarray) -> list[ScoredMention]:
-    """Scored mentions of one sentence from its word vectors."""
-    if model.method == "word_tagger":
-        scores = tagger_forward(wv, model.heads)
-        win = softmax(scores).max(axis=1)
+def _decode(model: Model, wv: np.ndarray, slices: Sequence[slice]) -> list[list[ScoredMention]]:
+    """Scored mentions of each sentence of a pack from the pack's word
+    vectors ``wv``, sentence j's at rows ``slices[j]``.  The word tagger
+    scores the whole pack with one head product, softmax and argmax, but
+    gives a one-word sentence in a larger pack a product of its own, since
+    a one-row product takes another BLAS path than a row of a larger one;
+    so every sentence gets the bits of its own product.  The span head
+    decodes sentence by sentence."""
+    if model.method != "word_tagger":
         return [
+            span_decode(span_forward(wv[sl], enumerate_spans(sl.stop - sl.start, model.head_cfg.max_span_width),
+                                     model.heads, model.labels.types))
+            for sl in slices
+        ]
+    scores = tagger_forward(wv, model.heads)
+    if len(wv) > 1:
+        for sl in slices:
+            if sl.stop - sl.start == 1:
+                scores[sl] = tagger_forward(wv[sl], model.heads)
+    win = softmax(scores).max(axis=1)
+    tags = scores.argmax(axis=1)
+    return [
+        [
             ScoredMention(
                 start_word=m.start_word,
                 end_word=m.end_word,
                 label=m.label,
-                score=float(win[m.start_word : m.end_word + 1].mean()),
+                score=float(win[sl][m.start_word : m.end_word + 1].mean()),
             )
-            for m in tags_to_mentions(scores.argmax(axis=1), model.labels.types)
+            for m in tags_to_mentions(tags[sl], model.labels.types)
         ]
-    spans = enumerate_spans(wv.shape[0], model.head_cfg.max_span_width)
-    return span_decode(span_forward(wv, spans, model.heads, model.labels.types))
+        for sl in slices
+    ]
 
 
 def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> list[Document]:
     """Copies of ``docs`` whose mentions are the model's scored predictions.
 
     Sentences are encoded in packs (``_eval_packs``), each with the bits
-    of a pass of its own, and decoded one by one.  A vocabulary of another
-    size than the model's is refused first, and a corpus without a sentence
-    or with one too long for the encoder before the first pass
-    (``check_sentences``).
+    of a pass of its own, and decoded pack by pack (``_decode``).  A
+    vocabulary of another size than the model's is refused first, and a
+    corpus without a sentence or with one too long for the encoder before
+    the first pass (``check_sentences``).
     """
     check_vocab_size(model.encoder.config, len(vocab), "model")
     aligns = [subtokenize(sent.words, vocab) for doc in docs for sent in doc.sentences]
@@ -508,8 +556,8 @@ def predict_documents(model: Model, docs: Sequence[Document], vocab: BpeVocab) -
     firsts = [align.first_subtoken_index for align in aligns]
     found: list[list[ScoredMention]] = [[] for _ in aligns]
     for pack, wv, slices in _eval_packs(ids, model.encoder, firsts):
-        for i, sl in zip(pack, slices):
-            found[i] = _decode(model, wv[sl])
+        for i, mentions in zip(pack, _decode(model, wv, slices)):
+            found[i] = mentions
     found_iter = iter(found)
     return [
         replace(doc, sentences=[replace(sent, mentions=next(found_iter)) for sent in doc.sentences])

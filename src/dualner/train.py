@@ -11,6 +11,7 @@ run's seed, so equal configs reproduce logs and parameters bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -34,11 +35,12 @@ from .model import (
     batch_loss_and_grads,
     build_examples,
     check_sentences,
+    flat_offsets,
+    flat_views,
     head_prefix,
     init_model,
     mlm_batch_loss_and_grads,
     mlm_masks,
-    model_tensors,
     predict_documents,
 )
 from .subtok import BpeVocab, subtokenize
@@ -53,6 +55,7 @@ __all__ = [
     "ProtocolReport",
     "ExperimentConfig",
     "AdamW",
+    "move_to_store",
     "train_supervised",
     "pretrain_mlm",
     "sweep_tapt_checkpoints",
@@ -141,14 +144,46 @@ def write_log(path: str | Path, log: Sequence[LogEntry]) -> None:
 # ---------------------------------------------------------------------------
 
 
-class AdamW:
-    """Deterministic AdamW over a flat tensor dict; decay skips 1-D tensors.
+# Elements per array in one block of an AdamW step: 128 KiB, so that a
+# block's parameters, gradients, moments and two temporaries (768 KiB)
+# stay in a core's L2 cache (2 MiB here) through the block's passes.  Over
+# the 218k parameters of an encoder with a 1883-symbol vocabulary, a
+# clipped step took 2.06 ms at this size against 2.37, 2.12 and 2.24 ms
+# at 8192, 32768 and 65536 (medians of 30 rounds of 10 steps, Intel Xeon,
+# one BLAS thread).
+_BLOCK = 16384
 
-    The learning rate warms up linearly over ``warmup_steps`` updates and
-    stays constant afterwards; a ``grad_clip`` of 0 turns clipping off.
-    Keys are visited in sorted order so update arithmetic is order-fixed
-    across runs.  Each step's temporaries live in the heads of two buffers
-    as large as the largest tensor, allocated here once.
+
+def move_to_store(owners: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Move every tensor of the dicts ``owners`` into one new contiguous
+    float64 store and rebind each dict entry to its view of it.
+
+    Tensors are laid out as ``flat_views`` lays out the names ``prefix +
+    name`` (``prefix`` an ``owners`` key), and copied one at a time, so no
+    second full copy is alive at once.  Returns those names' views in
+    layout order, the ``tensors`` ``AdamW`` takes.
+    """
+    shapes = {(prefix, k): v.shape for prefix, d in owners.items() for k, v in d.items()}
+    store = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+    named = {}
+    for (prefix, k), view in flat_views(store, shapes).items():
+        view[...] = owners[prefix][k]
+        owners[prefix][k] = named[prefix + k] = view
+    return named
+
+
+class AdamW:
+    """Deterministic AdamW over tensors that are views of one flat store;
+    decay skips 1-D tensors.
+
+    ``tensors`` must be views of one contiguous float64 array in the layout
+    of ``flat_views`` (``move_to_store`` builds one), and every ``step``
+    takes gradients in the same layout (``batch_loss_and_grads`` and
+    ``mlm_batch_loss_and_grads`` return them so); a dict in another layout
+    is refused with ``ValueError``.  The moments ``m`` and ``v`` are two
+    flat arrays of that layout too, readable per name.  The learning rate
+    warms up linearly over ``warmup_steps`` updates and stays constant
+    afterwards; a ``grad_clip`` of 0 turns clipping off.
     """
 
     beta1 = 0.9
@@ -163,17 +198,41 @@ class AdamW:
         warmup_steps: int = 0,
         grad_clip: float = 0.0,
     ):
+        if not tensors:
+            raise ValueError("AdamW needs at least one tensor")
         self.tensors = tensors
-        self.keys = sorted(tensors)
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
         self.grad_clip = grad_clip
-        self.m = {k: np.zeros_like(tensors[k]) for k in self.keys}
-        self.v = {k: np.zeros_like(tensors[k]) for k in self.keys}
         self.t = 0
-        n = max(t.size for t in tensors.values())
-        self._flat = (np.empty(n), np.empty(n))
+        shapes = {k: v.shape for k, v in tensors.items()}
+        # name -> (byte offset in the store, shape), in layout order
+        self._layout = {k: (8 * offset, shapes[k]) for k, offset in flat_offsets(shapes).items()}
+        self._size = n = sum(math.prod(shape) for shape in shapes.values())
+        self._n_decay = sum(math.prod(shape) for shape in shapes.values() if len(shape) >= 2)
+        self._params = self._flat(tensors, "tensors")
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self.m, self.v = flat_views(self._m, shapes), flat_views(self._v, shapes)
+        self._scratch = np.empty((2, min(_BLOCK, n)))
+
+    def _flat(self, arrays: dict[str, np.ndarray], what: str) -> np.ndarray:
+        """The 1-D store of which ``arrays`` are the views in this
+        optimizer's layout; ``ValueError`` if they are not."""
+        if arrays.keys() != self._layout.keys():
+            raise ValueError(f"{what} name other tensors than the optimizer's")
+        first = arrays[next(iter(self._layout))]
+        base = first.base
+        if not isinstance(base, np.ndarray) or base.dtype != np.float64 or base.ndim != 1:
+            raise ValueError(f"{what} are not views of one flat float64 store")
+        origin = first.ctypes.data
+        for k, (offset, shape) in self._layout.items():
+            a = arrays[k]
+            if (a.base is not base or a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous
+                    or a.ctypes.data != origin + offset):
+                raise ValueError(f"{what} are not views of one flat store in the optimizer's layout: {k!r}")
+        start = (origin - base.ctypes.data) // 8
+        return base[start : start + self._size]
 
     def _lr(self) -> float:
         if self.warmup_steps and self.t <= self.warmup_steps:
@@ -181,48 +240,53 @@ class AdamW:
         return self.lr
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update of the tensors from ``grads``, which are left as they are."""
+        """One update of the tensors from ``grads``, which are left as they are.
+
+        The update is PyTorch's: ``p *= 1 - lr wd`` on matrices, ``m = b1 m
+        + ((1 - b1) s) g``, ``v = b2 v + ((1 - b2) s s) g g`` and ``p -=
+        (lr / c1) m / (sqrt(v) / sqrt(c2) + eps)``, with ``s`` the clip
+        scale, so no clipped gradient is formed.  It runs block by block
+        over the store, every pass of a block while the block is in cache.
+        The clip norm sums each block's squares with numpy's own reduction,
+        block after block, so its bits do not depend on a BLAS library.
+        """
+        g_all = self._flat(grads, "grads")
         self.t += 1
-        flat_a, flat_b = self._flat
+        p_all, m_all, v_all = self._params, self._m, self._v
+        n, n_decay = p_all.size, self._n_decay
         scale = 1.0
         if self.grad_clip:
-            sq = 0
-            for k in self.keys:
-                g = grads[k]
-                sq += float(np.multiply(g, g, out=flat_a[: g.size].reshape(g.shape)).sum())
-            norm = np.sqrt(sq)
+            sq = 0.0
+            for lo in range(0, n, _BLOCK):
+                g = g_all[lo : lo + _BLOCK]
+                sq += float(np.add.reduce(np.square(g, out=self._scratch[0, : g.size])))
+            norm = math.sqrt(sq)
             if norm > self.grad_clip:
                 scale = self.grad_clip / norm
         lr = self._lr()
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        # In place, but in the operation order of
-        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        #   p -= lr (m / c1 / (sqrt(v / c2) + eps) + wd p)
-        # so the arithmetic keeps its bits.
-        for k in self.keys:
-            g, p = grads[k], self.tensors[k]
-            a = flat_a[: g.size].reshape(g.shape)
-            b = flat_b[: g.size].reshape(g.shape)
-            if scale != 1.0:
-                g = np.multiply(g, scale, out=b)
-            m, v = self.m[k], self.v[k]
+        decay = 1.0 - lr * self.weight_decay
+        m_coef = (1.0 - self.beta1) * scale
+        v_coef = (1.0 - self.beta2) * scale * scale
+        step_size = lr / (1.0 - self.beta1**self.t)
+        root_c2 = math.sqrt(1.0 - self.beta2**self.t)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            p, g, m, v = p_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            a, b = self._scratch[0, : hi - lo], self._scratch[1, : hi - lo]
+            if self.weight_decay and lo < n_decay:
+                p[: n_decay - lo] *= decay
             m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
+            m += np.multiply(g, m_coef, out=a)
             v *= self.beta2
+            np.multiply(g, v_coef, out=a)
+            a *= g
             v += a
-            update = np.divide(m, c1, out=b)  # g is no longer read
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
+            np.sqrt(v, out=a)
+            a /= root_c2
             a += self.eps
-            update /= a
-            if self.weight_decay and p.ndim >= 2:
-                np.multiply(p, self.weight_decay, out=a)
-                update += a
-            update *= lr
-            p -= update
+            np.multiply(m, step_size, out=b)
+            b /= a
+            p -= b
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +318,7 @@ def _tune_prf(model: Model, docs: Sequence[Document], vocab: BpeVocab) -> EvalRe
 
 def _run_steps(
     cfg: TrainConfig | MlmConfig,
-    tensors: dict[str, np.ndarray],
+    owners: dict[str, dict[str, np.ndarray]],
     total_steps: int,
     batches: Iterable,
     loss_and_grads: Callable,
@@ -265,14 +329,15 @@ def _run_steps(
 ) -> None:
     """The step loop of both trainings.
 
-    ``loss_and_grads(batch)`` runs on each batch drawn from
-    ``batches``; its loss is checked and logged as ``metric``, and AdamW
-    updates ``tensors`` from its gradients.  ``snapshot(step)`` runs every
-    ``checkpoint_every`` steps and at a last step off that interval; when it
-    returns True the run ends there.
+    First the tensors of the dicts ``owners`` are moved into one store
+    (``move_to_store``).  ``loss_and_grads(batch)`` runs on each batch
+    drawn from ``batches``; its loss is checked and logged as ``metric``,
+    and AdamW updates the store from its gradients, named as the store's
+    views.  ``snapshot(step)`` runs every ``checkpoint_every`` steps and at
+    a last step off that interval; when it returns True the run ends there.
     """
     warmup_steps = int(np.ceil(cfg.warmup_frac * total_steps))
-    opt = AdamW(tensors, cfg.learning_rate, cfg.weight_decay, warmup_steps, cfg.grad_clip)
+    opt = AdamW(move_to_store(owners), cfg.learning_rate, cfg.weight_decay, warmup_steps, cfg.grad_clip)
     # a diverging run overflows before its loss turns non-finite; the loss
     # check below reports it, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,9 +364,12 @@ def train_supervised(
 
     Tune F1 is recorded every ``checkpoint_every`` steps (and at the final
     step); the returned model maximizes it, ties resolved to the earliest
-    step.  ``train_cfg.seed`` draws the encoder, which ``init_encoder`` of
-    the same config (e.g. an MLM snapshot) replaces, and ``seed + 1`` the
-    head.  Zero epochs return the initialization with an empty log.
+    step.  ``train_cfg.seed`` draws the encoder, unless ``init_encoder``
+    of the same config (e.g. an MLM snapshot) gives it, and ``seed + 1``
+    the head.  The model trains in one flat store of its own
+    (``move_to_store``), so ``init_encoder`` is copied once and left as it
+    is, and the returned model holds arrays of its own.  Zero epochs
+    return the initialization with an empty log.
     A split without sentences, a sentence of either split longer than
     ``max_positions`` (by name), and a tune split without a gold mention,
     whose F1 would read 1.0 for a model that predicts nothing, are refused
@@ -317,11 +385,7 @@ def train_supervised(
     if not any(s.mentions for d in tune_docs for s in d.sentences):
         raise UnusableDataError("the tune split holds no entity mention: its F1 would read 1.0 "
                                 "for a model that predicts nothing")
-    model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg, train_cfg.seed)
-    if init_encoder is not None:
-        if init_encoder.config != encoder_cfg:
-            raise ValueError("init_encoder configuration does not match encoder_cfg")
-        model.encoder = init_encoder.clone()
+    model = init_model(train_cfg.method, labels, encoder_cfg, head_cfg, train_cfg.seed, init_encoder)
 
     rng = np.random.default_rng(train_cfg.seed)
     size = train_cfg.batch_size
@@ -346,7 +410,7 @@ def train_supervised(
     total_steps = train_cfg.epochs * -(-len(examples) // size)
     workspace = Workspace()  # the step buffers of the whole run
     _run_steps(
-        train_cfg, model_tensors(model), total_steps, batches,
+        train_cfg, {"encoder.": model.encoder.tensors, "heads.": model.heads}, total_steps, batches,
         lambda batch: batch_loss_and_grads(model, batch, "train", rng, workspace),
         log, snapshot, metric="loss", what="training",
     )
@@ -435,7 +499,7 @@ def pretrain_mlm(
 
     snapshot(0)
     _run_steps(
-        mlm_cfg, enc.tensors, mlm_cfg.total_steps, batches(),
+        mlm_cfg, {"": enc.tensors}, mlm_cfg.total_steps, batches(),
         lambda batch: mlm_batch_loss_and_grads(
             enc, batch, vocab, mlm_cfg.mask_prob, rng, mode="train", workspace=workspace
         ),

@@ -35,11 +35,10 @@ from dualner.model import (
     mlm_batch_loss_and_grads,
     mlm_mask,
     mlm_masks,
-    model_tensors,
     predict_documents,
 )
 from dualner.subtok import MASK_TOKEN, PAD_TOKEN, UNK_TOKEN, BpeVocab, corpus_words, subtokenize
-from dualner.train import AdamW, LogEntry
+from dualner.train import _BLOCK, AdamW, LogEntry, move_to_store
 
 
 def central_difference(loss_fn, arr: np.ndarray, flat_index: int, step: float) -> float:
@@ -376,26 +375,32 @@ def mlm_batch_loss_and_grads_reference(enc, batch, vocab: BpeVocab, mask_prob: f
 
 
 def adamw_step_reference(opt, tensors, grads, grad_clip: float = 0.0) -> None:
-    """One AdamW step on ``opt``'s state, allocating fresh moments and update
-    arrays instead of updating in place."""
+    """One AdamW step on ``opt``'s state in PyTorch's operation order,
+    computing fresh moments and parameter values instead of updating in
+    place; the parameters then take the new values.  The clip norm sums
+    the squares of the gradients laid out flat, matrices first, one
+    ``_BLOCK`` of elements after another."""
     opt.t += 1
+    keys = [k for k in tensors if tensors[k].ndim >= 2] + [k for k in tensors if tensors[k].ndim < 2]
     scale = 1.0
     if grad_clip:
-        sq = sum(float((grads[k] ** 2).sum()) for k in opt.keys)
+        flat = np.concatenate([grads[k].ravel() for k in keys])
+        sq = 0.0
+        for lo in range(0, flat.size, _BLOCK):
+            sq += float((flat[lo : lo + _BLOCK] ** 2).sum())
         norm = np.sqrt(sq)
         if norm > grad_clip:
             scale = grad_clip / norm
     lr = opt._lr()
-    for k in opt.keys:
-        g = grads[k] if scale == 1.0 else grads[k] * scale
-        opt.m[k] = opt.beta1 * opt.m[k] + (1.0 - opt.beta1) * g
-        opt.v[k] = opt.beta2 * opt.v[k] + (1.0 - opt.beta2) * (g * g)
-        mhat = opt.m[k] / (1.0 - opt.beta1**opt.t)
-        vhat = opt.v[k] / (1.0 - opt.beta2**opt.t)
-        update = mhat / (np.sqrt(vhat) + opt.eps)
-        if opt.weight_decay and tensors[k].ndim >= 2:
-            update = update + opt.weight_decay * tensors[k]
-        tensors[k] -= lr * update
+    c1 = 1.0 - opt.beta1**opt.t
+    c2 = 1.0 - opt.beta2**opt.t
+    for k in keys:
+        g, p = grads[k], tensors[k]
+        if opt.weight_decay and p.ndim >= 2:
+            p = p * (1.0 - lr * opt.weight_decay)
+        opt.m[k] = opt.beta1 * opt.m[k] + ((1.0 - opt.beta1) * scale) * g
+        opt.v[k] = opt.beta2 * opt.v[k] + ((1.0 - opt.beta2) * scale * scale) * g * g
+        tensors[k][...] = p - (lr / c1) * opt.m[k] / (np.sqrt(opt.v[k]) / np.sqrt(c2) + opt.eps)
 
 
 def mlm_mask_reference(ids, vocab_size: int, mask_id: int, mask_prob: float, rng):
@@ -519,7 +524,7 @@ def predict_sentence_reference(model, words, vocab: BpeVocab):
     sentence alone, where ``predict_documents`` packs sentences."""
     align = subtokenize(words, vocab)
     wv, _ = encode_with_cache(align.sub_token_ids, model.encoder, rows=[align.first_subtoken_index])
-    return _decode(model, wv)
+    return _decode(model, wv, [slice(0, len(wv))])[0]
 
 
 def layer_norm_forward_reference(x, g, b, eps: float = 1e-5):
@@ -609,9 +614,8 @@ def train_supervised_reference(train_docs, tune_docs, vocab, encoder_cfg, head_c
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = -(-len(examples) // train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
-    tensors = model_tensors(model)
     opt = AdamW(
-        tensors,
+        move_to_store({"encoder.": model.encoder.tensors, "heads.": model.heads}),
         learning_rate=train_cfg.learning_rate,
         weight_decay=train_cfg.weight_decay,
         warmup_steps=int(np.ceil(train_cfg.warmup_frac * total_steps)),
@@ -703,7 +707,7 @@ def pretrain_mlm_reference(docs, vocab, encoder_cfg, mlm_cfg):
     checkpoints.append((0, enc.clone()))
     probe(0)
     opt = AdamW(
-        enc.tensors,
+        move_to_store({"": enc.tensors}),
         learning_rate=mlm_cfg.learning_rate,
         weight_decay=mlm_cfg.weight_decay,
         warmup_steps=int(np.ceil(mlm_cfg.warmup_frac * mlm_cfg.total_steps)),

@@ -21,6 +21,7 @@ from dualner.encoder import EncoderConfig, Workspace, dropout_masks, init_params
 from dualner.errors import FormatError, SentenceTooLongError, UnusableDataError
 from dualner.heads import HeadConfig
 from dualner.model import (
+    _decode,
     batch_loss_and_grads,
     build_examples,
     init_model,
@@ -486,6 +487,24 @@ def test_predict_documents_equals_predict_sentence(length_corpus, method):
             assert pred_sent.mentions == expected
             n_found += len(expected)
     assert n_found > 0
+
+
+def test_tagger_decoding_gives_a_one_word_sentence_its_own_product(tiny_setup):
+    """A pack is scored by one tagger product, but a one-word sentence in
+    it gets the bits of its own one-row product: every sentence decodes as
+    when decoded alone."""
+    _docs, vocab = tiny_setup
+    model = _scaled_model("word_tagger", vocab)
+    rng = np.random.default_rng(4)
+    slices = [slice(0, 3), slice(3, 4), slice(4, 8), slice(8, 9)]
+    one_word_mentions = 0
+    for _draw in range(20):
+        wv = rng.normal(size=(9, ENC.hidden_dim))
+        packed = _decode(model, wv, slices)
+        alone = [_decode(model, wv[sl].copy(), [slice(0, sl.stop - sl.start)])[0] for sl in slices]
+        assert packed == alone
+        one_word_mentions += len(packed[1]) + len(packed[3])
+    assert one_word_mentions >= 20
 
 
 def _mlm_pool(docs, vocab):

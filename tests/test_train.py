@@ -2,31 +2,41 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dualner import model as model_module
 from dualner import train as train_module
 from dualner.corpus import Document, LabelInventory, Sentence, generate_synthetic, split_train_tune, write_json
-from dualner.encoder import EncoderConfig, init_params
+from dualner.encoder import EncoderConfig, init_params, load_encoder_snapshot, save_checkpoint
 from dualner.errors import FormatError, ProtocolError, SentenceTooLongError, TrainingError, UnusableDataError
 from dualner.heads import HeadConfig
 from dualner.model import (
     METHODS,
+    flat_views,
     init_model,
+    load_model,
     mlm_batch_loss_and_grads,
     mlm_mask,
     model_tensors,
     predict_documents,
+    save_model,
 )
 from dualner.subtok import subtokenize, train_bpe
 from dualner.train import (
+    _BLOCK,
     AdamW,
     ExperimentConfig,
     MlmConfig,
     ProtocolReport,
     TrainConfig,
+    move_to_store,
     pretrain_mlm,
     protocol_report,
     sweep_tapt_checkpoints,
@@ -253,9 +263,20 @@ def test_predict_and_pretrain_name_a_too_long_sentence(mini):
         pretrain_mlm(docs, vocab, enc, MlmConfig(total_steps=2, checkpoint_every=2))
 
 
+def _store(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``tensors``, moved into one store as training moves them."""
+    move_to_store({"": tensors})
+    return tensors
+
+
+def _flat_grads(values: np.ndarray, tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Gradients in the optimizer's layout: views of the flat ``values``."""
+    return flat_views(values, {k: v.shape for k, v in tensors.items()})
+
+
 def test_adamw_skips_decay_on_vectors():
-    tensors = {"w": np.ones((2, 2)), "b": np.ones(2)}
-    grads = {"w": np.zeros((2, 2)), "b": np.zeros(2)}
+    tensors = _store({"w": np.ones((2, 2)), "b": np.ones(2)})
+    grads = _flat_grads(np.zeros(6), tensors)
     opt = AdamW(tensors, learning_rate=0.1, weight_decay=0.5)
     opt.step(grads)
     assert np.all(tensors["b"] == 1.0)  # no decay, zero grad
@@ -264,17 +285,19 @@ def test_adamw_skips_decay_on_vectors():
 
 @pytest.mark.parametrize("grad_clip", [0.0, 0.05, 1e9], ids=["no_clip", "clipping", "clip_inactive"])
 def test_adamw_matches_allocating_reference(grad_clip):
-    """Every step, over tensors of three sizes that share the optimizer's
-    buffers, equals the allocating reference and leaves the gradients as
-    they are."""
+    """Every step, over tensors of three sizes laid out in two blocks, the
+    matrices ending inside the second, equals the allocating reference and
+    leaves the gradients as they are."""
     rng = np.random.default_rng(3)
-    shapes = {"w": (12, 10), "b": (10,), "emb": (30, 8)}
+    shapes = {"w": (12, 10), "b": (10,), "emb": (300, 64)}
+    n = sum(int(np.prod(shape)) for shape in shapes.values())
+    assert _BLOCK < n - 10 < 2 * _BLOCK  # the decayed region ends inside the second block
     start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-    ours, ref = ({k: v.copy() for k, v in start.items()} for _ in range(2))
+    ours, ref = (_store({k: v.copy() for k, v in start.items()}) for _ in range(2))
     settings = dict(learning_rate=0.05, weight_decay=0.1, warmup_steps=5)
     opt, ref_opt = AdamW(ours, **settings, grad_clip=grad_clip), AdamW(ref, **settings)
     for _step in range(20):
-        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        grads = _flat_grads(rng.normal(size=n), ours)
         kept = {k: v.copy() for k, v in grads.items()}
         opt.step(grads)
         assert all(np.array_equal(grads[k], kept[k]) for k in grads)
@@ -288,12 +311,12 @@ def test_adamw_matches_allocating_reference(grad_clip):
 
 def test_adamw_step_with_workspace_allocates_no_tensor_sized_arrays():
     """Steps over a 1883 x 64 ``tok_emb``, the first included, take every
-    temporary from the optimizer's own workspace, the two buffers built
-    with it (a ``tok_emb``-sized array is 941 KiB)."""
+    temporary from the optimizer's own block buffers, built with it (a
+    ``tok_emb``-sized array is 941 KiB)."""
     enc = init_params(EncoderConfig(vocab_size=1883, hidden_dim=64, n_layers=2, n_heads=4, ffn_dim=128))
-    rng = np.random.default_rng(0)
-    grads = {k: rng.normal(size=v.shape) for k, v in enc.tensors.items()}
-    opt = AdamW(enc.tensors, learning_rate=1e-3, weight_decay=0.01, warmup_steps=2, grad_clip=1.0)
+    tensors = _store(enc.tensors)
+    grads = _flat_grads(np.random.default_rng(0).normal(size=sum(v.size for v in tensors.values())), tensors)
+    opt = AdamW(tensors, learning_rate=1e-3, weight_decay=0.01, warmup_steps=2, grad_clip=1.0)
     tracemalloc.start()
     try:
         for _step in range(3):
@@ -302,6 +325,81 @@ def test_adamw_step_with_workspace_allocates_no_tensor_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def _other_layouts(tensors):
+    """Gradient dicts for ``tensors`` {"w": (4, 3), "u": (4, 3), "b": (3,)}
+    that are not in the optimizer's layout."""
+    shapes = {k: v.shape for k, v in tensors.items()}
+    flat, wide = np.zeros(27), np.zeros(28)
+    swapped = flat_views(flat, shapes)
+    swapped["w"], swapped["u"] = swapped["u"], swapped["w"]
+    return {
+        "separate_arrays": {k: np.zeros(s) for k, s in shapes.items()},
+        "swapped_views": swapped,
+        "vectors_first": {"b": flat[:3], "w": flat[3:15].reshape(4, 3), "u": flat[15:].reshape(4, 3)},
+        "gap": {"w": wide[:12].reshape(4, 3), "u": wide[12:24].reshape(4, 3), "b": wide[25:]},
+        "two_stores": flat_views(np.zeros(27), shapes) | {"b": np.zeros(30)[:3]},
+        "transposed": flat_views(flat, shapes) | {"w": flat[:12].reshape(3, 4).T},
+        "float32": flat_views(np.zeros(27, dtype=np.float32), shapes),
+        "missing": {k: v for k, v in flat_views(flat, shapes).items() if k != "b"},
+        "extra": flat_views(np.zeros(30), shapes | {"c": (3,)}),
+    }
+
+
+@pytest.mark.parametrize("case", ["separate_arrays", "swapped_views", "vectors_first", "gap", "two_stores",
+                                  "transposed", "float32", "missing", "extra"])
+def test_adamw_refuses_gradients_in_another_layout(case):
+    tensors = _store({"w": np.ones((4, 3)), "u": np.ones((4, 3)), "b": np.ones(3)})
+    opt = AdamW(tensors, learning_rate=0.1, weight_decay=0.5, grad_clip=1.0)
+    kept = {k: v.copy() for k, v in tensors.items()}
+    with pytest.raises(ValueError):
+        opt.step(_other_layouts(tensors)[case])
+    assert opt.t == 0
+    assert all(np.array_equal(tensors[k], kept[k]) for k in tensors)
+    opt.step(_flat_grads(np.zeros(27), tensors))  # the optimizer's own layout is taken
+    assert opt.t == 1
+
+
+def test_adamw_refuses_tensors_outside_one_store():
+    with pytest.raises(ValueError, match="not views of one flat float64 store"):
+        AdamW({"w": np.ones((2, 2)), "b": np.ones(2)}, learning_rate=0.1)
+    with pytest.raises(ValueError, match="at least one tensor"):
+        AdamW({}, learning_rate=0.1)
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from dualner.encoder import EncoderConfig, init_params, load_encoder_snapshot, save_checkpoint
+from dualner.model import flat_views
+from dualner.train import AdamW, move_to_store
+tensors = move_to_store({"": init_params(EncoderConfig(vocab_size=1883)).tensors})
+shapes = {k: v.shape for k, v in tensors.items()}
+rng = np.random.default_rng(0)
+opt = AdamW(tensors, learning_rate=1e-3, weight_decay=0.01, warmup_steps=2, grad_clip=1.0)
+for _ in range(3):
+    opt.step(flat_views(rng.normal(size=sum(v.size for v in tensors.values())), shapes))
+h = hashlib.sha256()
+for k in sorted(tensors):
+    h.update(tensors[k].tobytes() + opt.m[k].tobytes() + opt.v[k].tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_adamw_step_bits_do_not_depend_on_blas_threads():
+    """Three clipped steps over an MLM-sized store give the same bits at one
+    and at two BLAS threads, each in a process of its own."""
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_write_log_jsonl(tmp_path, mini):
@@ -539,6 +637,100 @@ def test_warm_start_keeps_the_snapshot_and_draws_the_head_from_the_run_seed(mini
         assert all(np.array_equal(a, snap.tensors[k]) for k, a in model.encoder.tensors.items())
     drawn = [k for k, a in models[0].heads.items() if a.ndim >= 2]  # biases start at zero
     assert drawn and all(not np.array_equal(models[0].heads[k], models[1].heads[k]) for k in drawn)
+
+
+def test_warm_start_draws_no_encoder(mini, monkeypatch):
+    """A fresh run draws its encoder once; a warm-started run draws none,
+    and its head is the one a fresh run of that seed draws."""
+    train_docs, tune_docs, vocab = mini
+    snap = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=5, checkpoint_every=5, seed=2)).checkpoints[-1][1]
+    calls = []
+    real = model_module.init_params
+    monkeypatch.setattr(model_module, "init_params", lambda *args: calls.append(args) or real(*args))
+    cfg = TrainConfig(epochs=1, seed=3, checkpoint_every=2)
+    fresh = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg)
+    assert len(calls) == 1
+    warm = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, dataclasses.replace(cfg, epochs=0),
+                            init_encoder=snap)
+    with pytest.raises(ValueError, match="configuration does not match encoder_cfg"):
+        train_supervised(train_docs, tune_docs, vocab, dataclasses.replace(ENC, ffn_dim=40), HEADS, cfg,
+                         init_encoder=snap)
+    assert len(calls) == 1
+    init = init_model(cfg.method, INV, dataclasses.replace(ENC, vocab_size=len(vocab)), HEADS, seed=3)
+    assert warm.model.heads.keys() == init.heads.keys() == fresh.model.heads.keys()
+    assert all(np.array_equal(a, init.heads[k]) for k, a in warm.model.heads.items())
+    assert all(np.array_equal(a, snap.tensors[k]) for k, a in warm.model.encoder.tensors.items())
+
+
+def _one_store(tensors: dict[str, np.ndarray]) -> None:
+    """``tensors`` are views of one flat store in the optimizer's layout:
+    an ``AdamW`` over them is refused otherwise."""
+    AdamW(tensors, learning_rate=1e-3)
+    assert len({id(a.base) for a in tensors.values()}) == 1
+
+
+def test_tensors_are_views_of_one_store_during_training(mini, monkeypatch):
+    """At every step the model's (or the MLM encoder's) own tensor dicts
+    hold views of one store, and the step's gradients are in its layout."""
+    train_docs, tune_docs, vocab = mini
+    seen = []
+    real_batch, real_mlm = train_module.batch_loss_and_grads, train_module.mlm_batch_loss_and_grads
+
+    def batch(model, *args):
+        _one_store(model_tensors(model))
+        seen.append("supervised")
+        return real_batch(model, *args)
+
+    def mlm(enc, *args, **kwargs):
+        if kwargs.get("with_grads", True):
+            _one_store(enc.tensors)
+            seen.append("mlm")
+        return real_mlm(enc, *args, **kwargs)
+
+    monkeypatch.setattr(train_module, "batch_loss_and_grads", batch)
+    monkeypatch.setattr(train_module, "mlm_batch_loss_and_grads", mlm)
+    snap = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=4, checkpoint_every=2)).checkpoints[-1][1]
+    for method in METHODS:
+        train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, TrainConfig(method=method, epochs=1))
+        train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, TrainConfig(method=method, epochs=1),
+                         init_encoder=snap)
+    steps = -(-len([s for d in train_docs for s in d.sentences]) // TrainConfig().batch_size)
+    assert seen == ["mlm"] * 4 + ["supervised"] * (4 * steps)
+
+
+def _own_arrays(tensors: dict[str, np.ndarray]) -> bool:
+    return all(a.flags.owndata for a in tensors.values())
+
+
+def test_returned_models_and_snapshots_hold_own_arrays_that_survive_save_and_load(mini, tmp_path):
+    """Returned models and MLM snapshots own their arrays, share none with
+    each other or with the snapshot a run started from, and save and load
+    bit for bit."""
+    train_docs, tune_docs, vocab = mini
+    mlm = pretrain_mlm(train_docs, vocab, ENC, MlmConfig(total_steps=4, checkpoint_every=2, seed=1))
+    kept = [(step, {k: a.copy() for k, a in enc.tensors.items()}) for step, enc in mlm.checkpoints]
+    snapshot_arrays = [a for _, enc in mlm.checkpoints for a in enc.tensors.values()]
+    assert all(_own_arrays(enc.tensors) for _, enc in mlm.checkpoints)
+    for step, enc in mlm.checkpoints:
+        path = tmp_path / f"mlm_{step}.npz"
+        save_checkpoint(path, {"kind": "encoder", "step": step, "encoder": dataclasses.asdict(enc.config)},
+                        enc.tensors)
+        _config, loaded, _ = load_encoder_snapshot(path, "encoder")
+        assert all(np.array_equal(loaded.tensors[k], a) for k, a in enc.tensors.items())
+    cfg = TrainConfig(epochs=2, seed=1, checkpoint_every=2)
+    warm = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, cfg, init_encoder=mlm.checkpoints[-1][1])
+    for method in METHODS:
+        result = train_supervised(train_docs, tune_docs, vocab, ENC, HEADS, dataclasses.replace(cfg, method=method))
+        for trained in (result.model, warm.model):
+            tensors = model_tensors(trained)
+            assert _own_arrays(tensors)
+            assert not any(np.shares_memory(a, b) for a in tensors.values() for b in snapshot_arrays)
+            save_model(tmp_path / "model.npz", trained)
+            loaded = model_tensors(load_model(tmp_path / "model.npz"))
+            assert loaded.keys() == tensors.keys()
+            assert all(np.array_equal(loaded[k], a) for k, a in tensors.items())
+    for (step, before), (_step, enc) in zip(kept, mlm.checkpoints):  # training left every snapshot as it was
+        assert all(np.array_equal(a, enc.tensors[k]) for k, a in before.items()), step
 
 
 def test_sweep_curve_length(mini):
